@@ -14,6 +14,7 @@ from .errors import (
     CoverFailureError,
     GroupParseError,
     InfiniteStabilizerError,
+    InvalidRadiusError,
     MalformedElementError,
     PreconditionError,
     ResourceLimitError,
@@ -36,6 +37,7 @@ from .groups import (
     geodesic_word,
     parse_group_spec,
     product,
+    sphere,
 )
 from .spaces import FiniteSpace, GroupSpace, point_space
 from .families import (

@@ -34,7 +34,6 @@ from .errors import (
 from .families import (
     ParamFamily,
     compose_controlled,
-    controlled_to_family,
     family_to_controlled,
     finite_family,
     refines,
@@ -101,8 +100,8 @@ class Action:
     def apply(self, g, x):
         raise NotImplementedError
 
-    def apply_set(self, g, S) -> tuple:
-        return tuple(sorted((self.apply(g, x) for x in S), key=self.space.sort_key))
+    def apply_set(self, g, S) -> frozenset:
+        return frozenset(self.apply(g, x) for x in S)
 
     def validate(self, depth: int = ACTION_LAW_DEPTH) -> None:
         """Check the left action law on a small window."""
@@ -191,15 +190,7 @@ def table_action(group: groups.GroupSpec, space: FiniteSpace, perms: dict, name:
 
 
 def _mesh(space, S) -> int:
-    if isinstance(space, GroupSpace):
-        return max((space.wl(u) for u in S), default=0)
-    return 0
-
-
-def _extent(space, y) -> int:
-    if isinstance(space, GroupSpace):
-        return space.wl(y)
-    return 0
+    return max((space.extent(u) for u in S), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +232,7 @@ class ActionInducedStructure(CoarseStructure):
         if not member:
             return frozenset()
         G = self.action.group
-        ext = max(_extent(self.space, y) for y in member)
+        ext = max(self.space.extent(y) for y in member)
         acting_radius = ext + _mesh(self.space, self.U) + self.slack
         pool = groups.ball(G, acting_radius).elements
         covers = {}
@@ -280,7 +271,7 @@ class ActionInducedStructure(CoarseStructure):
 
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
         G = self.action.group
-        acting_radius = _extent(self.space, y) + _mesh(self.space, self.U) + self.slack
+        acting_radius = self.space.extent(y) + _mesh(self.space, self.U) + self.slack
         hits = self._covers(y, acting_radius)
         if not hits:
             raise WindowOverflowError(f"{self.label}: {self.space.serialize(y)} not covered")
@@ -306,11 +297,45 @@ def action_translate_family(action: Action, V, tag: str = "") -> ParamFamily:
         vs = ",".join(action.space.serialize(v) for v in V)
         tag = f"{{g.[{vs}]}}"
 
-    def fn(r: int):
-        members = [action.apply_set(g, V) for g in groups.ball(action.group, r).elements]
-        return finite_family(action.space, members)
+    def grow(r: int):
+        return (action.apply_set(g, V) for g in groups.sphere(action.group, r))
 
-    return ParamFamily(tag=tag, space=action.space, fn=fn)
+    return ParamFamily(tag=tag, space=action.space, grow=grow)
+
+
+def translates_family(action: Action, pf: ParamFamily, tag: str) -> ParamFamily:
+    """r -> {g.M} over g in Ball(r) and the members M of pf at radius r.
+
+    At radius r the new members are the new sphere times every member so
+    far, plus the inner ball times the members new at r."""
+    G = action.group
+    layers: list = []  # layers[q]: the members of pf that appear at radius q
+    known: set = set()
+
+    def grow(r: int):
+        while len(layers) <= r:
+            fresh = dict.fromkeys(m for m in map(frozenset, pf.delta(len(layers))) if m not in known)
+            known.update(fresh)
+            layers.append(tuple(fresh))
+        for g in groups.sphere(G, r):
+            for q in range(r + 1):
+                for mem in layers[q]:
+                    yield action.apply_set(g, mem)
+        inner = groups.ball(G, r - 1).elements if r else ()
+        for g in inner:
+            for mem in layers[r]:
+                yield action.apply_set(g, mem)
+
+    return ParamFamily(tag=tag, space=action.space, grow=grow)
+
+
+def _pieces_family(pf: ParamFamily) -> ParamFamily:
+    """r -> the one and two point subsets of the members of pf at radius r."""
+
+    def grow(r: int):
+        return ((u, v) for m in pf.delta(r) for u in m for v in m)
+
+    return ParamFamily(tag=f"pieces({pf.tag})", space=pf.space, grow=grow)
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +410,7 @@ def uniformly_bornologous_action_check(
         if not base.bounded:
             raise PreconditionError(f"battery family {pf.tag} is not bounded in {struct.label}")
 
-        def translated_fn(r: int, pf=pf):
-            members = []
-            for g in groups.ball(action.group, r).elements:
-                for mem in pf.at(r).members:
-                    members.append(action.apply_set(g, mem))
-            return finite_family(action.space, members)
-
-        tr_pf = ParamFamily(tag=f"translates({pf.tag})", space=action.space, fn=translated_fn)
-        res_a = membership_window(struct, tr_pf, radius)
+        res_a = membership_window(struct, translates_family(action, pf, f"translates({pf.tag})"), radius)
 
         containment_ok = True
         for r in range(rb + 1):
@@ -409,15 +426,8 @@ def uniformly_bornologous_action_check(
             if not containment_ok:
                 break
 
-        def route_b_fn(r: int, pf=pf):
-            pieces = controlled_to_family(family_to_controlled(pf.at(r)))
-            members = []
-            for g in groups.ball(action.group, r).elements:
-                for mem in pieces.members:
-                    members.append(action.apply_set(g, mem))
-            return finite_family(action.space, members)
-
-        rb_pf = ParamFamily(tag=f"controlled({pf.tag})", space=action.space, fn=route_b_fn)
+        # the two point pieces of E are the one and two point subsets of members
+        rb_pf = translates_family(action, _pieces_family(pf), f"controlled({pf.tag})")
         res_b = membership_window(struct, rb_pf, rb)
         a_at_rb = trace_stabilizes({r: res_a.trace[r] for r in range(rb + 1)}, rb)
         agree = containment_ok and a_at_rb == res_b.bounded
@@ -837,24 +847,14 @@ def commuting_equivalence(
     born_psi = check_bornologous(psi_map, radius, seed=seed, n_random=n_random)
     born_phi = check_bornologous(phi_map, radius, seed=seed, n_random=n_random)
 
-    def close_family(table_outer, table_inner, G, r):
-        pairs = []
-        for g in groups.ball(G, r).elements:
-            pairs.append((g, table_outer[table_inner[g]]))
-        return pairs
+    def close_family(tag, table_outer, table_inner, struct):
+        def grow(r: int):
+            return ((g, table_outer[table_inner[g]]) for g in struct.space.sphere(r))
 
-    def psiphi_fn(r: int):
-        return finite_family(struct_g1.space, close_family(psi, phi, G1, r))
+        return ParamFamily(tag=tag, space=struct.space, grow=grow)
 
-    def phipsi_fn(r: int):
-        return finite_family(struct_g2.space, close_family(phi, psi, G2, r))
-
-    close1 = membership_window(
-        struct_g1, ParamFamily(tag="{g, psi(phi(g))}", space=struct_g1.space, fn=psiphi_fn), radius
-    )
-    close2 = membership_window(
-        struct_g2, ParamFamily(tag="{h, phi(psi(h))}", space=struct_g2.space, fn=phipsi_fn), radius
-    )
+    close1 = membership_window(struct_g1, close_family("{g, psi(phi(g))}", psi, phi, struct_g1), radius)
+    close2 = membership_window(struct_g2, close_family("{h, phi(psi(h))}", phi, psi, struct_g2), radius)
 
     # orbit closeness refines the star family of translates of U
     refine_ok = True

@@ -10,6 +10,7 @@ same flags produces the same bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -30,7 +31,7 @@ from .actions import (
     trivial_action,
     uniformly_bornologous_action_check,
 )
-from .errors import CoarseKitError, GroupParseError
+from .errors import CoarseKitError, GroupParseError, SpaceMismatchError
 from .families import shape_translate_family, translate_pair_family
 from .group_checks import (
     compare_left_right,
@@ -39,7 +40,6 @@ from .group_checks import (
     multiplication_bornologous_check,
 )
 from .maps import (
-    Certificate,
     check_bornologous,
     check_close,
     check_coarsely_proper,
@@ -237,7 +237,8 @@ def _result_check(res) -> dict:
 def cmd_ball(args) -> tuple:
     spec = groups.parse_group_spec(args.group)
     b = groups.ball(spec, args.radius, cap=args.cap)
-    sizes = {str(r): sum(1 for g in b.elements if b.lengths[g] <= r) for r in range(args.radius + 1)}
+    layer_sizes = (len(b.sphere(r)) for r in range(args.radius + 1))
+    sizes = {str(r): n for r, n in enumerate(itertools.accumulate(layer_sizes))}
     data = {"group": spec.label(), "sizes": sizes}
     if args.list or args.radius <= 3:
         data["window"] = [groups.serialize(spec, g) for g in b.elements]
@@ -329,6 +330,10 @@ def cmd_action_check(args) -> tuple:
 
 def cmd_svarc_milnor(args) -> tuple:
     action = parse_action_dsl(args.action)
+    if not isinstance(action.space, GroupSpace):
+        raise SpaceMismatchError(
+            f"{action.name}: the acted-on space carries no group structure to certify against"
+        )
     struct = _structure(action.space.spec, args.structure)
     x0 = action.space.parse(args.base) if args.base else action.space.window(0)[0]
     cert = coarse_action_certificate(

@@ -30,6 +30,12 @@ class MalformedElementError(CoarseKitError):
     code = "malformed-element"
 
 
+class InvalidRadiusError(CoarseKitError, ValueError):
+    """A window radius was negative."""
+
+    code = "invalid-radius"
+
+
 class ResourceLimitError(CoarseKitError):
     """A ball, search, or enumeration exceeded its configured cap."""
 

@@ -5,6 +5,8 @@ canonical order (members sorted elementwise and then lexicographically by
 element order, duplicates dropped).  A parametrized family assigns to every
 window radius r a finite family; all checks require these to be monotone,
 meaning every member present at radius r is still present at radius r+1.
+So a parametrized family is best given by its growth: the members that
+appear at each radius, one sphere of the window at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from . import groups
-from .errors import SpaceMismatchError
+from .errors import PreconditionError, SpaceMismatchError
 
 
 @dataclass(frozen=True)
@@ -36,15 +38,37 @@ def finite_family(space, members: Iterable[Iterable]) -> FiniteFamily:
 
 @dataclass
 class ParamFamily:
+    """A finite family at every radius, given either by ``grow(r)``, the
+    members that appear at radius r (repeating an earlier member is
+    harmless), or by ``fn(r)``, the whole family at radius r."""
+
     tag: str
     space: object
-    fn: Callable[[int], FiniteFamily]
+    fn: Optional[Callable[[int], FiniteFamily]] = None
+    grow: Optional[Callable[[int], Iterable]] = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     def at(self, r: int) -> FiniteFamily:
         if r not in self._cache:
-            self._cache[r] = self.fn(r)
+            if self.fn is not None:
+                self._cache[r] = self.fn(r)
+            else:
+                self._cache[r] = finite_family(
+                    self.space, (m for q in range(r + 1) for m in self.grow(q))
+                )
         return self._cache[r]
+
+    def delta(self, r: int) -> Iterable:
+        """Members that appear at radius r, as iterables of points."""
+        if self.grow is not None:
+            return self.grow(r)
+        members = self.at(r).members
+        if r == 0:
+            return members
+        prev = set(self.at(r - 1).members)
+        if not prev.issubset(members):
+            raise PreconditionError(f"family {self.tag} is not monotone at radius {r}")
+        return [m for m in members if m not in prev]
 
 
 def is_monotone(pf: ParamFamily, radius: int) -> bool:
@@ -136,13 +160,7 @@ def side_witness(side: str, spec: groups.GroupSpec, fam: FiniteFamily) -> Witnes
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     out = set()
     for member in fam.members:
-        for u in member:
-            iu = groups.invert(spec, u)
-            for v in member:
-                if side == "left":
-                    out.add(groups.multiply(spec, iu, v))
-                else:
-                    out.add(groups.multiply(spec, v, iu))
+        out |= member_witness(side, spec, member)
     return Witness(
         structure=f"{side}-group({spec.label()})",
         group=spec,
@@ -244,14 +262,11 @@ def translate_pair_family(space, a, side: str) -> ParamFamily:
     aser = groups.serialize(spec, a)
     tag = f"{{{{g, {aser}*g}}}}" if side == "left" else f"{{{{g, g*{aser}}}}}"
 
-    def fn(r: int) -> FiniteFamily:
-        members = []
-        for g in groups.ball(spec, r).elements:
-            other = groups.multiply(spec, a, g) if side == "left" else groups.multiply(spec, g, a)
-            members.append((g, other))
-        return finite_family(space, members)
+    def grow(r: int):
+        for g in groups.sphere(spec, r):
+            yield (g, groups.multiply(spec, a, g) if side == "left" else groups.multiply(spec, g, a))
 
-    return ParamFamily(tag=tag, space=space, fn=fn)
+    return ParamFamily(tag=tag, space=space, grow=grow)
 
 
 def shape_translate_family(space, shape: tuple, side: str, tag: str = "") -> ParamFamily:
@@ -261,24 +276,23 @@ def shape_translate_family(space, shape: tuple, side: str, tag: str = "") -> Par
         shape_ser = ",".join(groups.serialize(spec, s) for s in shape)
         tag = f"{{g*[{shape_ser}]}}" if side == "left" else f"{{[{shape_ser}]*g}}"
 
-    def fn(r: int) -> FiniteFamily:
-        members = []
-        for g in groups.ball(spec, r).elements:
+    def grow(r: int):
+        for g in groups.sphere(spec, r):
             if side == "left":
-                members.append(tuple(groups.multiply(spec, g, s) for s in shape))
+                yield tuple(groups.multiply(spec, g, s) for s in shape)
             else:
-                members.append(tuple(groups.multiply(spec, s, g) for s in shape))
-        return finite_family(space, members)
+                yield tuple(groups.multiply(spec, s, g) for s in shape)
 
-    return ParamFamily(tag=tag, space=space, fn=fn)
+    return ParamFamily(tag=tag, space=space, grow=grow)
 
 
 def image_family(pf: ParamFamily, rule: Callable, target_space, tag: str = "") -> ParamFamily:
-    def fn(r: int) -> FiniteFamily:
-        fam = pf.at(r)
-        return finite_family(target_space, (tuple(rule(x) for x in m) for m in fam.members))
+    """r -> {rule(m)} over the members m of pf at radius r."""
 
-    return ParamFamily(tag=tag or f"image({pf.tag})", space=target_space, fn=fn)
+    def grow(r: int):
+        return (tuple(rule(x) for x in m) for m in pf.delta(r))
+
+    return ParamFamily(tag=tag or f"image({pf.tag})", space=target_space, grow=grow)
 
 
 def constant_family(space, members, tag: str = "") -> ParamFamily:

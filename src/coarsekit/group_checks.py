@@ -9,20 +9,22 @@ one growing class is a counterexample and names the separating family.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import groups
 from .errors import SurjectivityError
-from .families import ParamFamily, ceil_half, finite_family, trace_stabilizes, translate_pair_family
+from .families import (
+    ParamFamily,
+    ceil_half,
+    image_family,
+    shape_translate_family,
+    trace_stabilizes,
+    translate_pair_family,
+)
 from .maps import (
     Certificate,
-    MapWindow,
-    _image_family,
     inclusion_z_to_dih,
     pullback_structure_equality,
     surjective_equivalence_check,
 )
-from .spaces import GroupSpace
 from .structures import LeftGroupStructure, RightGroupStructure, membership_window
 
 
@@ -146,13 +148,10 @@ def multiplication_bornologous_check(spec: groups.GroupSpec, radius: int) -> Cer
     for F in batteries:
         Ftag = "[" + ",".join(groups.serialize(spec, f) for f in F) + "]"
 
-        def column_fn(r: int, F=F):
-            members = []
-            for g in groups.ball(spec, r).elements:
-                members.append(tuple((f, g) for f in F))
-            return finite_family(upstairs.space, members)
+        def column_grow(r: int, F=F):
+            return (tuple((f, g) for f in F) for g in groups.sphere(spec, r))
 
-        columns = ParamFamily(tag=f"{{{Ftag} x {{g}}}}", space=upstairs.space, fn=column_fn)
+        columns = ParamFamily(tag=f"{{{Ftag} x {{g}}}}", space=upstairs.space, grow=column_grow)
         up = membership_window(upstairs, columns, radius)
         if not up.bounded:
             return Certificate(
@@ -163,13 +162,7 @@ def multiplication_bornologous_check(spec: groups.GroupSpec, radius: int) -> Cer
                       "family": columns.tag},
             )
 
-        def image_fn(r: int, F=F):
-            members = []
-            for g in groups.ball(spec, r).elements:
-                members.append(tuple(groups.multiply(spec, f, g) for f in F))
-            return finite_family(space, members)
-
-        images = ParamFamily(tag=f"{{{Ftag}*g}}", space=space, fn=image_fn)
+        images = shape_translate_family(space, F, "right")
         down = membership_window(downstairs, images, radius)
         checked.append({"F": Ftag, "bounded": down.bounded})
         if not down.bounded and first_failure is None:
@@ -240,7 +233,7 @@ def dihedral_demo(radius: int = 16, seed: int = 0, n_random: int = 32) -> Certif
     agreement = []
     agree_ok = True
     for pf in z_left.default_battery(seed=seed, n_random=n_random):
-        img = _image_family(incl_l, pf)
+        img = image_family(pf, incl_l.rule, left.space, tag=f"{incl_l.name}({pf.tag})")
         in_left = membership_window(left, img, radius)
         in_right = membership_window(right, img, radius)
         same = in_left.bounded == in_right.bounded

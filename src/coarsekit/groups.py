@@ -19,13 +19,14 @@ forms that agree with breadth-first search over these generators.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Iterable, Optional
 
 from .errors import (
     GroupParseError,
+    InvalidRadiusError,
     MalformedElementError,
     ResourceLimitError,
     UnsupportedRankError,
@@ -480,19 +481,20 @@ class Ball:
     elements: tuple  # breadth-first layer order, canonical tie-break inside layers
     lengths: dict = field(repr=False)
     words: dict = field(repr=False)  # element -> geodesic tuple of generator indices
+    layers: list = field(repr=False)  # layers[r]: the elements of length r
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def sphere(self, r: int) -> tuple:
-        return tuple(g for g in self.elements if self.lengths[g] == r)
+        return self.layers[r] if 0 <= r < len(self.layers) else ()
 
 
 class _BallCache:
     def __init__(self, spec: GroupSpec):
         self.spec = spec
         ident = identity(spec)
-        self.layers = [[ident]]
+        self.layers = [(ident,)]
         self.lengths = {ident: 0}
         self.words = {ident: ()}
         self.total = 1
@@ -519,7 +521,7 @@ class _BallCache:
             for h in ordered:
                 self.lengths[h] = r
                 self.words[h] = new[h]
-            self.layers.append(ordered)
+            self.layers.append(tuple(ordered))
             if not ordered:
                 # group exhausted (finite); further layers stay empty
                 break
@@ -528,24 +530,34 @@ class _BallCache:
 _BALL_CACHES: dict[GroupSpec, _BallCache] = {}
 
 
-def ball(spec: GroupSpec, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
-    """Ball of the word metric, ordered by layer then canonical tie-break."""
+def _extended(spec: GroupSpec, radius: int, cap: int) -> _BallCache:
     if radius < 0:
-        raise ValueError("radius must be >= 0")
+        raise InvalidRadiusError(f"radius must be >= 0, got {radius}")
     cache = _BALL_CACHES.get(spec)
     if cache is None:
         cache = _BALL_CACHES[spec] = _BallCache(spec)
     cache.extend(radius, cap)
-    elements = []
-    for layer in cache.layers[: radius + 1]:
-        elements.extend(layer)
+    return cache
+
+
+def ball(spec: GroupSpec, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
+    """Ball of the word metric, ordered by layer then canonical tie-break."""
+    cache = _extended(spec, radius, cap)
+    layers = cache.layers[: radius + 1]
     return Ball(
         group=spec,
         radius=radius,
-        elements=tuple(elements),
+        elements=tuple(itertools.chain.from_iterable(layers)),
         lengths=cache.lengths,
         words=cache.words,
+        layers=layers,
     )
+
+
+def sphere(spec: GroupSpec, r: int, cap: int = DEFAULT_BALL_CAP) -> tuple:
+    """Elements of word length exactly r, in canonical order."""
+    layers = _extended(spec, r, cap).layers
+    return layers[r] if r < len(layers) else ()
 
 
 def conjugacy_window(spec: GroupSpec, a: Element, radius: int, cap: int = DEFAULT_BALL_CAP) -> tuple:

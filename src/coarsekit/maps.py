@@ -27,13 +27,7 @@ from .errors import (
     SurjectivityError,
     WindowOverflowError,
 )
-from .families import (
-    Counterexample,
-    ParamFamily,
-    Witness,
-    finite_family,
-    trace_stabilizes,
-)
+from .families import ParamFamily, image_family, trace_stabilizes
 from .spaces import GroupSpace
 from .structures import CoarseStructure, membership_window
 
@@ -158,14 +152,6 @@ def table_map(name: str, source: CoarseStructure, target: CoarseStructure, table
 # ---------------------------------------------------------------------------
 # checks
 
-def _image_family(m: MapWindow, pf: ParamFamily) -> ParamFamily:
-    def fn(r: int):
-        fam = pf.at(r)
-        return finite_family(m.target.space, (tuple(m.rule(x) for x in mem) for mem in fam.members))
-
-    return ParamFamily(tag=f"{m.name}({pf.tag})", space=m.target.space, fn=fn)
-
-
 def check_bornologous(
     m: MapWindow,
     radius: int,
@@ -182,7 +168,7 @@ def check_bornologous(
             raise PreconditionError(
                 f"battery family {pf.tag} is not bounded in {m.source.label}"
             )
-        img = _image_family(m, pf)
+        img = image_family(pf, m.rule, m.target.space, tag=f"{m.name}({pf.tag})")
         res = membership_window(m.target, img, radius)
         if not res.bounded:
             return Certificate(
@@ -202,13 +188,7 @@ def check_bornologous(
 
 def check_coarsely_proper(m: MapWindow, radius: int, meshes=(0, 1, 2)) -> Certificate:
     """Do preimages of bounded target test sets stop growing with the window?"""
-    base_points = []
-    seen = set()
-    for x in m.source.space.window(1):
-        y = m.rule(x)
-        if y not in seen:
-            seen.add(y)
-            base_points.append(y)
+    base_points = dict.fromkeys(m.rule(x) for x in m.source.space.window(1))
     traces = {}
     for y in base_points:
         for mesh in meshes:
@@ -216,13 +196,8 @@ def check_coarsely_proper(m: MapWindow, radius: int, meshes=(0, 1, 2)) -> Certif
             tag = f"nbhd({m.target.space.serialize(y)},{mesh})"
             trace = {}
             count = 0
-            counted = set()
             for r in range(radius + 1):
-                for x in m.source.space.window(r):
-                    if x not in counted:
-                        counted.add(x)
-                        if m.rule(x) in U:
-                            count += 1
+                count += sum(1 for x in m.source.space.sphere(r) if m.rule(x) in U)
                 trace[r] = count
             traces[tag] = trace
             if not trace_stabilizes(trace, radius):
@@ -254,11 +229,10 @@ def check_close(m1: MapWindow, m2: MapWindow, radius: int) -> Certificate:
     if m1.target.label != m2.target.label or m1.target.space != m2.target.space:
         raise SpaceMismatchError("close maps need a common target structure")
 
-    def fn(r: int):
-        pairs = [(m1.rule(s), m2.rule(s)) for s in m1.source.space.window(r)]
-        return finite_family(m1.target.space, pairs)
+    def grow(r: int):
+        return ((m1.rule(s), m2.rule(s)) for s in m1.source.space.sphere(r))
 
-    pf = ParamFamily(tag=f"close({m1.name},{m2.name})", space=m1.target.space, fn=fn)
+    pf = ParamFamily(tag=f"close({m1.name},{m2.name})", space=m1.target.space, grow=grow)
     res = membership_window(m1.target, pf, radius)
     data = {"maps": [m1.name, m2.name], "result": res.to_json()}
     if res.bounded and isinstance(m1.target.space, GroupSpace):
@@ -274,17 +248,8 @@ def check_close(m1: MapWindow, m2: MapWindow, radius: int) -> Certificate:
     )
 
 
-def _image_index(m: MapWindow, source_radius: int) -> dict:
-    """Image value -> least source preimage, in canonical source order."""
-    index: dict = {}
-    for x in m.source.space.window(source_radius):
-        y = m.rule(x)
-        if y not in index:
-            index[y] = x
-    return index
-
-
 def _full_index(m: MapWindow, source_radius: int) -> dict:
+    """Image value -> its source preimages, in canonical source order."""
     index: dict = {}
     for x in m.source.space.window(source_radius):
         index.setdefault(m.rule(x), []).append(x)
@@ -294,17 +259,10 @@ def _full_index(m: MapWindow, source_radius: int) -> dict:
 def _preimage_family(m: MapWindow, pf: ParamFamily, source_radius: int) -> ParamFamily:
     index = _full_index(m, source_radius)
 
-    def fn(r: int):
-        fam = pf.at(r)
-        members = []
-        for mem in fam.members:
-            pre: list = []
-            for y in mem:
-                pre.extend(index.get(y, ()))
-            members.append(pre)
-        return finite_family(m.source.space, members)
+    def grow(r: int):
+        return ([x for y in mem for x in index.get(y, ())] for mem in pf.delta(r))
 
-    return ParamFamily(tag=f"pre({pf.tag})", space=m.source.space, fn=fn)
+    return ParamFamily(tag=f"pre({pf.tag})", space=m.source.space, grow=grow)
 
 
 def _neighborhood(struct: CoarseStructure, y, distance: int) -> tuple:
@@ -330,7 +288,8 @@ def surjective_equivalence_check(
     the nearest covered point.
     """
     source_radius = m.source_radius(radius)
-    index = _image_index(m, source_radius)
+    # image value -> least source preimage
+    index = {y: xs[0] for y, xs in _full_index(m, source_radius).items()}
     window = target_window(radius) if target_window else m.target.space.window(radius)
 
     selection: dict = {}
@@ -397,24 +356,24 @@ def surjective_equivalence_check(
     tspace = m.target.space
     sspace = m.source.space
 
-    def mg_fn(r: int):
-        pairs = []
-        for y in (target_window(r) if target_window else tspace.window(r)):
-            pairs.append((m.rule(selection[y]), y))
-        return finite_family(tspace, pairs)
+    def mg_grow(r: int):
+        if target_window is None:
+            fresh = tspace.sphere(r)
+        else:
+            inner = set(target_window(r - 1)) if r else set()
+            fresh = [y for y in target_window(r) if y not in inner]
+        return ((m.rule(selection[y]), y) for y in fresh)
 
-    mg_pf = ParamFamily(tag="m.g vs id", space=tspace, fn=mg_fn)
+    mg_pf = ParamFamily(tag="m.g vs id", space=tspace, grow=mg_grow)
     mg_res = membership_window(m.target, mg_pf, radius)
 
-    def gm_fn(r: int):
-        pairs = []
-        for x in sspace.window(r):
+    def gm_grow(r: int):
+        for x in sspace.sphere(r):
             y = m.rule(x)
             if y in selection:
-                pairs.append((selection[y], x))
-        return finite_family(sspace, pairs)
+                yield (selection[y], x)
 
-    gm_pf = ParamFamily(tag="g.m vs id", space=sspace, fn=gm_fn)
+    gm_pf = ParamFamily(tag="g.m vs id", space=sspace, grow=gm_grow)
     gm_res = membership_window(m.source, gm_pf, radius)
 
     data["selection"] = {

@@ -2,7 +2,8 @@
 
 A space is either the underlying set of a catalog group (windows are word
 metric balls) or an explicit finite set carried by a table action.  Spaces
-only need membership, a canonical element order, and window enumeration;
+only need membership, a canonical element order, and window enumeration
+(``sphere(r)`` holds the points that enter ``window(r)`` at radius r);
 group spaces additionally expose the group operations.
 """
 
@@ -25,6 +26,9 @@ class GroupSpace:
 
     def window(self, r: int) -> tuple:
         return groups.ball(self.spec, r).elements
+
+    def sphere(self, r: int) -> tuple:
+        return groups.sphere(self.spec, r)
 
     def sort_key(self, x) -> tuple:
         return groups.sort_key(self.spec, x)
@@ -51,6 +55,9 @@ class GroupSpace:
     def wl(self, a) -> int:
         return groups.word_length(self.spec, a)
 
+    def extent(self, y) -> int:
+        return self.wl(y)
+
     def ball_about(self, y, mesh: int, side: str = "left") -> tuple:
         """Metric ball around y: y*Ball(mesh) for the left-invariant metric,
         Ball(mesh)*y for the right-invariant one."""
@@ -71,6 +78,12 @@ class FiniteSpace:
 
     def window(self, r: int) -> tuple:
         return self.points
+
+    def sphere(self, r: int) -> tuple:
+        return self.points if r == 0 else ()
+
+    def extent(self, x) -> int:
+        return 0
 
     def sort_key(self, x):
         try:

@@ -14,21 +14,21 @@ when its preimage family is bounded in the structure on the source.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable
 
 from . import groups
-from .errors import PreconditionError, WindowOverflowError
+from .errors import CoarseKitError, WindowOverflowError
 from .families import (
     Counterexample,
     ParamFamily,
     Witness,
+    image_family,
     member_witness,
     shape_translate_family,
     trace_stabilizes,
     translate_pair_family,
 )
-from .spaces import FiniteSpace, GroupSpace
+from .spaces import GroupSpace
 
 
 class CoarseStructure:
@@ -42,6 +42,7 @@ class CoarseStructure:
         raise NotImplementedError
 
     def member_contribution(self, member: tuple) -> frozenset:
+        """Witness elements of one member, given in canonical order."""
         if member not in self._contrib_cache:
             self._contrib_cache[member] = frozenset(self._compute_contribution(member))
         return self._contrib_cache[member]
@@ -137,7 +138,7 @@ class PullbackStructure(CoarseStructure):
 
     def preimage_member(self, member: tuple) -> tuple:
         target = set(member)
-        radius = max((_extent(self.space, y) for y in member), default=0) + self.source_slack
+        radius = max((self.space.extent(y) for y in member), default=0) + self.source_slack
         src_space = self.source.space
         hits = [x for x in src_space.window(radius) if self._image(x) in target]
         return tuple(sorted(hits, key=src_space.sort_key))
@@ -160,24 +161,8 @@ class PullbackStructure(CoarseStructure):
     def default_battery(self, seed: int = 0, n_random: int = 32) -> list:
         out = []
         for pf in self.source.default_battery(seed=seed, n_random=n_random):
-            out.append(_pushforward_family(pf, self._image, self.space))
+            out.append(image_family(pf, self._image, self.space, tag=f"push({pf.tag})"))
         return out
-
-
-def _pushforward_family(pf: ParamFamily, rule, target_space) -> ParamFamily:
-    from .families import finite_family
-
-    def fn(r: int):
-        fam = pf.at(r)
-        return finite_family(target_space, (tuple(rule(x) for x in m) for m in fam.members))
-
-    return ParamFamily(tag=f"push({pf.tag})", space=target_space, fn=fn)
-
-
-def _extent(space, y) -> int:
-    if isinstance(space, GroupSpace):
-        return space.wl(y)
-    return 0
 
 
 def random_shapes(spec: groups.GroupSpec, seed: int, count: int, mesh: int = 2) -> list:
@@ -195,21 +180,28 @@ def random_shapes(spec: groups.GroupSpec, seed: int, count: int, mesh: int = 2) 
 def membership_window(structure: CoarseStructure, pf: ParamFamily, radius: int):
     """Evaluate the witness trace of a monotone parametrized family.
 
+    Each distinct member contributes once, at the radius where it appears.
     Returns a Witness when the size trace is constant over the final
     ceil(radius/2) radii, else a Counterexample carrying the growing trace.
     """
+    order = pf.space.sort_key
     seen: set = set()
     witness: set = set()
     trace: dict = {}
     for r in range(radius + 1):
-        fam = pf.at(r)
-        current = set(fam.members)
-        if not seen <= current:
-            raise PreconditionError(f"family {pf.tag} is not monotone at radius {r}")
-        for m in fam.members:
-            if m not in seen:
-                seen.add(m)
-                witness |= structure.member_contribution(m)
+        try:
+            for m in pf.delta(r):
+                m = frozenset(m)
+                if m not in seen:
+                    seen.add(m)
+                    witness |= structure.member_contribution(tuple(sorted(m, key=order)))
+        except CoarseKitError:
+            # report the least failing member, whatever order the delta came in
+            older = {frozenset(m) for q in range(r) for m in pf.delta(q)}
+            new = [tuple(sorted(m, key=order)) for m in {frozenset(m) for m in pf.delta(r)} - older]
+            for m in sorted(new, key=lambda m: [order(x) for x in m]):
+                structure.member_contribution(m)
+            raise
         trace[r] = len(witness)
     group = structure.witness_group()
     elements = groups.canonical_sorted(group, witness)

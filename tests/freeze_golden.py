@@ -1,0 +1,60 @@
+"""Rewrite the golden report corpus under tests/golden/.
+
+    PYTHONPATH=src python tests/freeze_golden.py
+
+Run this only when a report changes on purpose: the corpus is the frozen
+JSON stdout of the README commands (plus ``commuting --radius 16``), and
+``test_golden.py`` asserts that the current code prints the same bytes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import pathlib
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+# file stem -> argv; the README commands at their README radii
+COMMANDS = {
+    "ball-dihinf-8": ["ball", "--group", "DihInf", "--radius", "8"],
+    "fc-dihinf-8": ["fc", "--group", "DihInf", "--radius", "8"],
+    "compare-lr-dihinf-8": ["compare-lr", "--group", "DihInf", "--radius", "8"],
+    "witness-dihinf-edge-left-t-right": [
+        "witness", "--group", "DihInf", "--family", "edge-left:t", "--structure", "right",
+    ],
+    "map-check-z-floor-div-2-12": [
+        "map-check", "--group", "Z", "--map", "floor-div:2", "--radius", "12", "--equivalence",
+    ],
+    "map-check-z-dihinf-inclusion-10": [
+        "map-check", "--group", "Z", "--target", "DihInf", "--map", "inclusion",
+        "--equivalence", "--cover-distance", "1", "--radius", "10",
+    ],
+    "svarc-milnor-z-dihinf-10": ["svarc-milnor", "--action", "left(Z->DihInf via x^n)", "--radius", "10"],
+    "commuting-8": ["commuting", "--radius", "8"],
+    "gromov-power-2-8": ["gromov", "--map", "power:2", "--radius", "8", "--enum-radius", "2"],
+    "demo-dihedral-16": ["demo-dihedral", "--radius", "16"],
+    "commuting-16": ["commuting", "--radius", "16"],
+}
+
+
+def render(argv: list) -> str:
+    """The report exactly as the CLI prints it."""
+    from coarsekit import cli
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.main(list(argv))
+    return buf.getvalue()
+
+
+def main() -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for stem, argv in COMMANDS.items():
+        path = GOLDEN_DIR / f"{stem}.json"
+        path.write_text(render(argv))
+        print(f"wrote {path.name}")
+
+
+if __name__ == "__main__":
+    main()

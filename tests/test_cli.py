@@ -108,6 +108,16 @@ class TestErrors:
         )
         assert code == 2
 
+    def test_negative_ball_radius_exits_2(self):
+        code, out = run_cli(["ball", "--group", "Z", "--radius", "-1"])
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "invalid-radius"
+
+    def test_svarc_milnor_on_finite_space_exits_2(self):
+        code, out = run_cli(["svarc-milnor", "--action", "trivial(Z on point)"])
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "space-mismatch"
+
     def test_unknown_flag_is_usage_error(self):
         with contextlib.redirect_stderr(io.StringIO()):
             with pytest.raises(SystemExit) as exc:

@@ -1,0 +1,148 @@
+"""Stock families grown one sphere at a time against brute-force snapshots.
+
+Each stock family hands membership_window only the members that appear at
+radius r.  The union of those deltas over 0..r must be the family rebuilt
+from scratch on groups.ball(spec, r), and a snapshot-only (``fn=``) copy of
+the family must give the same verdict, trace and witness elements.
+"""
+
+import functools
+
+import pytest
+
+from coarsekit import groups
+from coarsekit.errors import WindowOverflowError
+from coarsekit.actions import (
+    action_translate_family,
+    identity_hom,
+    left_translation,
+    right_translation,
+    translates_family,
+)
+from coarsekit.families import (
+    ParamFamily,
+    finite_family,
+    image_family,
+    shape_translate_family,
+    translate_pair_family,
+)
+from coarsekit.maps import MapWindow, _preimage_family
+from coarsekit.spaces import GroupSpace
+from coarsekit.structures import LeftGroupStructure, RightGroupStructure, membership_window
+
+SPECS = [groups.Z, groups.free_abelian(2), groups.DIH, groups.free_group(2)]
+KINDS = ["translate-pair", "shape-translate", "action-translate", "image", "preimage", "translates"]
+RADIUS = 6
+# a translates family has |B_r| x |F_r| members; F(2) keeps that small at r <= 3
+TRANSLATES_RADIUS_F2 = 3
+PREIMAGE_SLACK = 2
+
+
+def _square(spec):
+    return lambda g: groups.multiply(spec, g, g)
+
+
+# building an action checks the action law on a window, so build each once
+@functools.lru_cache(maxsize=None)
+def _translation(spec, side):
+    return (left_translation if side == "left" else right_translation)(identity_hom(spec))
+
+
+def _setup(spec, kind):
+    """The stock family of one kind on spec, and its brute-force snapshot
+    at radius r as a set of member sets."""
+    space = GroupSpace(spec)
+    a = groups.sphere(spec, 2)[0]
+    shape = groups.ball(spec, 1).elements[:3]
+    mul = lambda x, y: groups.multiply(spec, x, y)
+
+    def shape_snapshot(r):
+        return {frozenset(mul(s, g) for s in shape) for g in groups.ball(spec, r).elements}
+
+    if kind == "translate-pair":
+        pf = translate_pair_family(space, a, "left")
+        return pf, lambda r: {frozenset({g, mul(a, g)}) for g in groups.ball(spec, r).elements}
+    if kind == "shape-translate":
+        return shape_translate_family(space, shape, "right"), shape_snapshot
+    if kind == "action-translate":
+        action = _translation(spec, "right")
+        pf = action_translate_family(action, shape)
+        return pf, lambda r: {
+            frozenset(action.apply(g, v) for v in shape) for g in groups.ball(spec, r).elements
+        }
+    if kind == "image":
+        rule = _square(spec)
+        pf = image_family(shape_translate_family(space, shape, "right"), rule, space)
+        return pf, lambda r: {frozenset(rule(x) for x in m) for m in shape_snapshot(r)}
+    if kind == "preimage":
+        struct = LeftGroupStructure(spec)
+        m = MapWindow("square", struct, struct, _square(spec))
+        source_radius = RADIUS + PREIMAGE_SLACK
+        pf = _preimage_family(m, shape_translate_family(space, shape, "right"), source_radius)
+        preimages: dict = {}
+        for x in groups.ball(spec, source_radius).elements:
+            preimages.setdefault(m.rule(x), []).append(x)
+
+        def snapshot(r):
+            return {frozenset(x for y in mem for x in preimages.get(y, ())) for mem in shape_snapshot(r)}
+
+        return pf, snapshot
+    action = _translation(spec, "left")
+    pf = translates_family(action, shape_translate_family(space, shape, "right"), "translates")
+    return pf, lambda r: {
+        frozenset(action.apply(g, x) for x in mem)
+        for g in groups.ball(spec, r).elements
+        for mem in shape_snapshot(r)
+    }
+
+
+def _radius(spec, kind):
+    return TRANSLATES_RADIUS_F2 if kind == "translates" and spec.kind == "free" else RADIUS
+
+
+CASES = [(spec, kind) for spec in SPECS for kind in KINDS]
+IDS = [f"{spec.label()}-{kind}" for spec, kind in CASES]
+
+
+@pytest.mark.parametrize("spec,kind", CASES, ids=IDS)
+def test_deltas_union_to_snapshot(spec, kind):
+    pf, snapshot = _setup(spec, kind)
+    grown: set = set()
+    for r in range(_radius(spec, kind) + 1):
+        grown |= {frozenset(m) for m in pf.delta(r)}
+        expected = snapshot(r)
+        assert grown == expected, f"radius {r}"
+        assert {frozenset(m) for m in pf.at(r).members} == expected, f"radius {r}"
+
+
+@pytest.mark.parametrize("spec,kind", CASES, ids=IDS)
+def test_snapshot_copy_gives_same_result(spec, kind):
+    pf, snapshot = _setup(spec, kind)
+    copy = ParamFamily(tag=pf.tag, space=pf.space, fn=lambda r: finite_family(pf.space, snapshot(r)))
+    radius = _radius(spec, kind)
+    for struct in (LeftGroupStructure(spec), RightGroupStructure(spec)):
+        grown = membership_window(struct, pf, radius)
+        snap = membership_window(struct, copy, radius)
+        assert (grown.verdict, grown.trace, grown.elements) == (snap.verdict, snap.trace, snap.elements)
+
+
+class _RefusesFarPoints(LeftGroupStructure):
+    """Left structure that refuses every member with a point beyond length 1."""
+
+    def _compute_contribution(self, member):
+        for x in member:
+            if groups.word_length(self.spec, x) > 1:
+                raise WindowOverflowError(f"{x} not covered")
+        return super()._compute_contribution(member)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["sphere-order", "reversed"])
+def test_error_names_least_member_whatever_the_delta_order(reverse):
+    # at radius 1 both {1, 2} and {-1, -2} are refused; {1, 2} is the least
+    def grow(r):
+        sphere = groups.sphere(groups.Z, r)
+        return [(g, 2 * g) for g in (sphere[::-1] if reverse else sphere)]
+
+    pf = ParamFamily(tag="{g, 2g}", space=GroupSpace(groups.Z), grow=grow)
+    with pytest.raises(WindowOverflowError, match=r"^2 not covered"):
+        membership_window(_RefusesFarPoints(groups.Z), pf, 4)
