@@ -19,6 +19,7 @@ Two window constructions produce coarse structures from an action:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,9 +33,9 @@ from .errors import (
     WindowOverflowError,
 )
 from .families import (
+    ControlledSet,
     ParamFamily,
     compose_controlled,
-    family_to_controlled,
     finite_family,
     refines,
     star_family,
@@ -138,6 +139,14 @@ class TranslationAction(Action):
             return groups.multiply(self.space.spec, h, x)
         return groups.multiply(self.space.spec, x, groups.invert(self.space.spec, h))
 
+    def apply_set(self, g, S) -> frozenset:
+        spec = self.space.spec
+        h = self.hom.apply(g)
+        if self.side == "left":
+            return frozenset(groups.multiply(spec, h, x) for x in S)
+        ih = groups.invert(spec, h)
+        return frozenset(groups.multiply(spec, x, ih) for x in S)
+
 
 class TrivialAction(Action):
     def __init__(self, group: groups.GroupSpec, space):
@@ -200,7 +209,22 @@ class ActionInducedStructure(CoarseStructure):
     """Bounded sets are subsets of F.U with F finite; a family is bounded
     when every member fits in a translate g.(F.U) for one finite F.  The
     member contribution is the least such F (canonical greedy choice), and
-    the witness trace is the size of the union of these F over the family."""
+    the witness trace is the size of the union of these F over the family.
+
+    The covers of a point y are the acting elements h with y in h.U.  They
+    come from one inverted index, point -> covers, grown one sphere of the
+    acting group at a time, so each list is in ball order: word length
+    first, canonical order within a length.  The covers of y searched on
+    Ball(R) are the prefix of y's list of word length <= R.
+
+    A member's centre g is searched over the pool Ball(acting_radius): it
+    minimizes max over points y of min over covers h of y of |g^-1 h|, and
+    ties go to the first pool element of least cost.  The distances come
+    from one column [|g^-1 h| for g in the pool] per cover h; pools are
+    ball prefixes, so a column grows with the largest pool asked for and
+    serves smaller pools by its prefix.  With R the largest acting radius
+    asked for, the index holds at most |Ball(R)|*|U| entries and the
+    columns at most |Ball(R)|^2 distances."""
 
     def __init__(self, action: Action, U, slack: int = 2, label: str = ""):
         super().__init__()
@@ -212,21 +236,38 @@ class ActionInducedStructure(CoarseStructure):
         self.slack = slack
         useral = ",".join(self.space.serialize(u) for u in self.U)
         self.label = label or f"induced({action.name}; U=[{useral}])"
-        self._cover_cache: dict = {}
+        self._indexed = -1  # the cover index holds every h of word length <= _indexed
+        self._cover_index: dict = {}  # y -> covers of y, in ball order
+        self._cover_lengths: dict = {}  # y -> word lengths of those covers
+        self._pool_inverses: list = []  # g^-1 for g in the largest pool so far
+        self._columns: dict = {}  # h -> [|g^-1 h| for g in a prefix of that pool]
 
     def witness_group(self) -> groups.GroupSpec:
         return self.action.group
 
     def _covers(self, y, acting_radius: int) -> tuple:
-        """Acting elements h with y in h.U, searched on Ball(acting_radius)."""
-        key = (y, acting_radius)
-        if key not in self._cover_cache:
-            hits = []
-            for h in groups.ball(self.action.group, acting_radius).elements:
-                if y in self.action.apply_set(h, self.U):
-                    hits.append(h)
-            self._cover_cache[key] = tuple(hits)
-        return self._cover_cache[key]
+        """Acting elements h with y in h.U, over Ball(acting_radius), in ball order."""
+        while self._indexed < acting_radius:
+            r = self._indexed + 1
+            for h in groups.sphere(self.action.group, r):
+                for x in self.action.apply_set(h, self.U):
+                    self._cover_index.setdefault(x, []).append(h)
+                    self._cover_lengths.setdefault(x, []).append(r)
+            self._indexed = r
+        hits = self._cover_index.get(y, ())
+        return tuple(hits[: bisect_right(self._cover_lengths.get(y, ()), acting_radius)])
+
+    def _column(self, h, pool: tuple) -> list:
+        """[|g^-1 h| for g in pool], possibly followed by further entries."""
+        G = self.action.group
+        inverses = self._pool_inverses
+        if len(inverses) < len(pool):
+            inverses.extend(groups.invert(G, g) for g in pool[len(inverses):])
+        col = self._columns.setdefault(h, [])
+        if len(col) < len(pool):
+            fresh = inverses[len(col):len(pool)]
+            col.extend(groups.word_length(G, groups.multiply(G, ig, h)) for ig in fresh)
+        return col
 
     def _compute_contribution(self, member: tuple):
         if not member:
@@ -244,21 +285,13 @@ class ActionInducedStructure(CoarseStructure):
                     f"within acting radius {acting_radius}"
                 )
             covers[y] = hits
-        best_g = None
-        best_cost = None
-        for g in pool:
-            ig = groups.invert(G, g)
-            cost = 0
-            for y in member:
-                d = min(
-                    groups.word_length(G, groups.multiply(G, ig, h)) for h in covers[y]
-                )
-                cost = max(cost, d)
-                if best_cost is not None and cost >= best_cost:
-                    break
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_g = g
+        costs = None
+        for hits in covers.values():
+            dist = self._column(hits[0], pool)[: len(pool)]
+            for h in hits[1:]:
+                dist = list(map(min, dist, self._column(h, pool)))
+            costs = dist if costs is None else list(map(max, costs, dist))
+        best_g = pool[costs.index(min(costs))]
         ig = groups.invert(G, best_g)
         F = set()
         for y in member:
@@ -275,7 +308,7 @@ class ActionInducedStructure(CoarseStructure):
         hits = self._covers(y, acting_radius)
         if not hits:
             raise WindowOverflowError(f"{self.label}: {self.space.serialize(y)} not covered")
-        f0 = min(hits, key=lambda e: groups.sort_key(G, e))
+        f0 = hits[0]  # ball order is the canonical order
         out = set()
         for g in groups.ball(G, mesh).elements:
             out.update(self.action.apply_set(groups.multiply(G, g, f0), self.U))
@@ -412,14 +445,23 @@ def uniformly_bornologous_action_check(
 
         res_a = membership_window(struct, translates_family(action, pf, f"translates({pf.tag})"), radius)
 
+        # E grows by the pairs of the members new at each radius.  E holds the
+        # diagonal of its points, so E lies in E.E.E.E, and a square inside E
+        # needs no composition; E.E.E.E is built only for a square that leaves E.
         containment_ok = True
+        E: set = set()
         for r in range(rb + 1):
-            E = family_to_controlled(pf.at(r))
-            E2 = compose_controlled(E, E)
-            E4 = compose_controlled(E2, E2)
-            pairs4 = E4.pairs
-            for (x, y) in E.pairs:
+            fresh = {(u, v) for m in pf.delta(r) for u in m for v in m} - E
+            E |= fresh
+            pairs4 = None
+            for (x, y) in fresh:
                 square = ((x, x), (x, y), (y, x), (y, y))
+                if all(p in E for p in square):
+                    continue
+                if pairs4 is None:
+                    Ec = ControlledSet(pf.space, frozenset(E))
+                    E2 = compose_controlled(Ec, Ec)
+                    pairs4 = compose_controlled(E2, E2).pairs
                 if any(p not in pairs4 for p in square):
                     containment_ok = False
                     break

@@ -32,7 +32,7 @@ from .actions import (
     uniformly_bornologous_action_check,
 )
 from .errors import CoarseKitError, GroupParseError, SpaceMismatchError
-from .families import shape_translate_family, translate_pair_family
+from .families import shape_translate_family, trace_stabilizes, translate_pair_family
 from .group_checks import (
     compare_left_right,
     dihedral_demo,
@@ -314,8 +314,7 @@ def cmd_action_check(args) -> tuple:
         checks.append(
             {
                 "check": "stabilizer",
-                "verdict": "PASS" if len(stab) == trace[args.radius] and
-                                     trace[args.radius] == trace[max(0, args.radius - 1)] else "FAIL",
+                "verdict": "PASS" if trace_stabilizes(trace, args.radius) else "FAIL",
                 "radius": args.radius,
                 "data": {
                     "U": [action.space.serialize(u) for u in U],

@@ -47,10 +47,6 @@ def _key_tag(spec: groups.GroupSpec, key: frozenset) -> str:
     return "{" + ",".join(groups.serialize(spec, g) for g in elems) + "}"
 
 
-def _canon(spec: groups.GroupSpec, values) -> tuple:
-    return tuple(sorted(set(values), key=lambda g: groups.sort_key(spec, g)))
-
-
 def _element_of(spec: groups.GroupSpec, g) -> bool:
     try:
         groups.word_length(spec, g)
@@ -87,11 +83,11 @@ class TransferData:
         c_table = dict(self.c_table)
         for key, vals in (c_extra or {}).items():
             key = frozenset(key)
-            c_table[key] = _canon(H, tuple(c_table.get(key, ())) + tuple(vals))
+            c_table[key] = groups.canonical_sorted(H, tuple(c_table.get(key, ())) + tuple(vals))
         d_table = dict(self.d_table)
         for key, vals in (d_extra or {}).items():
             key = frozenset(key)
-            d_table[key] = _canon(G, tuple(d_table.get(key, ())) + tuple(vals))
+            d_table[key] = groups.canonical_sorted(G, tuple(d_table.get(key, ())) + tuple(vals))
         return TransferData(self.alpha, self.radius, c_table, d_table, self.cover)
 
     def to_json(self) -> dict:
@@ -135,7 +131,7 @@ def _c_set(alpha: MapWindow, F: tuple, src_radius: int) -> tuple:
                 v = groups.multiply(G, u, f)
                 vals.add(groups.multiply(H, iau, alpha(v)))
         trace[r] = len(vals)
-    return _canon(H, vals), trace
+    return groups.canonical_sorted(H, vals), trace
 
 
 def _d_set(alpha: MapWindow, F: tuple, src_radius: int) -> tuple:
@@ -160,7 +156,7 @@ def _d_set(alpha: MapWindow, F: tuple, src_radius: int) -> tuple:
                     vals.add(groups.multiply(G, groups.invert(G, v), u))
         seen += fresh
         trace[r] = len(vals)
-    return _canon(G, vals), trace
+    return groups.canonical_sorted(G, vals), trace
 
 
 def compute_transfer_sets(alpha: MapWindow, F, radius: int, verify: bool = True) -> dict:
@@ -173,7 +169,7 @@ def compute_transfer_sets(alpha: MapWindow, F, radius: int, verify: bool = True)
     if verify:
         _require_coarse(alpha, radius)
     src_radius = alpha.source_radius(radius)
-    c_key = _canon(G, F)
+    c_key = groups.canonical_sorted(G, F)
     c_vals, c_trace = _c_set(alpha, c_key, src_radius)
     rec = {
         "key": c_key,
@@ -185,7 +181,7 @@ def compute_transfer_sets(alpha: MapWindow, F, radius: int, verify: bool = True)
         "d_stable": None,
     }
     if all(_element_of(H, f) for f in F):
-        d_key = _canon(H, F)
+        d_key = groups.canonical_sorted(H, F)
         d_vals, d_trace = _d_set(alpha, d_key, src_radius)
         rec["d"] = d_vals
         rec["d_trace"] = d_trace
@@ -206,7 +202,7 @@ def compute_cover_constant(alpha: MapWindow, radius: int, cap: int = DEFAULT_COV
     E: list = []
     Eset: set = set()
     for y in groups.ball(H, radius).elements:
-        diffs = _canon(H, (groups.multiply(H, iimg, y) for iimg in inv_images))
+        diffs = groups.canonical_sorted(H, (groups.multiply(H, iimg, y) for iimg in inv_images))
         if any(d in Eset for d in diffs):
             continue
         E.append(diffs[0])
@@ -215,7 +211,7 @@ def compute_cover_constant(alpha: MapWindow, radius: int, cap: int = DEFAULT_COV
             raise CoverFailureError(
                 f"{alpha.name}: cover set exceeded {cap} elements at radius {radius}"
             )
-    return _canon(H, E)
+    return groups.canonical_sorted(H, E)
 
 
 def default_key_battery(spec: groups.GroupSpec, extended: bool = False) -> list:
@@ -259,11 +255,11 @@ def build_transfer_data(
     c_table = {}
     for F in c_keys:
         key = frozenset(F)
-        c_table[key] = _c_set(alpha, _canon(G, key), src_radius)[0]
+        c_table[key] = _c_set(alpha, groups.canonical_sorted(G, key), src_radius)[0]
     d_table = {}
     for F in d_keys:
         key = frozenset(F)
-        d_table[key] = _d_set(alpha, _canon(H, key), src_radius)[0]
+        d_table[key] = _d_set(alpha, groups.canonical_sorted(H, key), src_radius)[0]
     cover = compute_cover_constant(alpha, radius)
     return TransferData(alpha, radius, c_table, d_table, cover)
 
@@ -430,7 +426,8 @@ def enumerate_beta_windows(
         word = b.words[x]
         parent = groups.multiply(G, x, groups.invert(G, gens[word[-1]]))
         base = assigned[parent]
-        for v in _canon(H, (groups.multiply(H, base, c) for c in singleton_c[gens[word[-1]]])):
+        step_c = singleton_c[gens[word[-1]]]
+        for v in groups.canonical_sorted(H, (groups.multiply(H, base, c) for c in step_c)):
             expanded += 1
             if expanded > cap:
                 raise ResourceLimitError(f"beta enumeration exceeded {cap} nodes")

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import itertools
 
+from coarsekit import groups
+from coarsekit.errors import WindowOverflowError
+
 
 # ---------------------------------------------------------------------------
 # infinite dihedral group as affine maps z -> n + (-1)^f z
@@ -178,3 +181,87 @@ def brute_betas(td, radius: int, pin: int = 0) -> list:
     dom = sorted(range(-radius, radius + 1), key=lambda n: (abs(n), n))
     solutions.sort(key=lambda b: tuple(b[x] for x in dom))
     return solutions
+
+
+# ---------------------------------------------------------------------------
+# induced contributions by scanning the acting ball (bounded translates)
+#
+# This is the scan engine: the covers of a point come from applying every
+# element of Ball(acting_radius) to U, point by point, and every element of
+# the pool is tried as the centre, the first of least cost winning.  Group
+# arithmetic comes from the package; the search does not.
+
+def _acting_radius(struct, points) -> int:
+    mesh = max((struct.space.extent(u) for u in struct.U), default=0)
+    return max(struct.space.extent(y) for y in points) + mesh + struct.slack
+
+
+def scan_covers(struct, y, acting_radius: int) -> tuple:
+    action = struct.action
+    return tuple(
+        h for h in groups.ball(action.group, acting_radius).elements
+        if y in {action.apply(h, u) for u in struct.U}
+    )
+
+
+def scan_centre_costs(struct, member: tuple) -> tuple:
+    """The pool, the cost max_y min_h |g^-1 h| of every g in it, and the covers."""
+    G = struct.action.group
+    acting_radius = _acting_radius(struct, member)
+    pool = groups.ball(G, acting_radius).elements
+    covers = {y: scan_covers(struct, y, acting_radius) for y in member}
+    costs = [
+        max(
+            min(groups.word_length(G, groups.multiply(G, groups.invert(G, g), h)) for h in covers[y])
+            for y in member
+        )
+        for g in pool
+    ]
+    return pool, costs, covers
+
+
+def scan_contribution(struct, member: tuple) -> frozenset:
+    if not member:
+        return frozenset()
+    G = struct.action.group
+    acting_radius = _acting_radius(struct, member)
+    pool = groups.ball(G, acting_radius).elements
+    covers = {}
+    for y in member:
+        hits = scan_covers(struct, y, acting_radius)
+        if not hits:
+            raise WindowOverflowError(
+                f"{struct.label}: {struct.space.serialize(y)} not covered by translates of U "
+                f"within acting radius {acting_radius}"
+            )
+        covers[y] = hits
+    best_g = None
+    best_cost = None
+    for g in pool:
+        ig = groups.invert(G, g)
+        cost = 0
+        for y in member:
+            d = min(groups.word_length(G, groups.multiply(G, ig, h)) for h in covers[y])
+            cost = max(cost, d)
+            if best_cost is not None and cost >= best_cost:
+                break
+        if best_cost is None or cost < best_cost:
+            best_cost = cost
+            best_g = g
+    ig = groups.invert(G, best_g)
+    return frozenset(
+        min((groups.multiply(G, ig, h) for h in covers[y]), key=lambda e: groups.sort_key(G, e))
+        for y in member
+    )
+
+
+def scan_bounded_neighborhood(struct, y, mesh: int) -> tuple:
+    G = struct.action.group
+    hits = scan_covers(struct, y, _acting_radius(struct, (y,)))
+    if not hits:
+        raise WindowOverflowError(f"{struct.label}: {struct.space.serialize(y)} not covered")
+    f0 = min(hits, key=lambda e: groups.sort_key(G, e))
+    out = set()
+    for g in groups.ball(G, mesh).elements:
+        out.update(struct.action.apply(groups.multiply(G, g, f0), u) for u in struct.U)
+    return tuple(sorted(out, key=struct.space.sort_key))

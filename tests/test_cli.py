@@ -86,6 +86,18 @@ class TestBattery:
         assert code == 1 and "DIFFER" in verdicts
 
 
+class TestActionCheck:
+    def test_stabilizer_verdict_reads_the_whole_tail(self):
+        # the last two radii agree, but the trace grows until radius 5
+        code, out = run_cli(
+            ["action-check", "--action", "left(Z)", "--set", "0,1,2,3,4,5", "--radius", "6"]
+        )
+        stab = next(c for c in json.loads(out)["checks"] if c["check"] == "stabilizer")
+        assert stab["data"]["trace"] == {"0": 1, "1": 3, "2": 5, "3": 7, "4": 9, "5": 11, "6": 11}
+        assert stab["verdict"] == "FAIL"
+        assert code == 1
+
+
 class TestErrors:
     def test_unknown_group_exits_2(self):
         code, out = run_cli(["fc", "--group", "Sym(3)"])
