@@ -23,6 +23,7 @@ from .errors import (
     SurjectivityError,
     UnsupportedRankError,
     WindowOverflowError,
+    WindowTooSmallError,
 )
 from .groups import (
     DIH,
@@ -57,6 +58,7 @@ from .families import (
 )
 from .structures import (
     CoarseStructure,
+    GroupStructure,
     LeftGroupStructure,
     PullbackStructure,
     RightGroupStructure,

@@ -134,18 +134,20 @@ class TranslationAction(Action):
         self.name = f"{side}({arrow}{hom.target.label()} via {hom.label()})"
 
     def apply(self, g, x):
-        h = self.hom.apply(g)
-        if self.side == "left":
-            return groups.multiply(self.space.spec, h, x)
-        return groups.multiply(self.space.spec, x, groups.invert(self.space.spec, h))
-
-    def apply_set(self, g, S) -> frozenset:
         spec = self.space.spec
         h = self.hom.apply(g)
         if self.side == "left":
-            return frozenset(groups.multiply(spec, h, x) for x in S)
-        ih = groups.invert(spec, h)
-        return frozenset(groups.multiply(spec, x, ih) for x in S)
+            return spec.mul(h, x)
+        return spec.mul(x, spec.inv(h))
+
+    def apply_set(self, g, S) -> frozenset:
+        spec = self.space.spec
+        mul = spec.mul
+        h = self.hom.apply(g)
+        if self.side == "left":
+            return frozenset([mul(h, x) for x in S])
+        ih = spec.inv(h)
+        return frozenset([mul(x, ih) for x in S])
 
 
 class TrivialAction(Action):
@@ -262,14 +264,15 @@ class ActionInducedStructure(CoarseStructure):
         G = self.action.group
         inverses = self._pool_inverses
         if len(inverses) < len(pool):
-            inverses.extend(groups.invert(G, g) for g in pool[len(inverses):])
+            inverses.extend(map(G.inv, pool[len(inverses):]))
         col = self._columns.setdefault(h, [])
         if len(col) < len(pool):
             fresh = inverses[len(col):len(pool)]
-            col.extend(groups.word_length(G, groups.multiply(G, ig, h)) for ig in fresh)
+            mul, length = G.mul, G.length
+            col.extend([length(mul(ig, h)) for ig in fresh])
         return col
 
-    def _compute_contribution(self, member: tuple):
+    def _compute_contribution(self, member):
         if not member:
             return frozenset()
         G = self.action.group
@@ -292,15 +295,12 @@ class ActionInducedStructure(CoarseStructure):
                 dist = list(map(min, dist, self._column(h, pool)))
             costs = dist if costs is None else list(map(max, costs, dist))
         best_g = pool[costs.index(min(costs))]
-        ig = groups.invert(G, best_g)
-        F = set()
-        for y in member:
-            f = min(
-                (groups.multiply(G, ig, h) for h in covers[y]),
-                key=lambda e: groups.sort_key(G, e),
-            )
-            F.add(f)
-        return F
+        ig = G.inv(best_g)
+        mul, length, skey = G.mul, G.length, G.skey
+        return {
+            min([mul(ig, h) for h in covers[y]], key=lambda e: (length(e), skey(e)))
+            for y in member
+        }
 
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
         G = self.action.group

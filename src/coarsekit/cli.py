@@ -31,7 +31,7 @@ from .actions import (
     trivial_action,
     uniformly_bornologous_action_check,
 )
-from .errors import CoarseKitError, GroupParseError, SpaceMismatchError
+from .errors import CoarseKitError, GroupParseError, SpaceMismatchError, WindowTooSmallError
 from .families import shape_translate_family, trace_stabilizes, translate_pair_family
 from .group_checks import (
     compare_left_right,
@@ -57,8 +57,8 @@ from .maps import (
 from .spaces import GroupSpace, point_space
 from .structures import (
     CoarseStructure,
+    GroupStructure,
     LeftGroupStructure,
-    RightGroupStructure,
     membership_window,
 )
 from .transfer import (
@@ -69,16 +69,13 @@ from .transfer import (
 )
 
 
+# A verdict reads the final ceil(R/2) values of a size trace.  Below this
+# radius that tail holds one value, so every trace would "stabilize".
+MIN_VERDICT_RADIUS = 3
+
+
 # ---------------------------------------------------------------------------
 # small DSLs
-
-def _structure(spec: groups.GroupSpec, side: str) -> CoarseStructure:
-    if side == "left":
-        return LeftGroupStructure(spec)
-    if side == "right":
-        return RightGroupStructure(spec)
-    raise GroupParseError(side, 0, "structure side must be left or right")
-
 
 def parse_map_dsl(text: str, source: CoarseStructure, target: CoarseStructure):
     text = text.strip()
@@ -265,7 +262,7 @@ def cmd_mult_born(args) -> tuple:
 
 def cmd_witness(args) -> tuple:
     spec = groups.parse_group_spec(args.group)
-    struct = _structure(spec, args.structure)
+    struct = GroupStructure(spec, args.structure)
     pf = parse_family_dsl(args.family, spec)
     res = membership_window(struct, pf, args.radius)
     return [_result_check(res)], []
@@ -274,8 +271,8 @@ def cmd_witness(args) -> tuple:
 def cmd_map_check(args) -> tuple:
     src_spec = groups.parse_group_spec(args.group)
     tgt_spec = groups.parse_group_spec(args.target) if args.target else src_spec
-    source = _structure(src_spec, args.source_side)
-    target = _structure(tgt_spec, args.target_side)
+    source = GroupStructure(src_spec, args.source_side)
+    target = GroupStructure(tgt_spec, args.target_side)
     m = parse_map_dsl(args.map, source, target)
     checks = []
     born = check_bornologous(m, args.radius, seed=args.seed)
@@ -301,7 +298,7 @@ def cmd_action_check(args) -> tuple:
     cb = cobounded_check(action, args.radius)
     checks.append(cb.to_json())
     if isinstance(action.space, GroupSpace):
-        struct = _structure(action.space.spec, args.structure)
+        struct = GroupStructure(action.space.spec, args.structure)
         ub = uniformly_bornologous_action_check(
             action, struct, args.radius, seed=args.seed
         )
@@ -333,7 +330,7 @@ def cmd_svarc_milnor(args) -> tuple:
         raise SpaceMismatchError(
             f"{action.name}: the acted-on space carries no group structure to certify against"
         )
-    struct = _structure(action.space.spec, args.structure)
+    struct = GroupStructure(action.space.spec, args.structure)
     x0 = action.space.parse(args.base) if args.base else action.space.window(0)[0]
     cert = coarse_action_certificate(
         action, struct, x0, args.radius, seed=args.seed
@@ -483,6 +480,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.func is not cmd_ball and args.radius < MIN_VERDICT_RADIUS:
+            raise WindowTooSmallError(f"{args._command} needs --radius {MIN_VERDICT_RADIUS} or more")
         checks, notes = args.func(args)
     except CoarseKitError as exc:
         report = {

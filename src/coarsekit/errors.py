@@ -36,6 +36,12 @@ class InvalidRadiusError(CoarseKitError, ValueError):
     code = "invalid-radius"
 
 
+class WindowTooSmallError(CoarseKitError):
+    """A window too small for its verdict to mean anything."""
+
+    code = "window-too-small"
+
+
 class ResourceLimitError(CoarseKitError):
     """A ball, search, or enumeration exceeded its configured cap."""
 

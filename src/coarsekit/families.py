@@ -169,15 +169,15 @@ def side_witness(side: str, spec: groups.GroupSpec, fam: FiniteFamily) -> Witnes
     )
 
 
-def member_witness(side: str, spec: groups.GroupSpec, member: tuple) -> set:
+def member_witness(side: str, spec: groups.GroupSpec, member) -> set:
+    mul, inv = spec.mul, spec.inv
     out = set()
     for u in member:
-        iu = groups.invert(spec, u)
-        for v in member:
-            if side == "left":
-                out.add(groups.multiply(spec, iu, v))
-            else:
-                out.add(groups.multiply(spec, v, iu))
+        iu = inv(u)
+        if side == "left":
+            out.update([mul(iu, v) for v in member])
+        else:
+            out.update([mul(v, iu) for v in member])
     return out
 
 
@@ -263,8 +263,9 @@ def translate_pair_family(space, a, side: str) -> ParamFamily:
     tag = f"{{{{g, {aser}*g}}}}" if side == "left" else f"{{{{g, g*{aser}}}}}"
 
     def grow(r: int):
+        mul = spec.mul
         for g in groups.sphere(spec, r):
-            yield (g, groups.multiply(spec, a, g) if side == "left" else groups.multiply(spec, g, a))
+            yield (g, mul(a, g) if side == "left" else mul(g, a))
 
     return ParamFamily(tag=tag, space=space, grow=grow)
 
@@ -277,11 +278,12 @@ def shape_translate_family(space, shape: tuple, side: str, tag: str = "") -> Par
         tag = f"{{g*[{shape_ser}]}}" if side == "left" else f"{{[{shape_ser}]*g}}"
 
     def grow(r: int):
+        mul = spec.mul
         for g in groups.sphere(spec, r):
             if side == "left":
-                yield tuple(groups.multiply(spec, g, s) for s in shape)
+                yield tuple([mul(g, s) for s in shape])
             else:
-                yield tuple(groups.multiply(spec, s, g) for s in shape)
+                yield tuple([mul(s, g) for s in shape])
 
     return ParamFamily(tag=tag, space=space, grow=grow)
 

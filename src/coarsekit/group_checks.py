@@ -36,17 +36,16 @@ def fc_test(spec: groups.GroupSpec, radius: int) -> Certificate:
     growing."""
     battery = [a for a in groups.ball(spec, ceil_half(radius)).elements
                if a != groups.identity(spec)]
+    mul, inv = spec.mul, spec.inv
+    b = groups.ball(spec, radius)
+    spheres = [[(inv(g), g) for g in b.sphere(r)] for r in range(radius + 1)]
     bound = 0
-    traces = {}
     for a in battery:
-        b = groups.ball(spec, radius)
         seen: set = set()
         trace = {}
-        for r in range(radius + 1):
-            for g in b.sphere(r):
-                seen.add(groups.conjugate(spec, a, g))
+        for r, pairs in enumerate(spheres):
+            seen.update([mul(mul(ig, a), g) for ig, g in pairs])
             trace[r] = len(seen)
-        traces[groups.serialize(spec, a)] = trace
         if not trace_stabilizes(trace, radius):
             return Certificate(
                 check="fc",

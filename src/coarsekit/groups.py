@@ -22,7 +22,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Iterable, Optional
+from operator import add, neg
+from typing import Any, Callable, Iterable, Optional
 
 from .errors import (
     GroupParseError,
@@ -41,10 +42,29 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 @dataclass(frozen=True)
 class GroupSpec:
+    """A catalog group, with its arithmetic bound once.
+
+    ``__post_init__`` builds four closures for the kind: ``mul(a, b)``,
+    ``inv(g)``, ``length(g)`` (word length) and ``skey(g)`` (the structural
+    tie-break of the canonical order).  Hot loops bind them once
+    (``mul = spec.mul``) instead of dispatching on ``kind`` per call.  They
+    are fields outside ``compare`` and ``repr``, so equality, hashing and
+    ``repr`` read the constructor arguments alone: two specs built alike
+    are equal, hash alike and share one ball cache."""
+
     kind: str  # "free_abelian" | "free" | "dih_inf" | "cyclic" | "product"
     rank: int = 0
     modulus: int = 0
     factors: Optional[tuple["GroupSpec", "GroupSpec"]] = None
+    mul: Callable = field(init=False, compare=False, repr=False)
+    inv: Callable = field(init=False, compare=False, repr=False)
+    length: Callable = field(init=False, compare=False, repr=False)
+    skey: Callable = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        ops = _ARITHMETIC[self.kind](self)
+        for name, fn in zip(("mul", "inv", "length", "skey"), ops):
+            object.__setattr__(self, name, fn)
 
     def label(self) -> str:
         if self.kind == "free_abelian":
@@ -59,6 +79,94 @@ class GroupSpec:
 
     def __repr__(self) -> str:
         return f"GroupSpec({self.label()})"
+
+
+# ---------------------------------------------------------------------------
+# per-kind arithmetic: (mul, inv, length, skey) for a spec of that kind
+
+def _int_key(c: int) -> tuple:
+    # positive value sorts before its negative of equal magnitude
+    return (abs(c), 0 if c >= 0 else 1)
+
+
+def _free_abelian_ops(spec: GroupSpec) -> tuple:
+    if spec.rank == 1:
+        return add, neg, abs, _int_key
+    if spec.rank == 2:
+        # unrolled: Z^2 is the common case and the generic form costs twice as much
+        return (
+            lambda a, b: (a[0] + b[0], a[1] + b[1]),
+            lambda g: (-g[0], -g[1]),
+            lambda g: abs(g[0]) + abs(g[1]),
+            lambda g: (_int_key(g[0]), _int_key(g[1])),
+        )
+    return (
+        lambda a, b: tuple(map(add, a, b)),
+        lambda g: tuple(map(neg, g)),
+        lambda g: sum(map(abs, g)),
+        lambda g: tuple(map(_int_key, g)),
+    )
+
+
+def _free_concat(a: tuple, b: tuple) -> tuple:
+    i = len(a)
+    j = 0
+    while i > 0 and j < len(b) and a[i - 1] == -b[j]:
+        i -= 1
+        j += 1
+    return a[:i] + b[j:]
+
+
+def _free_ops(spec: GroupSpec) -> tuple:
+    # letters are nonzero, so _int_key puts letter i before its inverse -i
+    return (
+        _free_concat,
+        lambda g: tuple(map(neg, reversed(g))),
+        len,
+        lambda g: tuple(map(_int_key, g)),
+    )
+
+
+def _dih_ops(spec: GroupSpec) -> tuple:
+    # (n, f) is x^n t^f, and t x^k = x^-k t
+    return (
+        lambda a, b: (a[0] - b[0] if a[1] else a[0] + b[0], a[1] ^ b[1]),
+        lambda g: (g[0], 1) if g[1] else (-g[0], 0),
+        lambda g: abs(g[0]) + g[1],
+        lambda g: (_int_key(g[0]), g[1]),
+    )
+
+
+def _cyclic_ops(spec: GroupSpec) -> tuple:
+    n = spec.modulus
+    half = n // 2
+    return (
+        lambda a, b: (a + b) % n,
+        lambda g: (-g) % n,
+        (lambda g: min(g, n - g)) if n > 1 else (lambda g: 0),
+        lambda g: _int_key(g if g <= half else g - n),
+    )
+
+
+def _product_ops(spec: GroupSpec) -> tuple:
+    a, b = spec.factors
+    mul_a, inv_a, len_a, key_a = a.mul, a.inv, a.length, a.skey
+    mul_b, inv_b, len_b, key_b = b.mul, b.inv, b.length, b.skey
+    return (
+        lambda x, y: (mul_a(x[0], y[0]), mul_b(x[1], y[1])),
+        lambda g: (inv_a(g[0]), inv_b(g[1])),
+        lambda g: len_a(g[0]) + len_b(g[1]),
+        lambda g: (key_a(g[0]), key_b(g[1])),
+    )
+
+
+_ARITHMETIC = {
+    "free_abelian": _free_abelian_ops,
+    "free": _free_ops,
+    "dih_inf": _dih_ops,
+    "cyclic": _cyclic_ops,
+    "product": _product_ops,
+}
 
 
 def free_abelian(rank: int) -> GroupSpec:
@@ -219,66 +327,20 @@ def validate(spec: GroupSpec, g: Element) -> Element:
 
 
 def multiply(spec: GroupSpec, a: Element, b: Element) -> Element:
-    if spec.kind == "free_abelian":
-        if spec.rank == 1:
-            return a + b
-        return tuple(x + y for x, y in zip(a, b))
-    if spec.kind == "free":
-        return _free_concat(a, b)
-    if spec.kind == "dih_inf":
-        n1, f1 = a
-        n2, f2 = b
-        return (n1 - n2 if f1 else n1 + n2, f1 ^ f2)
-    if spec.kind == "cyclic":
-        return (a + b) % spec.modulus
-    return (
-        multiply(spec.factors[0], a[0], b[0]),
-        multiply(spec.factors[1], a[1], b[1]),
-    )
-
-
-def _free_concat(a: tuple, b: tuple) -> tuple:
-    i = len(a)
-    j = 0
-    while i > 0 and j < len(b) and a[i - 1] == -b[j]:
-        i -= 1
-        j += 1
-    return a[:i] + b[j:]
+    return spec.mul(a, b)
 
 
 def invert(spec: GroupSpec, g: Element) -> Element:
-    if spec.kind == "free_abelian":
-        if spec.rank == 1:
-            return -g
-        return tuple(-c for c in g)
-    if spec.kind == "free":
-        return tuple(-l for l in reversed(g))
-    if spec.kind == "dih_inf":
-        n, f = g
-        return (n, 1) if f else (-n, 0)
-    if spec.kind == "cyclic":
-        return (-g) % spec.modulus
-    return (invert(spec.factors[0], g[0]), invert(spec.factors[1], g[1]))
+    return spec.inv(g)
 
 
 def conjugate(spec: GroupSpec, a: Element, h: Element) -> Element:
     """h^-1 a h."""
-    return multiply(spec, multiply(spec, invert(spec, h), a), h)
+    return spec.mul(spec.mul(spec.inv(h), a), h)
 
 
 def word_length(spec: GroupSpec, g: Element) -> int:
-    if spec.kind == "free_abelian":
-        if spec.rank == 1:
-            return abs(g)
-        return sum(abs(c) for c in g)
-    if spec.kind == "free":
-        return len(g)
-    if spec.kind == "dih_inf":
-        n, f = g
-        return abs(n) + f
-    if spec.kind == "cyclic":
-        return min(g, spec.modulus - g) if spec.modulus > 1 else 0
-    return word_length(spec.factors[0], g[0]) + word_length(spec.factors[1], g[1])
+    return spec.length(g)
 
 
 @lru_cache(maxsize=None)
@@ -317,39 +379,15 @@ def generators(spec: GroupSpec) -> tuple:
 # ---------------------------------------------------------------------------
 # canonical ordering
 
-def _int_key(c: int) -> tuple:
-    # positive value sorts before its negative of equal magnitude
-    return (abs(c), 0 if c >= 0 else 1)
-
-
-def _structural_key(spec: GroupSpec, g: Element) -> tuple:
-    if spec.kind == "free_abelian":
-        if spec.rank == 1:
-            return _int_key(g)
-        return tuple(_int_key(c) for c in g)
-    if spec.kind == "free":
-        return tuple((abs(l), 0 if l > 0 else 1) for l in g)
-    if spec.kind == "dih_inf":
-        n, f = g
-        return (_int_key(n), f)
-    if spec.kind == "cyclic":
-        n = spec.modulus
-        s = g if g <= n // 2 else g - n
-        return _int_key(s)
-    return (
-        _structural_key(spec.factors[0], g[0]),
-        _structural_key(spec.factors[1], g[1]),
-    )
-
-
 def sort_key(spec: GroupSpec, g: Element) -> tuple:
     """Canonical order: word length first, then a structural tie-break that
     places each positive power before the matching negative power."""
-    return (word_length(spec, g), _structural_key(spec, g))
+    return (spec.length(g), spec.skey(g))
 
 
 def canonical_sorted(spec: GroupSpec, elements: Iterable[Element]) -> tuple:
-    return tuple(sorted(set(elements), key=lambda g: sort_key(spec, g)))
+    length, skey = spec.length, spec.skey
+    return tuple(sorted(set(elements), key=lambda g: (length(g), skey(g))))
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +539,7 @@ class _BallCache:
 
     def extend(self, radius: int, cap: int) -> None:
         spec = self.spec
+        mul, skey = spec.mul, spec.skey
         gens = generators(spec)
         while len(self.layers) <= radius:
             frontier = self.layers[-1]
@@ -509,10 +548,10 @@ class _BallCache:
             for g in frontier:
                 base_word = self.words[g]
                 for i, s in enumerate(gens):
-                    h = multiply(spec, g, s)
+                    h = mul(g, s)
                     if h not in self.lengths and h not in new:
                         new[h] = base_word + (i,)
-            ordered = sorted(new, key=lambda g: _structural_key(spec, g))
+            ordered = sorted(new, key=skey)
             self.total += len(ordered)
             if self.total > cap:
                 raise ResourceLimitError(

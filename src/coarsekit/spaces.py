@@ -4,7 +4,7 @@ A space is either the underlying set of a catalog group (windows are word
 metric balls) or an explicit finite set carried by a table action.  Spaces
 only need membership, a canonical element order, and window enumeration
 (``sphere(r)`` holds the points that enter ``window(r)`` at radius r);
-group spaces additionally expose the group operations.
+group spaces carry their group's arithmetic on ``spec``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ class GroupSpace:
         return groups.sphere(self.spec, r)
 
     def sort_key(self, x) -> tuple:
-        return groups.sort_key(self.spec, x)
+        spec = self.spec
+        return (spec.length(x), spec.skey(x))
 
     def validate(self, x):
         return groups.validate(self.spec, x)
@@ -42,28 +43,16 @@ class GroupSpace:
     def parse(self, text: str):
         return groups.parse_element(self.spec, text)
 
-    # group operations, for callers that know this space is a group
-    def mul(self, a, b):
-        return groups.multiply(self.spec, a, b)
-
-    def inv(self, a):
-        return groups.invert(self.spec, a)
-
-    def ident(self):
-        return groups.identity(self.spec)
-
-    def wl(self, a) -> int:
-        return groups.word_length(self.spec, a)
-
     def extent(self, y) -> int:
-        return self.wl(y)
+        return self.spec.length(y)
 
     def ball_about(self, y, mesh: int, side: str = "left") -> tuple:
         """Metric ball around y: y*Ball(mesh) for the left-invariant metric,
         Ball(mesh)*y for the right-invariant one."""
+        mul = self.spec.mul
         out = []
         for w in groups.ball(self.spec, mesh).elements:
-            out.append(self.mul(y, w) if side == "left" else self.mul(w, y))
+            out.append(mul(y, w) if side == "left" else mul(w, y))
         return groups.canonical_sorted(self.spec, out)
 
 
@@ -111,7 +100,3 @@ Space = Any  # GroupSpace | FiniteSpace
 
 def point_space() -> FiniteSpace:
     return FiniteSpace("point", ("pt",))
-
-
-def sorted_elements(space, elements) -> tuple:
-    return tuple(sorted(set(elements), key=space.sort_key))

@@ -6,9 +6,10 @@ trace either stabilizes (the family is uniformly bounded as far as the
 window can tell) or keeps growing (a genuine counterexample at this scale).
 
 Structures on a group's underlying set come in the left flavor (witnesses
-u^-1*v) and the right flavor (witnesses u*v^-1).  A pullback structure
-transports membership along a map into the space: a family belongs to it
-when its preimage family is bounded in the structure on the source.
+u^-1*v) and the right flavor (witnesses u*v^-1), one ``GroupStructure``
+each.  A pullback structure transports membership along a map into the
+space: a family belongs to it when its preimage family is bounded in the
+structure on the source.
 """
 
 from __future__ import annotations
@@ -41,13 +42,21 @@ class CoarseStructure:
     def witness_group(self) -> groups.GroupSpec:
         raise NotImplementedError
 
-    def member_contribution(self, member: tuple) -> frozenset:
-        """Witness elements of one member, given in canonical order."""
-        if member not in self._contrib_cache:
-            self._contrib_cache[member] = frozenset(self._compute_contribution(member))
-        return self._contrib_cache[member]
+    def member_contribution(self, member) -> frozenset:
+        """Witness elements of one member, whose points may come in any order.
 
-    def _compute_contribution(self, member: tuple):
+        The result is memoized under ``frozenset(member)``: pullback and
+        induced contributions search a window per member, and the same
+        member recurs across families and radii.  The group structures
+        override this without a memo, since a member's witness costs a
+        few multiplications per pair, less than keeping it."""
+        key = frozenset(member)
+        found = self._contrib_cache.get(key)
+        if found is None:
+            found = self._contrib_cache[key] = frozenset(self._compute_contribution(member))
+        return found
+
+    def _compute_contribution(self, member):
         raise NotImplementedError
 
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
@@ -58,54 +67,50 @@ class CoarseStructure:
         raise NotImplementedError
 
 
-class LeftGroupStructure(CoarseStructure):
-    def __init__(self, spec: groups.GroupSpec):
+class GroupStructure(CoarseStructure):
+    """A translation structure on a group: the left one (witnesses
+    u^-1*v) or the right one (witnesses u*v^-1)."""
+
+    def __init__(self, spec: groups.GroupSpec, side: str):
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         super().__init__()
         self.spec = spec
+        self.side = side
         self.space = GroupSpace(spec)
-        self.label = f"C_l({spec.label()})"
+        self.label = f"C_{side[0]}({spec.label()})"
 
     def witness_group(self) -> groups.GroupSpec:
         return self.spec
 
-    def _compute_contribution(self, member: tuple):
-        return member_witness("left", self.spec, member)
+    def member_contribution(self, member) -> frozenset:
+        return frozenset(self._compute_contribution(member))
+
+    def _compute_contribution(self, member):
+        return member_witness(self.side, self.spec, member)
 
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
-        return self.space.ball_about(y, mesh, side="left")
+        return self.space.ball_about(y, mesh, side=self.side)
 
     def default_battery(self, seed: int = 0, n_random: int = 32) -> list:
-        fams = [translate_pair_family(self.space, s, "right") for s in groups.generators(self.spec)]
+        # translate pairs on the opposite side are bounded on this one
+        other = "right" if self.side == "left" else "left"
+        fams = [translate_pair_family(self.space, s, other) for s in groups.generators(self.spec)]
         fams += [
-            shape_translate_family(self.space, shape, "left")
+            shape_translate_family(self.space, shape, self.side)
             for shape in random_shapes(self.spec, seed=seed, count=n_random)
         ]
         return fams
 
 
-class RightGroupStructure(CoarseStructure):
+class LeftGroupStructure(GroupStructure):
     def __init__(self, spec: groups.GroupSpec):
-        super().__init__()
-        self.spec = spec
-        self.space = GroupSpace(spec)
-        self.label = f"C_r({spec.label()})"
+        super().__init__(spec, "left")
 
-    def witness_group(self) -> groups.GroupSpec:
-        return self.spec
 
-    def _compute_contribution(self, member: tuple):
-        return member_witness("right", self.spec, member)
-
-    def bounded_neighborhood(self, y, mesh: int) -> tuple:
-        return self.space.ball_about(y, mesh, side="right")
-
-    def default_battery(self, seed: int = 0, n_random: int = 32) -> list:
-        fams = [translate_pair_family(self.space, s, "left") for s in groups.generators(self.spec)]
-        fams += [
-            shape_translate_family(self.space, shape, "right")
-            for shape in random_shapes(self.spec, seed=seed, count=n_random)
-        ]
-        return fams
+class RightGroupStructure(GroupStructure):
+    def __init__(self, spec: groups.GroupSpec):
+        super().__init__(spec, "right")
 
 
 class PullbackStructure(CoarseStructure):
@@ -136,14 +141,14 @@ class PullbackStructure(CoarseStructure):
             self._image_cache[x] = self.rule(x)
         return self._image_cache[x]
 
-    def preimage_member(self, member: tuple) -> tuple:
+    def preimage_member(self, member) -> tuple:
         target = set(member)
         radius = max((self.space.extent(y) for y in member), default=0) + self.source_slack
         src_space = self.source.space
         hits = [x for x in src_space.window(radius) if self._image(x) in target]
         return tuple(sorted(hits, key=src_space.sort_key))
 
-    def _compute_contribution(self, member: tuple):
+    def _compute_contribution(self, member):
         return self.source.member_contribution(self.preimage_member(member))
 
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
@@ -184,7 +189,6 @@ def membership_window(structure: CoarseStructure, pf: ParamFamily, radius: int):
     Returns a Witness when the size trace is constant over the final
     ceil(radius/2) radii, else a Counterexample carrying the growing trace.
     """
-    order = pf.space.sort_key
     seen: set = set()
     witness: set = set()
     trace: dict = {}
@@ -194,9 +198,10 @@ def membership_window(structure: CoarseStructure, pf: ParamFamily, radius: int):
                 m = frozenset(m)
                 if m not in seen:
                     seen.add(m)
-                    witness |= structure.member_contribution(tuple(sorted(m, key=order)))
+                    witness |= structure.member_contribution(m)
         except CoarseKitError:
             # report the least failing member, whatever order the delta came in
+            order = pf.space.sort_key
             older = {frozenset(m) for q in range(r) for m in pf.delta(q)}
             new = [tuple(sorted(m, key=order)) for m in {frozenset(m) for m in pf.delta(r)} - older]
             for m in sorted(new, key=lambda m: [order(x) for x in m]):

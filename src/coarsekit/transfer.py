@@ -121,15 +121,15 @@ def _c_set(alpha: MapWindow, F: tuple, src_radius: int) -> tuple:
     """c(F) with its size trace: target displacements over F-related pairs."""
     G = alpha.source.space.spec
     H = alpha.target.space.spec
+    mul_g, mul_h, inv_h = G.mul, H.mul, H.inv
     b = groups.ball(G, src_radius)
     vals: set = set()
     trace: dict = {}
     for r in range(src_radius + 1):
         for u in b.sphere(r):
-            iau = groups.invert(H, alpha(u))
+            iau = inv_h(alpha(u))
             for f in F:
-                v = groups.multiply(G, u, f)
-                vals.add(groups.multiply(H, iau, alpha(v)))
+                vals.add(mul_h(iau, alpha(mul_g(u, f))))
         trace[r] = len(vals)
     return groups.canonical_sorted(H, vals), trace
 
@@ -138,6 +138,7 @@ def _d_set(alpha: MapWindow, F: tuple, src_radius: int) -> tuple:
     """d(F) with its size trace: source displacements whose image lands in F."""
     G = alpha.source.space.spec
     H = alpha.target.space.spec
+    mul_g, inv_g, mul_h, inv_h = G.mul, G.inv, H.mul, H.inv
     b = groups.ball(G, src_radius)
     Fset = set(F)
     images = {u: alpha(u) for u in b.elements}
@@ -147,13 +148,13 @@ def _d_set(alpha: MapWindow, F: tuple, src_radius: int) -> tuple:
     for r in range(src_radius + 1):
         fresh = list(b.sphere(r))
         for u in fresh:
-            iau = groups.invert(H, images[u])
-            iu = groups.invert(G, u)
+            iau = inv_h(images[u])
+            iu = inv_g(u)
             for v in seen + fresh:
-                if groups.multiply(H, iau, images[v]) in Fset:
-                    vals.add(groups.multiply(G, iu, v))
-                if groups.multiply(H, groups.invert(H, images[v]), images[u]) in Fset:
-                    vals.add(groups.multiply(G, groups.invert(G, v), u))
+                if mul_h(iau, images[v]) in Fset:
+                    vals.add(mul_g(iu, v))
+                if mul_h(inv_h(images[v]), images[u]) in Fset:
+                    vals.add(mul_g(inv_g(v), u))
         seen += fresh
         trace[r] = len(vals)
     return groups.canonical_sorted(G, vals), trace
@@ -197,12 +198,12 @@ def compute_cover_constant(alpha: MapWindow, radius: int, cap: int = DEFAULT_COV
     ball."""
     G = alpha.source.space.spec
     H = alpha.target.space.spec
-    images = [alpha(u) for u in groups.ball(G, alpha.source_radius(radius)).elements]
-    inv_images = [groups.invert(H, img) for img in images]
+    mul = H.mul
+    inv_images = [H.inv(alpha(u)) for u in groups.ball(G, alpha.source_radius(radius)).elements]
     E: list = []
     Eset: set = set()
     for y in groups.ball(H, radius).elements:
-        diffs = groups.canonical_sorted(H, (groups.multiply(H, iimg, y) for iimg in inv_images))
+        diffs = groups.canonical_sorted(H, [mul(iimg, y) for iimg in inv_images])
         if any(d in Eset for d in diffs):
             continue
         E.append(diffs[0])
@@ -281,6 +282,7 @@ def beta_window_check(
     violating pair; the cover condition compares the shrunk target ball
     against beta(ball).E."""
     G, H = td.source_spec, td.target_spec
+    mul_g, inv_g, mul_h, inv_h = G.mul, G.inv, H.mul, H.inv
     one = groups.identity(G)
     pin = pin if pin is not None else td.alpha(one)
     dom = groups.ball(G, radius).elements
@@ -297,10 +299,10 @@ def beta_window_check(
             for F, cvals in td.c_table.items():
                 cset = set(cvals)
                 for x in dom:
-                    bx_inv = groups.invert(H, beta[x])
+                    bx_inv = inv_h(beta[x])
                     for f in F:
-                        y = groups.multiply(G, x, f)
-                        if y in beta and groups.multiply(H, bx_inv, beta[y]) not in cset:
+                        y = mul_g(x, f)
+                        if y in beta and mul_h(bx_inv, beta[y]) not in cset:
                             failures.append(
                                 {"condition": "c", "key": _key_tag(G, F),
                                  "point": groups.serialize(G, x), "step": groups.serialize(G, f)}
@@ -310,11 +312,11 @@ def beta_window_check(
                 Fset = set(F)
                 dset = set(dvals)
                 for x in dom:
-                    bx_inv = groups.invert(H, beta[x])
-                    ix = groups.invert(G, x)
+                    bx_inv = inv_h(beta[x])
+                    ix = inv_g(x)
                     for y in dom:
-                        if groups.multiply(H, bx_inv, beta[y]) in Fset:
-                            if groups.multiply(G, ix, y) not in dset:
+                        if mul_h(bx_inv, beta[y]) in Fset:
+                            if mul_g(ix, y) not in dset:
                                 failures.append(
                                     {"condition": "d", "key": _key_tag(H, F),
                                      "pair": [groups.serialize(G, x), groups.serialize(G, y)]}
@@ -324,7 +326,7 @@ def beta_window_check(
             reach = set()
             for x in dom:
                 for e in td.cover:
-                    reach.add(groups.multiply(H, beta[x], e))
+                    reach.add(mul_h(beta[x], e))
             if radius - mesh >= 0:
                 for w in groups.ball(H, radius - mesh).elements:
                     if w not in reach:
@@ -389,25 +391,27 @@ def enumerate_beta_windows(
 
     d_rules = [(set(F), set(dvals)) for F, dvals in td.d_table.items()]
 
+    mul_g, inv_g, mul_h, inv_h = G.mul, G.inv, H.mul, H.inv
+
     def local_ok(x, value, assigned) -> bool:
-        iv = groups.invert(H, value)
-        ix = groups.invert(G, x)
+        iv = inv_h(value)
+        ix = inv_g(x)
         for F, cvals in td.c_table.items():
             cset = set(cvals)
             for f in F:
-                y = groups.multiply(G, x, f)
-                if y in assigned and groups.multiply(H, iv, assigned[y]) not in cset:
+                y = mul_g(x, f)
+                if y in assigned and mul_h(iv, assigned[y]) not in cset:
                     return False
-                z = groups.multiply(G, x, groups.invert(G, f))
-                if z in assigned and groups.multiply(H, groups.invert(H, assigned[z]), value) not in cset:
+                z = mul_g(x, inv_g(f))
+                if z in assigned and mul_h(inv_h(assigned[z]), value) not in cset:
                     return False
         for y, w in assigned.items():
-            out = groups.multiply(H, iv, w)
-            back = groups.multiply(H, groups.invert(H, w), value)
+            out = mul_h(iv, w)
+            back = mul_h(inv_h(w), value)
             for Fset, dset in d_rules:
-                if out in Fset and groups.multiply(G, ix, y) not in dset:
+                if out in Fset and mul_g(ix, y) not in dset:
                     return False
-                if back in Fset and groups.multiply(G, groups.invert(G, y), x) not in dset:
+                if back in Fset and mul_g(inv_g(y), x) not in dset:
                     return False
         return True
 
@@ -454,19 +458,17 @@ def enumerate_beta_windows(
 def act_source(td: TransferData, g, beta: dict, radius: int) -> tuple:
     """(g.beta)(x) = beta(g*x); the domain shrinks by the length of g."""
     G = td.source_spec
-    new_radius = radius - groups.word_length(G, g)
+    new_radius = radius - G.length(g)
     if new_radius < 0:
         raise WindowOverflowError("source action shrinks the domain below radius 0")
-    out = {}
-    for x in groups.ball(G, new_radius).elements:
-        out[x] = beta[groups.multiply(G, g, x)]
-    return out, new_radius
+    mul = G.mul
+    return {x: beta[mul(g, x)] for x in groups.ball(G, new_radius).elements}, new_radius
 
 
 def act_target(td: TransferData, h, beta: dict) -> dict:
     """(h.beta)(x) = h*beta(x); the domain is unchanged."""
-    H = td.target_spec
-    return {x: groups.multiply(H, h, v) for x, v in beta.items()}
+    mul = td.target_spec.mul
+    return {x: mul(h, v) for x, v in beta.items()}
 
 
 def actions_commute_check(

@@ -265,3 +265,96 @@ def scan_bounded_neighborhood(struct, y, mesh: int) -> tuple:
     for g in groups.ball(G, mesh).elements:
         out.update(struct.action.apply(groups.multiply(G, g, f0), u) for u in struct.U)
     return tuple(sorted(out, key=struct.space.sort_key))
+
+
+# ---------------------------------------------------------------------------
+# element arithmetic by string-kind dispatch
+#
+# The package binds one set of closures per GroupSpec.  These are the
+# if-chains that did the same job per call, kept as the reference the
+# closures must agree with.
+
+def _ref_int_key(c: int) -> tuple:
+    return (abs(c), 0 if c >= 0 else 1)
+
+
+def _ref_free_concat(a: tuple, b: tuple) -> tuple:
+    i = len(a)
+    j = 0
+    while i > 0 and j < len(b) and a[i - 1] == -b[j]:
+        i -= 1
+        j += 1
+    return a[:i] + b[j:]
+
+
+def ref_multiply(spec, a, b):
+    if spec.kind == "free_abelian":
+        if spec.rank == 1:
+            return a + b
+        return tuple(x + y for x, y in zip(a, b))
+    if spec.kind == "free":
+        return _ref_free_concat(a, b)
+    if spec.kind == "dih_inf":
+        n1, f1 = a
+        n2, f2 = b
+        return (n1 - n2 if f1 else n1 + n2, f1 ^ f2)
+    if spec.kind == "cyclic":
+        return (a + b) % spec.modulus
+    return (
+        ref_multiply(spec.factors[0], a[0], b[0]),
+        ref_multiply(spec.factors[1], a[1], b[1]),
+    )
+
+
+def ref_invert(spec, g):
+    if spec.kind == "free_abelian":
+        if spec.rank == 1:
+            return -g
+        return tuple(-c for c in g)
+    if spec.kind == "free":
+        return tuple(-l for l in reversed(g))
+    if spec.kind == "dih_inf":
+        n, f = g
+        return (n, 1) if f else (-n, 0)
+    if spec.kind == "cyclic":
+        return (-g) % spec.modulus
+    return (ref_invert(spec.factors[0], g[0]), ref_invert(spec.factors[1], g[1]))
+
+
+def ref_word_length(spec, g) -> int:
+    if spec.kind == "free_abelian":
+        if spec.rank == 1:
+            return abs(g)
+        return sum(abs(c) for c in g)
+    if spec.kind == "free":
+        return len(g)
+    if spec.kind == "dih_inf":
+        n, f = g
+        return abs(n) + f
+    if spec.kind == "cyclic":
+        return min(g, spec.modulus - g) if spec.modulus > 1 else 0
+    return ref_word_length(spec.factors[0], g[0]) + ref_word_length(spec.factors[1], g[1])
+
+
+def _ref_structural_key(spec, g) -> tuple:
+    if spec.kind == "free_abelian":
+        if spec.rank == 1:
+            return _ref_int_key(g)
+        return tuple(_ref_int_key(c) for c in g)
+    if spec.kind == "free":
+        return tuple((abs(l), 0 if l > 0 else 1) for l in g)
+    if spec.kind == "dih_inf":
+        n, f = g
+        return (_ref_int_key(n), f)
+    if spec.kind == "cyclic":
+        n = spec.modulus
+        s = g if g <= n // 2 else g - n
+        return _ref_int_key(s)
+    return (
+        _ref_structural_key(spec.factors[0], g[0]),
+        _ref_structural_key(spec.factors[1], g[1]),
+    )
+
+
+def ref_sort_key(spec, g) -> tuple:
+    return (ref_word_length(spec, g), _ref_structural_key(spec, g))

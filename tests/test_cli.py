@@ -98,6 +98,42 @@ class TestActionCheck:
         assert code == 1
 
 
+class TestWindowTooSmall:
+    # every subcommand but ball reads a verdict off a stabilization tail
+    VERDICT_COMMANDS = [
+        ["fc", "--group", "DihInf"],
+        ["compare-lr", "--group", "F(2)"],
+        ["mult-born", "--group", "Z"],
+        ["witness", "--group", "DihInf", "--family", "edge-left:t"],
+        ["map-check", "--group", "Z", "--map", "identity"],
+        ["action-check", "--action", "left(Z)"],
+        ["svarc-milnor", "--action", "left(Z)"],
+        ["commuting"],
+        ["gromov"],
+        ["demo-dihedral"],
+    ]
+
+    @pytest.mark.parametrize("radius", ["1", "2"])
+    @pytest.mark.parametrize("argv", VERDICT_COMMANDS, ids=[c[0] for c in VERDICT_COMMANDS])
+    def test_radius_below_three_is_refused(self, argv, radius):
+        code, out = run_cli(argv + ["--radius", radius])
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "window-too-small"
+
+    @pytest.mark.parametrize(
+        "argv,verdict",
+        [(["fc", "--group", "DihInf"], "FAIL"), (["compare-lr", "--group", "F(2)"], "DIFFER")],
+    )
+    def test_radius_three_keeps_the_verdict(self, argv, verdict):
+        code, out = run_cli(argv + ["--radius", "3"])
+        assert code == 1
+        assert [c["verdict"] for c in json.loads(out)["checks"]] == [verdict]
+
+    def test_ball_needs_no_tail(self):
+        code, _ = run_cli(["ball", "--group", "Z", "--radius", "2"])
+        assert code == 0
+
+
 class TestErrors:
     def test_unknown_group_exits_2(self):
         code, out = run_cli(["fc", "--group", "Sym(3)"])

@@ -1,6 +1,7 @@
 import pytest
 
 from coarsekit import groups
+from coarsekit.actions import ActionInducedStructure, inclusion_hom, left_translation
 from coarsekit.errors import PreconditionError
 from coarsekit.families import (
     Counterexample,
@@ -8,6 +9,7 @@ from coarsekit.families import (
     Witness,
     constant_family,
     finite_family,
+    shape_translate_family,
     translate_pair_family,
 )
 from coarsekit.spaces import GroupSpace
@@ -22,6 +24,7 @@ DIH = groups.DIH
 ZS = GroupSpace(groups.Z)
 DS = GroupSpace(DIH)
 T = (0, 1)
+X = (1, 0)
 
 
 class TestMembershipWindow:
@@ -86,6 +89,29 @@ class TestStructureHelpers:
         for pf in struct.default_battery(seed=3, n_random=6):
             res = membership_window(struct, pf, 6)
             assert res.verdict == "PASS", pf.tag
+
+
+class TestMemberOrder:
+    """A member's contribution does not depend on how its points are given."""
+
+    STRUCTURES = {
+        "left": lambda: LeftGroupStructure(DIH),
+        "right": lambda: RightGroupStructure(DIH),
+        "induced": lambda: ActionInducedStructure(left_translation(inclusion_hom()), ((0, 0), T)),
+    }
+
+    @pytest.mark.parametrize("name", list(STRUCTURES))
+    def test_tuple_reversed_and_frozenset_agree(self, name):
+        pf = shape_translate_family(DS, ((0, 0), X, T), "left")
+        members = pf.at(4).members
+        # a fresh structure per form, so no memo answers for another form
+        forms = (tuple, lambda m: tuple(reversed(m)), frozenset)
+        results = []
+        for form in forms:
+            struct = self.STRUCTURES[name]()
+            results.append([struct.member_contribution(form(m)) for m in members])
+        assert results[0] == results[1] == results[2]
+        assert any(len(c) > 1 for c in results[0])
 
 
 class TestRandomShapes:
