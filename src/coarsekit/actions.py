@@ -20,8 +20,8 @@ Two window constructions produce coarse structures from an action:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 from . import groups
 from .errors import (
@@ -31,6 +31,7 @@ from .errors import (
     SearchFailureError,
     SpaceMismatchError,
     WindowOverflowError,
+    WindowTooSmallError,
 )
 from .families import (
     ControlledSet,
@@ -59,38 +60,25 @@ ACTION_LAW_DEPTH = 3
 
 @dataclass(frozen=True)
 class Hom:
-    name: str  # "identity" | "inclusion" | "power"
+    """A homomorphism source -> target: ``apply`` maps one element, and
+    ``label`` names the homomorphism inside action names."""
+
+    label: str
     source: groups.GroupSpec
     target: groups.GroupSpec
-    k: int = 0
-
-    def apply(self, g):
-        if self.name == "identity":
-            return g
-        if self.name == "inclusion":
-            return (g, 0)  # n -> x^n
-        if self.name == "power":
-            return self.k * g
-        raise ValueError(f"unknown homomorphism {self.name!r}")
-
-    def label(self) -> str:
-        if self.name == "identity":
-            return "identity"
-        if self.name == "inclusion":
-            return "x^n"
-        return f"{self.k}n"
+    apply: Callable = field(compare=False, repr=False)
 
 
 def identity_hom(spec: groups.GroupSpec) -> Hom:
-    return Hom("identity", spec, spec)
+    return Hom("identity", spec, spec, lambda g: g)
 
 
 def inclusion_hom() -> Hom:
-    return Hom("inclusion", groups.Z, groups.DIH)
+    return Hom("x^n", groups.Z, groups.DIH, lambda n: (n, 0))  # n -> x^n
 
 
 def power_hom(k: int) -> Hom:
-    return Hom("power", groups.Z, groups.Z, k=k)
+    return Hom(f"{k}n", groups.Z, groups.Z, lambda n: k * n)
 
 
 class Action:
@@ -131,7 +119,7 @@ class TranslationAction(Action):
         self.group = hom.source
         self.space = GroupSpace(hom.target)
         arrow = "" if hom.source == hom.target else f"{hom.source.label()}->"
-        self.name = f"{side}({arrow}{hom.target.label()} via {hom.label()})"
+        self.name = f"{side}({arrow}{hom.target.label()} via {hom.label})"
 
     def apply(self, g, x):
         spec = self.space.spec
@@ -324,23 +312,49 @@ class ActionInducedStructure(CoarseStructure):
         return fams
 
 
+class _Orbit:
+    """grow of the orbit family r -> {g.S : g in Ball(scale*r), S in seeds}.
+
+    At radius r it yields the translates by the new spheres
+    scale*(r-1)+1 .. scale*r, so each translate is applied once."""
+
+    def __init__(self, action: Action, seeds: tuple, scale: int):
+        self.action = action
+        self.seeds = seeds
+        self.scale = scale
+
+    def __call__(self, r: int):
+        apply_set, G, c = self.action.apply_set, self.action.group, self.scale
+        for s in range(max(0, c * (r - 1) + 1), c * r + 1):
+            for g in groups.sphere(G, s):
+                for S in self.seeds:
+                    yield apply_set(g, S)
+
+
 def action_translate_family(action: Action, V, tag: str = "") -> ParamFamily:
+    """r -> {g.V : g in Ball(r)}."""
     V = tuple(V)
     if not tag:
         vs = ",".join(action.space.serialize(v) for v in V)
         tag = f"{{g.[{vs}]}}"
-
-    def grow(r: int):
-        return (action.apply_set(g, V) for g in groups.sphere(action.group, r))
-
-    return ParamFamily(tag=tag, space=action.space, grow=grow)
+    return ParamFamily(tag=tag, space=action.space, grow=_Orbit(action, (V,), 1))
 
 
 def translates_family(action: Action, pf: ParamFamily, tag: str) -> ParamFamily:
     """r -> {g.M} over g in Ball(r) and the members M of pf at radius r.
 
-    At radius r the new members are the new sphere times every member so
-    far, plus the inner ball times the members new at r."""
+    When pf is an orbit {h.S : h in Ball(c*r)} of this same action, the
+    translates are the orbit {k.S : k in Ball((c+1)*r)}.  That rests on the
+    action law g.(h.S) = (gh).S and on ball products in a word metric,
+    Ball(r).Ball(c*r) = Ball((c+1)*r): a geodesic word of length at most
+    (c+1)*r splits into a word of length <= r and one of length <= c*r.
+
+    Any other pf grows generically: at radius r the new members are the new
+    sphere times every member so far, plus the inner ball times the members
+    new at r."""
+    orbit = pf.grow
+    if isinstance(orbit, _Orbit) and orbit.action is action:
+        return ParamFamily(tag=tag, space=action.space, grow=_Orbit(action, orbit.seeds, orbit.scale + 1))
     G = action.group
     layers: list = []  # layers[q]: the members of pf that appear at radius q
     known: set = set()
@@ -363,12 +377,20 @@ def translates_family(action: Action, pf: ParamFamily, tag: str) -> ParamFamily:
 
 
 def _pieces_family(pf: ParamFamily) -> ParamFamily:
-    """r -> the one and two point subsets of the members of pf at radius r."""
+    """r -> the one and two point subsets of the members of pf at radius r.
+
+    The pieces of an orbit {g.S} are the orbit of the pieces of its seeds at
+    the same scale, since g.{u, v} = {g.u, g.v}."""
+    tag = f"pieces({pf.tag})"
+    orbit = pf.grow
+    if isinstance(orbit, _Orbit):
+        seeds = tuple(dict.fromkeys(frozenset((u, v)) for S in orbit.seeds for u in S for v in S))
+        return ParamFamily(tag=tag, space=pf.space, grow=_Orbit(orbit.action, seeds, orbit.scale))
 
     def grow(r: int):
         return ((u, v) for m in pf.delta(r) for u in m for v in m)
 
-    return ParamFamily(tag=f"pieces({pf.tag})", space=pf.space, grow=grow)
+    return ParamFamily(tag=tag, space=pf.space, grow=grow)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +546,9 @@ def cobounded_check(
 
     Search mode walks meshes 0..mesh_cap, takes the first metric ball that
     covers with some constant c <= c_cap, then greedily prunes it from the
-    largest element down, keeping the covering property."""
+    largest element down, keeping the covering property.  A PASS whose U has
+    mesh above radius/2 raises WindowTooSmallError: such a U fills the
+    window, so it covers under any action, the trivial one included."""
     space = action.space
 
     def covered_by(Ucand: tuple, c: int) -> bool:
@@ -544,6 +568,20 @@ def cobounded_check(
                 return c
         return None
 
+    def passed(Ufound: tuple, mesh: int, c: int) -> Certificate:
+        if 2 * mesh > radius:
+            raise WindowTooSmallError(
+                f"{action.name}: the covering U has mesh {mesh}, above radius/2 at radius "
+                f"{radius}, so it fills the window and its cobounded PASS shows nothing"
+            )
+        return Certificate(
+            check="cobounded",
+            verdict="PASS",
+            radius=radius,
+            data={"action": action.name, "U": [space.serialize(u) for u in Ufound],
+                  "mesh": mesh, "constant": c},
+        )
+
     if U is not None:
         U = tuple(sorted(set(U), key=space.sort_key))
         c = minimal_c(U)
@@ -555,13 +593,7 @@ def cobounded_check(
                 data={"action": action.name, "U": [space.serialize(u) for u in U],
                       "note": f"window not covered with constant <= {c_cap}"},
             )
-        return Certificate(
-            check="cobounded",
-            verdict="PASS",
-            radius=radius,
-            data={"action": action.name, "U": [space.serialize(u) for u in U],
-                  "mesh": _mesh(space, U), "constant": c},
-        )
+        return passed(U, _mesh(space, U), c)
 
     base = space.window(0)[0]
     for mesh in range(mesh_cap + 1):
@@ -580,14 +612,7 @@ def cobounded_check(
             trial = tuple(v for v in kept if v != u)
             if covered_by(trial, c):
                 kept = list(trial)
-        Umin = tuple(sorted(kept, key=space.sort_key))
-        return Certificate(
-            check="cobounded",
-            verdict="PASS",
-            radius=radius,
-            data={"action": action.name, "U": [space.serialize(u) for u in Umin],
-                  "mesh": mesh, "constant": c},
-        )
+        return passed(tuple(sorted(kept, key=space.sort_key)), mesh, c)
     return Certificate(
         check="cobounded",
         verdict="FAIL",

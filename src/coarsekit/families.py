@@ -134,7 +134,7 @@ class Counterexample:
     structure: str
     family: str
     group: groups.GroupSpec
-    elements: tuple  # witness evaluated at the final radius, kept as evidence
+    elements: frozenset  # witness at the final radius, unordered; kept as evidence
     trace: dict
 
     bounded = False

@@ -108,7 +108,9 @@ def compare_left_right(spec: groups.GroupSpec, radius: int) -> Certificate:
                     "failing_structure": failing.structure,
                     "growing_trace": {str(r): n for r, n in failing.trace.items()},
                     "bounded_structure": other.structure,
-                    "bounded_witness": [groups.serialize(spec, g) for g in other.elements],
+                    "bounded_witness": [
+                        groups.serialize(spec, g) for g in groups.canonical_sorted(spec, other.elements)
+                    ],
                 },
                 notes=[
                     f"family {fail_pf.tag} grows in {failing.structure} "

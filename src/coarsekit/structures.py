@@ -186,8 +186,9 @@ def membership_window(structure: CoarseStructure, pf: ParamFamily, radius: int):
     """Evaluate the witness trace of a monotone parametrized family.
 
     Each distinct member contributes once, at the radius where it appears.
-    Returns a Witness when the size trace is constant over the final
-    ceil(radius/2) radii, else a Counterexample carrying the growing trace.
+    Returns a Witness, its elements in canonical order, when the size trace
+    is constant over the final ceil(radius/2) radii, else a Counterexample
+    carrying the growing trace and its elements unordered.
     """
     seen: set = set()
     witness: set = set()
@@ -209,13 +210,13 @@ def membership_window(structure: CoarseStructure, pf: ParamFamily, radius: int):
             raise
         trace[r] = len(witness)
     group = structure.witness_group()
-    elements = groups.canonical_sorted(group, witness)
     if trace_stabilizes(trace, radius):
+        elements = groups.canonical_sorted(group, witness)
         return Witness(structure=structure.label, group=group, elements=elements, trace=trace)
     return Counterexample(
         structure=structure.label,
         family=pf.tag,
         group=group,
-        elements=elements,
+        elements=frozenset(witness),
         trace=trace,
     )

@@ -133,6 +133,20 @@ class TestWindowTooSmall:
         code, _ = run_cli(["ball", "--group", "Z", "--radius", "2"])
         assert code == 0
 
+    @pytest.mark.parametrize("radius", ["3", "4"])
+    def test_cobounded_u_filling_the_window_is_refused(self, radius):
+        # the trivial action is covered only by a U of mesh = radius, the whole window
+        code, out = run_cli(["action-check", "--action", "left(Z via 0n)", "--radius", radius])
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "window-too-small"
+
+    @pytest.mark.parametrize("action,mesh", [("left(Z)", 0), ("left(Z->DihInf via x^n)", 1)])
+    def test_cobounded_u_within_half_the_radius_passes(self, action, mesh):
+        code, out = run_cli(["action-check", "--action", action, "--radius", "3"])
+        cobounded = next(c for c in json.loads(out)["checks"] if c["check"] == "cobounded")
+        assert (cobounded["verdict"], cobounded["data"]["mesh"]) == ("PASS", mesh)
+        assert code == 0
+
 
 class TestErrors:
     def test_unknown_group_exits_2(self):

@@ -3,7 +3,11 @@
 Each stock family hands membership_window only the members that appear at
 radius r.  The union of those deltas over 0..r must be the family rebuilt
 from scratch on groups.ball(spec, r), and a snapshot-only (``fn=``) copy of
-the family must give the same verdict, trace and witness elements.
+the family must give the same verdict, trace and witness elements.  The
+translates of an orbit family {g.V} (or of its pieces) under its own action
+are grown as one orbit at double scale; they must be the brute-force set
+{g.M : g in Ball(r), M a member at r}, and an orbit of any other action
+object must take the generic route to the same set.
 """
 
 import functools
@@ -13,10 +17,15 @@ import pytest
 from coarsekit import groups
 from coarsekit.errors import WindowOverflowError
 from coarsekit.actions import (
+    _Orbit,
+    _pieces_family,
     action_translate_family,
     identity_hom,
+    inclusion_hom,
     left_translation,
+    power_hom,
     right_translation,
+    table_action,
     translates_family,
 )
 from coarsekit.families import (
@@ -27,7 +36,7 @@ from coarsekit.families import (
     translate_pair_family,
 )
 from coarsekit.maps import MapWindow, _preimage_family
-from coarsekit.spaces import GroupSpace
+from coarsekit.spaces import FiniteSpace, GroupSpace
 from coarsekit.structures import LeftGroupStructure, RightGroupStructure, membership_window
 
 SPECS = [groups.Z, groups.free_abelian(2), groups.DIH, groups.free_group(2)]
@@ -146,3 +155,89 @@ def test_error_names_least_member_whatever_the_delta_order(reverse):
     pf = ParamFamily(tag="{g, 2g}", space=GroupSpace(groups.Z), grow=grow)
     with pytest.raises(WindowOverflowError, match=r"^2 not covered"):
         membership_window(_RefusesFarPoints(groups.Z), pf, 4)
+
+
+# ---------------------------------------------------------------------------
+# translates of an orbit family: read as one orbit at double scale
+
+ONE, X, T = (0, 0), (1, 0), (0, 1)
+SEVEN = FiniteSpace("seven", tuple(range(7)))
+
+
+def _rotation():
+    # Z turning a 7-cycle: generator 1 steps forward, generator -1 back
+    perms = {0: {p: (p + 1) % 7 for p in range(7)}, 1: {p: (p - 1) % 7 for p in range(7)}}
+    return table_action(groups.Z, SEVEN, perms)
+
+
+# (action, V): the four actions of test_induced.py, the trivial action of Z
+# on itself, and a table action on a finite space
+ORBIT_CASES = {
+    "left(Z->DihInf via x^n)": (lambda: left_translation(inclusion_hom()), (ONE, T)),
+    "left(DihInf)": (lambda: left_translation(identity_hom(groups.DIH)), (ONE, X)),
+    "right(DihInf)": (lambda: right_translation(identity_hom(groups.DIH)), (ONE, X, T)),
+    "left(Z via 2n)": (lambda: left_translation(power_hom(2)), (0, 1, 2)),
+    "left(Z via 0n)": (lambda: left_translation(power_hom(0)), (0, 1, -2)),
+    "table(Z on seven)": (_rotation, (0, 1)),
+}
+ORBIT_ROUTES = ["translates", "pieces"]
+
+
+def _orbit_case(route, action, base_action, V):
+    """translates_family of one route over the orbit of V under base_action,
+    and its brute-force snapshot {g.M : g in Ball(r), M a member at r}."""
+
+    def base(r):
+        return {
+            frozenset(base_action.apply(h, v) for v in V) for h in groups.ball(base_action.group, r).elements
+        }
+
+    pf = action_translate_family(base_action, V)
+    members = base
+    if route == "pieces":
+        pf = _pieces_family(pf)
+        members = lambda r: {frozenset((u, v)) for M in base(r) for u in M for v in M}
+    tf = translates_family(action, pf, route)
+    return tf, lambda r: {
+        frozenset(action.apply(g, x) for x in M) for g in groups.ball(action.group, r).elements for M in members(r)
+    }
+
+
+def _assert_grows_to(tf, snapshot):
+    grown: set = set()
+    for r in range(RADIUS + 1):
+        grown |= {frozenset(m) for m in tf.delta(r)}
+        expected = snapshot(r)
+        assert grown == expected, f"radius {r}"
+        assert {frozenset(m) for m in tf.at(r).members} == expected, f"radius {r}"
+
+
+@pytest.mark.parametrize("route", ORBIT_ROUTES)
+@pytest.mark.parametrize("name", list(ORBIT_CASES))
+def test_translates_of_an_orbit_are_an_orbit(name, route):
+    make, V = ORBIT_CASES[name]
+    action = make()
+    tf, snapshot = _orbit_case(route, action, action, V)
+    assert isinstance(tf.grow, _Orbit)
+    _assert_grows_to(tf, snapshot)
+
+
+@pytest.mark.parametrize("route", ORBIT_ROUTES)
+@pytest.mark.parametrize("name", list(ORBIT_CASES))
+def test_orbit_of_another_action_object_grows_generically(name, route):
+    # an equal action built twice is two objects: only the same object is
+    # known to satisfy g.(h.S) = (gh).S with the orbit's own h
+    make, V = ORBIT_CASES[name]
+    action = make()
+    tf, snapshot = _orbit_case(route, action, make(), V)
+    assert not isinstance(tf.grow, _Orbit)
+    _assert_grows_to(tf, snapshot)
+
+
+@pytest.mark.parametrize("route", ORBIT_ROUTES)
+def test_orbit_of_the_opposite_side_grows_generically(route):
+    left = _translation(groups.DIH, "left")
+    right = _translation(groups.DIH, "right")
+    tf, snapshot = _orbit_case(route, left, right, (ONE, X))
+    assert not isinstance(tf.grow, _Orbit)
+    _assert_grows_to(tf, snapshot)

@@ -157,7 +157,7 @@ HOMS = [
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("hom", HOMS, ids=lambda h: f"{h.source.label()}-{h.label()}")
+@pytest.mark.parametrize("hom", HOMS, ids=lambda h: f"{h.source.label()}-{h.label}")
 def test_translation_apply_set_is_pointwise_apply(hom, side):
     action = TranslationAction(hom, side=side)
     S = action.space.window(4)
