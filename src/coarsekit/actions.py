@@ -94,7 +94,7 @@ class Action:
 
     def validate(self, depth: int = ACTION_LAW_DEPTH) -> None:
         """Check the left action law on a small window."""
-        ident = groups.identity(self.group)
+        ident = self.group.identity()
         pts = list(self.space.window(depth))
         for x in pts:
             if self.apply(ident, x) != x:
@@ -969,8 +969,8 @@ def commuting_equivalence(
             "induced_2": ind2.to_json(),
             "coarse_action_1": cert1.to_json(),
             "coarse_action_2": cert2.to_json(),
-            "psi": {groups.serialize(G2, h): groups.serialize(G1, g) for h, g in psi.items()},
-            "phi": {groups.serialize(G1, g): groups.serialize(G2, h) for g, h in phi.items()},
+            "psi": {G2.serialize(h): G1.serialize(g) for h, g in psi.items()},
+            "phi": {G1.serialize(g): G2.serialize(h) for g, h in phi.items()},
             "bornologous_psi": born_psi.to_json(),
             "bornologous_phi": born_phi.to_json(),
             "close_psi_phi": close1.to_json(),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import re
 import sys
 
@@ -99,7 +100,7 @@ def parse_map_dsl(text: str, source: CoarseStructure, target: CoarseStructure):
         return floor_div_map(source, target, int(m.group(1)))
     m = re.fullmatch(r"mod:(\d+)", text)
     if m:
-        return mod_map(source, target)
+        return mod_map(source, target, int(m.group(1)))
     m = re.fullmatch(r"constant:(.+)", text)
     if m:
         return constant_map(source, target, target.space.parse(m.group(1)))
@@ -180,25 +181,11 @@ def _config(args: argparse.Namespace) -> dict:
     return out
 
 
-def _emit(args: argparse.Namespace, checks: list, notes: list) -> int:
-    verdicts = [c.get("verdict", "PASS") for c in checks]
-    ok = all(v in ("PASS", "EQUAL") for v in verdicts)
-    report = {
-        "tool": {"name": "coarsekit", "version": __version__},
-        "command": args._command,
-        "config": _config(args),
-        "checks": checks,
-        "notes": notes,
-    }
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        _print_table(report)
-    return 0 if ok else 1
-
-
 def _print_table(report: dict) -> None:
     print(f"coarsekit {report['tool']['version']}  command={report['command']}")
+    if "error" in report:
+        print(f"error [{report['error']['code']}]: {report['error']['message']}")
+        return
     for k in sorted(report["config"]):
         print(f"  {k} = {report['config'][k]}")
     print()
@@ -238,7 +225,7 @@ def cmd_ball(args) -> tuple:
     sizes = {str(r): n for r, n in enumerate(itertools.accumulate(layer_sizes))}
     data = {"group": spec.label(), "sizes": sizes}
     if args.list or args.radius <= 3:
-        data["window"] = [groups.serialize(spec, g) for g in b.elements]
+        data["window"] = [spec.serialize(g) for g in b.elements]
     return [{"check": "ball", "verdict": "PASS", "radius": args.radius, "data": data}], []
 
 
@@ -352,7 +339,7 @@ def cmd_gromov(args) -> tuple:
     tgt = LeftGroupStructure(groups.Z)
     alpha = parse_map_dsl(args.map, src, tgt)
     td = build_transfer_data(alpha, args.radius, extended=True)
-    pin = groups.parse_element(groups.Z, args.pin)
+    pin = groups.Z.parse_element(args.pin)
     self_table = {x: alpha(x) for x in groups.ball(groups.Z, args.enum_radius).elements}
     self_check = beta_window_check(td, self_table, args.enum_radius)
     betas = enumerate_beta_windows(td, args.enum_radius, pin=pin)
@@ -371,7 +358,7 @@ def cmd_gromov(args) -> tuple:
             "data": {
                 "count": len(betas),
                 "tables": [
-                    {groups.serialize(groups.Z, x): groups.serialize(groups.Z, v)
+                    {groups.Z.serialize(x): groups.Z.serialize(v)
                      for x, v in sorted(b.items(), key=lambda kv: groups.sort_key(groups.Z, kv[0]))}
                     for b in betas
                 ],
@@ -477,25 +464,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Print one report for the command line argv; return its exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    report = {"tool": {"name": "coarsekit", "version": __version__}, "command": args._command}
     try:
         if args.func is not cmd_ball and args.radius < MIN_VERDICT_RADIUS:
             raise WindowTooSmallError(f"{args._command} needs --radius {MIN_VERDICT_RADIUS} or more")
         checks, notes = args.func(args)
     except CoarseKitError as exc:
-        report = {
-            "tool": {"name": "coarsekit", "version": __version__},
-            "command": getattr(args, "_command", None),
-            "error": {"code": exc.code, "message": str(exc)},
-        }
-        if getattr(args, "format", "json") == "json":
+        report["error"] = {"code": exc.code, "message": str(exc)}
+        code = 2
+    else:
+        report.update(config=_config(args), checks=checks, notes=notes)
+        ok = all(c.get("verdict", "PASS") in ("PASS", "EQUAL") for c in checks)
+        code = 0 if ok else 1
+    try:
+        if args.format == "json":
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
-            print(f"coarsekit {__version__}  command={report['command']}")
-            print(f"error [{exc.code}]: {exc}")
-        return 2
-    return _emit(args, checks, notes)
+            _print_table(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (``| head``); point stdout at devnull so the
+        # interpreter's flush at exit does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

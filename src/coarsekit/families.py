@@ -124,7 +124,7 @@ class Witness:
         return {
             "structure": self.structure,
             "verdict": self.verdict,
-            "witness": [groups.serialize(self.group, g) for g in self.elements],
+            "witness": [self.group.serialize(g) for g in self.elements],
             "trace": {str(r): n for r, n in sorted(self.trace.items())},
         }
 
@@ -259,7 +259,7 @@ def refines(f1: FiniteFamily, f2: FiniteFamily, ignore_singletons: bool = False)
 def translate_pair_family(space, a, side: str) -> ParamFamily:
     """r -> {{g, a*g}} ("left") or {{g, g*a}} ("right") over g in Ball(r)."""
     spec = space.spec
-    aser = groups.serialize(spec, a)
+    aser = spec.serialize(a)
     tag = f"{{{{g, {aser}*g}}}}" if side == "left" else f"{{{{g, g*{aser}}}}}"
 
     def grow(r: int):
@@ -274,7 +274,7 @@ def shape_translate_family(space, shape: tuple, side: str, tag: str = "") -> Par
     """r -> {g*S} ("left") or {S*g} ("right") over g in Ball(r), S fixed."""
     spec = space.spec
     if not tag:
-        shape_ser = ",".join(groups.serialize(spec, s) for s in shape)
+        shape_ser = ",".join(spec.serialize(s) for s in shape)
         tag = f"{{g*[{shape_ser}]}}" if side == "left" else f"{{[{shape_ser}]*g}}"
 
     def grow(r: int):

@@ -35,7 +35,7 @@ def fc_test(spec: groups.GroupSpec, radius: int) -> Certificate:
     window out to the full radius, stopping at the first class that keeps
     growing."""
     battery = [a for a in groups.ball(spec, ceil_half(radius)).elements
-               if a != groups.identity(spec)]
+               if a != spec.identity()]
     mul, inv = spec.mul, spec.inv
     b = groups.ball(spec, radius)
     spheres = [[(inv(g), g) for g in b.sphere(r)] for r in range(radius + 1)]
@@ -53,10 +53,10 @@ def fc_test(spec: groups.GroupSpec, radius: int) -> Certificate:
                 radius=radius,
                 data={
                     "group": spec.label(),
-                    "witness": groups.serialize(spec, a),
+                    "witness": spec.serialize(a),
                     "trace": {str(r): n for r, n in trace.items()},
                 },
-                notes=[f"conjugacy window of {groups.serialize(spec, a)} keeps growing"],
+                notes=[f"conjugacy window of {spec.serialize(a)} keeps growing"],
             )
         bound = max(bound, trace[radius])
     return Certificate(
@@ -83,7 +83,7 @@ def compare_left_right(spec: groups.GroupSpec, radius: int) -> Certificate:
     right = RightGroupStructure(spec)
     space = left.space
     battery = [a for a in groups.ball(spec, ceil_half(radius)).elements
-               if a != groups.identity(spec)]
+               if a != spec.identity()]
     tested = 0
     for a in battery:
         fam_left_pairs = translate_pair_family(space, a, "left")
@@ -103,13 +103,13 @@ def compare_left_right(spec: groups.GroupSpec, radius: int) -> Certificate:
                 radius=radius,
                 data={
                     "group": spec.label(),
-                    "witness": groups.serialize(spec, a),
+                    "witness": spec.serialize(a),
                     "family": fail_pf.tag,
                     "failing_structure": failing.structure,
                     "growing_trace": {str(r): n for r, n in failing.trace.items()},
                     "bounded_structure": other.structure,
                     "bounded_witness": [
-                        groups.serialize(spec, g) for g in groups.canonical_sorted(spec, other.elements)
+                        spec.serialize(g) for g in groups.canonical_sorted(spec, other.elements)
                     ],
                 },
                 notes=[
@@ -138,8 +138,8 @@ def multiplication_bornologous_check(spec: groups.GroupSpec, radius: int) -> Cer
     downstairs = LeftGroupStructure(spec)
     space = downstairs.space
 
-    shapes = [(groups.identity(spec), s) for s in groups.ball(spec, 2).elements
-              if s != groups.identity(spec)]
+    shapes = [(spec.identity(), s) for s in groups.ball(spec, 2).elements
+              if s != spec.identity()]
     batteries = [tuple(pair) for pair in shapes]
     batteries.append(groups.ball(spec, 1).elements)
     batteries.append(groups.ball(spec, 2).elements)
@@ -147,7 +147,7 @@ def multiplication_bornologous_check(spec: groups.GroupSpec, radius: int) -> Cer
     first_failure = None
     checked = []
     for F in batteries:
-        Ftag = "[" + ",".join(groups.serialize(spec, f) for f in F) + "]"
+        Ftag = "[" + ",".join(spec.serialize(f) for f in F) + "]"
 
         def column_grow(r: int, F=F):
             return (tuple((f, g) for f in F) for g in groups.sphere(spec, r))

@@ -12,6 +12,12 @@ literal equality:
 * ``Zmod(n)``    int residue in range(n)
 * ``product``    pair of component elements
 
+Each kind of group is one ``GroupSpec`` subclass: ``FreeAbelian(rank)``,
+``Free(rank)``, ``DihInf()``, ``Cyclic(modulus)`` and ``Product(factors)``.
+The class holds everything that depends on the kind: arithmetic, identity,
+generators, label, normal-form test, text format and parser.  Code that needs
+to know the kind asks ``isinstance(spec, groups.Cyclic)``.
+
 Generating sets are fixed by the constructor (each positive generator followed
 by its inverse; ``t`` is its own inverse).  Word lengths come from closed
 forms that agree with breadth-first search over these generators.
@@ -20,10 +26,10 @@ forms that agree with breadth-first search over these generators.
 from __future__ import annotations
 
 import itertools
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import add, neg
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable
 
 from .errors import (
     GroupParseError,
@@ -40,72 +46,148 @@ DEFAULT_BALL_CAP = 10**6
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+@dataclass(frozen=True, repr=False)
+class GroupSpec(ABC):
     """A catalog group, with its arithmetic bound once.
 
-    ``__post_init__`` builds four closures for the kind: ``mul(a, b)``,
-    ``inv(g)``, ``length(g)`` (word length) and ``skey(g)`` (the structural
-    tie-break of the canonical order).  Hot loops bind them once
-    (``mul = spec.mul``) instead of dispatching on ``kind`` per call.  They
-    are fields outside ``compare`` and ``repr``, so equality, hashing and
-    ``repr`` read the constructor arguments alone: two specs built alike
-    are equal, hash alike and share one ball cache."""
+    Each subclass's ``__post_init__`` rejects a bad rank or modulus, then
+    binds four closures: ``mul(a, b)``, ``inv(g)``, ``length(g)`` (word
+    length) and ``skey(g)`` (the structural tie-break of the canonical
+    order).  Hot loops bind them once (``mul = spec.mul``).  They are fields
+    outside ``compare``, so equality and hashing read the class and its
+    constructor arguments alone: two specs built alike are equal, hash alike
+    and share one ball cache.  A class-level ``kind`` names the kind."""
 
-    kind: str  # "free_abelian" | "free" | "dih_inf" | "cyclic" | "product"
-    rank: int = 0
-    modulus: int = 0
-    factors: Optional[tuple["GroupSpec", "GroupSpec"]] = None
-    mul: Callable = field(init=False, compare=False, repr=False)
-    inv: Callable = field(init=False, compare=False, repr=False)
-    length: Callable = field(init=False, compare=False, repr=False)
-    skey: Callable = field(init=False, compare=False, repr=False)
+    mul: Callable = field(init=False, compare=False)
+    inv: Callable = field(init=False, compare=False)
+    length: Callable = field(init=False, compare=False)
+    skey: Callable = field(init=False, compare=False)
 
-    def __post_init__(self):
-        ops = _ARITHMETIC[self.kind](self)
-        for name, fn in zip(("mul", "inv", "length", "skey"), ops):
+    def _bind(self, mul: Callable, inv: Callable, length: Callable, skey: Callable) -> None:
+        for name, fn in zip(("mul", "inv", "length", "skey"), (mul, inv, length, skey)):
             object.__setattr__(self, name, fn)
-
-    def label(self) -> str:
-        if self.kind == "free_abelian":
-            return "Z" if self.rank == 1 else f"Z^{self.rank}"
-        if self.kind == "free":
-            return f"F({self.rank})"
-        if self.kind == "dih_inf":
-            return "DihInf"
-        if self.kind == "cyclic":
-            return f"Zmod({self.modulus})"
-        return f"product({self.factors[0].label()},{self.factors[1].label()})"
 
     def __repr__(self) -> str:
         return f"GroupSpec({self.label()})"
 
+    # what each kind supplies
+    @abstractmethod
+    def label(self) -> str: ...  # the spec in the grammar of parse_group_spec
+    @abstractmethod
+    def identity(self) -> Element: ...
+    @abstractmethod
+    def generators(self) -> tuple: ...  # the generating set of the word metric
+    @abstractmethod
+    def is_normal(self, g: Element) -> bool: ...
+    @abstractmethod
+    def _format(self, g: Element) -> str: ...  # text for a normal g
+    @abstractmethod
+    def parse_element(self, text: str) -> Element: ...  # reads _format's text back
 
-# ---------------------------------------------------------------------------
-# per-kind arithmetic: (mul, inv, length, skey) for a spec of that kind
+    def validate(self, g: Element) -> Element:
+        """Check that g is in normal form; return it unchanged."""
+        if not self.is_normal(g):
+            raise MalformedElementError(f"{g!r} is not a normal form for {self.label()}")
+        return g
+
+    def serialize(self, g: Element) -> str:
+        """Text that round-trips through ``parse_element``."""
+        return self._format(self.validate(g))
+
 
 def _int_key(c: int) -> tuple:
     # positive value sorts before its negative of equal magnitude
     return (abs(c), 0 if c >= 0 else 1)
 
 
-def _free_abelian_ops(spec: GroupSpec) -> tuple:
-    if spec.rank == 1:
-        return add, neg, abs, _int_key
-    if spec.rank == 2:
-        # unrolled: Z^2 is the common case and the generic form costs twice as much
-        return (
-            lambda a, b: (a[0] + b[0], a[1] + b[1]),
-            lambda g: (-g[0], -g[1]),
-            lambda g: abs(g[0]) + abs(g[1]),
-            lambda g: (_int_key(g[0]), _int_key(g[1])),
-        )
-    return (
-        lambda a, b: tuple(map(add, a, b)),
-        lambda g: tuple(map(neg, g)),
-        lambda g: sum(map(abs, g)),
-        lambda g: tuple(map(_int_key, g)),
-    )
+def _is_int(c) -> bool:
+    return isinstance(c, int) and not isinstance(c, bool)
+
+
+def _parse_word(spec, text: str) -> Element:
+    """``parse_element`` of a word kind: the product of the tokens of text,
+    each ``1``, a letter or ``letter^exp``, with the kind's ``_power``
+    reading a letter and its exponent."""
+    g = spec.identity()
+    for token in text.split():
+        if token == "1":
+            continue
+        base, _, exp_text = token.partition("^")
+        try:
+            exp = int(exp_text) if exp_text else 1
+        except ValueError:
+            raise MalformedElementError(f"bad exponent in token {token!r}")
+        g = spec.mul(g, spec._power(base, exp))
+    return g
+
+
+@dataclass(frozen=True, repr=False)
+class FreeAbelian(GroupSpec):
+    """Z^rank: an int for rank 1, a tuple of rank ints above."""
+
+    rank: int
+    kind = "free_abelian"
+
+    def __post_init__(self):
+        if self.rank < 1:
+            raise UnsupportedRankError(f"Z^{self.rank}: rank must be >= 1")
+        if self.rank == 1:
+            self._bind(add, neg, abs, _int_key)
+        elif self.rank == 2:
+            # unrolled: Z^2 is the common case and the generic form costs twice as much
+            self._bind(
+                lambda a, b: (a[0] + b[0], a[1] + b[1]),
+                lambda g: (-g[0], -g[1]),
+                lambda g: abs(g[0]) + abs(g[1]),
+                lambda g: (_int_key(g[0]), _int_key(g[1])),
+            )
+        else:
+            self._bind(
+                lambda a, b: tuple(map(add, a, b)),
+                lambda g: tuple(map(neg, g)),
+                lambda g: sum(map(abs, g)),
+                lambda g: tuple(map(_int_key, g)),
+            )
+
+    def label(self) -> str:
+        return "Z" if self.rank == 1 else f"Z^{self.rank}"
+
+    def identity(self) -> Element:
+        return 0 if self.rank == 1 else (0,) * self.rank
+
+    def generators(self) -> tuple:
+        if self.rank == 1:
+            return (1, -1)
+        gens = []
+        for i in range(self.rank):
+            e = tuple(1 if j == i else 0 for j in range(self.rank))
+            gens += [e, tuple(-c for c in e)]
+        return tuple(gens)
+
+    def is_normal(self, g: Element) -> bool:
+        if self.rank == 1:
+            return _is_int(g)
+        return isinstance(g, tuple) and len(g) == self.rank and all(map(_is_int, g))
+
+    def _format(self, g: Element) -> str:
+        return str(g) if self.rank == 1 else "(" + ",".join(map(str, g)) + ")"
+
+    def parse_element(self, text: str) -> Element:
+        text = text.strip()
+        if self.rank == 1:
+            try:
+                return int(text)
+            except ValueError:
+                raise MalformedElementError(f"expected an integer for Z, got {text!r}")
+        parts = _tuple_parts(text)
+        if len(parts) != self.rank:
+            raise MalformedElementError(
+                f"expected {self.rank} coordinates, got {len(parts)} in {text!r}"
+            )
+        try:
+            return tuple(int(p) for p in parts)
+        except ValueError:
+            raise MalformedElementError(f"non-integer coordinate in {text!r}")
 
 
 def _free_concat(a: tuple, b: tuple) -> tuple:
@@ -117,84 +199,215 @@ def _free_concat(a: tuple, b: tuple) -> tuple:
     return a[:i] + b[j:]
 
 
-def _free_ops(spec: GroupSpec) -> tuple:
-    # letters are nonzero, so _int_key puts letter i before its inverse -i
-    return (
-        _free_concat,
-        lambda g: tuple(map(neg, reversed(g))),
-        len,
-        lambda g: tuple(map(_int_key, g)),
-    )
+@dataclass(frozen=True, repr=False)
+class Free(GroupSpec):
+    """F(rank): freely reduced tuples of letters i and inverses -i."""
+
+    rank: int
+    kind = "free"
+
+    def __post_init__(self):
+        if self.rank < 1:
+            raise UnsupportedRankError(f"F({self.rank}): rank must be >= 1")
+        if self.rank > len(_LETTERS):
+            raise UnsupportedRankError(f"F({self.rank}): at most {len(_LETTERS)} letters supported")
+        # letters are nonzero, so _int_key puts letter i before its inverse -i
+        self._bind(
+            _free_concat,
+            lambda g: tuple(map(neg, reversed(g))),
+            len,
+            lambda g: tuple(map(_int_key, g)),
+        )
+
+    def label(self) -> str:
+        return f"F({self.rank})"
+
+    def identity(self) -> Element:
+        return ()
+
+    def generators(self) -> tuple:
+        return tuple(w for i in range(1, self.rank + 1) for w in ((i,), (-i,)))
+
+    def is_normal(self, g: Element) -> bool:
+        return (
+            isinstance(g, tuple)
+            and all(isinstance(l, int) and l != 0 and abs(l) <= self.rank for l in g)
+            and all(g[i] != -g[i + 1] for i in range(len(g) - 1))
+        )
+
+    def _format(self, g: Element) -> str:
+        out = []
+        for letter, run in itertools.groupby(g):
+            exp = len(list(run)) * (1 if letter > 0 else -1)
+            name = _LETTERS[abs(letter) - 1]
+            out.append(name if exp == 1 else f"{name}^{exp}")
+        return " ".join(out) or "1"
+
+    parse_element = _parse_word
+
+    def _power(self, base: str, exp: int) -> Element:
+        idx = _LETTERS.find(base) + 1
+        if idx == 0 or idx > self.rank or len(base) != 1:
+            raise MalformedElementError(f"unknown letter {base!r} for {self.label()}")
+        return (idx if exp > 0 else -idx,) * abs(exp)
 
 
-def _dih_ops(spec: GroupSpec) -> tuple:
-    # (n, f) is x^n t^f, and t x^k = x^-k t
-    return (
-        lambda a, b: (a[0] - b[0] if a[1] else a[0] + b[0], a[1] ^ b[1]),
-        lambda g: (g[0], 1) if g[1] else (-g[0], 0),
-        lambda g: abs(g[0]) + g[1],
-        lambda g: (_int_key(g[0]), g[1]),
-    )
+@dataclass(frozen=True, repr=False)
+class DihInf(GroupSpec):
+    """The infinite dihedral group: (n, f) is x^n t^f, and t x^k = x^-k t."""
+
+    kind = "dih_inf"
+
+    def __post_init__(self):
+        self._bind(
+            lambda a, b: (a[0] - b[0] if a[1] else a[0] + b[0], a[1] ^ b[1]),
+            lambda g: (g[0], 1) if g[1] else (-g[0], 0),
+            lambda g: abs(g[0]) + g[1],
+            lambda g: (_int_key(g[0]), g[1]),
+        )
+
+    def label(self) -> str:
+        return "DihInf"
+
+    def identity(self) -> Element:
+        return (0, 0)
+
+    def generators(self) -> tuple:
+        return ((1, 0), (-1, 0), (0, 1))
+
+    def is_normal(self, g: Element) -> bool:
+        return isinstance(g, tuple) and len(g) == 2 and isinstance(g[0], int) and g[1] in (0, 1)
+
+    def _format(self, g: Element) -> str:
+        n, f = g
+        parts = [] if n == 0 else ["x" if n == 1 else f"x^{n}"]
+        if f:
+            parts.append("t")
+        return " ".join(parts) or "1"
+
+    parse_element = _parse_word
+
+    def _power(self, base: str, exp: int) -> Element:
+        if base == "x":
+            return (exp, 0)
+        if base == "t":
+            return (0, exp % 2)
+        raise MalformedElementError(f"unknown letter {base!r} for DihInf")
 
 
-def _cyclic_ops(spec: GroupSpec) -> tuple:
-    n = spec.modulus
-    half = n // 2
-    return (
-        lambda a, b: (a + b) % n,
-        lambda g: (-g) % n,
-        (lambda g: min(g, n - g)) if n > 1 else (lambda g: 0),
-        lambda g: _int_key(g if g <= half else g - n),
-    )
+@dataclass(frozen=True, repr=False)
+class Cyclic(GroupSpec):
+    """Zmod(modulus): int residues in range(modulus)."""
+
+    modulus: int
+    kind = "cyclic"
+
+    def __post_init__(self):
+        n = self.modulus
+        if n < 1:
+            raise UnsupportedRankError(f"Zmod({n}): modulus must be >= 1")
+        half = n // 2
+        self._bind(
+            lambda a, b: (a + b) % n,
+            lambda g: (-g) % n,
+            (lambda g: min(g, n - g)) if n > 1 else (lambda g: 0),
+            lambda g: _int_key(g if g <= half else g - n),
+        )
+
+    def label(self) -> str:
+        return f"Zmod({self.modulus})"
+
+    def identity(self) -> Element:
+        return 0
+
+    def generators(self) -> tuple:
+        n = self.modulus
+        return () if n == 1 else (1,) if n == 2 else (1, n - 1)
+
+    def is_normal(self, g: Element) -> bool:
+        return _is_int(g) and 0 <= g < self.modulus
+
+    def _format(self, g: Element) -> str:
+        return str(g)
+
+    def parse_element(self, text: str) -> Element:
+        text = text.strip()
+        try:
+            return int(text) % self.modulus
+        except ValueError:
+            raise MalformedElementError(f"expected an integer for {self.label()}, got {text!r}")
 
 
-def _product_ops(spec: GroupSpec) -> tuple:
-    a, b = spec.factors
-    mul_a, inv_a, len_a, key_a = a.mul, a.inv, a.length, a.skey
-    mul_b, inv_b, len_b, key_b = b.mul, b.inv, b.length, b.skey
-    return (
-        lambda x, y: (mul_a(x[0], y[0]), mul_b(x[1], y[1])),
-        lambda g: (inv_a(g[0]), inv_b(g[1])),
-        lambda g: len_a(g[0]) + len_b(g[1]),
-        lambda g: (key_a(g[0]), key_b(g[1])),
-    )
+@dataclass(frozen=True, repr=False)
+class Product(GroupSpec):
+    """The direct product of ``factors = (A, B)``: pairs (a, b)."""
+
+    factors: tuple
+    kind = "product"
+
+    def __post_init__(self):
+        a, b = self.factors
+        mul_a, inv_a, len_a, key_a = a.mul, a.inv, a.length, a.skey
+        mul_b, inv_b, len_b, key_b = b.mul, b.inv, b.length, b.skey
+        self._bind(
+            lambda x, y: (mul_a(x[0], y[0]), mul_b(x[1], y[1])),
+            lambda g: (inv_a(g[0]), inv_b(g[1])),
+            lambda g: len_a(g[0]) + len_b(g[1]),
+            lambda g: (key_a(g[0]), key_b(g[1])),
+        )
+
+    def label(self) -> str:
+        return f"product({self.factors[0].label()},{self.factors[1].label()})"
+
+    def identity(self) -> Element:
+        return (self.factors[0].identity(), self.factors[1].identity())
+
+    def generators(self) -> tuple:
+        a, b = self.factors
+        ia, ib = a.identity(), b.identity()
+        return tuple((s, ib) for s in a.generators()) + tuple((ia, s) for s in b.generators())
+
+    def is_normal(self, g: Element) -> bool:
+        if not (isinstance(g, tuple) and len(g) == 2):
+            return False
+        # a bad component raises here, naming its own factor
+        self.factors[0].validate(g[0])
+        self.factors[1].validate(g[1])
+        return True
+
+    def _format(self, g: Element) -> str:
+        return f"({self.factors[0]._format(g[0])},{self.factors[1]._format(g[1])})"
+
+    def parse_element(self, text: str) -> Element:
+        text = text.strip()
+        parts = _tuple_parts(text)
+        if len(parts) != 2:
+            raise MalformedElementError(f"expected 2 components, got {len(parts)} in {text!r}")
+        return (self.factors[0].parse_element(parts[0]), self.factors[1].parse_element(parts[1]))
 
 
-_ARITHMETIC = {
-    "free_abelian": _free_abelian_ops,
-    "free": _free_ops,
-    "dih_inf": _dih_ops,
-    "cyclic": _cyclic_ops,
-    "product": _product_ops,
-}
+def _tuple_parts(text: str) -> list:
+    """The top-level comma-separated parts of ``(p1,...,pk)``."""
+    if not (text.startswith("(") and text.endswith(")")):
+        raise MalformedElementError(f"expected a parenthesized tuple, got {text!r}")
+    parts, depth = [""], 0
+    for ch in text[1:-1]:
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        if ch == "," and depth == 0:
+            parts.append("")
+        else:
+            parts[-1] += ch
+    return parts
 
 
-def free_abelian(rank: int) -> GroupSpec:
-    if rank < 1:
-        raise UnsupportedRankError(f"Z^{rank}: rank must be >= 1")
-    return GroupSpec("free_abelian", rank=rank)
-
-
-def free_group(rank: int) -> GroupSpec:
-    if rank < 1:
-        raise UnsupportedRankError(f"F({rank}): rank must be >= 1")
-    if rank > len(_LETTERS):
-        raise UnsupportedRankError(f"F({rank}): at most {len(_LETTERS)} letters supported")
-    return GroupSpec("free", rank=rank)
-
-
-def dih_inf() -> GroupSpec:
-    return GroupSpec("dih_inf")
-
-
-def cyclic(n: int) -> GroupSpec:
-    if n < 1:
-        raise UnsupportedRankError(f"Zmod({n}): modulus must be >= 1")
-    return GroupSpec("cyclic", modulus=n)
+free_abelian = FreeAbelian
+free_group = Free
+dih_inf = DihInf
+cyclic = Cyclic
 
 
 def product(a: GroupSpec, b: GroupSpec) -> GroupSpec:
-    return GroupSpec("product", factors=(a, b))
+    return Product((a, b))
 
 
 Z = free_abelian(1)
@@ -227,34 +440,26 @@ def _parse_int(text: str, pos: int) -> tuple[int, int]:
     return int(text[start:pos]), pos
 
 
+def _expect(text: str, pos: int, ch: str, message: str) -> int:
+    """Read whitespace, the character ch and whitespace; the position reached."""
+    pos = _skip_ws(text, pos)
+    if pos >= len(text) or text[pos] != ch:
+        raise GroupParseError(text, pos, message)
+    return _skip_ws(text, pos + 1)
+
+
 def _parse_spec(text: str, pos: int) -> tuple[GroupSpec, int]:
     pos = _skip_ws(text, pos)
     if text.startswith("product", pos):
-        pos += len("product")
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != "(":
-            raise GroupParseError(text, pos, "expected '(' after product")
-        a, pos = _parse_spec(text, pos + 1)
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != ",":
-            raise GroupParseError(text, pos, "expected ',' between product factors")
-        b, pos = _parse_spec(text, pos + 1)
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != ")":
-            raise GroupParseError(text, pos, "expected ')' closing product")
-        return product(a, b), pos + 1
+        pos = _expect(text, pos + len("product"), "(", "expected '(' after product")
+        a, pos = _parse_spec(text, pos)
+        b, pos = _parse_spec(text, _expect(text, pos, ",", "expected ',' between product factors"))
+        return product(a, b), _expect(text, pos, ")", "expected ')' closing product")
     if text.startswith("DihInf", pos):
         return dih_inf(), pos + len("DihInf")
     if text.startswith("Zmod", pos):
-        pos += len("Zmod")
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != "(":
-            raise GroupParseError(text, pos, "expected '(' after Zmod")
-        n, pos = _parse_int(text, _skip_ws(text, pos + 1))
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != ")":
-            raise GroupParseError(text, pos, "expected ')' closing Zmod")
-        return cyclic(n), pos + 1
+        n, pos = _parse_int(text, _expect(text, pos + len("Zmod"), "(", "expected '(' after Zmod"))
+        return cyclic(n), _expect(text, pos, ")", "expected ')' closing Zmod")
     if text.startswith("Z", pos):
         pos += 1
         if pos < len(text) and text[pos] == "^":
@@ -262,69 +467,13 @@ def _parse_spec(text: str, pos: int) -> tuple[GroupSpec, int]:
             return free_abelian(n), pos
         return free_abelian(1), pos
     if text.startswith("F", pos):
-        pos += 1
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != "(":
-            raise GroupParseError(text, pos, "expected '(' after F")
-        n, pos = _parse_int(text, _skip_ws(text, pos + 1))
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != ")":
-            raise GroupParseError(text, pos, "expected ')' closing F")
-        return free_group(n), pos + 1
+        n, pos = _parse_int(text, _expect(text, pos + 1, "(", "expected '(' after F"))
+        return free_group(n), _expect(text, pos, ")", "expected ')' closing F")
     raise GroupParseError(text, pos, "expected one of Z, Z^n, F(n), DihInf, Zmod(n), product")
 
 
 # ---------------------------------------------------------------------------
 # element arithmetic
-
-def identity(spec: GroupSpec) -> Element:
-    if spec.kind == "free_abelian":
-        return 0 if spec.rank == 1 else (0,) * spec.rank
-    if spec.kind == "free":
-        return ()
-    if spec.kind == "dih_inf":
-        return (0, 0)
-    if spec.kind == "cyclic":
-        return 0
-    return (identity(spec.factors[0]), identity(spec.factors[1]))
-
-
-def validate(spec: GroupSpec, g: Element) -> Element:
-    """Check that g is in normal form for spec; return it unchanged."""
-    ok = True
-    if spec.kind == "free_abelian":
-        if spec.rank == 1:
-            ok = isinstance(g, int) and not isinstance(g, bool)
-        else:
-            ok = (
-                isinstance(g, tuple)
-                and len(g) == spec.rank
-                and all(isinstance(c, int) and not isinstance(c, bool) for c in g)
-            )
-    elif spec.kind == "free":
-        ok = isinstance(g, tuple) and all(
-            isinstance(l, int) and l != 0 and abs(l) <= spec.rank for l in g
-        )
-        if ok:
-            ok = all(g[i] != -g[i + 1] for i in range(len(g) - 1))
-    elif spec.kind == "dih_inf":
-        ok = (
-            isinstance(g, tuple)
-            and len(g) == 2
-            and isinstance(g[0], int)
-            and g[1] in (0, 1)
-        )
-    elif spec.kind == "cyclic":
-        ok = isinstance(g, int) and not isinstance(g, bool) and 0 <= g < spec.modulus
-    elif spec.kind == "product":
-        ok = isinstance(g, tuple) and len(g) == 2
-        if ok:
-            validate(spec.factors[0], g[0])
-            validate(spec.factors[1], g[1])
-    if not ok:
-        raise MalformedElementError(f"{g!r} is not a normal form for {spec.label()}")
-    return g
-
 
 def multiply(spec: GroupSpec, a: Element, b: Element) -> Element:
     return spec.mul(a, b)
@@ -343,39 +492,6 @@ def word_length(spec: GroupSpec, g: Element) -> int:
     return spec.length(g)
 
 
-@lru_cache(maxsize=None)
-def generators(spec: GroupSpec) -> tuple:
-    if spec.kind == "free_abelian":
-        if spec.rank == 1:
-            return (1, -1)
-        gens = []
-        for i in range(spec.rank):
-            e = tuple(1 if j == i else 0 for j in range(spec.rank))
-            gens.append(e)
-            gens.append(tuple(-c for c in e))
-        return tuple(gens)
-    if spec.kind == "free":
-        gens = []
-        for i in range(1, spec.rank + 1):
-            gens.append((i,))
-            gens.append((-i,))
-        return tuple(gens)
-    if spec.kind == "dih_inf":
-        return ((1, 0), (-1, 0), (0, 1))
-    if spec.kind == "cyclic":
-        n = spec.modulus
-        if n == 1:
-            return ()
-        if n == 2:
-            return (1,)
-        return (1, n - 1)
-    a, b = spec.factors
-    ia, ib = identity(a), identity(b)
-    gens = [(s, ib) for s in generators(a)]
-    gens += [(ia, s) for s in generators(b)]
-    return tuple(gens)
-
-
 # ---------------------------------------------------------------------------
 # canonical ordering
 
@@ -388,125 +504,6 @@ def sort_key(spec: GroupSpec, g: Element) -> tuple:
 def canonical_sorted(spec: GroupSpec, elements: Iterable[Element]) -> tuple:
     length, skey = spec.length, spec.skey
     return tuple(sorted(set(elements), key=lambda g: (length(g), skey(g))))
-
-
-# ---------------------------------------------------------------------------
-# serialization (round-trips through parse_element)
-
-def serialize(spec: GroupSpec, g: Element) -> str:
-    validate(spec, g)
-    if spec.kind == "free_abelian":
-        if spec.rank == 1:
-            return str(g)
-        return "(" + ",".join(str(c) for c in g) + ")"
-    if spec.kind == "cyclic":
-        return str(g)
-    if spec.kind == "free":
-        if not g:
-            return "1"
-        return " ".join(_power_tokens(g))
-    if spec.kind == "dih_inf":
-        n, f = g
-        parts = []
-        if n != 0:
-            parts.append("x" if n == 1 else f"x^{n}")
-        if f:
-            parts.append("t")
-        return " ".join(parts) if parts else "1"
-    return f"({serialize(spec.factors[0], g[0])},{serialize(spec.factors[1], g[1])})"
-
-
-def _power_tokens(word: tuple) -> list[str]:
-    out = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        letter = _LETTERS[abs(word[i]) - 1]
-        exp = (j - i) if word[i] > 0 else -(j - i)
-        out.append(letter if exp == 1 else f"{letter}^{exp}")
-        i = j
-    return out
-
-
-def parse_element(spec: GroupSpec, text: str) -> Element:
-    text = text.strip()
-    if spec.kind == "product" or (spec.kind == "free_abelian" and spec.rank > 1):
-        return _parse_tuple_element(spec, text)
-    if spec.kind == "free_abelian":  # rank 1
-        try:
-            return int(text)
-        except ValueError:
-            raise MalformedElementError(f"expected an integer for Z, got {text!r}")
-    if spec.kind == "cyclic":
-        try:
-            return int(text) % spec.modulus
-        except ValueError:
-            raise MalformedElementError(f"expected an integer for {spec.label()}, got {text!r}")
-    # word kinds: evaluate the product of tokens
-    g = identity(spec)
-    if text == "1" or text == "":
-        return g
-    for token in text.split():
-        g = multiply(spec, g, _parse_word_token(spec, token))
-    return g
-
-
-def _parse_word_token(spec: GroupSpec, token: str) -> Element:
-    if token == "1":
-        return identity(spec)
-    base, _, exp_text = token.partition("^")
-    try:
-        exp = int(exp_text) if exp_text else 1
-    except ValueError:
-        raise MalformedElementError(f"bad exponent in token {token!r}")
-    if spec.kind == "dih_inf":
-        if base == "x":
-            return (exp, 0)
-        if base == "t":
-            return (0, exp % 2)
-        raise MalformedElementError(f"unknown letter {base!r} for DihInf")
-    if spec.kind == "free":
-        idx = _LETTERS.find(base) + 1
-        if idx == 0 or idx > spec.rank or len(base) != 1:
-            raise MalformedElementError(f"unknown letter {base!r} for {spec.label()}")
-        sign = 1 if exp > 0 else -1
-        return (sign * idx,) * abs(exp)
-    raise MalformedElementError(f"cannot parse token {token!r} for {spec.label()}")
-
-
-def _parse_tuple_element(spec: GroupSpec, text: str) -> Element:
-    if not (text.startswith("(") and text.endswith(")")):
-        raise MalformedElementError(f"expected a parenthesized tuple, got {text!r}")
-    inner = text[1:-1]
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(inner[start:i])
-            start = i + 1
-    parts.append(inner[start:])
-    if spec.kind == "free_abelian":
-        if len(parts) != spec.rank:
-            raise MalformedElementError(
-                f"expected {spec.rank} coordinates, got {len(parts)} in {text!r}"
-            )
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            raise MalformedElementError(f"non-integer coordinate in {text!r}")
-    if len(parts) != 2:
-        raise MalformedElementError(f"expected 2 components, got {len(parts)} in {text!r}")
-    return (
-        parse_element(spec.factors[0], parts[0]),
-        parse_element(spec.factors[1], parts[1]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +528,7 @@ class Ball:
 class _BallCache:
     def __init__(self, spec: GroupSpec):
         self.spec = spec
-        ident = identity(spec)
+        ident = spec.identity()
         self.layers = [(ident,)]
         self.lengths = {ident: 0}
         self.words = {ident: ()}
@@ -540,7 +537,7 @@ class _BallCache:
     def extend(self, radius: int, cap: int) -> None:
         spec = self.spec
         mul, skey = spec.mul, spec.skey
-        gens = generators(spec)
+        gens = spec.generators()
         while len(self.layers) <= radius:
             frontier = self.layers[-1]
             r = len(self.layers)
@@ -601,7 +598,7 @@ def sphere(spec: GroupSpec, r: int, cap: int = DEFAULT_BALL_CAP) -> tuple:
 
 def conjugacy_window(spec: GroupSpec, a: Element, radius: int, cap: int = DEFAULT_BALL_CAP) -> tuple:
     """All conjugates h^-1 a h with h in the radius ball, canonically ordered."""
-    validate(spec, a)
+    spec.validate(a)
     out = set()
     for h in ball(spec, radius, cap).elements:
         out.add(conjugate(spec, a, h))

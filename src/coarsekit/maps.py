@@ -22,6 +22,7 @@ from typing import Callable, Optional
 
 from . import groups
 from .errors import (
+    InvalidRadiusError,
     PreconditionError,
     SpaceMismatchError,
     SurjectivityError,
@@ -82,8 +83,8 @@ def identity_map(struct: CoarseStructure) -> MapWindow:
 
 def translation_map(struct: CoarseStructure, g, side: str = "left") -> MapWindow:
     spec = struct.space.spec
-    groups.validate(spec, g)
-    gs = groups.serialize(spec, g)
+    spec.validate(g)
+    gs = spec.serialize(g)
     if side == "left":
         rule = lambda x: groups.multiply(spec, g, x)
     else:
@@ -98,7 +99,7 @@ def negation_map(struct: CoarseStructure) -> MapWindow:
 
 
 def squaring_map(struct: CoarseStructure) -> MapWindow:
-    if struct.space.spec.kind != "free_abelian" or struct.space.spec.rank != 1:
+    if struct.space.spec != groups.Z:
         raise PreconditionError("squaring map is defined on Z")
     return MapWindow("square", struct, struct, lambda n: n * n)
 
@@ -127,11 +128,11 @@ def inclusion_z_to_dih(source: CoarseStructure, target: CoarseStructure) -> MapW
                      source_slack=2)
 
 
-def mod_map(source: CoarseStructure, target: CoarseStructure) -> MapWindow:
-    n = target.space.spec.modulus
-    if source.space.spec != groups.Z or target.space.spec.kind != "cyclic":
-        raise PreconditionError("mod map is defined from Z onto Zmod(n)")
-    return MapWindow(f"mod:{n}", source, target, lambda x: x % n)
+def mod_map(source: CoarseStructure, target: CoarseStructure, k: int) -> MapWindow:
+    tspec = target.space.spec
+    if source.space.spec != groups.Z or not isinstance(tspec, groups.Cyclic) or tspec.modulus != k:
+        raise PreconditionError(f"mod:{k} is defined from Z onto Zmod({k})")
+    return MapWindow(f"mod:{k}", source, target, lambda x: x % k)
 
 
 def constant_map(source: CoarseStructure, target: CoarseStructure, value) -> MapWindow:
@@ -287,6 +288,8 @@ def surjective_equivalence_check(
     coarse inverse: every window element is sent to the least preimage of
     the nearest covered point.
     """
+    if cover_distance < 0:
+        raise InvalidRadiusError(f"cover distance must be >= 0, got {cover_distance}")
     source_radius = m.source_radius(radius)
     # image value -> least source preimage
     index = {y: xs[0] for y, xs in _full_index(m, source_radius).items()}

@@ -35,13 +35,13 @@ class GroupSpace:
         return (spec.length(x), spec.skey(x))
 
     def validate(self, x):
-        return groups.validate(self.spec, x)
+        return self.spec.validate(x)
 
     def serialize(self, x) -> str:
-        return groups.serialize(self.spec, x)
+        return self.spec.serialize(x)
 
     def parse(self, text: str):
-        return groups.parse_element(self.spec, text)
+        return self.spec.parse_element(text)
 
     def extent(self, y) -> int:
         return self.spec.length(y)

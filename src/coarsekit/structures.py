@@ -95,7 +95,7 @@ class GroupStructure(CoarseStructure):
     def default_battery(self, seed: int = 0, n_random: int = 32) -> list:
         # translate pairs on the opposite side are bounded on this one
         other = "right" if self.side == "left" else "left"
-        fams = [translate_pair_family(self.space, s, other) for s in groups.generators(self.spec)]
+        fams = [translate_pair_family(self.space, s, other) for s in self.spec.generators()]
         fams += [
             shape_translate_family(self.space, shape, self.side)
             for shape in random_shapes(self.spec, seed=seed, count=n_random)

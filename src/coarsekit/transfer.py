@@ -44,7 +44,7 @@ ALL_CONDITIONS = ("pin", "c", "d", "cover")
 
 def _key_tag(spec: groups.GroupSpec, key: frozenset) -> str:
     elems = sorted(key, key=lambda g: groups.sort_key(spec, g))
-    return "{" + ",".join(groups.serialize(spec, g) for g in elems) + "}"
+    return "{" + ",".join(spec.serialize(g) for g in elems) + "}"
 
 
 def _element_of(spec: groups.GroupSpec, g) -> bool:
@@ -97,14 +97,14 @@ class TransferData:
             "radius": self.radius,
             "source_radius": self.source_radius,
             "c": {
-                _key_tag(G, k): [groups.serialize(H, v) for v in vals]
+                _key_tag(G, k): [H.serialize(v) for v in vals]
                 for k, vals in sorted(self.c_table.items(), key=lambda kv: _key_tag(G, kv[0]))
             },
             "d": {
-                _key_tag(H, k): [groups.serialize(G, v) for v in vals]
+                _key_tag(H, k): [G.serialize(v) for v in vals]
                 for k, vals in sorted(self.d_table.items(), key=lambda kv: _key_tag(H, kv[0]))
             },
-            "cover": [groups.serialize(H, e) for e in self.cover],
+            "cover": [H.serialize(e) for e in self.cover],
             "cover_mesh": self.cover_mesh(),
         }
 
@@ -218,8 +218,8 @@ def compute_cover_constant(alpha: MapWindow, radius: int, cap: int = DEFAULT_COV
 def default_key_battery(spec: groups.GroupSpec, extended: bool = False) -> list:
     """Key sets to tabulate: identity and generator singletons, and with
     extended on, all subsets of the 2-ball of size at most 3."""
-    keys = [frozenset({groups.identity(spec)})]
-    keys += [frozenset({s}) for s in groups.generators(spec)]
+    keys = [frozenset({spec.identity()})]
+    keys += [frozenset({s}) for s in spec.generators()]
     if extended:
         from itertools import combinations
 
@@ -283,18 +283,18 @@ def beta_window_check(
     against beta(ball).E."""
     G, H = td.source_spec, td.target_spec
     mul_g, inv_g, mul_h, inv_h = G.mul, G.inv, H.mul, H.inv
-    one = groups.identity(G)
+    one = G.identity()
     pin = pin if pin is not None else td.alpha(one)
     dom = groups.ball(G, radius).elements
     failures = []
 
     missing = [x for x in dom if x not in beta]
     if missing:
-        failures.append({"condition": "domain", "point": groups.serialize(G, missing[0])})
+        failures.append({"condition": "domain", "point": G.serialize(missing[0])})
 
     if not missing:
         if "pin" in conditions and beta[one] != pin:
-            failures.append({"condition": "pin", "value": groups.serialize(H, beta[one])})
+            failures.append({"condition": "pin", "value": H.serialize(beta[one])})
         if "c" in conditions:
             for F, cvals in td.c_table.items():
                 cset = set(cvals)
@@ -305,7 +305,7 @@ def beta_window_check(
                         if y in beta and mul_h(bx_inv, beta[y]) not in cset:
                             failures.append(
                                 {"condition": "c", "key": _key_tag(G, F),
-                                 "point": groups.serialize(G, x), "step": groups.serialize(G, f)}
+                                 "point": G.serialize(x), "step": G.serialize(f)}
                             )
         if "d" in conditions:
             for F, dvals in td.d_table.items():
@@ -319,7 +319,7 @@ def beta_window_check(
                             if mul_g(ix, y) not in dset:
                                 failures.append(
                                     {"condition": "d", "key": _key_tag(H, F),
-                                     "pair": [groups.serialize(G, x), groups.serialize(G, y)]}
+                                     "pair": [G.serialize(x), G.serialize(y)]}
                                 )
         if "cover" in conditions:
             mesh = td.cover_mesh()
@@ -330,7 +330,7 @@ def beta_window_check(
             if radius - mesh >= 0:
                 for w in groups.ball(H, radius - mesh).elements:
                     if w not in reach:
-                        failures.append({"condition": "cover", "point": groups.serialize(H, w)})
+                        failures.append({"condition": "cover", "point": H.serialize(w)})
                         break
 
     per_condition = {name: "PASS" for name in conditions}
@@ -344,7 +344,7 @@ def beta_window_check(
         radius=radius,
         data={
             "map": td.alpha.name,
-            "pin": groups.serialize(H, pin),
+            "pin": H.serialize(pin),
             "conditions": per_condition,
             "failures": failures[:8],
             "n_failures": len(failures),
@@ -367,15 +367,15 @@ def enumerate_beta_windows(
     filtered by the c and d conditions only (the cover condition asks
     about the image, not the table) and reverified before returning."""
     G, H = td.source_spec, td.target_spec
-    one = groups.identity(G)
+    one = G.identity()
     pin = pin if pin is not None else td.alpha(one)
     if radius > td.radius:
         raise PreconditionError("enumeration radius exceeds the transfer data radius")
-    gens = groups.generators(G)
+    gens = G.generators()
     for s in gens:
         if frozenset({s}) not in td.c_table:
             raise PreconditionError(
-                f"enumeration needs a c-table entry for the generator {groups.serialize(G, s)}"
+                f"enumeration needs a c-table entry for the generator {G.serialize(s)}"
             )
     b = groups.ball(G, radius)
     dom = b.elements
@@ -492,8 +492,8 @@ def actions_commute_check(
                     verdict="FAIL",
                     radius=radius,
                     data={
-                        "g": groups.serialize(G, g),
-                        "h": groups.serialize(H, h),
+                        "g": G.serialize(g),
+                        "h": H.serialize(h),
                     },
                 )
             checked += 1

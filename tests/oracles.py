@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from coarsekit import groups
-from coarsekit.errors import WindowOverflowError
+from coarsekit.errors import MalformedElementError, WindowOverflowError
 
 
 # ---------------------------------------------------------------------------
@@ -358,3 +358,221 @@ def _ref_structural_key(spec, g) -> tuple:
 
 def ref_sort_key(spec, g) -> tuple:
     return (ref_word_length(spec, g), _ref_structural_key(spec, g))
+
+
+# ---------------------------------------------------------------------------
+# identity, generators, label, normal forms and text by string-kind dispatch
+#
+# Each kind is one GroupSpec subclass in the package.  These are the
+# if-chains that did the same job for every kind, kept as the reference the
+# per-kind methods must agree with, down to the exception raised on bad input.
+
+_REF_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def ref_label(spec) -> str:
+    if spec.kind == "free_abelian":
+        return "Z" if spec.rank == 1 else f"Z^{spec.rank}"
+    if spec.kind == "free":
+        return f"F({spec.rank})"
+    if spec.kind == "dih_inf":
+        return "DihInf"
+    if spec.kind == "cyclic":
+        return f"Zmod({spec.modulus})"
+    return f"product({ref_label(spec.factors[0])},{ref_label(spec.factors[1])})"
+
+
+def ref_identity(spec):
+    if spec.kind == "free_abelian":
+        return 0 if spec.rank == 1 else (0,) * spec.rank
+    if spec.kind == "free":
+        return ()
+    if spec.kind == "dih_inf":
+        return (0, 0)
+    if spec.kind == "cyclic":
+        return 0
+    return (ref_identity(spec.factors[0]), ref_identity(spec.factors[1]))
+
+
+def ref_validate(spec, g):
+    ok = True
+    if spec.kind == "free_abelian":
+        if spec.rank == 1:
+            ok = isinstance(g, int) and not isinstance(g, bool)
+        else:
+            ok = (
+                isinstance(g, tuple)
+                and len(g) == spec.rank
+                and all(isinstance(c, int) and not isinstance(c, bool) for c in g)
+            )
+    elif spec.kind == "free":
+        ok = isinstance(g, tuple) and all(
+            isinstance(l, int) and l != 0 and abs(l) <= spec.rank for l in g
+        )
+        if ok:
+            ok = all(g[i] != -g[i + 1] for i in range(len(g) - 1))
+    elif spec.kind == "dih_inf":
+        ok = (
+            isinstance(g, tuple)
+            and len(g) == 2
+            and isinstance(g[0], int)
+            and g[1] in (0, 1)
+        )
+    elif spec.kind == "cyclic":
+        ok = isinstance(g, int) and not isinstance(g, bool) and 0 <= g < spec.modulus
+    elif spec.kind == "product":
+        ok = isinstance(g, tuple) and len(g) == 2
+        if ok:
+            ref_validate(spec.factors[0], g[0])
+            ref_validate(spec.factors[1], g[1])
+    if not ok:
+        raise MalformedElementError(f"{g!r} is not a normal form for {ref_label(spec)}")
+    return g
+
+
+def ref_generators(spec) -> tuple:
+    if spec.kind == "free_abelian":
+        if spec.rank == 1:
+            return (1, -1)
+        gens = []
+        for i in range(spec.rank):
+            e = tuple(1 if j == i else 0 for j in range(spec.rank))
+            gens.append(e)
+            gens.append(tuple(-c for c in e))
+        return tuple(gens)
+    if spec.kind == "free":
+        gens = []
+        for i in range(1, spec.rank + 1):
+            gens.append((i,))
+            gens.append((-i,))
+        return tuple(gens)
+    if spec.kind == "dih_inf":
+        return ((1, 0), (-1, 0), (0, 1))
+    if spec.kind == "cyclic":
+        n = spec.modulus
+        if n == 1:
+            return ()
+        if n == 2:
+            return (1,)
+        return (1, n - 1)
+    a, b = spec.factors
+    ia, ib = ref_identity(a), ref_identity(b)
+    gens = [(s, ib) for s in ref_generators(a)]
+    gens += [(ia, s) for s in ref_generators(b)]
+    return tuple(gens)
+
+
+def ref_serialize(spec, g) -> str:
+    ref_validate(spec, g)
+    if spec.kind == "free_abelian":
+        if spec.rank == 1:
+            return str(g)
+        return "(" + ",".join(str(c) for c in g) + ")"
+    if spec.kind == "cyclic":
+        return str(g)
+    if spec.kind == "free":
+        if not g:
+            return "1"
+        return " ".join(_ref_power_tokens(g))
+    if spec.kind == "dih_inf":
+        n, f = g
+        parts = []
+        if n != 0:
+            parts.append("x" if n == 1 else f"x^{n}")
+        if f:
+            parts.append("t")
+        return " ".join(parts) if parts else "1"
+    return f"({ref_serialize(spec.factors[0], g[0])},{ref_serialize(spec.factors[1], g[1])})"
+
+
+def _ref_power_tokens(word: tuple) -> list:
+    out = []
+    i = 0
+    while i < len(word):
+        j = i
+        while j < len(word) and word[j] == word[i]:
+            j += 1
+        letter = _REF_LETTERS[abs(word[i]) - 1]
+        exp = (j - i) if word[i] > 0 else -(j - i)
+        out.append(letter if exp == 1 else f"{letter}^{exp}")
+        i = j
+    return out
+
+
+def ref_parse_element(spec, text: str):
+    text = text.strip()
+    if spec.kind == "product" or (spec.kind == "free_abelian" and spec.rank > 1):
+        return _ref_parse_tuple_element(spec, text)
+    if spec.kind == "free_abelian":  # rank 1
+        try:
+            return int(text)
+        except ValueError:
+            raise MalformedElementError(f"expected an integer for Z, got {text!r}")
+    if spec.kind == "cyclic":
+        try:
+            return int(text) % spec.modulus
+        except ValueError:
+            raise MalformedElementError(f"expected an integer for {ref_label(spec)}, got {text!r}")
+    # word kinds: evaluate the product of tokens
+    g = ref_identity(spec)
+    if text == "1" or text == "":
+        return g
+    for token in text.split():
+        g = ref_multiply(spec, g, _ref_parse_word_token(spec, token))
+    return g
+
+
+def _ref_parse_word_token(spec, token: str):
+    if token == "1":
+        return ref_identity(spec)
+    base, _, exp_text = token.partition("^")
+    try:
+        exp = int(exp_text) if exp_text else 1
+    except ValueError:
+        raise MalformedElementError(f"bad exponent in token {token!r}")
+    if spec.kind == "dih_inf":
+        if base == "x":
+            return (exp, 0)
+        if base == "t":
+            return (0, exp % 2)
+        raise MalformedElementError(f"unknown letter {base!r} for DihInf")
+    if spec.kind == "free":
+        idx = _REF_LETTERS.find(base) + 1
+        if idx == 0 or idx > spec.rank or len(base) != 1:
+            raise MalformedElementError(f"unknown letter {base!r} for {ref_label(spec)}")
+        sign = 1 if exp > 0 else -1
+        return (sign * idx,) * abs(exp)
+    raise MalformedElementError(f"cannot parse token {token!r} for {ref_label(spec)}")
+
+
+def _ref_parse_tuple_element(spec, text: str):
+    if not (text.startswith("(") and text.endswith(")")):
+        raise MalformedElementError(f"expected a parenthesized tuple, got {text!r}")
+    inner = text[1:-1]
+    parts = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(inner):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(inner[start:i])
+            start = i + 1
+    parts.append(inner[start:])
+    if spec.kind == "free_abelian":
+        if len(parts) != spec.rank:
+            raise MalformedElementError(
+                f"expected {spec.rank} coordinates, got {len(parts)} in {text!r}"
+            )
+        try:
+            return tuple(int(p) for p in parts)
+        except ValueError:
+            raise MalformedElementError(f"non-integer coordinate in {text!r}")
+    if len(parts) != 2:
+        raise MalformedElementError(f"expected 2 components, got {len(parts)} in {text!r}")
+    return (
+        ref_parse_element(spec.factors[0], parts[0]),
+        ref_parse_element(spec.factors[1], parts[1]),
+    )

@@ -296,7 +296,7 @@ class TestTranslateMapsAreBornologous:
             for g in groups.ball(DIH, 2).elements:
                 window = groups.ball(DIH, radius + 3).elements
                 m = table_map(
-                    f"translate[{groups.serialize(DIH, g)}]",
+                    f"translate[{DIH.serialize(g)}]",
                     struct,
                     struct,
                     {x: action.apply(g, x) for x in window},

@@ -1,9 +1,11 @@
-"""Per-kind group arithmetic against the string-dispatched reference.
+"""Per-kind group classes against the string-dispatched reference.
 
-Each GroupSpec binds its multiplication, inverse, word length and
-structural key once, as closures.  oracles.py keeps the if-chains that
-dispatched on the kind per call; both must agree on every pair of Ball(3)
-for every kind, and the canonical order must follow the reference key.
+Each kind is one GroupSpec subclass that binds its multiplication, inverse,
+word length and structural key once, as closures, and holds its identity,
+generators, label, normal-form test, text format and parser.  oracles.py
+keeps the if-chains that dispatched on the kind per call; both must agree on
+every pair of Ball(3) for every kind, the canonical order must follow the
+reference key, and malformed input must fail the same way.
 """
 
 import random
@@ -12,6 +14,7 @@ import pytest
 
 import oracles
 from coarsekit import groups
+from coarsekit.errors import MalformedElementError, UnsupportedRankError
 
 SPECS = [
     "Z", "Z^2", "Z^3", "F(2)", "F(3)", "DihInf", "Zmod(1)", "Zmod(2)", "Zmod(6)",
@@ -56,3 +59,105 @@ def test_spec_identity_ignores_the_closures():
     assert nested == groups.product(groups.free_group(2), groups.cyclic(3))
     assert repr(nested) == "GroupSpec(product(F(2),Zmod(3)))"
     assert groups.free_abelian(2) != groups.free_abelian(3)
+
+
+@pytest.mark.parametrize("text", SPECS)
+def test_spec_methods_match_reference(text):
+    spec = groups.parse_group_spec(text)
+    assert spec.label() == oracles.ref_label(spec) == text
+    assert spec.identity() == oracles.ref_identity(spec)
+    assert spec.generators() == oracles.ref_generators(spec)
+    for g in groups.ball(spec, 3).elements:
+        assert spec.validate(g) is g
+        word = spec.serialize(g)
+        assert word == oracles.ref_serialize(spec, g), g
+        assert spec.parse_element(word) == oracles.ref_parse_element(spec, word) == g, word
+
+
+def _failure(fn, *args):
+    with pytest.raises(MalformedElementError) as exc:
+        fn(*args)
+    return type(exc.value), str(exc.value)
+
+
+# (spec, element that is not a normal form)
+BAD_ELEMENTS = [
+    ("Z", True),
+    ("Z", "3"),
+    ("Z^2", (1,)),
+    ("Z^2", (1, 2, 3)),
+    ("Z^2", (1, False)),
+    ("Z^3", [0, 0, 0]),
+    ("F(2)", (1, -1)),
+    ("F(2)", (3,)),
+    ("F(2)", (0,)),
+    ("F(2)", [1]),
+    ("DihInf", (1, 2)),
+    ("DihInf", (1,)),
+    ("DihInf", ("x", 0)),
+    ("Zmod(6)", 6),
+    ("Zmod(6)", -1),
+    ("Zmod(6)", True),
+    ("product(Z,DihInf)", (1, (0, 0), 2)),
+    ("product(Z,DihInf)", (1, (0, 5))),
+    ("product(F(2),Zmod(3))", ((2, -2), 0)),
+    ("product(F(2),Zmod(3))", ((), 3)),
+]
+
+# (spec, text that names no element)
+BAD_TEXTS = [
+    ("Z", "two"),
+    ("Z^2", "1,2"),
+    ("Z^2", "(1,2,3)"),
+    ("Z^2", "(1,b)"),
+    ("F(2)", "c"),
+    ("F(2)", "ab"),
+    ("F(2)", "a^-b"),
+    ("DihInf", "t^x"),
+    ("DihInf", "y^2"),
+    ("Zmod(6)", "1.5"),
+    ("product(Z,DihInf)", "(1)"),
+    ("product(Z,DihInf)", "(1,y)"),
+    ("product(F(2),Zmod(3))", "(c,1)"),
+    ("product(F(2),Zmod(3))", "(a,z)"),
+]
+
+
+@pytest.mark.parametrize("text,g", BAD_ELEMENTS, ids=[f"{t}-{g!r}" for t, g in BAD_ELEMENTS])
+def test_bad_element_fails_like_reference(text, g):
+    spec = groups.parse_group_spec(text)
+    expected = _failure(oracles.ref_validate, spec, g)
+    assert _failure(spec.validate, g) == expected
+    assert _failure(spec.serialize, g) == expected
+
+
+@pytest.mark.parametrize("text,word", BAD_TEXTS, ids=[f"{t}-{w}" for t, w in BAD_TEXTS])
+def test_bad_text_fails_like_reference(text, word):
+    spec = groups.parse_group_spec(text)
+    assert _failure(spec.parse_element, word) == _failure(oracles.ref_parse_element, spec, word)
+
+
+def test_product_failure_names_the_inner_factor():
+    spec = groups.parse_group_spec("product(F(2),Zmod(3))")
+    assert _failure(spec.validate, ((), 3))[1] == "3 is not a normal form for Zmod(3)"
+    assert _failure(spec.parse_element, "(c,1)")[1] == "unknown letter 'c' for F(2)"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: groups.FreeAbelian(0),
+    lambda: groups.Free(0),
+    lambda: groups.Free(27),
+    lambda: groups.Cyclic(0),
+], ids=["FreeAbelian(0)", "Free(0)", "Free(27)", "Cyclic(0)"])
+def test_invalid_spec_cannot_be_built(build):
+    with pytest.raises(UnsupportedRankError):
+        build()
+
+
+def test_kinds_are_classes():
+    spec = groups.parse_group_spec("product(Zmod(3),DihInf)")
+    assert isinstance(spec, groups.Product)
+    assert isinstance(spec.factors[0], groups.Cyclic) and spec.factors[0].modulus == 3
+    assert spec.factors[1] == groups.DihInf() == groups.DIH
+    # equal arguments of two kinds still name two groups
+    assert groups.FreeAbelian(2) != groups.Free(2)

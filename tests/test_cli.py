@@ -7,6 +7,9 @@ no timestamps and all randomness is seeded.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -163,6 +166,38 @@ class TestErrors:
         )
         assert code == 2
         assert json.loads(out)["error"]["code"] == "surjectivity-violation"
+
+    @pytest.mark.parametrize("target,map_text", [("Zmod(3)", "mod:5"), ("Z", "mod:3")])
+    def test_mod_k_needs_target_zmod_k(self, target, map_text):
+        code, out = run_cli(
+            ["map-check", "--group", "Z", "--target", target, "--map", map_text, "--radius", "4"]
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "precondition-violation"
+
+    def test_negative_cover_distance_exits_2(self):
+        code, out = run_cli(
+            ["map-check", "--group", "Z", "--map", "identity", "--equivalence",
+             "--cover-distance", "-3", "--radius", "4"]
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "invalid-radius"
+
+    def test_reader_closing_the_pipe_early_is_not_an_error(self):
+        # 436 KB of output: far more than a pipe buffer holds, so the write
+        # fails once the reader has gone
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "coarsekit.cli", "ball", "--group", "F(2)",
+             "--radius", "8", "--list"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.read(10) == b'{\n  "check'
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert err == b""
+        assert proc.returncode == 0
 
     def test_malformed_element_exits_2(self):
         code, out = run_cli(

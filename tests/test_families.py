@@ -60,7 +60,7 @@ class TestStar:
         result = star((ONE, T), fam)
         assert set(result) == oracles.naive_star({ONE, T}, members)
         expected = {"1", "t", "x", "x^-1", "x^-1 t"}
-        assert {groups.serialize(DIH, g) for g in result} == expected
+        assert {DIH.serialize(g) for g in result} == expected
 
     def test_star_family_memberwise(self):
         f1 = finite_family(ZS, [(0, 1), (10, 11)])

@@ -76,7 +76,7 @@ class TestFreeGroup:
             assert groups.invert(F2, a) == oracles.free_inv(a)
 
     def test_word_length_is_reduced_length(self):
-        w = groups.parse_element(F2, "a b^-2 a")
+        w = F2.parse_element("a b^-2 a")
         assert groups.word_length(F2, w) == 4
 
 
@@ -160,21 +160,21 @@ class TestSerialization:
     ])
     def test_round_trip(self, spec, texts):
         for text in texts:
-            g = groups.parse_element(spec, text)
-            assert groups.parse_element(spec, groups.serialize(spec, g)) == g
+            g = spec.parse_element(text)
+            assert spec.parse_element(spec.serialize(g)) == g
 
     def test_dih_words_multiply_out(self):
-        g = groups.parse_element(DIH, "x t x t")
+        g = DIH.parse_element("x t x t")
         assert g == ONE
-        assert groups.parse_element(DIH, "t x") == (-1, 1)
+        assert DIH.parse_element("t x") == (-1, 1)
 
     def test_malformed(self):
         with pytest.raises(MalformedElementError):
-            groups.parse_element(Z, "two")
+            Z.parse_element("two")
         with pytest.raises(MalformedElementError):
-            groups.parse_element(DIH, "y^2")
+            DIH.parse_element("y^2")
         with pytest.raises(MalformedElementError):
-            groups.validate(DIH, (1, 2))
+            DIH.validate((1, 2))
 
     def test_group_spec_grammar(self):
         assert groups.parse_group_spec("Z") == Z
@@ -192,11 +192,11 @@ class TestSerialization:
 class TestGeodesics:
     def test_words_spell_their_element(self):
         for spec in (Z, DIH, F2, Z6):
-            gens = groups.generators(spec)
+            gens = spec.generators()
             for g in groups.ball(spec, 4).elements:
                 word = groups.geodesic_word(spec, g)
                 assert len(word) == groups.word_length(spec, g)
-                acc = groups.identity(spec)
+                acc = spec.identity()
                 for i in word:
                     acc = groups.multiply(spec, acc, gens[i])
                 assert acc == g

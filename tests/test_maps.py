@@ -3,7 +3,12 @@
 import pytest
 
 from coarsekit import groups
-from coarsekit.errors import SpaceMismatchError, SurjectivityError
+from coarsekit.errors import (
+    InvalidRadiusError,
+    PreconditionError,
+    SpaceMismatchError,
+    SurjectivityError,
+)
 from coarsekit.maps import (
     check_bornologous,
     check_close,
@@ -116,9 +121,18 @@ class TestSurjectiveEquivalence:
         assert cert.data["displacement_g_m"] == 1
 
     def test_mod_reduction_fails_properness(self):
-        cert = surjective_equivalence_check(mod_map(CL_Z, CL_Z6), 8)
+        cert = surjective_equivalence_check(mod_map(CL_Z, CL_Z6, 6), 8)
         assert cert.verdict == "FAIL"
         assert [f["check"] for f in cert.data["failures"]] == ["coarsely-proper"]
+
+    @pytest.mark.parametrize("target", [LeftGroupStructure(groups.cyclic(5)), CL_Z])
+    def test_mod_k_needs_target_zmod_k(self, target):
+        with pytest.raises(PreconditionError):
+            mod_map(CL_Z, target, 6)
+
+    def test_negative_cover_distance_is_refused(self):
+        with pytest.raises(InvalidRadiusError):
+            surjective_equivalence_check(identity_map(CL_Z), 4, cover_distance=-3)
 
     def test_inclusion_needs_cover_distance(self):
         with pytest.raises(SurjectivityError):
