@@ -81,17 +81,17 @@ MIN_VERDICT_RADIUS = 3
 def parse_map_dsl(text: str, source: CoarseStructure, target: CoarseStructure):
     text = text.strip()
     if text == "identity":
-        return identity_map(source)
+        return identity_map(source, target)
     if text == "negate":
-        return negation_map(source)
+        return negation_map(source, target)
     if text == "square":
-        return squaring_map(source)
+        return squaring_map(source, target)
     if text == "inclusion":
         return inclusion_z_to_dih(source, target)
     m = re.fullmatch(r"translate-(left|right):(.+)", text)
     if m:
         g = source.space.parse(m.group(2))
-        return translation_map(source, g, side=m.group(1))
+        return translation_map(source, g, side=m.group(1), target=target)
     m = re.fullmatch(r"power:(-?\d+)", text)
     if m:
         return power_map(source, target, int(m.group(1)))

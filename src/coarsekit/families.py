@@ -12,6 +12,7 @@ appear at each radius, one sphere of the window at a time.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -158,9 +159,8 @@ def side_witness(side: str, spec: groups.GroupSpec, fam: FiniteFamily) -> Witnes
     contribute the identity, so any nonempty family witnesses it."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    out = set()
-    for member in fam.members:
-        out |= member_witness(side, spec, member)
+    out: set = set()
+    fold_witness(out, side, spec, fam.members)
     return Witness(
         structure=f"{side}-group({spec.label()})",
         group=spec,
@@ -170,15 +170,36 @@ def side_witness(side: str, spec: groups.GroupSpec, fam: FiniteFamily) -> Witnes
 
 
 def member_witness(side: str, spec: groups.GroupSpec, member) -> set:
-    mul, inv = spec.mul, spec.inv
-    out = set()
-    for u in member:
-        iu = inv(u)
-        if side == "left":
-            out.update([mul(iu, v) for v in member])
-        else:
-            out.update([mul(v, iu) for v in member])
+    out: set = set()
+    fold_witness(out, side, spec, (member,))
     return out
+
+
+def fold_witness(out: set, side: str, spec: groups.GroupSpec, members: Iterable) -> None:
+    """Add to ``out`` the witness of every member: u^-1*v ("left") or u*v^-1
+    ("right") over the ordered pairs of its points.
+
+    A pair (u, u) gives the identity, added when some member is nonempty, and
+    the pair (v, u) gives the inverse of what (u, v) gives, since
+    (u^-1 v)^-1 = v^-1 u and (v u^-1)^-1 = u v^-1.  So only the pairs (u, v)
+    with u before v are multiplied.  A member is any collection of points."""
+    mul, inv = spec.mul, spec.inv
+    ws: list = []
+    extend = ws.extend
+    nonempty = False
+    left = side == "left"
+    for m in members:
+        if not m:
+            continue
+        nonempty = True
+        if left:
+            extend([mul(inv(u), v) for u, v in combinations(m, 2)])
+        else:
+            extend([mul(v, inv(u)) for u, v in combinations(m, 2)])
+    if nonempty:
+        out.add(spec.identity())
+    out.update(ws)
+    out.update(map(inv, ws))
 
 
 def star(member: Iterable, fam: FiniteFamily) -> tuple:

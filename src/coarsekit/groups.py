@@ -112,9 +112,9 @@ def _parse_word(spec, text: str) -> Element:
     for token in text.split():
         if token == "1":
             continue
-        base, _, exp_text = token.partition("^")
+        base, caret, exp_text = token.partition("^")
         try:
-            exp = int(exp_text) if exp_text else 1
+            exp = int(exp_text) if caret else 1
         except ValueError:
             raise MalformedElementError(f"bad exponent in token {token!r}")
         g = spec.mul(g, spec._power(base, exp))
@@ -533,8 +533,11 @@ class _BallCache:
         self.lengths = {ident: 0}
         self.words = {ident: ()}
         self.total = 1
+        self.balls: dict = {}  # radius -> Ball, built once; nothing mutates a Ball
 
     def extend(self, radius: int, cap: int) -> None:
+        if len(self.layers) > radius:
+            return
         spec = self.spec
         mul, skey = spec.mul, spec.skey
         gens = spec.generators()
@@ -579,15 +582,18 @@ def _extended(spec: GroupSpec, radius: int, cap: int) -> _BallCache:
 def ball(spec: GroupSpec, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
     """Ball of the word metric, ordered by layer then canonical tie-break."""
     cache = _extended(spec, radius, cap)
-    layers = cache.layers[: radius + 1]
-    return Ball(
-        group=spec,
-        radius=radius,
-        elements=tuple(itertools.chain.from_iterable(layers)),
-        lengths=cache.lengths,
-        words=cache.words,
-        layers=layers,
-    )
+    found = cache.balls.get(radius)
+    if found is None:
+        layers = cache.layers[: radius + 1]
+        found = cache.balls[radius] = Ball(
+            group=spec,
+            radius=radius,
+            elements=tuple(itertools.chain.from_iterable(layers)),
+            lengths=cache.lengths,
+            words=cache.words,
+            layers=layers,
+        )
+    return found
 
 
 def sphere(spec: GroupSpec, r: int, cap: int = DEFAULT_BALL_CAP) -> tuple:

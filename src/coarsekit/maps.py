@@ -77,31 +77,50 @@ class Certificate:
 # ---------------------------------------------------------------------------
 # catalog constructors
 
-def identity_map(struct: CoarseStructure) -> MapWindow:
-    return MapWindow("identity", struct, struct, lambda x: x, source_factor=1)
+def _onto_own_space(name: str, source: CoarseStructure, target: Optional[CoarseStructure]) -> CoarseStructure:
+    """The target of a map from a space to itself: ``source`` when none is
+    given, else ``target``, which must be a structure on the same space."""
+    if target is None:
+        return source
+    if target.space != source.space:
+        raise PreconditionError(
+            f"{name} maps a space to itself; the source is {source.label}, the target {target.label}"
+        )
+    return target
 
 
-def translation_map(struct: CoarseStructure, g, side: str = "left") -> MapWindow:
-    spec = struct.space.spec
+def identity_map(source: CoarseStructure, target: Optional[CoarseStructure] = None) -> MapWindow:
+    target = _onto_own_space("identity", source, target)
+    return MapWindow("identity", source, target, lambda x: x, source_factor=1)
+
+
+def translation_map(
+    source: CoarseStructure, g, side: str = "left", target: Optional[CoarseStructure] = None
+) -> MapWindow:
+    spec = source.space.spec
     spec.validate(g)
     gs = spec.serialize(g)
+    name = f"translate-{side}:{gs}"
+    target = _onto_own_space(name, source, target)
     if side == "left":
         rule = lambda x: groups.multiply(spec, g, x)
     else:
         rule = lambda x: groups.multiply(spec, x, g)
-    return MapWindow(f"translate-{side}:{gs}", struct, struct, rule, source_factor=1,
+    return MapWindow(name, source, target, rule, source_factor=1,
                      source_slack=groups.word_length(spec, g) + 1)
 
 
-def negation_map(struct: CoarseStructure) -> MapWindow:
-    spec = struct.space.spec
-    return MapWindow("negate", struct, struct, lambda x: groups.invert(spec, x), source_factor=1)
+def negation_map(source: CoarseStructure, target: Optional[CoarseStructure] = None) -> MapWindow:
+    spec = source.space.spec
+    target = _onto_own_space("negate", source, target)
+    return MapWindow("negate", source, target, lambda x: groups.invert(spec, x), source_factor=1)
 
 
-def squaring_map(struct: CoarseStructure) -> MapWindow:
-    if struct.space.spec != groups.Z:
+def squaring_map(source: CoarseStructure, target: Optional[CoarseStructure] = None) -> MapWindow:
+    if source.space.spec != groups.Z:
         raise PreconditionError("squaring map is defined on Z")
-    return MapWindow("square", struct, struct, lambda n: n * n)
+    target = _onto_own_space("square", source, target)
+    return MapWindow("square", source, target, lambda n: n * n)
 
 
 def power_map(source: CoarseStructure, target: CoarseStructure, k: int) -> MapWindow:

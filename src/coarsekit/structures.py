@@ -23,6 +23,7 @@ from .families import (
     Counterexample,
     ParamFamily,
     Witness,
+    fold_witness,
     image_family,
     member_witness,
     shape_translate_family,
@@ -33,6 +34,17 @@ from .spaces import GroupSpace
 
 
 class CoarseStructure:
+    """A membership test for families, read off one member at a time.
+
+    ``fold(witness, members, seen)`` adds to ``witness`` the contribution of
+    every member in ``members`` (collections of points) that ``seen`` does
+    not hold yet, and records it there.  ``membership_window`` calls it once
+    per radius with that radius's delta.  This generic fold contributes each
+    distinct member once, through the memoized ``member_contribution``.  A
+    structure may override ``fold`` with a faster loop only if it gives the
+    same witness set; ``GroupStructure`` does, and gives the generic fold
+    back to any subclass that overrides how a member contributes."""
+
     space: object
     label: str
 
@@ -59,6 +71,14 @@ class CoarseStructure:
     def _compute_contribution(self, member):
         raise NotImplementedError
 
+    def fold(self, witness: set, members, seen: set) -> None:
+        contribution = self.member_contribution
+        for m in members:
+            m = frozenset(m)
+            if m not in seen:
+                seen.add(m)
+                witness |= contribution(m)
+
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
         """A canonical bounded set containing y, one notch of mesh at a time."""
         raise NotImplementedError
@@ -69,7 +89,18 @@ class CoarseStructure:
 
 class GroupStructure(CoarseStructure):
     """A translation structure on a group: the left one (witnesses
-    u^-1*v) or the right one (witnesses u*v^-1)."""
+    u^-1*v) or the right one (witnesses u*v^-1).
+
+    Its ``fold`` runs the witness kernel over every member straight into the
+    witness set, with no memo and no ``seen`` lookup: a repeated member adds
+    nothing.  A subclass that overrides ``member_contribution`` or
+    ``_compute_contribution`` gets the generic fold back, so its override
+    still sees every distinct member."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "member_contribution" in vars(cls) or "_compute_contribution" in vars(cls):
+            cls.fold = CoarseStructure.fold
 
     def __init__(self, spec: groups.GroupSpec, side: str):
         if side not in ("left", "right"):
@@ -88,6 +119,9 @@ class GroupStructure(CoarseStructure):
 
     def _compute_contribution(self, member):
         return member_witness(self.side, self.spec, member)
+
+    def fold(self, witness: set, members, seen: set) -> None:
+        fold_witness(witness, self.side, self.spec, members)
 
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
         return self.space.ball_about(y, mesh, side=self.side)
@@ -185,21 +219,21 @@ def random_shapes(spec: groups.GroupSpec, seed: int, count: int, mesh: int = 2) 
 def membership_window(structure: CoarseStructure, pf: ParamFamily, radius: int):
     """Evaluate the witness trace of a monotone parametrized family.
 
-    Each distinct member contributes once, at the radius where it appears.
-    Returns a Witness, its elements in canonical order, when the size trace
-    is constant over the final ceil(radius/2) radii, else a Counterexample
-    carrying the growing trace and its elements unordered.
+    Each radius's delta goes to ``structure.fold`` in one call, so a member
+    contributes at the radius where it first appears (see
+    ``CoarseStructure``).  If a member is refused, the error raised is the
+    one for the least new member of that radius, whatever order the delta
+    came in.  Returns a Witness, its elements in canonical order, when the
+    size trace is constant over the final ceil(radius/2) radii, else a
+    Counterexample carrying the growing trace and its elements unordered.
     """
     seen: set = set()
     witness: set = set()
     trace: dict = {}
+    fold = structure.fold
     for r in range(radius + 1):
         try:
-            for m in pf.delta(r):
-                m = frozenset(m)
-                if m not in seen:
-                    seen.add(m)
-                    witness |= structure.member_contribution(m)
+            fold(witness, pf.delta(r), seen)
         except CoarseKitError:
             # report the least failing member, whatever order the delta came in
             order = pf.space.sort_key

@@ -13,6 +13,7 @@ import itertools
 
 from coarsekit import groups
 from coarsekit.errors import MalformedElementError, WindowOverflowError
+from coarsekit.families import trace_stabilizes
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +133,41 @@ def naive_witness(side: str, mul, inv, members) -> set:
                 else:
                     out.add(mul(v, inv(u)))
     return out
+
+
+def ref_member_witness(side: str, spec, member) -> set:
+    """The witness of one member with every ordered pair multiplied, the
+    diagonal and both orders of each pair included."""
+    mul, inv = spec.mul, spec.inv
+    out = set()
+    for u in member:
+        iu = inv(u)
+        if side == "left":
+            out.update([mul(iu, v) for v in member])
+        else:
+            out.update([mul(v, iu) for v in member])
+    return out
+
+
+def ref_membership_window(side: str, spec, pf, radius: int) -> tuple:
+    """(verdict, trace, elements) of a family in the left or right structure
+    on spec, one member at a time: each distinct member, keyed as a
+    frozenset, contributes its ``ref_member_witness`` once.  Elements are in
+    canonical order on PASS and a frozenset on FAIL, as membership_window
+    gives them."""
+    seen: set = set()
+    witness: set = set()
+    trace = {}
+    for r in range(radius + 1):
+        for m in pf.delta(r):
+            m = frozenset(m)
+            if m not in seen:
+                seen.add(m)
+                witness |= ref_member_witness(side, spec, m)
+        trace[r] = len(witness)
+    if trace_stabilizes(trace, radius):
+        return "PASS", trace, groups.canonical_sorted(spec, witness)
+    return "FAIL", trace, frozenset(witness)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,30 @@ class TestWindowTooSmall:
         assert code == 0
 
 
+class TestSelfMapTargets:
+    """identity, negate, square and translate-* map a group to itself, onto
+    the structure that --target-side names."""
+
+    def test_identity_into_the_right_structure_fails(self):
+        # {g, g*t} is bounded on the left of DihInf but grows on the right
+        code, out = run_cli(
+            ["map-check", "--group", "DihInf", "--target-side", "right",
+             "--map", "identity", "--radius", "8"]
+        )
+        born = json.loads(out)["checks"][0]
+        assert (born["check"], born["verdict"]) == ("bornologous", "FAIL")
+        assert born["data"]["counterexample"]["structure"] == "C_r(DihInf)"
+        assert code == 1
+
+    @pytest.mark.parametrize("map_text", ["identity", "translate-left:t"])
+    def test_named_target_equal_to_the_source_is_the_default(self, map_text):
+        base = ["map-check", "--group", "DihInf", "--map", map_text, "--radius", "6"]
+        code, out = run_cli(base)
+        code_t, out_t = run_cli(base + ["--target", "DihInf", "--target-side", "left"])
+        assert code == code_t == 0
+        assert json.loads(out)["checks"] == json.loads(out_t)["checks"]
+
+
 class TestErrors:
     def test_unknown_group_exits_2(self):
         code, out = run_cli(["fc", "--group", "Sym(3)"])
@@ -174,6 +198,31 @@ class TestErrors:
         )
         assert code == 2
         assert json.loads(out)["error"]["code"] == "precondition-violation"
+
+    @pytest.mark.parametrize("map_text", [
+        "identity", "negate", "square", "translate-left:1", "translate-right:1",
+    ])
+    def test_self_map_refuses_another_target_group(self, map_text):
+        code, out = run_cli(
+            ["map-check", "--group", "Z", "--target", "DihInf", "--map", map_text, "--radius", "4"]
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "precondition-violation"
+
+    def test_close_to_self_map_refuses_another_target_group(self):
+        code, out = run_cli(
+            ["map-check", "--group", "Z", "--target", "DihInf", "--map", "inclusion",
+             "--close-to", "identity", "--radius", "4"]
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "precondition-violation"
+
+    def test_empty_exponent_exits_2(self):
+        code, out = run_cli(
+            ["action-check", "--action", "left(DihInf)", "--set", "x^", "--radius", "4"]
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "malformed-element"
 
     def test_negative_cover_distance_exits_2(self):
         code, out = run_cli(

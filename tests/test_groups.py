@@ -176,6 +176,15 @@ class TestSerialization:
         with pytest.raises(MalformedElementError):
             DIH.validate((1, 2))
 
+    @pytest.mark.parametrize("spec,text", [
+        (F2, "a^"), (F2, "a b^"), (DIH, "x^"), (DIH, "t^"),
+        (groups.parse_group_spec("product(F(2),Zmod(3))"), "(a^,1)"),
+    ])
+    def test_empty_exponent_is_malformed(self, spec, text):
+        # "a^" once read as "a"; the reference parser in oracles still does
+        with pytest.raises(MalformedElementError, match="bad exponent"):
+            spec.parse_element(text)
+
     def test_group_spec_grammar(self):
         assert groups.parse_group_spec("Z") == Z
         assert groups.parse_group_spec("Z^2") == Z2

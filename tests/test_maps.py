@@ -185,3 +185,30 @@ class TestPullbackEquality:
             pullback_structure_equality(
                 inclusion_z_to_dih(CL_Z, CL_DIH), CL_DIH, CR_DIH, 8
             )
+
+
+class TestSelfMapTargets:
+    def test_default_target_is_the_source(self):
+        for m in (identity_map(CL_DIH), negation_map(CL_DIH), translation_map(CL_DIH, T, "right")):
+            assert m.target is CL_DIH
+
+    def test_target_on_the_same_group_is_used(self):
+        assert identity_map(CL_DIH, CR_DIH).target is CR_DIH
+        assert negation_map(CL_DIH, CR_DIH).target is CR_DIH
+        assert translation_map(CL_DIH, T, "left", target=CR_DIH).target is CR_DIH
+        assert squaring_map(CL_Z, RightGroupStructure(Z)).target.label == "C_r(Z)"
+
+    def test_identity_left_to_right_is_not_bornologous_on_dihinf(self):
+        assert check_bornologous(identity_map(CL_DIH, CR_DIH), 8).verdict == "FAIL"
+        assert check_bornologous(identity_map(CL_DIH, CL_DIH), 8).verdict == "PASS"
+
+    @pytest.mark.parametrize("build", [
+        lambda: identity_map(CL_Z, CL_DIH),
+        lambda: negation_map(CL_Z, CL_Z6),
+        lambda: squaring_map(CL_Z, CL_DIH),
+        lambda: translation_map(CL_Z, 1, "left", target=CL_DIH),
+        lambda: translation_map(CL_DIH, T, "right", target=CL_Z),
+    ])
+    def test_target_on_another_group_is_refused(self, build):
+        with pytest.raises(PreconditionError, match="maps a space to itself"):
+            build()
