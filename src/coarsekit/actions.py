@@ -20,8 +20,7 @@ Two window constructions produce coarse structures from an action:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from . import groups
 from .errors import (
@@ -58,15 +57,17 @@ ACTION_LAW_DEPTH = 3
 # ---------------------------------------------------------------------------
 # homomorphisms and actions
 
-@dataclass(frozen=True)
 class Hom:
     """A homomorphism source -> target: ``apply`` maps one element, and
     ``label`` names the homomorphism inside action names."""
 
-    label: str
-    source: groups.GroupSpec
-    target: groups.GroupSpec
-    apply: Callable = field(compare=False, repr=False)
+    def __init__(
+        self, label: str, source: groups.GroupSpec, target: groups.GroupSpec, apply: Callable
+    ):
+        self.label = label
+        self.source = source
+        self.target = target
+        self.apply = apply
 
 
 def identity_hom(spec: groups.GroupSpec) -> Hom:
@@ -440,10 +441,10 @@ def uniformly_bornologous_action_check(
     action: Action,
     struct: CoarseStructure,
     radius: int,
-    battery: Optional[list] = None,
+    battery: list | None = None,
     seed: int = 0,
     n_random: int = 8,
-    route_b_radius: Optional[int] = None,
+    route_b_radius: int | None = None,
 ) -> Certificate:
     """Are all translates of bounded families still bounded?
 
@@ -538,7 +539,7 @@ def uniformly_bornologous_action_check(
 def cobounded_check(
     action: Action,
     radius: int,
-    U: Optional[tuple] = None,
+    U: tuple | None = None,
     mesh_cap: int = 4,
     c_cap: int = 4,
 ) -> Certificate:
@@ -562,7 +563,7 @@ def cobounded_check(
                 return False
         return True
 
-    def minimal_c(Ucand: tuple) -> Optional[int]:
+    def minimal_c(Ucand: tuple) -> int | None:
         for c in range(c_cap + 1):
             if covered_by(Ucand, c):
                 return c
@@ -980,7 +981,7 @@ def commuting_equivalence(
     )
 
 
-def _cover_gap(C: set, other: Action, U: tuple, s: int, gap_cap: int) -> Optional[int]:
+def _cover_gap(C: set, other: Action, U: tuple, s: int, gap_cap: int) -> int | None:
     """Least extra radius so translates of U under the other action cover C."""
     cov: set = set()
     for extra in range(gap_cap + 1):

@@ -32,7 +32,13 @@ from .actions import (
     trivial_action,
     uniformly_bornologous_action_check,
 )
-from .errors import CoarseKitError, GroupParseError, SpaceMismatchError, WindowTooSmallError
+from .errors import (
+    CoarseKitError,
+    GroupParseError,
+    MalformedElementError,
+    SpaceMismatchError,
+    WindowTooSmallError,
+)
 from .families import shape_translate_family, trace_stabilizes, translate_pair_family
 from .group_checks import (
     compare_left_right,
@@ -165,7 +171,10 @@ def parse_family_dsl(text: str, spec: groups.GroupSpec):
 
 
 def _parse_set(text: str, space) -> tuple:
-    return tuple(space.parse(p.strip()) for p in text.split(",") if p.strip())
+    U = tuple(space.parse(p.strip()) for p in text.split(",") if p.strip())
+    if not U:
+        raise MalformedElementError(f"--set {text!r} names no element")
+    return U
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +301,7 @@ def cmd_action_check(args) -> tuple:
         checks.append(ub.to_json())
     else:
         notes.append("translate check skipped: the space carries no group structure")
-    if args.set:
+    if args.set is not None:
         U = _parse_set(args.set, action.space)
         stab, trace = stabilizer_window(action, U, args.radius)
         checks.append(

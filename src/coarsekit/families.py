@@ -12,18 +12,17 @@ appear at each radius, one sphere of the window at a time.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from itertools import combinations
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
 
 from . import groups
 from .errors import PreconditionError, SpaceMismatchError
 
 
-@dataclass(frozen=True)
 class FiniteFamily:
-    space: object
-    members: tuple  # tuple of tuples, canonical order
+    def __init__(self, space: object, members: tuple):
+        self.space = space
+        self.members = members  # tuple of tuples, canonical order
 
     def __len__(self) -> int:
         return len(self.members)
@@ -37,17 +36,23 @@ def finite_family(space, members: Iterable[Iterable]) -> FiniteFamily:
     return FiniteFamily(space=space, members=tuple(ordered))
 
 
-@dataclass
 class ParamFamily:
     """A finite family at every radius, given either by ``grow(r)``, the
     members that appear at radius r (repeating an earlier member is
     harmless), or by ``fn(r)``, the whole family at radius r."""
 
-    tag: str
-    space: object
-    fn: Optional[Callable[[int], FiniteFamily]] = None
-    grow: Optional[Callable[[int], Iterable]] = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    def __init__(
+        self,
+        tag: str,
+        space: object,
+        fn: Callable[[int], FiniteFamily] | None = None,
+        grow: Callable[[int], Iterable] | None = None,
+    ):
+        self.tag = tag
+        self.space = space
+        self.fn = fn
+        self.grow = grow
+        self._cache: dict = {}
 
     def at(self, r: int) -> FiniteFamily:
         if r not in self._cache:
@@ -82,10 +87,10 @@ def is_monotone(pf: ParamFamily, radius: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class ControlledSet:
-    space: object
-    pairs: frozenset  # ordered pairs (x, y)
+    def __init__(self, space: object, pairs: frozenset):
+        self.space = space
+        self.pairs = pairs  # ordered pairs (x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +113,12 @@ def strictly_growing_suffix(trace: dict, radius: int) -> bool:
     ) and len(tail_radii) >= 2
 
 
-@dataclass
 class Witness:
-    structure: str
-    group: groups.GroupSpec  # group the witness elements live in
-    elements: tuple
-    trace: dict
+    def __init__(self, structure: str, group: groups.GroupSpec, elements: tuple, trace: dict):
+        self.structure = structure
+        self.group = group  # group the witness elements live in
+        self.elements = elements
+        self.trace = trace
 
     bounded = True
     verdict = "PASS"
@@ -130,13 +135,15 @@ class Witness:
         }
 
 
-@dataclass
 class Counterexample:
-    structure: str
-    family: str
-    group: groups.GroupSpec
-    elements: frozenset  # witness at the final radius, unordered; kept as evidence
-    trace: dict
+    def __init__(
+        self, structure: str, family: str, group: groups.GroupSpec, elements: frozenset, trace: dict
+    ):
+        self.structure = structure
+        self.family = family
+        self.group = group
+        self.elements = elements  # witness at the final radius, unordered; kept as evidence
+        self.trace = trace
 
     bounded = False
     verdict = "FAIL"
@@ -244,11 +251,11 @@ def compose_controlled(E1: ControlledSet, E2: ControlledSet) -> ControlledSet:
     return ControlledSet(space=E1.space, pairs=frozenset(pairs))
 
 
-@dataclass
 class RefineResult:
-    ok: bool
-    assignment: dict  # member -> containing member of the coarser family
-    failing: Optional[tuple] = None
+    def __init__(self, ok: bool, assignment: dict, failing: tuple | None = None):
+        self.ok = ok
+        self.assignment = assignment  # member -> containing member of the coarser family
+        self.failing = failing
 
     def __bool__(self) -> bool:
         return self.ok

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
 from operator import add, neg
-from typing import Any, Callable, Iterable
 
 from .errors import (
     GroupParseError,
@@ -39,33 +38,38 @@ from .errors import (
     UnsupportedRankError,
 )
 
-Element = Any
+Element = object
 
 DEFAULT_BALL_CAP = 10**6
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True, repr=False)
 class GroupSpec(ABC):
     """A catalog group, with its arithmetic bound once.
 
-    Each subclass's ``__post_init__`` rejects a bad rank or modulus, then
-    binds four closures: ``mul(a, b)``, ``inv(g)``, ``length(g)`` (word
-    length) and ``skey(g)`` (the structural tie-break of the canonical
-    order).  Hot loops bind them once (``mul = spec.mul``).  They are fields
-    outside ``compare``, so equality and hashing read the class and its
-    constructor arguments alone: two specs built alike are equal, hash alike
-    and share one ball cache.  A class-level ``kind`` names the kind."""
+    Each subclass's ``__init__`` rejects a bad rank or modulus, then calls
+    ``_bind`` with its constructor arguments and four closures: ``mul(a, b)``,
+    ``inv(g)``, ``length(g)`` (word length) and ``skey(g)`` (the structural
+    tie-break of the canonical order).  Hot loops bind them once
+    (``mul = spec.mul``).  Equality and hashing read the class and the
+    constructor arguments alone, never the closures: two specs built alike
+    are equal, hash alike and share one ball cache.  A class-level ``kind``
+    names the kind."""
 
-    mul: Callable = field(init=False, compare=False)
-    inv: Callable = field(init=False, compare=False)
-    length: Callable = field(init=False, compare=False)
-    skey: Callable = field(init=False, compare=False)
+    def _bind(
+        self, args: tuple, mul: Callable, inv: Callable, length: Callable, skey: Callable
+    ) -> None:
+        self._args = args
+        self.mul, self.inv, self.length, self.skey = mul, inv, length, skey
 
-    def _bind(self, mul: Callable, inv: Callable, length: Callable, skey: Callable) -> None:
-        for name, fn in zip(("mul", "inv", "length", "skey"), (mul, inv, length, skey)):
-            object.__setattr__(self, name, fn)
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._args == other._args
+
+    def __hash__(self) -> int:
+        return hash(self._args)
 
     def __repr__(self) -> str:
         return f"GroupSpec({self.label()})"
@@ -121,21 +125,21 @@ def _parse_word(spec, text: str) -> Element:
     return g
 
 
-@dataclass(frozen=True, repr=False)
 class FreeAbelian(GroupSpec):
     """Z^rank: an int for rank 1, a tuple of rank ints above."""
 
-    rank: int
     kind = "free_abelian"
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise UnsupportedRankError(f"Z^{self.rank}: rank must be >= 1")
-        if self.rank == 1:
-            self._bind(add, neg, abs, _int_key)
-        elif self.rank == 2:
+    def __init__(self, rank: int):
+        if rank < 1:
+            raise UnsupportedRankError(f"Z^{rank}: rank must be >= 1")
+        self.rank = rank
+        if rank == 1:
+            self._bind((rank,), add, neg, abs, _int_key)
+        elif rank == 2:
             # unrolled: Z^2 is the common case and the generic form costs twice as much
             self._bind(
+                (rank,),
                 lambda a, b: (a[0] + b[0], a[1] + b[1]),
                 lambda g: (-g[0], -g[1]),
                 lambda g: abs(g[0]) + abs(g[1]),
@@ -143,6 +147,7 @@ class FreeAbelian(GroupSpec):
             )
         else:
             self._bind(
+                (rank,),
                 lambda a, b: tuple(map(add, a, b)),
                 lambda g: tuple(map(neg, g)),
                 lambda g: sum(map(abs, g)),
@@ -199,20 +204,20 @@ def _free_concat(a: tuple, b: tuple) -> tuple:
     return a[:i] + b[j:]
 
 
-@dataclass(frozen=True, repr=False)
 class Free(GroupSpec):
     """F(rank): freely reduced tuples of letters i and inverses -i."""
 
-    rank: int
     kind = "free"
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise UnsupportedRankError(f"F({self.rank}): rank must be >= 1")
-        if self.rank > len(_LETTERS):
-            raise UnsupportedRankError(f"F({self.rank}): at most {len(_LETTERS)} letters supported")
+    def __init__(self, rank: int):
+        if rank < 1:
+            raise UnsupportedRankError(f"F({rank}): rank must be >= 1")
+        if rank > len(_LETTERS):
+            raise UnsupportedRankError(f"F({rank}): at most {len(_LETTERS)} letters supported")
+        self.rank = rank
         # letters are nonzero, so _int_key puts letter i before its inverse -i
         self._bind(
+            (rank,),
             _free_concat,
             lambda g: tuple(map(neg, reversed(g))),
             len,
@@ -252,14 +257,14 @@ class Free(GroupSpec):
         return (idx if exp > 0 else -idx,) * abs(exp)
 
 
-@dataclass(frozen=True, repr=False)
 class DihInf(GroupSpec):
     """The infinite dihedral group: (n, f) is x^n t^f, and t x^k = x^-k t."""
 
     kind = "dih_inf"
 
-    def __post_init__(self):
+    def __init__(self):
         self._bind(
+            (),
             lambda a, b: (a[0] - b[0] if a[1] else a[0] + b[0], a[1] ^ b[1]),
             lambda g: (g[0], 1) if g[1] else (-g[0], 0),
             lambda g: abs(g[0]) + g[1],
@@ -295,19 +300,19 @@ class DihInf(GroupSpec):
         raise MalformedElementError(f"unknown letter {base!r} for DihInf")
 
 
-@dataclass(frozen=True, repr=False)
 class Cyclic(GroupSpec):
     """Zmod(modulus): int residues in range(modulus)."""
 
-    modulus: int
     kind = "cyclic"
 
-    def __post_init__(self):
-        n = self.modulus
+    def __init__(self, modulus: int):
+        n = modulus
         if n < 1:
             raise UnsupportedRankError(f"Zmod({n}): modulus must be >= 1")
+        self.modulus = n
         half = n // 2
         self._bind(
+            (n,),
             lambda a, b: (a + b) % n,
             lambda g: (-g) % n,
             (lambda g: min(g, n - g)) if n > 1 else (lambda g: 0),
@@ -338,18 +343,18 @@ class Cyclic(GroupSpec):
             raise MalformedElementError(f"expected an integer for {self.label()}, got {text!r}")
 
 
-@dataclass(frozen=True, repr=False)
 class Product(GroupSpec):
     """The direct product of ``factors = (A, B)``: pairs (a, b)."""
 
-    factors: tuple
     kind = "product"
 
-    def __post_init__(self):
-        a, b = self.factors
+    def __init__(self, factors: tuple):
+        self.factors = factors
+        a, b = factors
         mul_a, inv_a, len_a, key_a = a.mul, a.inv, a.length, a.skey
         mul_b, inv_b, len_b, key_b = b.mul, b.inv, b.length, b.skey
         self._bind(
+            (factors,),
             lambda x, y: (mul_a(x[0], y[0]), mul_b(x[1], y[1])),
             lambda g: (inv_a(g[0]), inv_b(g[1])),
             lambda g: len_a(g[0]) + len_b(g[1]),
@@ -509,14 +514,16 @@ def canonical_sorted(spec: GroupSpec, elements: Iterable[Element]) -> tuple:
 # ---------------------------------------------------------------------------
 # balls
 
-@dataclass
 class Ball:
-    group: GroupSpec
-    radius: int
-    elements: tuple  # breadth-first layer order, canonical tie-break inside layers
-    lengths: dict = field(repr=False)
-    words: dict = field(repr=False)  # element -> geodesic tuple of generator indices
-    layers: list = field(repr=False)  # layers[r]: the elements of length r
+    def __init__(
+        self, group: GroupSpec, radius: int, elements: tuple, lengths: dict, words: dict, layers: list
+    ):
+        self.group = group
+        self.radius = radius
+        self.elements = elements  # breadth-first layer order, canonical tie-break inside layers
+        self.lengths = lengths
+        self.words = words  # element -> geodesic tuple of generator indices
+        self.layers = layers  # layers[r]: the elements of length r
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -17,8 +17,7 @@ that radius (used for finite-index style embeddings).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from . import groups
 from .errors import (
@@ -36,14 +35,22 @@ DEFAULT_SOURCE_FACTOR = 2
 DEFAULT_SOURCE_SLACK = 2
 
 
-@dataclass
 class MapWindow:
-    name: str
-    source: CoarseStructure
-    target: CoarseStructure
-    rule: Callable
-    source_factor: int = DEFAULT_SOURCE_FACTOR
-    source_slack: int = DEFAULT_SOURCE_SLACK
+    def __init__(
+        self,
+        name: str,
+        source: CoarseStructure,
+        target: CoarseStructure,
+        rule: Callable,
+        source_factor: int = DEFAULT_SOURCE_FACTOR,
+        source_slack: int = DEFAULT_SOURCE_SLACK,
+    ):
+        self.name = name
+        self.source = source
+        self.target = target
+        self.rule = rule
+        self.source_factor = source_factor
+        self.source_slack = source_slack
 
     def source_radius(self, radius: int) -> int:
         return self.source_factor * radius + self.source_slack
@@ -52,13 +59,20 @@ class MapWindow:
         return self.rule(x)
 
 
-@dataclass
 class Certificate:
-    check: str
-    verdict: str
-    radius: int
-    data: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
+    def __init__(
+        self,
+        check: str,
+        verdict: str,
+        radius: int,
+        data: dict | None = None,
+        notes: list | None = None,
+    ):
+        self.check = check
+        self.verdict = verdict
+        self.radius = radius
+        self.data = {} if data is None else data
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self) -> bool:
@@ -77,7 +91,7 @@ class Certificate:
 # ---------------------------------------------------------------------------
 # catalog constructors
 
-def _onto_own_space(name: str, source: CoarseStructure, target: Optional[CoarseStructure]) -> CoarseStructure:
+def _onto_own_space(name: str, source: CoarseStructure, target: CoarseStructure | None) -> CoarseStructure:
     """The target of a map from a space to itself: ``source`` when none is
     given, else ``target``, which must be a structure on the same space."""
     if target is None:
@@ -89,13 +103,13 @@ def _onto_own_space(name: str, source: CoarseStructure, target: Optional[CoarseS
     return target
 
 
-def identity_map(source: CoarseStructure, target: Optional[CoarseStructure] = None) -> MapWindow:
+def identity_map(source: CoarseStructure, target: CoarseStructure | None = None) -> MapWindow:
     target = _onto_own_space("identity", source, target)
     return MapWindow("identity", source, target, lambda x: x, source_factor=1)
 
 
 def translation_map(
-    source: CoarseStructure, g, side: str = "left", target: Optional[CoarseStructure] = None
+    source: CoarseStructure, g, side: str = "left", target: CoarseStructure | None = None
 ) -> MapWindow:
     spec = source.space.spec
     spec.validate(g)
@@ -110,13 +124,13 @@ def translation_map(
                      source_slack=groups.word_length(spec, g) + 1)
 
 
-def negation_map(source: CoarseStructure, target: Optional[CoarseStructure] = None) -> MapWindow:
+def negation_map(source: CoarseStructure, target: CoarseStructure | None = None) -> MapWindow:
     spec = source.space.spec
     target = _onto_own_space("negate", source, target)
     return MapWindow("negate", source, target, lambda x: groups.invert(spec, x), source_factor=1)
 
 
-def squaring_map(source: CoarseStructure, target: Optional[CoarseStructure] = None) -> MapWindow:
+def squaring_map(source: CoarseStructure, target: CoarseStructure | None = None) -> MapWindow:
     if source.space.spec != groups.Z:
         raise PreconditionError("squaring map is defined on Z")
     target = _onto_own_space("square", source, target)
@@ -175,7 +189,7 @@ def table_map(name: str, source: CoarseStructure, target: CoarseStructure, table
 def check_bornologous(
     m: MapWindow,
     radius: int,
-    battery: Optional[list] = None,
+    battery: list | None = None,
     seed: int = 0,
     n_random: int = 32,
 ) -> Certificate:
@@ -297,7 +311,7 @@ def surjective_equivalence_check(
     cover_distance: int = 0,
     seed: int = 0,
     n_random: int = 32,
-    target_window: Optional[Callable[[int], tuple]] = None,
+    target_window: Callable[[int], tuple] | None = None,
 ) -> Certificate:
     """Certify a coarse equivalence through the surjective criterion.
 

@@ -9,16 +9,24 @@ group spaces carry their group's arithmetic on ``spec``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
 from . import groups
 from .errors import MalformedElementError
 
 
-@dataclass(frozen=True)
 class GroupSpace:
-    spec: groups.GroupSpec
+    """The underlying set of a catalog group.  Spaces compare and hash by
+    kind and spec, so two built from equal specs are one space."""
+
+    def __init__(self, spec: groups.GroupSpec):
+        self.spec = spec
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.spec == other.spec
+
+    def __hash__(self) -> int:
+        return hash((self.spec,))
 
     @property
     def label(self) -> str:
@@ -56,10 +64,20 @@ class GroupSpace:
         return groups.canonical_sorted(self.spec, out)
 
 
-@dataclass(frozen=True)
 class FiniteSpace:
-    name: str
-    points: tuple
+    """An explicit finite point set; compares and hashes by name and points."""
+
+    def __init__(self, name: str, points: tuple):
+        self.name = name
+        self.points = points
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.points) == (other.name, other.points)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.points))
 
     @property
     def label(self) -> str:
@@ -95,7 +113,7 @@ class FiniteSpace:
         raise MalformedElementError(f"{text!r} is not a point of {self.name}")
 
 
-Space = Any  # GroupSpace | FiniteSpace
+Space = object  # GroupSpace | FiniteSpace
 
 
 def point_space() -> FiniteSpace:

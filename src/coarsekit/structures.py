@@ -15,7 +15,7 @@ structure on the source.
 from __future__ import annotations
 
 import random
-from typing import Callable
+from collections.abc import Callable
 
 from . import groups
 from .errors import CoarseKitError, WindowOverflowError

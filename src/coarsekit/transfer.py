@@ -29,8 +29,6 @@ domain), the target group by postcomposition; the two actions commute.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import groups
 from .errors import CoverFailureError, PreconditionError, ResourceLimitError, WindowOverflowError
 from .families import trace_stabilizes
@@ -77,7 +75,7 @@ class TransferData:
     def cover_mesh(self) -> int:
         return max((groups.word_length(self.target_spec, e) for e in self.cover), default=0)
 
-    def padded(self, c_extra: Optional[dict] = None, d_extra: Optional[dict] = None) -> "TransferData":
+    def padded(self, c_extra: dict | None = None, d_extra: dict | None = None) -> "TransferData":
         """New data with extra admissible displacements merged per key."""
         G, H = self.source_spec, self.target_spec
         c_table = dict(self.c_table)
@@ -237,8 +235,8 @@ def default_key_battery(spec: groups.GroupSpec, extended: bool = False) -> list:
 def build_transfer_data(
     alpha: MapWindow,
     radius: int,
-    c_keys: Optional[list] = None,
-    d_keys: Optional[list] = None,
+    c_keys: list | None = None,
+    d_keys: list | None = None,
     extended: bool = False,
 ) -> TransferData:
     """Tabulate c over source keys and d over target keys, plus the cover.

@@ -15,6 +15,7 @@ import pytest
 import oracles
 from coarsekit import groups
 from coarsekit.errors import MalformedElementError, UnsupportedRankError
+from coarsekit.spaces import FiniteSpace, GroupSpace
 
 SPECS = [
     "Z", "Z^2", "Z^3", "F(2)", "F(3)", "DihInf", "Zmod(1)", "Zmod(2)", "Zmod(6)",
@@ -59,6 +60,20 @@ def test_spec_identity_ignores_the_closures():
     assert nested == groups.product(groups.free_group(2), groups.cyclic(3))
     assert repr(nested) == "GroupSpec(product(F(2),Zmod(3)))"
     assert groups.free_abelian(2) != groups.free_abelian(3)
+    # same constructor argument, another kind
+    assert groups.cyclic(2) != groups.free_abelian(2)
+    # equal specs share one ball cache
+    assert groups.ball(parsed, 2) is groups.ball(built, 2)
+    assert sum(key == built for key in groups._BALL_CACHES) == 1
+
+    assert GroupSpace(groups.Z) == GroupSpace(groups.free_abelian(1))
+    assert hash(GroupSpace(groups.Z)) == hash(GroupSpace(groups.free_abelian(1)))
+    assert GroupSpace(groups.Z) != GroupSpace(groups.DIH)
+    finite = FiniteSpace("two", ("a", "b"))
+    assert finite == FiniteSpace("two", ("a", "b"))
+    assert hash(finite) == hash(FiniteSpace("two", ("a", "b")))
+    assert finite != FiniteSpace("two", ("a", "c"))
+    assert FiniteSpace("Z", (0,)) != GroupSpace(groups.Z)
 
 
 @pytest.mark.parametrize("text", SPECS)

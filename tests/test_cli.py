@@ -224,6 +224,16 @@ class TestErrors:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "malformed-element"
 
+    @pytest.mark.parametrize("argv", [
+        ["action-check", "--action", "left(Z)", "--set", ",", "--radius", "4"],
+        ["action-check", "--action", "left(Z)", "--set", "", "--radius", "4"],
+        ["commuting", "--set", ","],
+    ])
+    def test_set_naming_no_element_exits_2(self, argv):
+        code, out = run_cli(argv)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "malformed-element"
+
     def test_negative_cover_distance_exits_2(self):
         code, out = run_cli(
             ["map-check", "--group", "Z", "--map", "identity", "--equivalence",
@@ -303,3 +313,20 @@ class TestFormats:
         data = json.loads(out)["checks"][0]["data"]
         assert data["sizes"] == {"0": 1, "1": 3, "2": 5}
         assert sorted(data["window"]) == ["-1", "-2", "0", "1", "2"]
+
+
+def test_import_generates_no_code():
+    # dataclasses pulls in inspect, dis, ast and tokenize; -S keeps site from
+    # preloading typing, as it would not be in a plain install
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = (
+        "import sys, coarsekit.cli; "
+        "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
