@@ -171,7 +171,7 @@ def parse_family_dsl(text: str, spec: groups.GroupSpec):
 
 
 def _parse_set(text: str, space) -> tuple:
-    U = tuple(space.parse(p.strip()) for p in text.split(",") if p.strip())
+    U = tuple(space.parse(p.strip()) for p in groups.split_top_level(text) if p.strip())
     if not U:
         raise MalformedElementError(f"--set {text!r} names no element")
     return U

@@ -395,8 +395,13 @@ def _tuple_parts(text: str) -> list:
     """The top-level comma-separated parts of ``(p1,...,pk)``."""
     if not (text.startswith("(") and text.endswith(")")):
         raise MalformedElementError(f"expected a parenthesized tuple, got {text!r}")
+    return split_top_level(text[1:-1])
+
+
+def split_top_level(text: str) -> list:
+    """The comma-separated parts of text, split only outside parentheses."""
     parts, depth = [""], 0
-    for ch in text[1:-1]:
+    for ch in text:
         depth += {"(": 1, ")": -1}.get(ch, 0)
         if ch == "," and depth == 0:
             parts.append("")

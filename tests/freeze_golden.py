@@ -3,8 +3,9 @@
     PYTHONPATH=src python tests/freeze_golden.py
 
 Run this only when a report changes on purpose: the corpus is the frozen
-JSON stdout of the README commands (plus ``commuting --radius 16``), and
-``test_golden.py`` asserts that the current code prints the same bytes.
+JSON stdout of the README commands, ``commuting --radius 16``, and a
+``commuting`` run on Z^2, a group of quadratic growth; ``test_golden.py``
+asserts that the current code prints the same bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import pathlib
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
-# file stem -> argv; the README commands at their README radii
+# file stem -> argv: the README commands at their README radii, commuting at
+# radius 16, and the commuting translations of Z^2 (every other command acts
+# on Z or DihInf, whose balls grow linearly)
 COMMANDS = {
     "ball-dihinf-8": ["ball", "--group", "DihInf", "--radius", "8"],
     "fc-dihinf-8": ["fc", "--group", "DihInf", "--radius", "8"],
@@ -35,6 +38,10 @@ COMMANDS = {
     "gromov-power-2-8": ["gromov", "--map", "power:2", "--radius", "8", "--enum-radius", "2"],
     "demo-dihedral-16": ["demo-dihedral", "--radius", "16"],
     "commuting-16": ["commuting", "--radius", "16"],
+    "commuting-z2-6": [
+        "commuting", "--action1", "left(Z^2)", "--action2", "right(Z^2)", "--set", "(0,0)",
+        "--radius", "6",
+    ],
 }
 
 

@@ -100,6 +100,25 @@ class TestActionCheck:
         assert stab["verdict"] == "FAIL"
         assert code == 1
 
+    def test_set_names_tuple_elements(self):
+        # commas inside an element's parentheses do not split the set
+        code, out = run_cli(
+            ["action-check", "--action", "left(Z^2)", "--set", "(0,0),(1,0)", "--radius", "4"]
+        )
+        checks = json.loads(out)["checks"]
+        assert code == 0
+        assert [c["verdict"] for c in checks] == ["PASS"] * 4
+        for c in checks[2:]:
+            assert c["data"]["U"] == ["(0,0)", "(1,0)"]
+
+    def test_commuting_names_a_tuple_set(self):
+        code, out = run_cli(
+            ["commuting", "--action1", "left(Z^2)", "--action2", "right(Z^2)",
+             "--set", "(0,0)", "--radius", "4"]
+        )
+        assert code == 0
+        assert json.loads(out)["checks"][0]["data"]["U"] == ["(0,0)"]
+
 
 class TestWindowTooSmall:
     # every subcommand but ball reads a verdict off a stabilization tail
@@ -231,6 +250,12 @@ class TestErrors:
     ])
     def test_set_naming_no_element_exits_2(self, argv):
         code, out = run_cli(argv)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "malformed-element"
+
+    @pytest.mark.parametrize("text", [",", "(0,0"])
+    def test_malformed_tuple_set_exits_2(self, text):
+        code, out = run_cli(["action-check", "--action", "left(Z^2)", "--set", text, "--radius", "4"])
         assert code == 2
         assert json.loads(out)["error"]["code"] == "malformed-element"
 

@@ -1,8 +1,8 @@
-"""Byte identity of the README command reports against the frozen corpus.
+"""Byte identity of the command reports against the frozen corpus.
 
-The corpus in tests/golden/ holds the JSON stdout of each
-README command; regenerate it with freeze_golden.py only when a report is
-meant to change.
+The corpus in tests/golden/ holds the JSON stdout of each command in
+freeze_golden.COMMANDS; regenerate it with freeze_golden.py only when a
+report is meant to change.
 """
 
 import pytest
