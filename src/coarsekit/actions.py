@@ -15,6 +15,11 @@ Two window constructions produce coarse structures from an action:
 * bounded translates    a family is bounded when it refines translates
                         {g.(F.U)} of a fixed bounded set U; the witness is
                         the finite F needed, and its growth is the trace
+
+One index, ``_Covers(action, U)``, answers every "which h of length <= r
+puts y in h.U" question: the cover constants, the stabilizer and
+point-finite traces, the induced contributions, and the gap and selections
+of ``commuting_equivalence``.
 """
 
 from __future__ import annotations
@@ -196,17 +201,78 @@ def _mesh(space, S) -> int:
 # ---------------------------------------------------------------------------
 # induced structure from bounded translates
 
+class _Covers:
+    """The covers of each point y, the acting elements h with y in h.U, in
+    one index grown a sphere of the acting group at a time.  Each list is
+    thus in ball order; the covers over Ball(r) are its prefix of word length
+    <= r, and the reach of y, the least r with y in Ball(r).U, is the length
+    of its first cover.  Grown to radius R, it holds at most |Ball(R)|*|U|
+    entries."""
+
+    def __init__(self, action: Action, U):
+        self.action = action
+        self.U = U
+        self.radius = -1  # the index holds every h of word length <= radius
+        self._hits: dict = {}  # y -> covers of y, in ball order
+        self._lengths: dict = {}  # y -> word lengths of those covers
+
+    def _grow(self, radius: int) -> None:
+        for r in range(self.radius + 1, radius + 1):
+            for h in groups.sphere(self.action.group, r):
+                for x in self.action.apply_set(h, self.U):
+                    self._hits.setdefault(x, []).append(h)
+                    self._lengths.setdefault(x, []).append(r)
+            self.radius = r
+
+    def covers(self, y, radius: int) -> tuple:
+        """The h in Ball(radius) with y in h.U, in ball order."""
+        self._grow(radius)
+        hits = self._hits.get(y, ())
+        return tuple(hits[: bisect_right(self._lengths.get(y, ()), radius)])
+
+    def reach(self, y, cap: int) -> int | None:
+        """The least r <= cap with y in Ball(r).U, or None.  The index
+        grows only until it covers y."""
+        while y not in self._lengths and self.radius < cap:
+            self._grow(self.radius + 1)
+        lengths = self._lengths.get(y)
+        return lengths[0] if lengths and lengths[0] <= cap else None
+
+    def points(self, radius: int) -> list:
+        """The points of Ball(radius).U."""
+        self._grow(radius)
+        return [y for y, lengths in self._lengths.items() if lengths[0] <= radius]
+
+
+def _cover_constant(covers: _Covers, radius: int, cap: int) -> int | None:
+    """The least c <= cap with window(r) inside Ball(r + c).U for every
+    r <= radius, or None.  A point y enters window(r) at r = extent(y), so
+    c is the largest reach(y) - extent(y) over window(radius)."""
+    space = covers.action.space
+    c = 0
+    for y in space.window(radius):
+        e = space.extent(y)
+        r = covers.reach(y, e + cap)
+        if r is None:
+            return None
+        c = max(c, r - e)
+    return c
+
+
+def _length_trace(G: groups.GroupSpec, hits: tuple, radius: int) -> dict:
+    """r -> how many of hits, given in ball order, have word length <= r."""
+    lengths = [G.length(h) for h in hits]
+    return {r: bisect_right(lengths, r) for r in range(radius + 1)}
+
+
 class ActionInducedStructure(CoarseStructure):
     """Bounded sets are subsets of F.U with F finite; a family is bounded
     when every member fits in a translate g.(F.U) for one finite F.  The
     member contribution is the least such F (canonical greedy choice), and
     the witness trace is the size of the union of these F over the family.
 
-    The covers of a point y are the acting elements h with y in h.U.  They
-    come from one inverted index, point -> covers, grown one sphere of the
-    acting group at a time, so each list is in ball order: word length
-    first, canonical order within a length.  The covers of y searched on
-    Ball(R) are the prefix of y's list of word length <= R.
+    The covers of a point come from ``index``, the ``_Covers`` of (action,
+    U) that ``commuting_equivalence`` also reads.
 
     A member's centre g is searched over the pool Ball(acting_radius): it
     minimizes max over points y of min over covers h of y of |g^-1 h|, and
@@ -214,8 +280,7 @@ class ActionInducedStructure(CoarseStructure):
     from one column [|g^-1 h| for g in the pool] per cover h; pools are
     ball prefixes, so a column grows with the largest pool asked for and
     serves smaller pools by its prefix.  With R the largest acting radius
-    asked for, the index holds at most |Ball(R)|*|U| entries and the
-    columns at most |Ball(R)|^2 distances."""
+    asked for, the columns hold at most |Ball(R)|^2 distances."""
 
     def __init__(self, action: Action, U, slack: int = 2, label: str = ""):
         super().__init__()
@@ -227,26 +292,12 @@ class ActionInducedStructure(CoarseStructure):
         self.slack = slack
         useral = ",".join(self.space.serialize(u) for u in self.U)
         self.label = label or f"induced({action.name}; U=[{useral}])"
-        self._indexed = -1  # the cover index holds every h of word length <= _indexed
-        self._cover_index: dict = {}  # y -> covers of y, in ball order
-        self._cover_lengths: dict = {}  # y -> word lengths of those covers
+        self.index = _Covers(action, self.U)
         self._pool_inverses: list = []  # g^-1 for g in the largest pool so far
         self._columns: dict = {}  # h -> [|g^-1 h| for g in a prefix of that pool]
 
     def witness_group(self) -> groups.GroupSpec:
         return self.action.group
-
-    def _covers(self, y, acting_radius: int) -> tuple:
-        """Acting elements h with y in h.U, over Ball(acting_radius), in ball order."""
-        while self._indexed < acting_radius:
-            r = self._indexed + 1
-            for h in groups.sphere(self.action.group, r):
-                for x in self.action.apply_set(h, self.U):
-                    self._cover_index.setdefault(x, []).append(h)
-                    self._cover_lengths.setdefault(x, []).append(r)
-            self._indexed = r
-        hits = self._cover_index.get(y, ())
-        return tuple(hits[: bisect_right(self._cover_lengths.get(y, ()), acting_radius)])
 
     def _column(self, h, pool: tuple) -> list:
         """[|g^-1 h| for g in pool], possibly followed by further entries."""
@@ -270,7 +321,7 @@ class ActionInducedStructure(CoarseStructure):
         pool = groups.ball(G, acting_radius).elements
         covers = {}
         for y in member:
-            hits = self._covers(y, acting_radius)
+            hits = self.index.covers(y, acting_radius)
             if not hits:
                 raise WindowOverflowError(
                     f"{self.label}: {self.space.serialize(y)} not covered by translates of U "
@@ -294,7 +345,7 @@ class ActionInducedStructure(CoarseStructure):
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
         G = self.action.group
         acting_radius = self.space.extent(y) + _mesh(self.space, self.U) + self.slack
-        hits = self._covers(y, acting_radius)
+        hits = self.index.covers(y, acting_radius)
         if not hits:
             raise WindowOverflowError(f"{self.label}: {self.space.serialize(y)} not covered")
         f0 = hits[0]  # ball order is the canonical order
@@ -399,30 +450,14 @@ def _pieces_family(pf: ParamFamily) -> ParamFamily:
 
 def stabilizer_window(action: Action, U, radius: int) -> tuple[tuple, dict]:
     """Elements g in Ball(radius) with U meeting g.U, plus the size trace."""
-    Uset = set(U)
-    b = groups.ball(action.group, radius)
-    hits = []
-    trace = {}
-    count = 0
-    for r in range(radius + 1):
-        for g in b.sphere(r):
-            if Uset.intersection(action.apply_set(g, U)):
-                hits.append(g)
-                count += 1
-        trace[r] = count
-    return tuple(hits), trace
+    covers = _Covers(action, U)
+    hits = groups.canonical_sorted(action.group, [h for u in U for h in covers.covers(u, radius)])
+    return hits, _length_trace(action.group, hits, radius)
 
 
 def point_finite_check(action: Action, U, x, radius: int) -> Certificate:
     """Trace of |{g in Ball(r) : x in g.U}|; PASS when it stabilizes."""
-    b = groups.ball(action.group, radius)
-    trace = {}
-    count = 0
-    for r in range(radius + 1):
-        for g in b.sphere(r):
-            if x in action.apply_set(g, U):
-                count += 1
-        trace[r] = count
+    trace = _length_trace(action.group, _Covers(action, U).covers(x, radius), radius)
     verdict = "PASS" if trace_stabilizes(trace, radius) else "FAIL"
     return Certificate(
         check="point-finite",
@@ -552,23 +587,6 @@ def cobounded_check(
     window, so it covers under any action, the trivial one included."""
     space = action.space
 
-    def covered_by(Ucand: tuple, c: int) -> bool:
-        b = groups.ball(action.group, radius + c)
-        cov: set = set()
-        for s in range(radius + c + 1):
-            for g in b.sphere(s):
-                cov.update(action.apply_set(g, Ucand))
-            r = s - c
-            if 0 <= r <= radius and not set(space.window(r)) <= cov:
-                return False
-        return True
-
-    def minimal_c(Ucand: tuple) -> int | None:
-        for c in range(c_cap + 1):
-            if covered_by(Ucand, c):
-                return c
-        return None
-
     def passed(Ufound: tuple, mesh: int, c: int) -> Certificate:
         if 2 * mesh > radius:
             raise WindowTooSmallError(
@@ -585,7 +603,7 @@ def cobounded_check(
 
     if U is not None:
         U = tuple(sorted(set(U), key=space.sort_key))
-        c = minimal_c(U)
+        c = _cover_constant(_Covers(action, U), radius, c_cap)
         if c is None:
             return Certificate(
                 check="cobounded",
@@ -602,7 +620,7 @@ def cobounded_check(
             Ucand = space.ball_about(base, mesh, side="left")
         else:
             Ucand = space.window(mesh)
-        c = minimal_c(Ucand)
+        c = _cover_constant(_Covers(action, Ucand), radius, c_cap)
         if c is None:
             continue
         # prune, largest elements first, keeping the same constant
@@ -611,7 +629,7 @@ def cobounded_check(
             if len(kept) == 1:
                 break
             trial = tuple(v for v in kept if v != u)
-            if covered_by(trial, c):
+            if _cover_constant(_Covers(action, trial), radius, c) is not None:
                 kept = list(trial)
         return passed(tuple(sorted(kept, key=space.sort_key)), mesh, c)
     return Certificate(
@@ -638,16 +656,9 @@ def induced_structure_first(
     stabilizer of x0 to stop growing."""
     action.space.validate(x0)
     G = action.group
-    b = groups.ball(G, radius)
-    stab_trace = {}
-    stab = []
-    count = 0
-    for r in range(radius + 1):
-        for g in b.sphere(r):
-            if action.apply(g, x0) == x0:
-                stab.append(g)
-                count += 1
-        stab_trace[r] = count
+    orbit = _Covers(action, (x0,))  # the covers of x0 are its stabilizer
+    stab = orbit.covers(x0, radius)
+    stab_trace = _length_trace(G, stab, radius)
     if not trace_stabilizes(stab_trace, radius):
         raise InfiniteStabilizerError(
             f"{action.name}: stabilizer of {action.space.serialize(x0)} keeps growing, "
@@ -655,17 +666,7 @@ def induced_structure_first(
         )
     stab_extent = max((groups.word_length(G, g) for g in stab), default=0)
 
-    cover_c = None
-    for c in range(c_cap + 1):
-        ok = True
-        for r in range(radius + 1):
-            orbit = {action.apply(g, x0) for g in groups.ball(G, r + c).elements}
-            if not set(action.space.window(r)) <= orbit:
-                ok = False
-                break
-        if ok:
-            cover_c = c
-            break
+    cover_c = _cover_constant(orbit, radius, c_cap)
     if cover_c is None:
         raise PreconditionError(
             f"{action.name}: orbit of {action.space.serialize(x0)} does not cover the window"
@@ -786,6 +787,7 @@ def coarse_action_certificate(
         return Certificate("coarse-action", "FAIL", radius, data)
 
     cover_c = cb.data["constant"]
+    Ucb = cb_elements(cb, action)
 
     def orbit_window(r: int) -> tuple:
         orbit = {action.apply(g, x0) for g in groups.ball(action.group, r).elements}
@@ -797,7 +799,7 @@ def coarse_action_certificate(
         target=struct,
         rule=lambda g: action.apply(g, x0),
         source_factor=1,
-        source_slack=cover_c + _mesh(action.space, cb_elements(cb, action)) + 2,
+        source_slack=cover_c + _mesh(action.space, Ucb) + 2,
     )
     orbit_cert = surjective_equivalence_check(
         orbit_map, radius, cover_distance=0, seed=seed, n_random=n_random,
@@ -805,7 +807,6 @@ def coarse_action_certificate(
     )
     data["orbit_map"] = orbit_cert.to_json()
 
-    Ucb = cb_elements(cb, action)
     refine_struct = ActionInducedStructure(action, Ucb, slack=cover_c + _mesh(action.space, Ucb) + 2)
     refinement = {}
     refine_ok = True
@@ -871,14 +872,8 @@ def commuting_equivalence(
     gap_cap = _mesh(space, U) + max(c1, c2) + 2
     max_gap = 0
     for s in range(radius + 1):
-        C1 = set()
-        for g in groups.ball(G1, s).elements:
-            C1.update(action1.apply_set(g, U))
-        C2 = set()
-        for h in groups.ball(G2, s).elements:
-            C2.update(action2.apply_set(h, U))
-        gap12 = _cover_gap(C1, action2, U, s, gap_cap)
-        gap21 = _cover_gap(C2, action1, U, s, gap_cap)
+        gap12 = _cover_gap(struct1.index, struct2.index, s, gap_cap)
+        gap21 = _cover_gap(struct2.index, struct1.index, s, gap_cap)
         if gap12 is None or gap21 is None:
             return Certificate(
                 check="commuting-equivalence",
@@ -902,8 +897,8 @@ def commuting_equivalence(
         )
 
     slack = _mesh(space, U) + max(c1, c2) + 2
-    psi = _selection(action2, action1, U, x0, radius + slack, slack)
-    phi = _selection(action1, action2, U, x0, radius + slack, slack)
+    psi = _selection(action2, struct1.index, x0, radius + slack, slack)
+    phi = _selection(action1, struct2.index, x0, radius + slack, slack)
 
     struct_g1 = LeftGroupStructure(G1)
     struct_g2 = LeftGroupStructure(G2)
@@ -981,34 +976,31 @@ def commuting_equivalence(
     )
 
 
-def _cover_gap(C: set, other: Action, U: tuple, s: int, gap_cap: int) -> int | None:
-    """Least extra radius so translates of U under the other action cover C."""
-    cov: set = set()
-    for extra in range(gap_cap + 1):
-        target = s + extra
-        for h in groups.ball(other.group, target).elements:
-            cov.update(other.apply_set(h, U))
-        if C <= cov:
-            return extra
-    return None
+def _cover_gap(covers: _Covers, other: _Covers, s: int, gap_cap: int) -> int | None:
+    """Least extra <= gap_cap with Ball(s).U under one action inside
+    Ball(s + extra).U under the other, or None: the largest reach under the
+    other action over Ball(s).U, less s."""
+    gap = 0
+    for y in covers.points(s):
+        r = other.reach(y, s + gap_cap)
+        if r is None:
+            return None
+        gap = max(gap, r - s)
+    return gap
 
 
-def _selection(action_from: Action, action_to: Action, U: tuple, x0, table_radius: int, slack: int) -> dict:
-    """For each h in the domain ball, the least g with h^-1.x0 in g.U."""
-    Gf, Gt = action_from.group, action_to.group
+def _selection(action_from: Action, covers: _Covers, x0, table_radius: int, slack: int) -> dict:
+    """For each h in the domain ball, the first cover of h^-1.x0 within |h| + slack."""
+    Gf = action_from.group
     table = {}
     for h in groups.ball(Gf, table_radius).elements:
         p = action_from.apply(groups.invert(Gf, h), x0)
         search = groups.word_length(Gf, h) + slack
-        found = None
-        for g in groups.ball(Gt, search).elements:
-            if p in action_to.apply_set(g, U):
-                found = g
-                break
-        if found is None:
+        reach = covers.reach(p, search)
+        if reach is None:
             raise SearchFailureError(
                 f"no translate of U reaches {action_from.space.serialize(p)} "
                 f"within radius {search}"
             )
-        table[h] = found
+        table[h] = covers.covers(p, reach)[0]
     return table

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from coarsekit import groups
-from coarsekit.errors import MalformedElementError, WindowOverflowError
+from coarsekit.errors import MalformedElementError, SearchFailureError, WindowOverflowError
 from coarsekit.families import trace_stabilizes
 
 
@@ -301,6 +301,121 @@ def scan_bounded_neighborhood(struct, y, mesh: int) -> tuple:
     for g in groups.ball(G, mesh).elements:
         out.update(struct.action.apply(groups.multiply(G, g, f0), u) for u in struct.U)
     return tuple(sorted(out, key=struct.space.sort_key))
+
+
+# ---------------------------------------------------------------------------
+# translate-of-U questions by scanning the acting ball
+#
+# The package answers every "which h puts y in h.U" question from one index
+# per (action, U), grown one sphere at a time.  These are the loops it
+# replaced: each one applies the acting ball to U (or to x0) afresh.
+
+def scan_covered_by(action, U, radius: int, c: int) -> bool:
+    """window(r) inside Ball(r + c).U for every r <= radius."""
+    space = action.space
+    b = groups.ball(action.group, radius + c)
+    cov: set = set()
+    for s in range(radius + c + 1):
+        for g in b.sphere(s):
+            cov.update(action.apply_set(g, U))
+        r = s - c
+        if 0 <= r <= radius and not set(space.window(r)) <= cov:
+            return False
+    return True
+
+
+def scan_cobounded_constant(action, U, radius: int, c_cap: int):
+    for c in range(c_cap + 1):
+        if scan_covered_by(action, U, radius, c):
+            return c
+    return None
+
+
+def scan_orbit_constant(action, x0, radius: int, c_cap: int):
+    """Least c <= c_cap with window(r) inside Ball(r + c).x0 for every r <= radius."""
+    for c in range(c_cap + 1):
+        ok = True
+        for r in range(radius + 1):
+            orbit = {action.apply(g, x0) for g in groups.ball(action.group, r + c).elements}
+            if not set(action.space.window(r)) <= orbit:
+                ok = False
+                break
+        if ok:
+            return c
+    return None
+
+
+def scan_point_stabilizer(action, x0, radius: int) -> tuple:
+    """The g in Ball(radius) with g.x0 = x0, in ball order, and their size trace."""
+    b = groups.ball(action.group, radius)
+    stab, trace = [], {}
+    for r in range(radius + 1):
+        for g in b.sphere(r):
+            if action.apply(g, x0) == x0:
+                stab.append(g)
+        trace[r] = len(stab)
+    return tuple(stab), trace
+
+
+def scan_stabilizer_window(action, U, radius: int) -> tuple:
+    Uset = set(U)
+    b = groups.ball(action.group, radius)
+    hits = []
+    trace = {}
+    for r in range(radius + 1):
+        for g in b.sphere(r):
+            if Uset.intersection(action.apply_set(g, U)):
+                hits.append(g)
+        trace[r] = len(hits)
+    return tuple(hits), trace
+
+
+def scan_point_finite_trace(action, U, x, radius: int) -> dict:
+    b = groups.ball(action.group, radius)
+    trace = {}
+    count = 0
+    for r in range(radius + 1):
+        for g in b.sphere(r):
+            if x in action.apply_set(g, U):
+                count += 1
+        trace[r] = count
+    return trace
+
+
+def scan_cover_gap(action, other, U, s: int, gap_cap: int):
+    """Least extra <= gap_cap with Ball(s).U under action inside
+    Ball(s + extra).U under other, else None."""
+    C: set = set()
+    for g in groups.ball(action.group, s).elements:
+        C.update(action.apply_set(g, U))
+    cov: set = set()
+    for extra in range(gap_cap + 1):
+        for h in groups.ball(other.group, s + extra).elements:
+            cov.update(other.apply_set(h, U))
+        if C <= cov:
+            return extra
+    return None
+
+
+def scan_selection(action_from, action_to, U, x0, table_radius: int, slack: int) -> dict:
+    """For each h in the domain ball, the first g in ball order with h^-1.x0 in g.U."""
+    Gf, Gt = action_from.group, action_to.group
+    table = {}
+    for h in groups.ball(Gf, table_radius).elements:
+        p = action_from.apply(groups.invert(Gf, h), x0)
+        search = groups.word_length(Gf, h) + slack
+        found = None
+        for g in groups.ball(Gt, search).elements:
+            if p in action_to.apply_set(g, U):
+                found = g
+                break
+        if found is None:
+            raise SearchFailureError(
+                f"no translate of U reaches {action_from.space.serialize(p)} "
+                f"within radius {search}"
+            )
+        table[h] = found
+    return table
 
 
 # ---------------------------------------------------------------------------
