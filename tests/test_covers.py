@@ -46,10 +46,8 @@ ACTIONS = {
 }
 
 # ordered pairs of actions on one space, each action with itself included
-PAIRS = [
-    (a, b) for a, b in itertools.product(ACTIONS, repeat=2)
-    if ACTIONS[a]().space == ACTIONS[b]().space
-]
+SPACES = {name: make().space for name, make in ACTIONS.items()}
+PAIRS = [(a, b) for a, b in itertools.product(ACTIONS, repeat=2) if SPACES[a] == SPACES[b]]
 
 
 def sets_of(action) -> list:
