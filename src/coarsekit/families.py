@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from . import groups
 from .errors import PreconditionError, SpaceMismatchError
@@ -104,6 +104,14 @@ def trace_stabilizes(trace: dict, radius: int) -> bool:
     """True when the final ceil(radius/2) trace values are all equal."""
     tail = [trace[r] for r in range(radius - ceil_half(radius) + 1, radius + 1) if r in trace]
     return len(set(tail)) <= 1
+
+
+def entry_trace(entries, radius: int) -> dict:
+    """r -> how many of the radii ``entries`` are <= r, for r <= radius."""
+    fresh = [0] * (radius + 1)
+    for r in entries:
+        fresh[r] += 1
+    return dict(enumerate(accumulate(fresh)))
 
 
 def strictly_growing_suffix(trace: dict, radius: int) -> bool:

@@ -28,7 +28,7 @@ from .errors import (
     WindowOverflowError,
 )
 from .families import ParamFamily, image_family, trace_stabilizes
-from .spaces import GroupSpace
+from .spaces import GroupSpace, Preimages
 from .structures import CoarseStructure, membership_window
 
 DEFAULT_SOURCE_FACTOR = 2
@@ -51,6 +51,8 @@ class MapWindow:
         self.rule = rule
         self.source_factor = source_factor
         self.source_slack = source_slack
+        # each image value's preimages, in window order; grown on demand
+        self.fibres = Preimages(source.space, lambda x: (rule(x),))
 
     def source_radius(self, radius: int) -> int:
         return self.source_factor * radius + self.source_slack
@@ -222,18 +224,13 @@ def check_bornologous(
 
 def check_coarsely_proper(m: MapWindow, radius: int, meshes=(0, 1, 2)) -> Certificate:
     """Do preimages of bounded target test sets stop growing with the window?"""
-    base_points = dict.fromkeys(m.rule(x) for x in m.source.space.window(1))
+    fibres = m.fibres
     traces = {}
-    for y in base_points:
+    for y in fibres.image(1):
         for mesh in meshes:
             U = set(m.target.bounded_neighborhood(y, mesh))
             tag = f"nbhd({m.target.space.serialize(y)},{mesh})"
-            trace = {}
-            count = 0
-            for r in range(radius + 1):
-                count += sum(1 for x in m.source.space.sphere(r) if m.rule(x) in U)
-                trace[r] = count
-            traces[tag] = trace
+            traces[tag] = trace = fibres.trace(U, radius)
             if not trace_stabilizes(trace, radius):
                 return Certificate(
                     check="coarsely-proper",
@@ -282,19 +279,11 @@ def check_close(m1: MapWindow, m2: MapWindow, radius: int) -> Certificate:
     )
 
 
-def _full_index(m: MapWindow, source_radius: int) -> dict:
-    """Image value -> its source preimages, in canonical source order."""
-    index: dict = {}
-    for x in m.source.space.window(source_radius):
-        index.setdefault(m.rule(x), []).append(x)
-    return index
-
-
 def _preimage_family(m: MapWindow, pf: ParamFamily, source_radius: int) -> ParamFamily:
-    index = _full_index(m, source_radius)
+    fibre = m.fibres.get
 
     def grow(r: int):
-        return ([x for y in mem for x in index.get(y, ())] for mem in pf.delta(r))
+        return ([x for y in mem for x in fibre(y, source_radius)] for mem in pf.delta(r))
 
     return ParamFamily(tag=f"pre({pf.tag})", space=m.source.space, grow=grow)
 
@@ -324,8 +313,7 @@ def surjective_equivalence_check(
     if cover_distance < 0:
         raise InvalidRadiusError(f"cover distance must be >= 0, got {cover_distance}")
     source_radius = m.source_radius(radius)
-    # image value -> least source preimage
-    index = {y: xs[0] for y, xs in _full_index(m, source_radius).items()}
+    fibres = m.fibres
     window = target_window(radius) if target_window else m.target.space.window(radius)
 
     selection: dict = {}
@@ -335,8 +323,9 @@ def surjective_equivalence_check(
         # nearer covered points win; canonical order only breaks ties
         for d in range(cover_distance + 1):
             for z in _neighborhood(m.target, y, d):
-                if z in index:
-                    cands.append(index[z])
+                xs = fibres.get(z, source_radius)
+                if xs:
+                    cands.append(xs[0])
             if cands:
                 break
         if not cands:
@@ -454,9 +443,9 @@ def pullback_structure_equality(
     if spec1.space != m.target.space or spec2.space != m.target.space:
         raise SpaceMismatchError("both structures must live on the map target")
     source_radius = m.source_radius(radius)
-    index = _full_index(m, source_radius)
+    covered = m.fibres.reach
     for y in m.target.space.window(radius):
-        if y not in index:
+        if covered(y, source_radius) is None:
             raise SurjectivityError(
                 m.target.space.serialize(y),
                 f"{m.name} is not onto the window: {m.target.space.serialize(y)} uncovered",
@@ -470,11 +459,7 @@ def pullback_structure_equality(
             # round trip through preimages: f(f^-1(B)) must reproduce B
             fam = pf.at(radius)
             for mem in fam.members:
-                back = set()
-                for y in mem:
-                    if y in index:
-                        back.add(y)
-                if back != set(mem):
+                if any(covered(y, source_radius) is None for y in mem):
                     raise WindowOverflowError(
                         f"member of {pf.tag} leaves the covered window at radius {radius}"
                     )

@@ -30,7 +30,7 @@ from .families import (
     trace_stabilizes,
     translate_pair_family,
 )
-from .spaces import GroupSpace
+from .spaces import GroupSpace, Preimages
 
 
 class CoarseStructure:
@@ -165,22 +165,18 @@ class PullbackStructure(CoarseStructure):
         self.space = space
         self.source_slack = source_slack
         self.label = label or f"pullback({source.label})"
-        self._image_cache: dict = {}
+        self._fibres = Preimages(source.space, lambda x: (rule(x),))
 
     def witness_group(self) -> groups.GroupSpec:
         return self.source.witness_group()
 
-    def _image(self, x):
-        if x not in self._image_cache:
-            self._image_cache[x] = self.rule(x)
-        return self._image_cache[x]
-
     def preimage_member(self, member) -> tuple:
-        target = set(member)
+        """The points of the source window over ``member``, in window order;
+        the window reaches source_slack past the member's extent."""
         radius = max((self.space.extent(y) for y in member), default=0) + self.source_slack
-        src_space = self.source.space
-        hits = [x for x in src_space.window(radius) if self._image(x) in target]
-        return tuple(sorted(hits, key=src_space.sort_key))
+        fibre = self._fibres.get
+        hits = [x for y in set(member) for x in fibre(y, radius)]
+        return tuple(sorted(hits, key=self.source.space.sort_key))
 
     def _compute_contribution(self, member):
         return self.source.member_contribution(self.preimage_member(member))
@@ -194,13 +190,13 @@ class PullbackStructure(CoarseStructure):
         x0 = pre[0]
         nb = set()
         for w in self.source.bounded_neighborhood(x0, mesh):
-            nb.add(self._image(w))
+            nb.add(self.rule(w))
         return tuple(sorted(nb, key=self.space.sort_key))
 
     def default_battery(self, seed: int = 0, n_random: int = 32) -> list:
         out = []
         for pf in self.source.default_battery(seed=seed, n_random=n_random):
-            out.append(image_family(pf, self._image, self.space, tag=f"push({pf.tag})"))
+            out.append(image_family(pf, self.rule, self.space, tag=f"push({pf.tag})"))
         return out
 
 

@@ -16,7 +16,7 @@ data:
 
   (1)  u^-1 * v in F         implies  beta(u)^-1 * beta(v) in c(F)
   (2)  beta(u)^-1 * beta(v) in F  implies  u^-1 * v in d(F)
-  (3)  Ball_H(r - mesh(E)) is covered by beta(Ball_G(r)).E
+  (3)  beta(1).Ball_H(r - mesh(E)) is covered by beta(Ball_G(r)).E
 
 plus a pinned value at the identity.  Tables can be padded with extra
 admissible displacements; enumeration then counts every table the
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from . import groups
 from .errors import CoverFailureError, PreconditionError, ResourceLimitError, WindowOverflowError
-from .families import trace_stabilizes
+from .families import entry_trace, trace_stabilizes
 from .maps import Certificate, MapWindow, check_bornologous, check_coarsely_proper
 
 DEFAULT_COVER_CAP = 64
@@ -133,29 +133,23 @@ def _c_set(alpha: MapWindow, F: tuple, src_radius: int) -> tuple:
 
 
 def _d_set(alpha: MapWindow, F: tuple, src_radius: int) -> tuple:
-    """d(F) with its size trace: source displacements whose image lands in F."""
+    """d(F) with its size trace: source displacements whose image lands in F.
+
+    For u in the source ball and f in F, the v with alpha(v) = alpha(u)*f
+    come from the map's fibres.  The pair (u, v) enters the window at
+    max(|u|, |v|), so each value u^-1*v is booked at the least such radius."""
     G = alpha.source.space.spec
-    H = alpha.target.space.spec
-    mul_g, inv_g, mul_h, inv_h = G.mul, G.inv, H.mul, H.inv
-    b = groups.ball(G, src_radius)
-    Fset = set(F)
-    images = {u: alpha(u) for u in b.elements}
-    vals: set = set()
-    trace: dict = {}
-    seen: list = []
-    for r in range(src_radius + 1):
-        fresh = list(b.sphere(r))
-        for u in fresh:
-            iau = inv_h(images[u])
-            iu = inv_g(u)
-            for v in seen + fresh:
-                if mul_h(iau, images[v]) in Fset:
-                    vals.add(mul_g(iu, v))
-                if mul_h(inv_h(images[v]), images[u]) in Fset:
-                    vals.add(mul_g(inv_g(v), u))
-        seen += fresh
-        trace[r] = len(vals)
-    return groups.canonical_sorted(G, vals), trace
+    mul_g, inv_g, length, mul_h = G.mul, G.inv, G.length, alpha.target.space.spec.mul
+    fibre = alpha.fibres.get
+    enters: dict = {}  # value -> the least radius of a pair giving it
+    for u in groups.ball(G, src_radius).elements:
+        au, iu, lu = alpha(u), inv_g(u), length(u)
+        for f in F:
+            for v in fibre(mul_h(au, f), src_radius):
+                w, r = mul_g(iu, v), max(lu, length(v))
+                if enters.get(w, r) >= r:
+                    enters[w] = r
+    return groups.canonical_sorted(G, enters), entry_trace(enters.values(), src_radius)
 
 
 def compute_transfer_sets(alpha: MapWindow, F, radius: int, verify: bool = True) -> dict:
@@ -199,13 +193,11 @@ def compute_cover_constant(alpha: MapWindow, radius: int, cap: int = DEFAULT_COV
     mul = H.mul
     inv_images = [H.inv(alpha(u)) for u in groups.ball(G, alpha.source_radius(radius)).elements]
     E: list = []
-    Eset: set = set()
     for y in groups.ball(H, radius).elements:
-        diffs = groups.canonical_sorted(H, [mul(iimg, y) for iimg in inv_images])
-        if any(d in Eset for d in diffs):
+        diffs = {mul(iimg, y) for iimg in inv_images}
+        if not diffs.isdisjoint(E):
             continue
-        E.append(diffs[0])
-        Eset.add(diffs[0])
+        E.append(min(diffs, key=lambda d: groups.sort_key(H, d)))
         if len(E) > cap:
             raise CoverFailureError(
                 f"{alpha.name}: cover set exceeded {cap} elements at radius {radius}"
@@ -277,8 +269,8 @@ def beta_window_check(
 
     ``pin`` is the required value at the source identity (the map's own
     value by default).  Reports a verdict per condition with the first
-    violating pair; the cover condition compares the shrunk target ball
-    against beta(ball).E."""
+    violating pair; the cover condition compares the shrunk target ball,
+    centred at beta(1), against beta(ball).E."""
     G, H = td.source_spec, td.target_spec
     mul_g, inv_g, mul_h, inv_h = G.mul, G.inv, H.mul, H.inv
     one = G.identity()
@@ -326,7 +318,9 @@ def beta_window_check(
                 for e in td.cover:
                     reach.add(mul_h(beta[x], e))
             if radius - mesh >= 0:
+                centre = beta[one]
                 for w in groups.ball(H, radius - mesh).elements:
+                    w = mul_h(centre, w)
                     if w not in reach:
                         failures.append({"condition": "cover", "point": H.serialize(w)})
                         break

@@ -419,6 +419,84 @@ def scan_selection(action_from, action_to, U, x0, table_radius: int, slack: int)
 
 
 # ---------------------------------------------------------------------------
+# preimage questions by scanning the source window
+#
+# The package answers every "which x map to y" question from one fibre index
+# per map or pullback structure, grown one sphere at a time.  These are the
+# loops it replaced: each one applies the rule to a whole window afresh.
+
+def scan_full_index(m, source_radius: int) -> dict:
+    """Image value -> its preimages in window(source_radius), in window order."""
+    index: dict = {}
+    for x in m.source.space.window(source_radius):
+        index.setdefault(m.rule(x), []).append(x)
+    return index
+
+
+def scan_preimage_member(struct, member) -> tuple:
+    """The points of the source window over member, the window reaching
+    source_slack past the member's extent."""
+    target = set(member)
+    radius = max((struct.space.extent(y) for y in member), default=0) + struct.source_slack
+    src_space = struct.source.space
+    hits = [x for x in src_space.window(radius) if struct.rule(x) in target]
+    return tuple(sorted(hits, key=src_space.sort_key))
+
+
+def scan_proper_trace(m, U, radius: int) -> dict:
+    """r -> how many x in the source window(r) have m(x) in U."""
+    U = set(U)
+    trace = {}
+    count = 0
+    for r in range(radius + 1):
+        count += sum(1 for x in m.source.space.sphere(r) if m.rule(x) in U)
+        trace[r] = count
+    return trace
+
+
+def ref_d_set(alpha, F, src_radius: int) -> tuple:
+    """d(F) with its size trace, testing every pair of the source ball."""
+    G = alpha.source.space.spec
+    H = alpha.target.space.spec
+    b = groups.ball(G, src_radius)
+    Fset = set(F)
+    images = {u: alpha.rule(u) for u in b.elements}
+    vals: set = set()
+    trace: dict = {}
+    seen: list = []
+    for r in range(src_radius + 1):
+        fresh = list(b.sphere(r))
+        for u in fresh:
+            for v in seen + fresh:
+                if groups.multiply(H, groups.invert(H, images[u]), images[v]) in Fset:
+                    vals.add(groups.multiply(G, groups.invert(G, u), v))
+                if groups.multiply(H, groups.invert(H, images[v]), images[u]) in Fset:
+                    vals.add(groups.multiply(G, groups.invert(G, v), u))
+        seen += fresh
+        trace[r] = len(vals)
+    return groups.canonical_sorted(G, vals), trace
+
+
+def ref_c_set(alpha, F, src_radius: int) -> tuple:
+    """c(F) with its size trace, testing every pair (u, v) with u in the
+    source ball and v within max |f| of it; a value enters at |u|."""
+    G = alpha.source.space.spec
+    H = alpha.target.space.spec
+    reach = max(groups.word_length(G, f) for f in F)
+    b = groups.ball(G, src_radius)
+    Fset = set(F)
+    vals: set = set()
+    trace: dict = {}
+    for r in range(src_radius + 1):
+        for u in b.sphere(r):
+            for v in groups.ball(G, r + reach).elements:
+                if groups.multiply(G, groups.invert(G, u), v) in Fset:
+                    vals.add(groups.multiply(H, groups.invert(H, alpha.rule(u)), alpha.rule(v)))
+        trace[r] = len(vals)
+    return groups.canonical_sorted(H, vals), trace
+
+
+# ---------------------------------------------------------------------------
 # element arithmetic by string-kind dispatch
 #
 # The package binds one set of closures per GroupSpec.  These are the

@@ -194,6 +194,16 @@ class TestSelfMapTargets:
         assert json.loads(out)["checks"] == json.loads(out_t)["checks"]
 
 
+class TestGromov:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("k", [1, -1, 2, -2, 3, -3])
+    def test_translations_pass_at_every_radius(self, side, k):
+        # an isometry's own table covers the target ball about its value at 1
+        for radius in (4, 6, 8):
+            code, out = run_cli(["gromov", "--map", f"translate-{side}:{k}", "--radius", str(radius)])
+            assert code == 0, (radius, json.loads(out)["checks"][1]["data"]["failures"])
+
+
 class TestErrors:
     def test_unknown_group_exits_2(self):
         code, out = run_cli(["fc", "--group", "Sym(3)"])

@@ -16,8 +16,7 @@ from coarsekit import groups
 from coarsekit.actions import (
     _cover_constant,
     _cover_gap,
-    _Covers,
-    _length_trace,
+    _cover_index,
     _selection,
     identity_hom,
     inclusion_hom,
@@ -62,20 +61,20 @@ def test_cover_constant_matches_scan(name):
     for U in sets_of(action):
         for cap in range(5):
             expect = oracles.scan_cobounded_constant(action, U, RADIUS, cap)
-            assert _cover_constant(_Covers(action, U), RADIUS, cap) == expect, (U, cap)
+            assert _cover_constant(action.space, _cover_index(action, U), RADIUS, cap) == expect, (U, cap)
 
 
 @pytest.mark.parametrize("name", list(ACTIONS))
 def test_orbit_constant_and_point_stabilizer_match_scan(name):
     action = ACTIONS[name]()
     for x0 in action.space.window(1)[:3]:
-        orbit = _Covers(action, (x0,))
+        orbit = _cover_index(action, (x0,))
         stab, trace = oracles.scan_point_stabilizer(action, x0, RADIUS)
-        assert orbit.covers(x0, RADIUS) == stab, x0
-        assert _length_trace(action.group, stab, RADIUS) == trace, x0
+        assert orbit.get(x0, RADIUS) == stab, x0
+        assert orbit.trace((x0,), RADIUS) == trace, x0
         for cap in range(5):
             expect = oracles.scan_orbit_constant(action, x0, RADIUS, cap)
-            assert _cover_constant(orbit, RADIUS, cap) == expect, (x0, cap)
+            assert _cover_constant(action.space, orbit, RADIUS, cap) == expect, (x0, cap)
 
 
 @pytest.mark.parametrize("name", list(ACTIONS))
@@ -94,7 +93,7 @@ def test_cover_gap_matches_scan(first, second):
     action, other = ACTIONS[first](), ACTIONS[second]()
     for U in sets_of(action):
         # one pair of indexes serves every scale and cap, as in commuting_equivalence
-        covers, other_covers = _Covers(action, U), _Covers(other, U)
+        covers, other_covers = _cover_index(action, U), _cover_index(other, U)
         for s in range(RADIUS + 1):
             for gap_cap in (0, 3):
                 expect = oracles.scan_cover_gap(action, other, U, s, gap_cap)
@@ -113,7 +112,7 @@ def test_selection_matches_scan(first, second):
     action_from, action_to = ACTIONS[first](), ACTIONS[second]()
     x0 = action_from.space.window(0)[0]
     for U in sets_of(action_from):
-        covers = _Covers(action_to, U)
+        covers = _cover_index(action_to, U)
         for slack in (1, 3):
             expect = _outcome(
                 lambda: oracles.scan_selection(action_from, action_to, U, x0, RADIUS, slack)
@@ -125,4 +124,4 @@ def test_selection_names_the_uncovered_point():
     # 2n + 0 misses every odd integer
     to_even = ACTIONS["left(Z via 2n)"]()
     with pytest.raises(SearchFailureError, match="reaches -1 within radius 2"):
-        _selection(ACTIONS["left(Z)"](), _Covers(to_even, (0,)), 0, RADIUS, 1)
+        _selection(ACTIONS["left(Z)"](), _cover_index(to_even, (0,)), 0, RADIUS, 1)

@@ -80,20 +80,20 @@ def test_covers_past_the_acting_ball():
             expect = oracles.scan_bounded_neighborhood(struct, m[0], mesh)
             assert struct.bounded_neighborhood(m[0], mesh) == expect
     top = RADIUS + 2
-    struct.index.covers(0, top)
+    struct.index.get(0, top)
     for y in struct.space.window(2):
         for r in range(top + 1):
-            assert struct.index.covers(y, r) == oracles.scan_covers(struct, y, r), (y, r)
+            assert struct.index.get(y, r) == oracles.scan_covers(struct, y, r), (y, r)
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_covers_are_the_scan_prefix(name):
     make, U = CASES[name]
     struct, _ = induced_structure_second(make(), U, RADIUS)
-    struct.index.covers(struct.space.window(0)[0], RADIUS + 2)  # grow the index past every radius below
+    struct.index.get(struct.space.window(0)[0], RADIUS + 2)  # grow the index past every radius below
     for y in struct.space.window(RADIUS):
         for r in range(RADIUS + 3):
-            assert struct.index.covers(y, r) == oracles.scan_covers(struct, y, r), (y, r)
+            assert struct.index.get(y, r) == oracles.scan_covers(struct, y, r), (y, r)
 
 
 @pytest.mark.parametrize("name", list(CASES))

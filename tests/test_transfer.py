@@ -116,6 +116,20 @@ class TestBetaWindowCheck:
         assert conditions["c"] == "FAIL"
         assert conditions["d"] == "FAIL"
 
+    def test_quadrupling_table_fails_cover(self, doubling_data):
+        cert = beta_window_check(doubling_data, {n: 4 * n for n in range(-4, 5)}, 4)
+        assert cert.data["conditions"]["cover"] == "FAIL"
+
+    def test_verdicts_survive_postcomposition(self, identity_data):
+        # h.beta covers the ball about h*beta(1) exactly as beta covers the one about beta(1)
+        own = {n: n for n in range(-2, 3)}
+        expect = beta_window_check(identity_data, own, 2).data["conditions"]
+        assert set(expect.values()) == {"PASS"}
+        for h in groups.ball(groups.Z, 2).elements:
+            moved = act_target(identity_data, h, own)
+            cert = beta_window_check(identity_data, moved, 2, pin=moved[0])
+            assert cert.data["conditions"] == expect, h
+
 
 class TestEnumeration:
     def test_doubling_is_rigid(self, doubling_data):
