@@ -54,6 +54,9 @@ from .structures import (
 )
 
 ACTION_LAW_DEPTH = 3
+COVER_CONSTANT_CAP = 4  # the greatest cover constant the cobounded and orbit checks try
+COBOUNDED_MESH_CAP = 4  # the greatest mesh of a ball the cobounded search tries as U
+CONTROLLED_ROUTE_RADIUS = 6  # the greatest radius of the controlled-set route
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +98,14 @@ class Action:
     def apply_set(self, g, S) -> frozenset:
         return frozenset(self.apply(g, x) for x in S)
 
-    def validate(self, depth: int = ACTION_LAW_DEPTH) -> None:
+    def validate(self) -> None:
         """Check the left action law on a small window."""
         ident = self.group.identity()
-        pts = list(self.space.window(depth))
+        pts = list(self.space.window(ACTION_LAW_DEPTH))
         for x in pts:
             if self.apply(ident, x) != x:
                 raise PreconditionError(f"{self.name}: identity does not act trivially on {x!r}")
-        elems = groups.ball(self.group, depth).elements
+        elems = groups.ball(self.group, ACTION_LAW_DEPTH).elements
         for g1 in elems:
             for g2 in elems:
                 g12 = groups.multiply(self.group, g1, g2)
@@ -433,7 +436,6 @@ def uniformly_bornologous_action_check(
     battery: list | None = None,
     seed: int = 0,
     n_random: int = 8,
-    route_b_radius: int | None = None,
 ) -> Certificate:
     """Are all translates of bounded families still bounded?
 
@@ -451,7 +453,7 @@ def uniformly_bornologous_action_check(
     if action.space != struct.space:
         raise SpaceMismatchError("action and structure live on different spaces")
     battery = battery if battery is not None else struct.default_battery(seed=seed, n_random=n_random)
-    rb = route_b_radius if route_b_radius is not None else min(radius, 6)
+    rb = min(radius, CONTROLLED_ROUTE_RADIUS)
     results = {}
     for pf in battery:
         base = membership_window(struct, pf, radius)
@@ -505,18 +507,13 @@ def uniformly_bornologous_action_check(
 # ---------------------------------------------------------------------------
 # coboundedness
 
-def cobounded_check(
-    action: Action,
-    radius: int,
-    U: tuple | None = None,
-    mesh_cap: int = 4,
-    c_cap: int = 4,
-) -> Certificate:
+def cobounded_check(action: Action, radius: int, U: tuple | None = None) -> Certificate:
     """Search (or verify) a bounded U with window(r) inside Ball(r+c).U.
 
-    Search mode walks meshes 0..mesh_cap, takes the first metric ball that
-    covers with some constant c <= c_cap, then greedily prunes it from the
-    largest element down, keeping the covering property.  A PASS whose U has
+    Search mode walks meshes 0..COBOUNDED_MESH_CAP, takes the first metric
+    ball that covers with some constant c <= COVER_CONSTANT_CAP, then
+    greedily prunes it from the largest element down, keeping the covering
+    property.  A PASS whose U has
     mesh above radius/2 raises WindowTooSmallError: such a U fills the
     window, so it covers under any action, the trivial one included."""
     space = action.space
@@ -537,24 +534,24 @@ def cobounded_check(
 
     if U is not None:
         U = tuple(sorted(set(U), key=space.sort_key))
-        c = _cover_constant(space, _cover_index(action, U), radius, c_cap)
+        c = _cover_constant(space, _cover_index(action, U), radius, COVER_CONSTANT_CAP)
         if c is None:
             return Certificate(
                 check="cobounded",
                 verdict="FAIL",
                 radius=radius,
                 data={"action": action.name, "U": [space.serialize(u) for u in U],
-                      "note": f"window not covered with constant <= {c_cap}"},
+                      "note": f"window not covered with constant <= {COVER_CONSTANT_CAP}"},
             )
         return passed(U, _mesh(space, U), c)
 
     base = space.window(0)[0]
-    for mesh in range(mesh_cap + 1):
+    for mesh in range(COBOUNDED_MESH_CAP + 1):
         if isinstance(space, GroupSpace):
             Ucand = space.ball_about(base, mesh, side="left")
         else:
             Ucand = space.window(mesh)
-        c = _cover_constant(space, _cover_index(action, Ucand), radius, c_cap)
+        c = _cover_constant(space, _cover_index(action, Ucand), radius, COVER_CONSTANT_CAP)
         if c is None:
             continue
         # prune, largest elements first, keeping the same constant
@@ -571,19 +568,15 @@ def cobounded_check(
         verdict="FAIL",
         radius=radius,
         data={"action": action.name,
-              "note": f"no covering bounded set with mesh <= {mesh_cap}, constant <= {c_cap}"},
+              "note": f"no covering bounded set with mesh <= {COBOUNDED_MESH_CAP}, "
+                      f"constant <= {COVER_CONSTANT_CAP}"},
     )
 
 
 # ---------------------------------------------------------------------------
 # induced structures
 
-def induced_structure_first(
-    action: Action,
-    x0,
-    radius: int,
-    c_cap: int = 4,
-) -> tuple[PullbackStructure, Certificate]:
+def induced_structure_first(action: Action, x0, radius: int) -> tuple[PullbackStructure, Certificate]:
     """Pull the left structure of the acting group through g -> g.x0.
 
     Needs the orbit of x0 to cover the window (within a constant) and the
@@ -600,7 +593,7 @@ def induced_structure_first(
         )
     stab_extent = max((groups.word_length(G, g) for g in stab), default=0)
 
-    cover_c = _cover_constant(action.space, orbit, radius, c_cap)
+    cover_c = _cover_constant(action.space, orbit, radius, COVER_CONSTANT_CAP)
     if cover_c is None:
         raise PreconditionError(
             f"{action.name}: orbit of {action.space.serialize(x0)} does not cover the window"

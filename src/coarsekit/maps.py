@@ -33,6 +33,8 @@ from .structures import CoarseStructure, membership_window
 
 DEFAULT_SOURCE_FACTOR = 2
 DEFAULT_SOURCE_SLACK = 2
+# the metric neighborhoods nbhd(y, mesh) whose preimages the properness check reads
+PROPER_TEST_MESHES = (0, 1, 2)
 
 
 class MapWindow:
@@ -191,14 +193,12 @@ def table_map(name: str, source: CoarseStructure, target: CoarseStructure, table
 def check_bornologous(
     m: MapWindow,
     radius: int,
-    battery: list | None = None,
     seed: int = 0,
     n_random: int = 32,
 ) -> Certificate:
     """Do images of bounded families stay bounded in the target?"""
-    battery = battery if battery is not None else m.source.default_battery(seed=seed, n_random=n_random)
     results = {}
-    for pf in battery:
+    for pf in m.source.default_battery(seed=seed, n_random=n_random):
         src_res = membership_window(m.source, pf, radius)
         if not src_res.bounded:
             raise PreconditionError(
@@ -222,12 +222,12 @@ def check_bornologous(
     )
 
 
-def check_coarsely_proper(m: MapWindow, radius: int, meshes=(0, 1, 2)) -> Certificate:
+def check_coarsely_proper(m: MapWindow, radius: int) -> Certificate:
     """Do preimages of bounded target test sets stop growing with the window?"""
     fibres = m.fibres
     traces = {}
     for y in fibres.image(1):
-        for mesh in meshes:
+        for mesh in PROPER_TEST_MESHES:
             U = set(m.target.bounded_neighborhood(y, mesh))
             tag = f"nbhd({m.target.space.serialize(y)},{mesh})"
             traces[tag] = trace = fibres.trace(U, radius)

@@ -8,6 +8,11 @@ window of radius R collects two displacement tables:
 * d(F), for finite F in the target: the source displacements u^-1 * v
   over pairs whose image displacement alpha(u)^-1 * alpha(v) lies in F.
 
+Each value is booked at the least radius of a pair giving it, which
+yields the size trace of the set.  A pair related through F is related
+through one f in F, so c(F) is the union of the c({f}) over f in F, and
+d(F) that of the d({f}), each value at its least radius over them.
+
 A greedy pass over the target ball produces a finite cover set E with
 Ball_H(R) inside alpha(Ball_G(R')).E.
 
@@ -18,8 +23,8 @@ data:
   (2)  beta(u)^-1 * beta(v) in F  implies  u^-1 * v in d(F)
   (3)  beta(1).Ball_H(r - mesh(E)) is covered by beta(Ball_G(r)).E
 
-plus a pinned value at the identity.  Tables can be padded with extra
-admissible displacements; enumeration then counts every table the
+plus a pinned value at the identity.  The c table can be padded with
+extra admissible displacements; enumeration then counts every table the
 padded data allows under (1) and (2), by depth-first search along
 geodesics.
 
@@ -28,6 +33,8 @@ domain), the target group by postcomposition; the two actions commute.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from . import groups
 from .errors import CoverFailureError, PreconditionError, ResourceLimitError, WindowOverflowError
@@ -75,18 +82,13 @@ class TransferData:
     def cover_mesh(self) -> int:
         return max((groups.word_length(self.target_spec, e) for e in self.cover), default=0)
 
-    def padded(self, c_extra: dict | None = None, d_extra: dict | None = None) -> "TransferData":
-        """New data with extra admissible displacements merged per key."""
-        G, H = self.source_spec, self.target_spec
+    def padded(self, c_extra: dict) -> "TransferData":
+        """New data with extra admissible c displacements merged per key."""
         c_table = dict(self.c_table)
-        for key, vals in (c_extra or {}).items():
+        for key, vals in c_extra.items():
             key = frozenset(key)
-            c_table[key] = groups.canonical_sorted(H, tuple(c_table.get(key, ())) + tuple(vals))
-        d_table = dict(self.d_table)
-        for key, vals in (d_extra or {}).items():
-            key = frozenset(key)
-            d_table[key] = groups.canonical_sorted(G, tuple(d_table.get(key, ())) + tuple(vals))
-        return TransferData(self.alpha, self.radius, c_table, d_table, self.cover)
+            c_table[key] = groups.canonical_sorted(self.target_spec, (*c_table.get(key, ()), *vals))
+        return TransferData(self.alpha, self.radius, c_table, self.d_table, self.cover)
 
     def to_json(self) -> dict:
         G, H = self.source_spec, self.target_spec
@@ -115,74 +117,81 @@ def _require_coarse(alpha: MapWindow, radius: int) -> None:
         raise PreconditionError(f"{alpha.name}: transfer data needs a coarsely proper map")
 
 
-def _c_set(alpha: MapWindow, F: tuple, src_radius: int) -> tuple:
-    """c(F) with its size trace: target displacements over F-related pairs."""
+def _c_singletons(alpha: MapWindow, pool, src_radius: int) -> dict:
+    """f -> {value: least radius} of c({f}) for every f in the pool.
+
+    One pass over the source ball reads alpha(u) once per u; the pair
+    (u, u*f) enters the window at |u|, and the spheres come in order of
+    radius, so the first radius booked for a value is its least."""
     G = alpha.source.space.spec
     H = alpha.target.space.spec
     mul_g, mul_h, inv_h = G.mul, H.mul, H.inv
     b = groups.ball(G, src_radius)
-    vals: set = set()
-    trace: dict = {}
+    tables = {f: {} for f in pool}
     for r in range(src_radius + 1):
         for u in b.sphere(r):
             iau = inv_h(alpha(u))
-            for f in F:
-                vals.add(mul_h(iau, alpha(mul_g(u, f))))
-        trace[r] = len(vals)
-    return groups.canonical_sorted(H, vals), trace
+            for f, enters in tables.items():
+                enters.setdefault(mul_h(iau, alpha(mul_g(u, f))), r)
+    return tables
 
 
-def _d_set(alpha: MapWindow, F: tuple, src_radius: int) -> tuple:
-    """d(F) with its size trace: source displacements whose image lands in F.
+def _d_singletons(alpha: MapWindow, pool, src_radius: int) -> dict:
+    """f -> {value: least radius} of d({f}) for every f in the pool.
 
-    For u in the source ball and f in F, the v with alpha(v) = alpha(u)*f
-    come from the map's fibres.  The pair (u, v) enters the window at
-    max(|u|, |v|), so each value u^-1*v is booked at the least such radius."""
+    For u in the source ball, the v with alpha(v) = alpha(u)*f come from
+    the map's fibres.  The pair (u, v) enters the window at max(|u|, |v|),
+    so each value u^-1*v is booked at the least such radius."""
     G = alpha.source.space.spec
     mul_g, inv_g, length, mul_h = G.mul, G.inv, G.length, alpha.target.space.spec.mul
     fibre = alpha.fibres.get
-    enters: dict = {}  # value -> the least radius of a pair giving it
+    tables = {f: {} for f in pool}
     for u in groups.ball(G, src_radius).elements:
         au, iu, lu = alpha(u), inv_g(u), length(u)
-        for f in F:
+        for f, enters in tables.items():
             for v in fibre(mul_h(au, f), src_radius):
                 w, r = mul_g(iu, v), max(lu, length(v))
                 if enters.get(w, r) >= r:
                     enters[w] = r
-    return groups.canonical_sorted(G, enters), entry_trace(enters.values(), src_radius)
+    return tables
 
 
-def compute_transfer_sets(alpha: MapWindow, F, radius: int, verify: bool = True) -> dict:
+def _union(tables: dict, key) -> dict:
+    """value -> least radius over the singleton tables of the key's elements."""
+    enters: dict = {}
+    for f in key:
+        for w, r in tables[f].items():
+            if enters.get(w, r) >= r:
+                enters[w] = r
+    return enters
+
+
+def compute_transfer_sets(alpha: MapWindow, F, radius: int) -> dict:
     """Both displacement sets of one key, with their stabilization traces.
 
-    The key is read in the source for c and in the target for d; the d
-    half is omitted when the key does not consist of target elements."""
+    The key is read in the source for c and in the target for d; a half
+    is omitted when the key does not consist of elements of its group."""
     G = alpha.source.space.spec
     H = alpha.target.space.spec
-    if verify:
-        _require_coarse(alpha, radius)
+    _require_coarse(alpha, radius)
     src_radius = alpha.source_radius(radius)
-    c_key = groups.canonical_sorted(G, F)
-    c_vals, c_trace = _c_set(alpha, c_key, src_radius)
-    rec = {
-        "key": c_key,
-        "c": c_vals,
-        "c_trace": c_trace,
-        "c_stable": trace_stabilizes(c_trace, src_radius),
-        "d": None,
-        "d_trace": {},
-        "d_stable": None,
-    }
-    if all(_element_of(H, f) for f in F):
-        d_key = groups.canonical_sorted(H, F)
-        d_vals, d_trace = _d_set(alpha, d_key, src_radius)
-        rec["d"] = d_vals
-        rec["d_trace"] = d_trace
-        rec["d_stable"] = trace_stabilizes(d_trace, src_radius)
+    rec: dict = {"key": None}
+    # (half, group of the key, group of the values, singleton tables)
+    for half, keyed, valued, singletons in (("c", G, H, _c_singletons), ("d", H, G, _d_singletons)):
+        vals, trace, stable = None, {}, None
+        if all(_element_of(keyed, f) for f in F):
+            key = groups.canonical_sorted(keyed, F)
+            if rec["key"] is None:
+                rec["key"] = key
+            enters = _union(singletons(alpha, key, src_radius), key)
+            vals = groups.canonical_sorted(valued, enters)
+            trace = entry_trace(enters.values(), src_radius)
+            stable = trace_stabilizes(trace, src_radius)
+        rec.update({half: vals, f"{half}_trace": trace, f"{half}_stable": stable})
     return rec
 
 
-def compute_cover_constant(alpha: MapWindow, radius: int, cap: int = DEFAULT_COVER_CAP) -> tuple:
+def compute_cover_constant(alpha: MapWindow, radius: int) -> tuple:
     """Greedy finite E with the target ball inside alpha(source ball).E.
 
     Walks the target ball in canonical order; an uncovered point y
@@ -198,9 +207,9 @@ def compute_cover_constant(alpha: MapWindow, radius: int, cap: int = DEFAULT_COV
         if not diffs.isdisjoint(E):
             continue
         E.append(min(diffs, key=lambda d: groups.sort_key(H, d)))
-        if len(E) > cap:
+        if len(E) > DEFAULT_COVER_CAP:
             raise CoverFailureError(
-                f"{alpha.name}: cover set exceeded {cap} elements at radius {radius}"
+                f"{alpha.name}: cover set exceeded {DEFAULT_COVER_CAP} elements at radius {radius}"
             )
     return groups.canonical_sorted(H, E)
 
@@ -211,46 +220,31 @@ def default_key_battery(spec: groups.GroupSpec, extended: bool = False) -> list:
     keys = [frozenset({spec.identity()})]
     keys += [frozenset({s}) for s in spec.generators()]
     if extended:
-        from itertools import combinations
-
         pool = groups.ball(spec, 2).elements
         for size in (1, 2, 3):
             for combo in combinations(pool, size):
                 keys.append(frozenset(combo))
-    seen = []
-    for k in keys:
-        if k not in seen:
-            seen.append(k)
-    return seen
+    return list(dict.fromkeys(keys))
 
 
-def build_transfer_data(
-    alpha: MapWindow,
-    radius: int,
-    c_keys: list | None = None,
-    d_keys: list | None = None,
-    extended: bool = False,
-) -> TransferData:
+def _tabulate(alpha: MapWindow, valued: groups.GroupSpec, singletons, keys, src_radius: int) -> dict:
+    """key -> the union of its elements' singleton tables, sorted in the
+    group of the values; one singleton table per element of any key."""
+    tables = singletons(alpha, {f for key in keys for f in key}, src_radius)
+    return {key: groups.canonical_sorted(valued, _union(tables, key)) for key in keys}
+
+
+def build_transfer_data(alpha: MapWindow, radius: int, extended: bool = False) -> TransferData:
     """Tabulate c over source keys and d over target keys, plus the cover.
 
-    Default batteries are the identity and generator singletons of the
-    respective group (all 2-ball subsets of size at most 3 when extended)."""
+    The keys are the identity and generator singletons of the respective
+    group (all 2-ball subsets of size at most 3 when extended)."""
     G = alpha.source.space.spec
     H = alpha.target.space.spec
     _require_coarse(alpha, radius)
-    if c_keys is None:
-        c_keys = default_key_battery(G, extended=extended)
-    if d_keys is None:
-        d_keys = default_key_battery(H, extended=extended)
     src_radius = alpha.source_radius(radius)
-    c_table = {}
-    for F in c_keys:
-        key = frozenset(F)
-        c_table[key] = _c_set(alpha, groups.canonical_sorted(G, key), src_radius)[0]
-    d_table = {}
-    for F in d_keys:
-        key = frozenset(F)
-        d_table[key] = _d_set(alpha, groups.canonical_sorted(H, key), src_radius)[0]
+    c_table = _tabulate(alpha, H, _c_singletons, default_key_battery(G, extended), src_radius)
+    d_table = _tabulate(alpha, G, _d_singletons, default_key_battery(H, extended), src_radius)
     cover = compute_cover_constant(alpha, radius)
     return TransferData(alpha, radius, c_table, d_table, cover)
 

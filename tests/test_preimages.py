@@ -15,7 +15,7 @@ import pytest
 import oracles
 from coarsekit import groups
 from coarsekit.cli import parse_map_dsl
-from coarsekit.families import trace_stabilizes
+from coarsekit.families import entry_trace, trace_stabilizes
 from coarsekit.maps import (
     MapWindow,
     check_coarsely_proper,
@@ -23,7 +23,7 @@ from coarsekit.maps import (
     table_map,
 )
 from coarsekit.structures import LeftGroupStructure, PullbackStructure
-from coarsekit.transfer import _c_set, _d_set, default_key_battery
+from coarsekit.transfer import _c_singletons, _d_singletons, _union, default_key_battery
 
 Z2 = groups.free_abelian(2)
 F2 = groups.free_group(2)
@@ -179,9 +179,14 @@ def test_transfer_sets_match_all_pairs(text, gname, radius):
     src_radius = alpha.source_radius(radius)
     G, H = src.space.spec, tgt.space.spec
     extended = gname == "Z"
-    for F in default_key_battery(H, extended=extended):
-        key = groups.canonical_sorted(H, F)
-        assert _d_set(alpha, key, src_radius) == oracles.ref_d_set(alpha, key, src_radius), F
-    for F in default_key_battery(G, extended=extended):
-        key = groups.canonical_sorted(G, F)
-        assert _c_set(alpha, key, src_radius) == oracles.ref_c_set(alpha, key, src_radius), F
+    # (group of the keys, group of the values, singleton tables, reference)
+    for keyed, valued, singletons, ref in (
+        (H, G, _d_singletons, oracles.ref_d_set),
+        (G, H, _c_singletons, oracles.ref_c_set),
+    ):
+        keys = default_key_battery(keyed, extended=extended)
+        tables = singletons(alpha, {f for F in keys for f in F}, src_radius)
+        for F in keys:
+            enters = _union(tables, F)
+            got = groups.canonical_sorted(valued, enters), entry_trace(enters.values(), src_radius)
+            assert got == ref(alpha, groups.canonical_sorted(keyed, F), src_radius), F

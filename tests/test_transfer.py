@@ -10,7 +10,7 @@ from coarsekit.errors import (
     ResourceLimitError,
     WindowOverflowError,
 )
-from coarsekit.maps import constant_map, identity_map, power_map
+from coarsekit.maps import MapWindow, constant_map, identity_map, inclusion_z_to_dih, power_map
 from coarsekit.structures import LeftGroupStructure
 from coarsekit.transfer import (
     actions_commute_check,
@@ -77,9 +77,46 @@ class TestTransferSets:
             assert prev <= cur
             prev = cur
 
+    def test_target_key_of_a_map_between_groups(self):
+        # a key of Dih_inf elements has a d half and no c half
+        alpha = inclusion_z_to_dih(CL_Z, LeftGroupStructure(groups.DIH))
+        res = compute_transfer_sets(alpha, frozenset({(1, 0)}), 6)
+        assert res["c"] is None and res["c_trace"] == {} and res["c_stable"] is None
+        assert res["d"] == (1,)
+        assert res["d_stable"]
+
     def test_improper_map_rejected(self):
         with pytest.raises(PreconditionError):
             build_transfer_data(constant_map(CL_Z, CL_Z, 0), 8)
+
+
+class TestTransferTables:
+    """build_transfer_data reads every key as a union of singleton tables."""
+
+    def test_extended_tables_on_z2_match_all_pairs(self):
+        Z2 = groups.free_abelian(2)
+        alpha = identity_map(LeftGroupStructure(Z2))
+        td = build_transfer_data(alpha, 4, extended=True)
+        src_radius = alpha.source_radius(4)
+        assert len(td.c_table) == len(td.d_table) == 377
+        # every third key keeps the all-pairs references near 1.5 s
+        for table, ref in ((td.c_table, oracles.ref_c_set), (td.d_table, oracles.ref_d_set)):
+            for key in list(table)[::3]:
+                F = groups.canonical_sorted(Z2, key)
+                assert table[key] == ref(alpha, F, src_radius)[0], F
+
+    def test_each_singleton_table_is_built_once(self):
+        s = LeftGroupStructure(groups.free_abelian(2))
+        calls = 0
+
+        def rule(x):
+            nonlocal calls
+            calls += 1
+            return x
+
+        build_transfer_data(MapWindow("counted", s, s, rule, source_factor=1), 4, extended=True)
+        # a pass over the source ball per key would apply the rule 154,507 times
+        assert calls < 10000
 
 
 class TestCoverConstant:
