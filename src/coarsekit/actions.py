@@ -233,11 +233,11 @@ class ActionInducedStructure(CoarseStructure):
 
     A member's centre g is searched over the pool Ball(acting_radius): it
     minimizes max over points y of min over covers h of y of |g^-1 h|, and
-    ties go to the first pool element of least cost.  The distances come
-    from one column [|g^-1 h| for g in the pool] per cover h; pools are
-    ball prefixes, so a column grows with the largest pool asked for and
-    serves smaller pools by its prefix.  With R the largest acting radius
-    asked for, the columns hold at most |Ball(R)|^2 distances."""
+    ties go to the first pool element of least cost.  As Ball(c) is closed
+    under inverses, the centres of cost <= c are the pool elements in the
+    intersection over y of the union of h.Ball(c) over the covers h of y.
+    The search tries c = 0, 1, 2, ... and takes the least element, in ball
+    order, of the first nonempty level; h.Ball(c) is kept per cover asked."""
 
     def __init__(self, action: Action, U, slack: int = 2, label: str = ""):
         super().__init__()
@@ -250,24 +250,20 @@ class ActionInducedStructure(CoarseStructure):
         useral = ",".join(self.space.serialize(u) for u in self.U)
         self.label = label or f"induced({action.name}; U=[{useral}])"
         self.index = _cover_index(action, self.U)
-        self._pool_inverses: list = []  # g^-1 for g in the largest pool so far
-        self._columns: dict = {}  # h -> [|g^-1 h| for g in a prefix of that pool]
+        self._nears: dict = {}  # h -> [h.Ball(0), h.Ball(1), ...]
 
     def witness_group(self) -> groups.GroupSpec:
         return self.action.group
 
-    def _column(self, h, pool: tuple) -> list:
-        """[|g^-1 h| for g in pool], possibly followed by further entries."""
+    def _near(self, h, c: int) -> frozenset:
+        """h.Ball(c), the elements g with |g^-1 h| <= c."""
         G = self.action.group
-        inverses = self._pool_inverses
-        if len(inverses) < len(pool):
-            inverses.extend(map(G.inv, pool[len(inverses):]))
-        col = self._columns.setdefault(h, [])
-        if len(col) < len(pool):
-            fresh = inverses[len(col):len(pool)]
-            mul, length = G.mul, G.length
-            col.extend([length(mul(ig, h)) for ig in fresh])
-        return col
+        levels = self._nears.get(h)
+        if levels is None:
+            levels = self._nears[h] = [frozenset([h])]
+        for r in range(len(levels), c + 1):
+            levels.append(levels[-1].union([G.mul(h, s) for s in groups.sphere(G, r)]))
+        return levels[c]
 
     def _compute_contribution(self, member):
         if not member:
@@ -275,7 +271,6 @@ class ActionInducedStructure(CoarseStructure):
         G = self.action.group
         ext = max(self.space.extent(y) for y in member)
         acting_radius = ext + _mesh(self.space, self.U) + self.slack
-        pool = groups.ball(G, acting_radius).elements
         covers = {}
         for y in member:
             hits = self.index.get(y, acting_radius)
@@ -285,15 +280,19 @@ class ActionInducedStructure(CoarseStructure):
                     f"within acting radius {acting_radius}"
                 )
             covers[y] = hits
-        costs = None
-        for hits in covers.values():
-            dist = self._column(hits[0], pool)[: len(pool)]
-            for h in hits[1:]:
-                dist = list(map(min, dist, self._column(h, pool)))
-            costs = dist if costs is None else list(map(max, costs, dist))
-        best_g = pool[costs.index(min(costs))]
-        ig = G.inv(best_g)
         mul, length, skey = G.mul, G.length, G.skey
+        for c in range(acting_radius + 1):  # the identity costs at most acting_radius
+            found = None
+            for hits in covers.values():
+                reach = set().union(*[self._near(h, c) for h in hits])
+                found = reach if found is None else found & reach
+                if not found:
+                    break
+            found = [g for g in found if length(g) <= acting_radius]
+            if found:
+                break
+        best_g = min(found, key=lambda g: (length(g), skey(g)))
+        ig = G.inv(best_g)
         return {
             min([mul(ig, h) for h in covers[y]], key=lambda e: (length(e), skey(e)))
             for y in member

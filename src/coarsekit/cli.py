@@ -270,17 +270,17 @@ def cmd_map_check(args) -> tuple:
     source = GroupStructure(src_spec, args.source_side)
     target = GroupStructure(tgt_spec, args.target_side)
     m = parse_map_dsl(args.map, source, target)
-    checks = []
-    born = check_bornologous(m, args.radius, seed=args.seed)
-    proper = check_coarsely_proper(m, args.radius)
-    checks += [born.to_json(), proper.to_json()]
     notes = []
     if args.equivalence:
+        # the equivalence check runs both map checks; report them from it
         eq = surjective_equivalence_check(
             m, args.radius, cover_distance=args.cover_distance, seed=args.seed
         )
-        checks.append(eq.to_json())
+        checks = [eq.data["bornologous"], eq.data["coarsely_proper"], eq.to_json()]
         notes.append(f"equivalence checked with cover distance {args.cover_distance}")
+    else:
+        born = check_bornologous(m, args.radius, seed=args.seed)
+        checks = [born.to_json(), check_coarsely_proper(m, args.radius).to_json()]
     if args.close_to:
         other = parse_map_dsl(args.close_to, source, target)
         checks.append(check_close(m, other, args.radius).to_json())

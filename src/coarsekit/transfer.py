@@ -194,19 +194,19 @@ def compute_transfer_sets(alpha: MapWindow, F, radius: int) -> dict:
 def compute_cover_constant(alpha: MapWindow, radius: int) -> tuple:
     """Greedy finite E with the target ball inside alpha(source ball).E.
 
-    Walks the target ball in canonical order; an uncovered point y
-    contributes the least displacement alpha(u)^-1 * y over the source
-    ball."""
+    Walks the target ball in canonical order; y is covered when y.e^-1 is
+    an image for some e in E, and an uncovered y contributes the least
+    displacement alpha(u)^-1 * y over the source ball."""
     G = alpha.source.space.spec
     H = alpha.target.space.spec
-    mul = H.mul
-    inv_images = [H.inv(alpha(u)) for u in groups.ball(G, alpha.source_radius(radius)).elements]
+    mul, inv = H.mul, H.inv
+    images = {alpha(u) for u in groups.ball(G, alpha.source_radius(radius)).elements}
+    inv_images = [inv(img) for img in images]
     E: list = []
     for y in groups.ball(H, radius).elements:
-        diffs = {mul(iimg, y) for iimg in inv_images}
-        if not diffs.isdisjoint(E):
+        if any(mul(y, inv(e)) in images for e in E):
             continue
-        E.append(min(diffs, key=lambda d: groups.sort_key(H, d)))
+        E.append(min({mul(iimg, y) for iimg in inv_images}, key=lambda d: groups.sort_key(H, d)))
         if len(E) > DEFAULT_COVER_CAP:
             raise CoverFailureError(
                 f"{alpha.name}: cover set exceeded {DEFAULT_COVER_CAP} elements at radius {radius}"

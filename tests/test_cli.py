@@ -194,6 +194,26 @@ class TestSelfMapTargets:
         assert json.loads(out)["checks"] == json.loads(out_t)["checks"]
 
 
+def test_equivalence_runs_each_map_check_once(monkeypatch):
+    from coarsekit import maps
+
+    calls = []
+    for name in ("check_bornologous", "check_coarsely_proper"):
+        check = getattr(maps, name)
+
+        def counted(*args, _check=check, _name=name, **kwargs):
+            calls.append(_name)
+            return _check(*args, **kwargs)
+
+        monkeypatch.setattr(maps, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    _, out = run_cli(["map-check", "--group", "Z", "--map", "floor-div:2", "--radius", "8",
+                      "--equivalence"])
+    assert sorted(calls) == ["check_bornologous", "check_coarsely_proper"]
+    checks = json.loads(out)["checks"]
+    assert checks[:2] == [checks[2]["data"]["bornologous"], checks[2]["data"]["coarsely_proper"]]
+
+
 class TestGromov:
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("k", [1, -1, 2, -2, 3, -3])

@@ -1,11 +1,12 @@
 """Induced contributions (bounded translates) against the scan engine.
 
 The package finds the covers of a point in an index grown one sphere of the
-acting group at a time, and picks each member's centre from cached distance
-columns.  oracles.py keeps the scan engine: apply every element of the
-acting ball to U, try every pool element as the centre.  Both must give the
-same contribution for every member of every default-battery family, the
-same bounded neighbourhoods, and the same error for an uncovered point.
+acting group at a time, and picks each member's centre from the ball
+neighbourhoods h.Ball(c) of its covers, trying c = 0, 1, 2, ...
+oracles.py keeps the scan engine: apply every element of the acting ball to
+U, try every pool element as the centre.  Both must give the same
+contribution for every member of every default-battery family, the same
+bounded neighbourhoods, and the same error for an uncovered point.
 """
 
 import pytest
@@ -26,47 +27,83 @@ from coarsekit.errors import WindowOverflowError
 
 RADIUS = 6
 ONE, X, T = (0, 0), (1, 0), (0, 1)
+F2 = groups.free_group(2)
+Z2 = groups.free_abelian(2)
 
-# (action, U): the commuting pair's Z-action on DihInf, DihInf on itself from
-# both sides, and Z acting on Z by even steps.  The U of the last three
-# overlap their translates, so most points have several covers.
+# (action, U, radius): the commuting pair's Z-action on DihInf, DihInf on
+# itself from both sides, Z acting on Z by even steps, and the two groups of
+# faster growth at the radii the scan engine can afford.  The U of the
+# DihInf, Z and Z^2 cases overlap their translates, so most points have
+# several covers.  The F(2) action is built without the action-law check,
+# which takes longer on F(2) than the tests that use it.
 CASES = {
-    "left(Z->DihInf via x^n)": (lambda: left_translation(inclusion_hom()), (ONE, T)),
-    "left(DihInf)": (lambda: left_translation(identity_hom(groups.DIH)), (ONE, X)),
-    "right(DihInf)": (lambda: right_translation(identity_hom(groups.DIH)), (ONE, X, T)),
-    "left(Z via 2n)": (lambda: left_translation(power_hom(2)), (0, 1, 2)),
+    "left(Z->DihInf via x^n)": (lambda: left_translation(inclusion_hom()), (ONE, T), RADIUS),
+    "left(DihInf)": (lambda: left_translation(identity_hom(groups.DIH)), (ONE, X), RADIUS),
+    "right(DihInf)": (lambda: right_translation(identity_hom(groups.DIH)), (ONE, X, T), RADIUS),
+    "left(Z via 2n)": (lambda: left_translation(power_hom(2)), (0, 1, 2), RADIUS),
+    "left(F(2))": (lambda: TranslationAction(identity_hom(F2)), ((),), 2),
+    "left(Z^2)": (lambda: left_translation(identity_hom(Z2)), ((0, 0), (1, 0)), 4),
 }
 
 
-def battery_members(struct) -> list:
-    return [m for pf in struct.default_battery() for m in pf.at(RADIUS).members]
+def induced_case(name):
+    make, U, radius = CASES[name]
+    struct, _ = induced_structure_second(make(), U, radius)
+    return struct, radius
+
+
+def battery_members(struct, radius) -> list:
+    return [m for pf in struct.default_battery() for m in pf.at(radius).members]
 
 
 @pytest.mark.parametrize("name", list(CASES))
 @pytest.mark.parametrize("order", ["canonical", "reversed"])
 def test_member_contribution_matches_scan(name, order):
-    make, U = CASES[name]
-    struct, _ = induced_structure_second(make(), U, RADIUS)
-    members = battery_members(struct)
+    struct, radius = induced_case(name)
+    members = battery_members(struct, radius)
     if order == "reversed":
-        # largest acting radius first: later pools are prefixes of cached columns
+        # largest acting radius first: later members read kept neighbourhoods
         members.reverse()
     for m in members:
         assert struct.member_contribution(m) == oracles.scan_contribution(struct, m), m
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_cached_columns_hold_distances(name):
-    make, U = CASES[name]
-    struct, _ = induced_structure_second(make(), U, RADIUS)
-    for m in battery_members(struct):
+def test_kept_neighbourhoods_are_ball_translates(name):
+    struct, radius = induced_case(name)
+    members = battery_members(struct, radius)
+    for m in members:
         struct.member_contribution(m)
     G = struct.action.group
-    pool = groups.ball(G, 4 * RADIUS).elements  # wider than every acting radius here
-    assert len(pool) >= max(map(len, struct._columns.values()))
-    for h, col in struct._columns.items():
-        expect = [groups.word_length(G, groups.multiply(G, groups.invert(G, g), h)) for g in pool]
-        assert col == expect[: len(col)], h
+    asked = set()
+    for m in members:
+        for y in m:
+            asked.update(struct.index.get(y, oracles._acting_radius(struct, m)))
+    # neighbourhoods are kept only for covers of the members asked about
+    assert struct._nears and set(struct._nears) <= asked
+    for h, levels in struct._nears.items():
+        for c, near in enumerate(levels):
+            expect = {groups.multiply(G, h, s) for s in groups.ball(G, c).elements}
+            assert near == expect, (h, c)
+
+
+def test_battery_contributions_count_few_multiplications():
+    G = groups.Free(2)  # a private instance, so counting its mul counts this structure only
+    struct, _ = induced_structure_second(TranslationAction(identity_hom(G)), ((),), 3)
+    members = battery_members(struct, 3)
+    mul = G.mul
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    G.mul = counted
+    for m in members:
+        struct.member_contribution(m)
+    # a scan of the pool per cover needs 233,439 products here; this search needs 4,690
+    assert calls < 50_000
 
 
 def test_covers_past_the_acting_ball():
@@ -88,21 +125,19 @@ def test_covers_past_the_acting_ball():
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_covers_are_the_scan_prefix(name):
-    make, U = CASES[name]
-    struct, _ = induced_structure_second(make(), U, RADIUS)
-    struct.index.get(struct.space.window(0)[0], RADIUS + 2)  # grow the index past every radius below
-    for y in struct.space.window(RADIUS):
-        for r in range(RADIUS + 3):
+    struct, radius = induced_case(name)
+    struct.index.get(struct.space.window(0)[0], radius + 2)  # grow the index past every radius below
+    for y in struct.space.window(radius):
+        for r in range(radius + 3):
             assert struct.index.get(y, r) == oracles.scan_covers(struct, y, r), (y, r)
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_ties_go_to_the_first_pool_element(name):
-    make, U = CASES[name]
-    struct, _ = induced_structure_second(make(), U, RADIUS)
+    struct, radius = induced_case(name)
     G = struct.action.group
     tied = 0
-    for m in dict.fromkeys(battery_members(struct)):
+    for m in dict.fromkeys(battery_members(struct, radius)):
         pool, costs, covers = oracles.scan_centre_costs(struct, m)
         least = min(costs)
         if costs.count(least) < 2:
@@ -119,9 +154,8 @@ def test_ties_go_to_the_first_pool_element(name):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_bounded_neighborhood_matches_scan(name):
-    make, U = CASES[name]
-    struct, _ = induced_structure_second(make(), U, RADIUS)
-    points = {y for m in battery_members(struct) for y in m}
+    struct, radius = induced_case(name)
+    points = {y for m in battery_members(struct, radius) for y in m}
     for y in sorted(points, key=struct.space.sort_key):
         for mesh in (0, 1, 2):
             expect = oracles.scan_bounded_neighborhood(struct, y, mesh)
