@@ -4,8 +4,9 @@
 
 Run this only when a report changes on purpose: the corpus is the frozen
 JSON stdout of the README commands, ``commuting --radius 16``, and a
-``commuting`` run on Z^2, a group of quadratic growth; ``test_golden.py``
-asserts that the current code prints the same bytes.
+``commuting`` run on Z^2, a group of quadratic growth, and the group checks
+on Z^2 and on products with DihInf; ``test_golden.py`` asserts that the
+current code prints the same bytes.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import pathlib
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 # file stem -> argv: the README commands at their README radii, commuting at
-# radius 16, and the commuting translations of Z^2 (every other command acts
-# on Z or DihInf, whose balls grow linearly)
+# radius 16, the commuting translations of Z^2 (every other command acts on Z
+# or DihInf, whose balls grow linearly), and the group checks that walk their
+# whole battery (Z^2) or fail on a product with DihInf
 COMMANDS = {
     "ball-dihinf-8": ["ball", "--group", "DihInf", "--radius", "8"],
     "fc-dihinf-8": ["fc", "--group", "DihInf", "--radius", "8"],
@@ -41,6 +43,17 @@ COMMANDS = {
     "commuting-z2-6": [
         "commuting", "--action1", "left(Z^2)", "--action2", "right(Z^2)", "--set", "(0,0)",
         "--radius", "6",
+    ],
+    "compare-lr-z2-12": ["compare-lr", "--group", "Z^2", "--radius", "12"],
+    "fc-z2-16": ["fc", "--group", "Z^2", "--radius", "16"],
+    "mult-born-z2-8": ["mult-born", "--group", "Z^2", "--radius", "8"],
+    "mult-born-dihinf-8": ["mult-born", "--group", "DihInf", "--radius", "8"],
+    "compare-lr-product-z-dihinf-6": [
+        "compare-lr", "--group", "product(Z,DihInf)", "--radius", "6",
+    ],
+    # (1,-1) is the inverse of (1,1), which comes first, and (t,0) fails next
+    "compare-lr-product-dihinf-z-6": [
+        "compare-lr", "--group", "product(DihInf,Z)", "--radius", "6",
     ],
 }
 
