@@ -91,6 +91,7 @@ class Action:
     group: groups.GroupSpec
     space: object
     name: str
+    law_depth = ACTION_LAW_DEPTH  # the law is checked at the points of space.window(law_depth)
 
     def apply(self, g, x):
         raise NotImplementedError
@@ -101,7 +102,7 @@ class Action:
     def validate(self) -> None:
         """Check the left action law on a small window."""
         ident = self.group.identity()
-        pts = list(self.space.window(ACTION_LAW_DEPTH))
+        pts = list(self.space.window(self.law_depth))
         for x in pts:
             if self.apply(ident, x) != x:
                 raise PreconditionError(f"{self.name}: identity does not act trivially on {x!r}")
@@ -117,6 +118,11 @@ class Action:
 
 
 class TranslationAction(Action):
+    # g moves x to h(g)*x or x*h(g)^-1, so by cancellation the law at one point
+    # says h(g1*g2) = h(g1)*h(g2), which is the law at every point; window(0)
+    # is the identity alone
+    law_depth = 0
+
     def __init__(self, hom: Hom, side: str = "left"):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from . import groups
 from .errors import SurjectivityError
 from .families import (
-    ParamFamily,
     ceil_half,
     image_family,
     shape_translate_family,
@@ -28,19 +27,30 @@ from .maps import (
 from .structures import LeftGroupStructure, RightGroupStructure, membership_window
 
 
+def _battery(spec: groups.GroupSpec, radius: int) -> tuple[list, list]:
+    """The non-identity elements of Ball(radius/2) in canonical order, and
+    those of them whose inverse does not come earlier.  Every catalog
+    generating set is symmetric, so inversion maps each sphere onto itself
+    and a^-1 is in the battery whenever a is."""
+    battery = [a for a in groups.ball(spec, ceil_half(radius)).elements if a != spec.identity()]
+    index = {a: i for i, a in enumerate(battery)}
+    return battery, [a for i, a in enumerate(battery) if index[spec.inv(a)] >= i]
+
+
 def fc_test(spec: groups.GroupSpec, radius: int) -> Certificate:
     """Do all conjugacy classes met by the half-ball stop growing?
 
     Walks Ball(radius/2) in canonical order and traces each conjugacy
     window out to the full radius, stopping at the first class that keeps
-    growing."""
-    battery = [a for a in groups.ball(spec, ceil_half(radius)).elements
-               if a != spec.identity()]
+    growing.  (L3) The conjugates of a^-1 are the inverses of the conjugates
+    of a, so a^-1 has the trace of a and is not traced again when a came
+    first; ``classes_tested`` still counts it."""
+    battery, firsts = _battery(spec, radius)
     mul, inv = spec.mul, spec.inv
     b = groups.ball(spec, radius)
     spheres = [[(inv(g), g) for g in b.sphere(r)] for r in range(radius + 1)]
     bound = 0
-    for a in battery:
+    for a in firsts:
         seen: set = set()
         trace = {}
         for r, pairs in enumerate(spheres):
@@ -75,129 +85,100 @@ def compare_left_right(spec: groups.GroupSpec, radius: int) -> Certificate:
     """EQUAL or DIFFER for the left and right structures on the window.
 
     For each a in the half-ball, the family {g, a*g} is always bounded on
-    the right (witness a^-1); it is bounded on the left exactly when the
-    conjugacy window of a stabilizes.  The mirrored family {g, g*a} swaps
-    the roles.  The first element separating the structures is returned
-    with both sides' evidence."""
+    the right (witness {1, a, a^-1}); it is bounded on the left exactly when
+    the conjugacy window of a stabilizes.  Only that left window is
+    evaluated, because two identities fix the others:
+
+    (L1) the right witness of {g, g*a} over a sphere S_n is the left witness
+         of {h, a^-1*h} over S_n, where h = g^-1 (inversion maps S_n onto
+         itself);
+    (L2) the left witnesses of {g, a*g} and {g, a^-1*g} are the same set
+         {1, g^-1*a*g, g^-1*a^-1*g} for each g.
+
+    So {g, g*a} has the same trace on the right as {g, a*g} on the left, and
+    a^-1 has the trace of a: it is not evaluated again when a came first, and
+    the first separating element in canonical order is still the one
+    returned, with both sides' evidence."""
     left = LeftGroupStructure(spec)
-    right = RightGroupStructure(spec)
     space = left.space
-    battery = [a for a in groups.ball(spec, ceil_half(radius)).elements
-               if a != spec.identity()]
-    tested = 0
-    for a in battery:
-        fam_left_pairs = translate_pair_family(space, a, "left")
-        res_l = membership_window(left, fam_left_pairs, radius)
-        fam_right_pairs = translate_pair_family(space, a, "right")
-        res_r = membership_window(right, fam_right_pairs, radius)
-        tested += 1
-        if not res_l.bounded or not res_r.bounded:
-            if not res_l.bounded:
-                failing, fail_pf, other_struct = res_l, fam_left_pairs, right
-            else:
-                failing, fail_pf, other_struct = res_r, fam_right_pairs, left
-            other = membership_window(other_struct, fail_pf, radius)
-            return Certificate(
-                check="compare-left-right",
-                verdict="DIFFER",
-                radius=radius,
-                data={
-                    "group": spec.label(),
-                    "witness": spec.serialize(a),
-                    "family": fail_pf.tag,
-                    "failing_structure": failing.structure,
-                    "growing_trace": {str(r): n for r, n in failing.trace.items()},
-                    "bounded_structure": other.structure,
-                    "bounded_witness": [
-                        spec.serialize(g) for g in groups.canonical_sorted(spec, other.elements)
-                    ],
-                },
-                notes=[
-                    f"family {fail_pf.tag} grows in {failing.structure} "
-                    f"but is bounded in {other.structure}"
+    battery, firsts = _battery(spec, radius)
+    for a in firsts:
+        pairs = translate_pair_family(space, a, "left")
+        failing = membership_window(left, pairs, radius)
+        if failing.bounded:
+            continue
+        other = membership_window(RightGroupStructure(spec), pairs, radius)
+        return Certificate(
+            check="compare-left-right",
+            verdict="DIFFER",
+            radius=radius,
+            data={
+                "group": spec.label(),
+                "witness": spec.serialize(a),
+                "family": pairs.tag,
+                "failing_structure": failing.structure,
+                "growing_trace": {str(r): n for r, n in failing.trace.items()},
+                "bounded_structure": other.structure,
+                "bounded_witness": [
+                    spec.serialize(g) for g in groups.canonical_sorted(spec, other.elements)
                 ],
-            )
+            },
+            notes=[
+                f"family {pairs.tag} grows in {failing.structure} "
+                f"but is bounded in {other.structure}"
+            ],
+        )
     return Certificate(
         check="compare-left-right",
         verdict="EQUAL",
         radius=radius,
-        data={"group": spec.label(), "elements_tested": tested},
+        data={"group": spec.label(), "elements_tested": len(battery)},
     )
 
 
 def multiplication_bornologous_check(spec: groups.GroupSpec, radius: int) -> Certificate:
     """Is multiplication bornologous from the product's left structure?
 
-    Test families are columns F x {g} over the window; such a column is
-    always bounded upstairs, and its image is the right translate F*g.
-    The image family is bounded on the left exactly when conjugation by
-    the window leaves F^-1*F finite, so the verdict must match the
-    left-right comparison."""
-    product_spec = groups.product(spec, spec)
-    upstairs = LeftGroupStructure(product_spec)
+    Test families are columns F x {g} over the window.  (L4) The left
+    witness of a column in G x G is (F^-1*F) x {1} for every g, so the column
+    family is bounded upstairs at every radius and is not evaluated.  Its
+    image is the right translate F*g, which is bounded on the left exactly
+    when conjugation by the window leaves F^-1*F finite, so the verdict must
+    match the left-right comparison.  Each F is tested once, even where
+    Ball(1) and Ball(2) coincide."""
     downstairs = LeftGroupStructure(spec)
     space = downstairs.space
 
     shapes = [(spec.identity(), s) for s in groups.ball(spec, 2).elements
               if s != spec.identity()]
-    batteries = [tuple(pair) for pair in shapes]
-    batteries.append(groups.ball(spec, 1).elements)
-    batteries.append(groups.ball(spec, 2).elements)
+    batteries = list(dict.fromkeys(
+        [*shapes, groups.ball(spec, 1).elements, groups.ball(spec, 2).elements]
+    ))
 
-    first_failure = None
+    failure = None
     checked = []
     for F in batteries:
         Ftag = "[" + ",".join(spec.serialize(f) for f in F) + "]"
-
-        def column_grow(r: int, F=F):
-            return (tuple((f, g) for f in F) for g in groups.sphere(spec, r))
-
-        columns = ParamFamily(tag=f"{{{Ftag} x {{g}}}}", space=upstairs.space, grow=column_grow)
-        up = membership_window(upstairs, columns, radius)
-        if not up.bounded:
-            return Certificate(
-                check="multiplication-bornologous",
-                verdict="FAIL",
-                radius=radius,
-                data={"group": spec.label(), "note": "test column family is not bounded upstairs",
-                      "family": columns.tag},
-            )
-
         images = shape_translate_family(space, F, "right")
         down = membership_window(downstairs, images, radius)
         checked.append({"F": Ftag, "bounded": down.bounded})
-        if not down.bounded and first_failure is None:
-            first_failure = down
+        if not down.bounded:
+            failure = down
             break
 
     comparison = compare_left_right(spec, radius)
-    agreement = (first_failure is None) == (comparison.verdict == "EQUAL")
-
-    if first_failure is not None:
-        return Certificate(
-            check="multiplication-bornologous",
-            verdict="FAIL",
-            radius=radius,
-            data={
-                "group": spec.label(),
-                "family": first_failure.family,
-                "growing_trace": {str(r): n for r, n in first_failure.trace.items()},
-                "checked": checked,
-                "left_right_verdict": comparison.verdict,
-                "cross_check_agrees": agreement,
-            },
-            notes=["image family of a bounded column keeps growing"],
-        )
+    data = {"group": spec.label()}
+    if failure is not None:
+        data["family"] = failure.family
+        data["growing_trace"] = {str(r): n for r, n in failure.trace.items()}
+    data.update(checked=checked, left_right_verdict=comparison.verdict,
+                cross_check_agrees=(failure is None) == (comparison.verdict == "EQUAL"))
     return Certificate(
         check="multiplication-bornologous",
-        verdict="PASS",
+        verdict="PASS" if failure is None else "FAIL",
         radius=radius,
-        data={
-            "group": spec.label(),
-            "checked": checked,
-            "left_right_verdict": comparison.verdict,
-            "cross_check_agrees": agreement,
-        },
+        data=data,
+        notes=[] if failure is None else ["image family of a bounded column keeps growing"],
     )
 
 

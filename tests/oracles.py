@@ -13,7 +13,15 @@ import itertools
 
 from coarsekit import groups
 from coarsekit.errors import MalformedElementError, SearchFailureError, WindowOverflowError
-from coarsekit.families import trace_stabilizes
+from coarsekit.families import (
+    ParamFamily,
+    ceil_half,
+    shape_translate_family,
+    trace_stabilizes,
+    translate_pair_family,
+)
+from coarsekit.maps import Certificate
+from coarsekit.structures import LeftGroupStructure, RightGroupStructure, membership_window
 
 
 # ---------------------------------------------------------------------------
@@ -805,3 +813,167 @@ def _ref_parse_tuple_element(spec, text: str):
         ref_parse_element(spec.factors[0], parts[0]),
         ref_parse_element(spec.factors[1], parts[1]),
     )
+
+
+# ---------------------------------------------------------------------------
+# the group checks with every window computed: each battery element, both
+# translation structures, and the column window upstairs in G x G
+
+
+def _ref_battery(spec, radius: int) -> list:
+    return [a for a in groups.ball(spec, ceil_half(radius)).elements if a != spec.identity()]
+
+
+def ref_fc_test(spec, radius: int) -> Certificate:
+    """``fc_test`` tracing the conjugacy window of every battery element."""
+    mul, inv = spec.mul, spec.inv
+    b = groups.ball(spec, radius)
+    spheres = [[(inv(g), g) for g in b.sphere(r)] for r in range(radius + 1)]
+    battery = _ref_battery(spec, radius)
+    bound = 0
+    for a in battery:
+        seen: set = set()
+        trace = {}
+        for r, pairs in enumerate(spheres):
+            seen.update([mul(mul(ig, a), g) for ig, g in pairs])
+            trace[r] = len(seen)
+        if not trace_stabilizes(trace, radius):
+            return Certificate(
+                check="fc",
+                verdict="FAIL",
+                radius=radius,
+                data={
+                    "group": spec.label(),
+                    "witness": spec.serialize(a),
+                    "trace": {str(r): n for r, n in trace.items()},
+                },
+                notes=[f"conjugacy window of {spec.serialize(a)} keeps growing"],
+            )
+        bound = max(bound, trace[radius])
+    return Certificate(
+        check="fc",
+        verdict="PASS",
+        radius=radius,
+        data={"group": spec.label(), "classes_tested": len(battery), "largest_class": bound},
+    )
+
+
+def ref_compare_left_right(spec, radius: int) -> Certificate:
+    """``compare_left_right`` evaluating {g, a*g} on the left and {g, g*a}
+    on the right for every battery element, failing on whichever side
+    grows first."""
+    left = LeftGroupStructure(spec)
+    right = RightGroupStructure(spec)
+    space = left.space
+    battery = _ref_battery(spec, radius)
+    for a in battery:
+        fam_left = translate_pair_family(space, a, "left")
+        res_l = membership_window(left, fam_left, radius)
+        fam_right = translate_pair_family(space, a, "right")
+        res_r = membership_window(right, fam_right, radius)
+        if res_l.bounded and res_r.bounded:
+            continue
+        if not res_l.bounded:
+            failing, fail_pf, other_struct = res_l, fam_left, right
+        else:
+            failing, fail_pf, other_struct = res_r, fam_right, left
+        other = membership_window(other_struct, fail_pf, radius)
+        return Certificate(
+            check="compare-left-right",
+            verdict="DIFFER",
+            radius=radius,
+            data={
+                "group": spec.label(),
+                "witness": spec.serialize(a),
+                "family": fail_pf.tag,
+                "failing_structure": failing.structure,
+                "growing_trace": {str(r): n for r, n in failing.trace.items()},
+                "bounded_structure": other.structure,
+                "bounded_witness": [
+                    spec.serialize(g) for g in groups.canonical_sorted(spec, other.elements)
+                ],
+            },
+            notes=[
+                f"family {fail_pf.tag} grows in {failing.structure} "
+                f"but is bounded in {other.structure}"
+            ],
+        )
+    return Certificate(
+        check="compare-left-right",
+        verdict="EQUAL",
+        radius=radius,
+        data={"group": spec.label(), "elements_tested": len(battery)},
+    )
+
+
+def ref_column_window(spec, F: tuple, radius: int):
+    """The column family F x {g}, g over the window, in the left structure
+    of G x G, as ``multiplication_bornologous_check`` once evaluated it
+    before each image family."""
+    product_spec = groups.product(spec, spec)
+    upstairs = LeftGroupStructure(product_spec)
+
+    def grow(r: int):
+        return (tuple((f, g) for f in F) for g in groups.sphere(spec, r))
+
+    return membership_window(upstairs, ParamFamily(tag="column", space=upstairs.space, grow=grow),
+                             radius)
+
+
+def ref_multiplication_bornologous_check(spec, radius: int) -> Certificate:
+    """``multiplication_bornologous_check`` evaluating each column family
+    upstairs before its image, over the shape list with Ball(1) and Ball(2)
+    appended even where they repeat a shape."""
+    downstairs = LeftGroupStructure(spec)
+    shapes = [(spec.identity(), s) for s in groups.ball(spec, 2).elements
+              if s != spec.identity()]
+    batteries = shapes + [groups.ball(spec, 1).elements, groups.ball(spec, 2).elements]
+    first_failure = None
+    checked = []
+    for F in batteries:
+        Ftag = "[" + ",".join(spec.serialize(f) for f in F) + "]"
+        if not ref_column_window(spec, F, radius).bounded:
+            return Certificate(
+                check="multiplication-bornologous",
+                verdict="FAIL",
+                radius=radius,
+                data={"group": spec.label(), "note": "test column family is not bounded upstairs",
+                      "family": f"{{{Ftag} x {{g}}}}"},
+            )
+        images = shape_translate_family(downstairs.space, F, "right")
+        down = membership_window(downstairs, images, radius)
+        checked.append({"F": Ftag, "bounded": down.bounded})
+        if not down.bounded:
+            first_failure = down
+            break
+    comparison = ref_compare_left_right(spec, radius)
+    data = {"group": spec.label()}
+    if first_failure is not None:
+        data["family"] = first_failure.family
+        data["growing_trace"] = {str(r): n for r, n in first_failure.trace.items()}
+    data.update(checked=checked, left_right_verdict=comparison.verdict,
+                cross_check_agrees=(first_failure is None) == (comparison.verdict == "EQUAL"))
+    if first_failure is not None:
+        return Certificate(check="multiplication-bornologous", verdict="FAIL", radius=radius,
+                           data=data, notes=["image family of a bounded column keeps growing"])
+    return Certificate(check="multiplication-bornologous", verdict="PASS", radius=radius,
+                       data=data)
+
+
+def ref_action_law_error(action, depth: int = 3):
+    """The first action-law error over every point of ``window(depth)``:
+    identity at each point, then g1, g2 in Ball(depth) at each point; None
+    if the law holds there."""
+    ident = action.group.identity()
+    pts = list(action.space.window(depth))
+    for x in pts:
+        if action.apply(ident, x) != x:
+            return f"{action.name}: identity does not act trivially on {x!r}"
+    elems = groups.ball(action.group, depth).elements
+    for g1 in elems:
+        for g2 in elems:
+            g12 = action.group.mul(g1, g2)
+            for x in pts:
+                if action.apply(g12, x) != action.apply(g1, action.apply(g2, x)):
+                    return f"{action.name}: action law fails at g1={g1!r}, g2={g2!r}, x={x!r}"
+    return None

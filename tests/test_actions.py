@@ -3,8 +3,11 @@ two induced structures, action certificates, and commuting pairs."""
 
 import pytest
 
+import oracles
 from coarsekit import groups
 from coarsekit.actions import (
+    Hom,
+    TranslationAction,
     cb_elements,
     coarse_action_certificate,
     cobounded_check,
@@ -73,6 +76,48 @@ class TestValidation:
         }
         with pytest.raises(PreconditionError):
             table_action(z4, space, perms)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("hom", [
+        Hom("n^2", Z, Z, lambda n: n * n),
+        Hom("n+1", Z, Z, lambda n: n + 1),
+        Hom("t^n", Z, DIH, lambda n: (0, n % 2)),  # a homomorphism: t is an involution
+        Hom("x^|n|", Z, DIH, lambda n: (abs(n), 0)),
+        inclusion_hom(),
+    ], ids=lambda hom: hom.label)
+    def test_translation_law_matches_check_at_every_point(self, hom, side):
+        """Checking the law at the identity point alone raises the error that
+        checking it at every point of window(3) raises first, or none."""
+        action = TranslationAction(hom, side)
+        expected = oracles.ref_action_law_error(action)
+        if expected is None:
+            action.validate()
+        else:
+            with pytest.raises(PreconditionError) as err:
+                action.validate()
+            assert str(err.value) == expected
+
+    @pytest.mark.parametrize("make", [left_translation, right_translation])
+    def test_non_homomorphism_rejected(self, make):
+        with pytest.raises(PreconditionError, match="action law fails at g1=1, g2=1, x=0"):
+            make(Hom("n^2", Z, Z, lambda n: n * n))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_translation_law_applies_at_one_point(self, side, monkeypatch):
+        """One application per identity check and three per pair of Ball(3)
+        of F(2), not three per pair and point of window(3)."""
+        calls = []
+        apply = TranslationAction.apply
+
+        def counting(self, g, x):
+            calls.append(g)
+            return apply(self, g, x)
+
+        monkeypatch.setattr(TranslationAction, "apply", counting)
+        F2 = groups.free_group(2)
+        TranslationAction(identity_hom(F2), side).validate()
+        n = len(groups.ball(F2, 3).elements)
+        assert len(calls) == 1 + 3 * n * n
 
     def test_hom_labels(self):
         assert left_translation(power_hom(3)).name == "left(Z via 3n)"

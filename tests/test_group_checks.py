@@ -1,12 +1,15 @@
 import pytest
 
-from coarsekit import groups
+import oracles
+from coarsekit import group_checks, groups
+from coarsekit.families import fold_witness, translate_pair_family
 from coarsekit.group_checks import (
     compare_left_right,
     dihedral_demo,
     fc_test,
     multiplication_bornologous_check,
 )
+from coarsekit.structures import LeftGroupStructure, RightGroupStructure, membership_window
 
 Z = groups.Z
 Z2 = groups.free_abelian(2)
@@ -104,3 +107,132 @@ class TestDihedralDemo:
         assert data["conjugacy_window_x"]["4"] == 2
         assert all(entry["agree"] for entry in data["pullback_agreement"])
         assert data["exact_pullback"].startswith("not applicable")
+
+
+# ---------------------------------------------------------------------------
+# symmetry reduction: each check against its every-window reference, and the
+# four identities that let it skip windows
+
+ORACLE_GROUPS = ["Z", "Z^2", "Z^3", "DihInf", "F(2)", "Zmod(1)", "Zmod(2)", "Zmod(5)", "Zmod(6)",
+                 "product(Z,DihInf)"]
+ORACLE_CASES = [(name, r) for name in ORACLE_GROUPS
+                for r in range(3, (5 if name == "F(2)" else 8) + 1)]
+LEMMA_GROUPS = ["Z", "Z^2", "DihInf", "F(2)", "Zmod(5)", "product(Z,DihInf)"]
+
+
+@pytest.mark.parametrize("name,radius", ORACLE_CASES)
+def test_checks_match_every_window_reference(name, radius):
+    spec = groups.parse_group_spec(name)
+    assert fc_test(spec, radius).to_json() == oracles.ref_fc_test(spec, radius).to_json()
+    expected = oracles.ref_compare_left_right(spec, radius).to_json()
+    assert compare_left_right(spec, radius).to_json() == expected
+
+
+# Z^3 only at radius 3: its image windows, the same code on both sides, take
+# seconds at radius 8
+@pytest.mark.parametrize("name,radius", [case for case in ORACLE_CASES
+                                         if case[0] != "Z^3" or case[1] == 3])
+def test_multiplication_matches_column_reference(name, radius):
+    """Equal to the reference that evaluates every column upstairs, once
+    the reference's repeated batteries (Zmod(n) for n <= 3) are dropped."""
+    spec = groups.parse_group_spec(name)
+    expected = oracles.ref_multiplication_bornologous_check(spec, radius).to_json()
+    checked = expected["data"]["checked"]
+    expected["data"]["checked"] = [c for i, c in enumerate(checked) if c not in checked[:i]]
+    assert multiplication_bornologous_check(spec, radius).to_json() == expected
+
+
+def _lemma_cases():
+    for name in LEMMA_GROUPS:
+        spec = groups.parse_group_spec(name)
+        for a in groups.ball(spec, 3).elements:
+            yield spec, a
+
+
+def _sphere_witness(side, spec, members) -> set:
+    out: set = set()
+    fold_witness(out, side, spec, members)
+    return out
+
+
+def test_l1_right_window_is_left_window_of_inverse_translate():
+    """The right witness of {g, g*a} over S_n is the left witness of
+    {h, a^-1*h} over S_n, h = g^-1, sphere by sphere and trace by trace."""
+    for spec, a in _lemma_cases():
+        mul, ia = spec.mul, spec.inv(a)
+        for n in range(4):
+            sphere = groups.sphere(spec, n)
+            right = _sphere_witness("right", spec, [(g, mul(g, a)) for g in sphere])
+            left = _sphere_witness("left", spec, [(h, mul(ia, h)) for h in sphere])
+            assert right == left, (spec.label(), a, n)
+        space = LeftGroupStructure(spec).space
+        right_trace = membership_window(RightGroupStructure(spec),
+                                        translate_pair_family(space, a, "right"), 3).trace
+        left_trace = membership_window(LeftGroupStructure(spec),
+                                       translate_pair_family(space, ia, "left"), 3).trace
+        assert right_trace == left_trace, (spec.label(), a)
+
+
+def test_l2_translate_and_inverse_translate_share_left_witness():
+    for spec, a in _lemma_cases():
+        mul, inv = spec.mul, spec.inv
+        ia = inv(a)
+        for g in groups.ball(spec, 3).elements:
+            expected = {spec.identity(), mul(mul(inv(g), a), g), mul(mul(inv(g), ia), g)}
+            assert oracles.ref_member_witness("left", spec, (g, mul(a, g))) == expected
+            assert oracles.ref_member_witness("left", spec, (g, mul(ia, g))) == expected
+
+
+def test_l3_conjugates_of_inverse_are_inverses_of_conjugates():
+    for spec, a in _lemma_cases():
+        for r in range(4):
+            inverses = {spec.inv(c) for c in groups.conjugacy_window(spec, a, r)}
+            assert set(groups.conjugacy_window(spec, spec.inv(a), r)) == inverses
+
+
+def test_l4_column_witness_is_fixed():
+    """The left witness of F x {g} in G x G is (F^-1*F) x {1} for every g,
+    so the column family is bounded with that witness at every radius."""
+    for name in LEMMA_GROUPS:
+        spec = groups.parse_group_spec(name)
+        one = spec.identity()
+        square = groups.product(spec, spec)
+        shapes = [(one, s) for s in groups.ball(spec, 2).elements if s != one]
+        for F in shapes + [groups.ball(spec, 1).elements, groups.ball(spec, 2).elements]:
+            fixed = {(spec.mul(spec.inv(f), f2), one) for f in F for f2 in F}
+            for g in groups.ball(spec, 3).elements:
+                column = [(f, g) for f in F]
+                assert oracles.ref_member_witness("left", square, column) == fixed
+            window = oracles.ref_column_window(spec, F, 3)
+            assert window.bounded
+            assert set(window.elements) == fixed
+            assert set(window.trace.values()) == {len(fixed)}
+
+
+def test_compare_evaluates_one_window_per_inverse_pair(monkeypatch):
+    """Z^2 at radius 8 has 40 battery elements in 20 inverse pairs: one left
+    window each, against 80 windows when both sides of every element ran."""
+    calls = []
+
+    def counting(structure, pf, radius):
+        calls.append(pf.tag)
+        return membership_window(structure, pf, radius)
+
+    monkeypatch.setattr(group_checks, "membership_window", counting)
+    cert = compare_left_right(Z2, 8)
+    assert cert.data["elements_tested"] == 40
+    assert len(calls) <= 20
+
+
+@pytest.mark.parametrize("n,expected", [
+    (1, ["[0]"]),
+    (2, ["[0,1]"]),
+    (3, ["[0,1]", "[0,2]", "[0,1,2]"]),
+    (4, ["[0,1]", "[0,3]", "[0,2]", "[0,1,3]", "[0,1,3,2]"]),
+])
+def test_multiplication_lists_each_battery_once(n, expected):
+    """Ball(1) = Ball(2) in Zmod(n) for n <= 3, and in Zmod(2) both are the
+    shape [0,1]: each battery is checked and listed once.  Zmod(4) has no
+    repeat and keeps all five."""
+    cert = multiplication_bornologous_check(groups.cyclic(n), 8)
+    assert [entry["F"] for entry in cert.data["checked"]] == expected
