@@ -245,7 +245,7 @@ class ActionInducedStructure(CoarseStructure):
     The search tries c = 0, 1, 2, ... and takes the least element, in ball
     order, of the first nonempty level; h.Ball(c) is kept per cover asked."""
 
-    def __init__(self, action: Action, U, slack: int = 2, label: str = ""):
+    def __init__(self, action: Action, U, slack: int = 2):
         super().__init__()
         self.action = action
         self.U = tuple(sorted(set(U), key=action.space.sort_key))
@@ -254,7 +254,7 @@ class ActionInducedStructure(CoarseStructure):
         self.space = action.space
         self.slack = slack
         useral = ",".join(self.space.serialize(u) for u in self.U)
-        self.label = label or f"induced({action.name}; U=[{useral}])"
+        self.label = f"induced({action.name}; U=[{useral}])"
         self.index = _cover_index(action, self.U)
         self._nears: dict = {}  # h -> [h.Ball(0), h.Ball(1), ...]
 
@@ -438,7 +438,6 @@ def uniformly_bornologous_action_check(
     action: Action,
     struct: CoarseStructure,
     radius: int,
-    battery: list | None = None,
     seed: int = 0,
     n_random: int = 8,
 ) -> Certificate:
@@ -457,10 +456,9 @@ def uniformly_bornologous_action_check(
     """
     if action.space != struct.space:
         raise SpaceMismatchError("action and structure live on different spaces")
-    battery = battery if battery is not None else struct.default_battery(seed=seed, n_random=n_random)
     rb = min(radius, CONTROLLED_ROUTE_RADIUS)
     results = {}
-    for pf in battery:
+    for pf in struct.default_battery(seed=seed, n_random=n_random):
         base = membership_window(struct, pf, radius)
         if not base.bounded:
             raise PreconditionError(f"battery family {pf.tag} is not bounded in {struct.label}")
@@ -619,9 +617,7 @@ def induced_structure_first(action: Action, x0, radius: int) -> tuple[PullbackSt
         source_factor=1,
         source_slack=cover_c + stab_extent,
     )
-    equivalence = surjective_equivalence_check(
-        orbit_map, radius, cover_distance=cover_c, target_window=action.space.window
-    )
+    equivalence = surjective_equivalence_check(orbit_map, radius, cover_distance=cover_c)
     cert = Certificate(
         check="induced-orbit-pullback",
         verdict="PASS" if equivalence.passed else "FAIL",
@@ -721,10 +717,6 @@ def coarse_action_certificate(
     cover_c = cb.data["constant"]
     Ucb = cb_elements(cb, action)
 
-    def orbit_window(r: int) -> tuple:
-        orbit = {action.apply(g, x0) for g in groups.ball(action.group, r).elements}
-        return tuple(sorted(orbit, key=action.space.sort_key))
-
     orbit_map = MapWindow(
         name=f"orbit@{action.space.serialize(x0)}",
         source=LeftGroupStructure(action.group),
@@ -735,7 +727,7 @@ def coarse_action_certificate(
     )
     orbit_cert = surjective_equivalence_check(
         orbit_map, radius, cover_distance=0, seed=seed, n_random=n_random,
-        target_window=orbit_window,
+        target_window=lambda r: orbit_map.fibres.image(r),
     )
     data["orbit_map"] = orbit_cert.to_json()
 

@@ -2,11 +2,10 @@
 
 A finite family is a finite list of finite subsets of a space, kept in a
 canonical order (members sorted elementwise and then lexicographically by
-element order, duplicates dropped).  A parametrized family assigns to every
-window radius r a finite family; all checks require these to be monotone,
-meaning every member present at radius r is still present at radius r+1.
-So a parametrized family is best given by its growth: the members that
-appear at each radius, one sphere of the window at a time.
+element order, duplicates dropped).  A parametrized family is given by its
+growth: the members that appear at each window radius r, one sphere of the
+window at a time.  The family at radius r is the union of that growth over
+0..r, so it never loses a member as r grows, which every check assumes.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from collections.abc import Callable, Iterable
 from itertools import accumulate, combinations
 
 from . import groups
-from .errors import PreconditionError, SpaceMismatchError
+from .errors import SpaceMismatchError
 
 
 class FiniteFamily:
@@ -37,54 +36,23 @@ def finite_family(space, members: Iterable[Iterable]) -> FiniteFamily:
 
 
 class ParamFamily:
-    """A finite family at every radius, given either by ``grow(r)``, the
-    members that appear at radius r (repeating an earlier member is
-    harmless), or by ``fn(r)``, the whole family at radius r."""
+    """A finite family at every radius, given by ``grow(r)``, the members
+    that appear at radius r (repeating an earlier member is harmless)."""
 
-    def __init__(
-        self,
-        tag: str,
-        space: object,
-        fn: Callable[[int], FiniteFamily] | None = None,
-        grow: Callable[[int], Iterable] | None = None,
-    ):
+    def __init__(self, tag: str, space: object, grow: Callable[[int], Iterable]):
         self.tag = tag
         self.space = space
-        self.fn = fn
         self.grow = grow
-        self._cache: dict = {}
 
     def at(self, r: int) -> FiniteFamily:
-        if r not in self._cache:
-            if self.fn is not None:
-                self._cache[r] = self.fn(r)
-            else:
-                self._cache[r] = finite_family(
-                    self.space, (m for q in range(r + 1) for m in self.grow(q))
-                )
-        return self._cache[r]
+        """The family at radius r: the canonical union of grow(0..r)."""
+        return finite_family(
+            self.space, (m for q in range(r + 1) for m in self.grow(q))
+        )
 
     def delta(self, r: int) -> Iterable:
         """Members that appear at radius r, as iterables of points."""
-        if self.grow is not None:
-            return self.grow(r)
-        members = self.at(r).members
-        if r == 0:
-            return members
-        prev = set(self.at(r - 1).members)
-        if not prev.issubset(members):
-            raise PreconditionError(f"family {self.tag} is not monotone at radius {r}")
-        return [m for m in members if m not in prev]
-
-
-def is_monotone(pf: ParamFamily, radius: int) -> bool:
-    prev: set = set()
-    for r in range(radius + 1):
-        cur = set(pf.at(r).members)
-        if not prev <= cur:
-            return False
-        prev = cur
-    return True
+        return self.grow(r)
 
 
 class ControlledSet:
@@ -269,16 +237,11 @@ class RefineResult:
         return self.ok
 
 
-def refines(f1: FiniteFamily, f2: FiniteFamily, ignore_singletons: bool = False) -> RefineResult:
-    """Does every member of f1 sit inside some member of f2?
-
-    Singleton members can be skipped, matching the convention that refinement
-    up to single points is still a refinement."""
+def refines(f1: FiniteFamily, f2: FiniteFamily) -> RefineResult:
+    """Does every member of f1 sit inside some member of f2?"""
     assignment = {}
     members2 = [set(m) for m in f2.members]
     for m in f1.members:
-        if ignore_singletons and len(m) <= 1:
-            continue
         ms = set(m)
         for raw, cooked in zip(f2.members, members2):
             if ms <= cooked:
@@ -336,4 +299,4 @@ def image_family(pf: ParamFamily, rule: Callable, target_space, tag: str = "") -
 def constant_family(space, members, tag: str = "") -> ParamFamily:
     fam = finite_family(space, members)
     label = tag or "{" + ";".join("[" + ",".join(map(str, m)) + "]" for m in fam.members) + "}"
-    return ParamFamily(tag=label, space=space, fn=lambda r: fam)
+    return ParamFamily(tag=label, space=space, grow=lambda r: () if r else fam.members)

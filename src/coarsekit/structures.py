@@ -42,14 +42,13 @@ class CoarseStructure:
     per radius with that radius's delta.  This generic fold contributes each
     distinct member once, through the memoized ``member_contribution``.  A
     structure may override ``fold`` with a faster loop only if it gives the
-    same witness set; ``GroupStructure`` does, and gives the generic fold
-    back to any subclass that overrides how a member contributes."""
+    same witness set, as ``GroupStructure`` does."""
 
     space: object
     label: str
 
     def __init__(self):
-        self._contrib_cache: dict = {}
+        self._contributions: dict = {}
 
     def witness_group(self) -> groups.GroupSpec:
         raise NotImplementedError
@@ -63,9 +62,9 @@ class CoarseStructure:
         override this without a memo, since a member's witness costs a
         few multiplications per pair, less than keeping it."""
         key = frozenset(member)
-        found = self._contrib_cache.get(key)
+        found = self._contributions.get(key)
         if found is None:
-            found = self._contrib_cache[key] = frozenset(self._compute_contribution(member))
+            found = self._contributions[key] = frozenset(self._compute_contribution(member))
         return found
 
     def _compute_contribution(self, member):
@@ -93,14 +92,9 @@ class GroupStructure(CoarseStructure):
 
     Its ``fold`` runs the witness kernel over every member straight into the
     witness set, with no memo and no ``seen`` lookup: a repeated member adds
-    nothing.  A subclass that overrides ``member_contribution`` or
-    ``_compute_contribution`` gets the generic fold back, so its override
-    still sees every distinct member."""
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if "member_contribution" in vars(cls) or "_compute_contribution" in vars(cls):
-            cls.fold = CoarseStructure.fold
+    nothing.  It never calls ``member_contribution``, so a subclass that
+    changes how a member contributes must also set
+    ``fold = CoarseStructure.fold``."""
 
     def __init__(self, spec: groups.GroupSpec, side: str):
         if side not in ("left", "right"):
@@ -213,7 +207,7 @@ def random_shapes(spec: groups.GroupSpec, seed: int, count: int, mesh: int = 2) 
 
 
 def membership_window(structure: CoarseStructure, pf: ParamFamily, radius: int):
-    """Evaluate the witness trace of a monotone parametrized family.
+    """Evaluate the witness trace of a parametrized family.
 
     Each radius's delta goes to ``structure.fold`` in one call, so a member
     contributes at the radius where it first appears (see

@@ -178,6 +178,27 @@ def ref_membership_window(side: str, spec, pf, radius: int) -> tuple:
     return "FAIL", trace, frozenset(witness)
 
 
+def ref_snapshot_window(side: str, spec, snapshot, radius: int) -> tuple:
+    """(verdict, trace, elements) of the family whose members at radius r
+    are ``snapshot(r)``, read as whole families: each radius adds the
+    ``ref_member_witness`` of every member not in the snapshot before it.
+    A snapshot that drops a member fails an assertion, since no family may
+    shrink.  Elements are given as ``ref_membership_window`` gives them."""
+    prev: set = set()
+    witness: set = set()
+    trace = {}
+    for r in range(radius + 1):
+        cur = {frozenset(m) for m in snapshot(r)}
+        assert prev <= cur, f"snapshot loses a member at radius {r}"
+        for m in cur - prev:
+            witness |= ref_member_witness(side, spec, m)
+        prev = cur
+        trace[r] = len(witness)
+    if trace_stabilizes(trace, radius):
+        return "PASS", trace, groups.canonical_sorted(spec, witness)
+    return "FAIL", trace, frozenset(witness)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive search for compatible partial maps on integer windows
 

@@ -30,7 +30,7 @@ from coarsekit.errors import (
     InfiniteStabilizerError,
     PreconditionError,
 )
-from coarsekit.families import constant_family, translate_pair_family
+from coarsekit.families import translate_pair_family
 from coarsekit.maps import check_bornologous, table_map
 from coarsekit.spaces import FiniteSpace, GroupSpace, point_space
 from coarsekit.structures import (
@@ -167,15 +167,13 @@ class TestUniformlyBornologous:
         assert all(entry["controlled_route_agrees"] for entry in cert.data["families"].values())
 
     def test_left_translations_break_right_structure(self):
-        battery = [constant_family(DS, [(ONE, T)], tag="{[1,t]}")]
         cert = uniformly_bornologous_action_check(
-            left_translation(identity_hom(DIH)), RightGroupStructure(DIH), 6,
-            battery=battery,
+            left_translation(identity_hom(DIH)), RightGroupStructure(DIH), 6
         )
         assert cert.verdict == "FAIL"
         counter = cert.data["counterexample"]
-        trace = counter["trace"]
-        assert trace["6"] > trace["0"]
+        assert counter["family"] == "translates({{g, t*g}})"
+        assert counter["trace"] == {str(r): 2 * r + 2 for r in range(7)}
 
     def test_right_translations_preserve_right_structure(self):
         cert = uniformly_bornologous_action_check(
@@ -279,6 +277,23 @@ class TestCoarseActionCertificate:
         assert cert.verdict == "FAIL"
         assert cert.data["coarsely_proper"]["verdict"] == "FAIL"
         assert cert.data["cobounded"]["verdict"] == "FAIL"
+
+    def test_orbit_window_is_read_from_the_orbit_map(self, monkeypatch):
+        """The orbit map's target window comes from the fibre index it has
+        built, not from applying the action to Ball(r) once more per radius
+        (2,826 applications at radius 16 when it did)."""
+        action = left_translation(identity_hom(DIH))
+        calls = []
+        apply = TranslationAction.apply
+
+        def counting(self, g, x):
+            calls.append(g)
+            return apply(self, g, x)
+
+        monkeypatch.setattr(TranslationAction, "apply", counting)
+        cert = coarse_action_certificate(action, LeftGroupStructure(DIH), ONE, 16)
+        assert cert.verdict == "PASS"
+        assert len(calls) < 2000
 
     def test_properness_matches_stabilizer_behaviour(self):
         """Coarse properness, stabilizer stabilization, and point-finiteness

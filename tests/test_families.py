@@ -11,7 +11,6 @@ from coarsekit.families import (
     family_to_controlled,
     finite_family,
     image_family,
-    is_monotone,
     member_witness,
     refines,
     shape_translate_family,
@@ -164,12 +163,6 @@ class TestRefines:
         assert not res
         assert res.failing == (0, 1, 2)
 
-    def test_ignore_singletons(self):
-        fam = finite_family(ZS, [(9,), (0, 1)])
-        target = finite_family(ZS, [(0, 1)])
-        assert not refines(fam, target)
-        assert refines(fam, target, ignore_singletons=True)
-
 
 class TestTraces:
     def test_ceil_half(self):
@@ -185,10 +178,6 @@ class TestTraces:
 
 
 class TestParamFamilies:
-    def test_monotone(self):
-        assert is_monotone(translate_pair_family(ZS, 1, "right"), 5)
-        assert is_monotone(constant_family(ZS, [(0, 3)]), 5)
-
     def test_image_family(self):
         pf = shape_translate_family(ZS, (0, 1), "right")
         img = image_family(pf, lambda n: (n, 0), DS, tag="into-dih")

@@ -175,6 +175,8 @@ def test_no_member_and_empty_members_add_nothing():
 
 
 class _Passthrough(LeftGroupStructure):
+    fold = CoarseStructure.fold
+
     def _compute_contribution(self, member):
         return super()._compute_contribution(member)
 

@@ -2,13 +2,10 @@ import pytest
 
 from coarsekit import groups
 from coarsekit.actions import ActionInducedStructure, inclusion_hom, left_translation
-from coarsekit.errors import PreconditionError
 from coarsekit.families import (
     Counterexample,
-    ParamFamily,
     Witness,
     constant_family,
-    finite_family,
     shape_translate_family,
     translate_pair_family,
 )
@@ -52,15 +49,6 @@ class TestMembershipWindow:
         assert values[-1] > values[0]
         # the left witness of {g, t.g} collects conjugates g^-1 t g
         assert all(g in res.elements for g in groups.conjugacy_window(DIH, T, 4))
-
-    def test_requires_monotone_family(self):
-        def shrink(r):
-            members = [(0, 1)] if r < 3 else [(0,)]
-            return finite_family(ZS, members)
-
-        pf = ParamFamily(tag="shrink", space=ZS, fn=shrink)
-        with pytest.raises(PreconditionError):
-            membership_window(LeftGroupStructure(groups.Z), pf, 5)
 
     def test_constant_family_passes(self):
         res = membership_window(
