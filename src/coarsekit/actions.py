@@ -53,7 +53,8 @@ from .structures import (
     random_shapes,
 )
 
-ACTION_LAW_DEPTH = 3
+ACTION_LAW_DEPTH = 3  # the acting ball, and default point window, of the law and commutation checks
+BATTERY_SHAPES = 8  # the random shapes of each battery the action checks and their map checks read
 COVER_CONSTANT_CAP = 4  # the greatest cover constant the cobounded and orbit checks try
 COBOUNDED_MESH_CAP = 4  # the greatest mesh of a ball the cobounded search tries as U
 CONTROLLED_ROUTE_RADIUS = 6  # the greatest radius of the controlled-set route
@@ -163,11 +164,11 @@ class TrivialAction(Action):
 class TableAction(Action):
     """Finite space action given by one permutation per generator."""
 
-    def __init__(self, group: groups.GroupSpec, space: FiniteSpace, perms: dict, name: str = ""):
+    def __init__(self, group: groups.GroupSpec, space: FiniteSpace, perms: dict):
         self.group = group
         self.space = space
         self.perms = perms  # generator index -> {point: point}
-        self.name = name or f"table({group.label()} on {space.label})"
+        self.name = f"table({group.label()} on {space.label})"
 
     def apply(self, g, x):
         word = groups.geodesic_word(self.group, g)
@@ -194,8 +195,8 @@ def trivial_action(group: groups.GroupSpec, space) -> TrivialAction:
     return a
 
 
-def table_action(group: groups.GroupSpec, space: FiniteSpace, perms: dict, name: str = "") -> TableAction:
-    a = TableAction(group, space, perms, name=name)
+def table_action(group: groups.GroupSpec, space: FiniteSpace, perms: dict) -> TableAction:
+    a = TableAction(group, space, perms)
     a.validate()
     return a
 
@@ -316,7 +317,7 @@ class ActionInducedStructure(CoarseStructure):
             out.update(self.action.apply_set(groups.multiply(G, g, f0), self.U))
         return tuple(sorted(out, key=self.space.sort_key))
 
-    def default_battery(self, seed: int = 0, n_random: int = 8) -> list:
+    def default_battery(self, seed: int, n_random: int) -> list:
         fams = [action_translate_family(self.action, self.U, tag="{g.U}")]
         for i, shape in enumerate(random_shapes(self.action.group, seed=seed, count=n_random, mesh=1)):
             V = set()
@@ -439,7 +440,6 @@ def uniformly_bornologous_action_check(
     struct: CoarseStructure,
     radius: int,
     seed: int = 0,
-    n_random: int = 8,
 ) -> Certificate:
     """Are all translates of bounded families still bounded?
 
@@ -458,7 +458,7 @@ def uniformly_bornologous_action_check(
         raise SpaceMismatchError("action and structure live on different spaces")
     rb = min(radius, CONTROLLED_ROUTE_RADIUS)
     results = {}
-    for pf in struct.default_battery(seed=seed, n_random=n_random):
+    for pf in struct.default_battery(seed=seed, n_random=BATTERY_SHAPES):
         base = membership_window(struct, pf, radius)
         if not base.bounded:
             raise PreconditionError(f"battery family {pf.tag} is not bounded in {struct.label}")
@@ -672,7 +672,6 @@ def coarse_action_certificate(
     x0,
     radius: int,
     seed: int = 0,
-    n_random: int = 8,
 ) -> Certificate:
     """Bundle of window checks for acting coarsely on (space, struct):
     uniformly bornologous translates, coarse properness on bounded test
@@ -681,7 +680,7 @@ def coarse_action_certificate(
     if action.space != struct.space:
         raise SpaceMismatchError("action and structure live on different spaces")
     action.space.validate(x0)
-    ub = uniformly_bornologous_action_check(action, struct, radius, seed=seed, n_random=n_random)
+    ub = uniformly_bornologous_action_check(action, struct, radius, seed=seed)
 
     proper_parts = []
     proper_ok = True
@@ -726,7 +725,7 @@ def coarse_action_certificate(
         source_slack=cover_c + _mesh(action.space, Ucb) + 2,
     )
     orbit_cert = surjective_equivalence_check(
-        orbit_map, radius, cover_distance=0, seed=seed, n_random=n_random,
+        orbit_map, radius, cover_distance=0, seed=seed, n_random=BATTERY_SHAPES,
         target_window=lambda r: orbit_map.fibres.image(r),
     )
     data["orbit_map"] = orbit_cert.to_json()
@@ -734,7 +733,7 @@ def coarse_action_certificate(
     refine_struct = ActionInducedStructure(action, Ucb, slack=cover_c + _mesh(action.space, Ucb) + 2)
     refinement = {}
     refine_ok = True
-    for pf in struct.default_battery(seed=seed, n_random=n_random):
+    for pf in struct.default_battery(seed=seed, n_random=BATTERY_SHAPES):
         res = membership_window(refine_struct, pf, radius)
         refinement[pf.tag] = res.to_json()
         if not res.bounded:
@@ -760,7 +759,6 @@ def commuting_equivalence(
     x0,
     radius: int,
     seed: int = 0,
-    n_random: int = 8,
 ) -> Certificate:
     """Two commuting coarse actions on one space give coarsely inverse
     selections between the acting groups.
@@ -768,7 +766,10 @@ def commuting_equivalence(
     psi sends h to the least g1 with h^-1.x0 inside g1.U; phi is symmetric.
     The certificate checks both are bornologous and that the compositions
     are close to the identities, with orbit closeness refining the star
-    family of translates of U."""
+    family of translates of U.  Commutation is read for g, h in
+    Ball(ACTION_LAW_DEPTH) at window(d), d the larger ``law_depth``: two
+    translation actions (d = 0) commute at every point when they commute
+    at the identity, by the cancellation behind their ``law_depth``."""
     if action1.space != action2.space:
         raise SpaceMismatchError("commuting actions must share their space")
     space = action1.space
@@ -776,10 +777,10 @@ def commuting_equivalence(
     space.validate(x0)
     G1, G2 = action1.group, action2.group
 
-    # commutativity on a small window
+    points = space.window(max(action1.law_depth, action2.law_depth))
     for g in groups.ball(G1, ACTION_LAW_DEPTH).elements:
         for h in groups.ball(G2, ACTION_LAW_DEPTH).elements:
-            for x in space.window(ACTION_LAW_DEPTH):
+            for x in points:
                 lhs = action1.apply(g, action2.apply(h, x))
                 rhs = action2.apply(h, action1.apply(g, x))
                 if lhs != rhs:
@@ -810,8 +811,8 @@ def commuting_equivalence(
             )
         max_gap = max(max_gap, gap12, gap21)
 
-    cert1 = coarse_action_certificate(action1, struct1, x0, radius, seed=seed, n_random=n_random)
-    cert2 = coarse_action_certificate(action2, struct2, x0, radius, seed=seed, n_random=n_random)
+    cert1 = coarse_action_certificate(action1, struct1, x0, radius, seed=seed)
+    cert2 = coarse_action_certificate(action2, struct2, x0, radius, seed=seed)
     if not (cert1.passed and cert2.passed):
         return Certificate(
             check="commuting-equivalence",
@@ -831,8 +832,8 @@ def commuting_equivalence(
     phi_map = table_map("phi", struct_g1, struct_g2, phi)
     phi_map.source_slack = slack
 
-    born_psi = check_bornologous(psi_map, radius, seed=seed, n_random=n_random)
-    born_phi = check_bornologous(phi_map, radius, seed=seed, n_random=n_random)
+    born_psi = check_bornologous(psi_map, radius, seed=seed, n_random=BATTERY_SHAPES)
+    born_phi = check_bornologous(phi_map, radius, seed=seed, n_random=BATTERY_SHAPES)
 
     def close_family(tag, table_outer, table_inner, struct):
         def grow(r: int):

@@ -347,9 +347,10 @@ def cmd_gromov(args) -> tuple:
     src = LeftGroupStructure(groups.Z)
     tgt = LeftGroupStructure(groups.Z)
     alpha = parse_map_dsl(args.map, src, tgt)
+    source, target = alpha.source.space, alpha.target.space
     td = build_transfer_data(alpha, args.radius, extended=True)
-    pin = groups.Z.parse_element(args.pin)
-    self_table = {x: alpha(x) for x in groups.ball(groups.Z, args.enum_radius).elements}
+    pin = target.parse(args.pin)
+    self_table = {x: alpha(x) for x in source.window(args.enum_radius)}
     self_check = beta_window_check(td, self_table, args.enum_radius)
     betas = enumerate_beta_windows(td, args.enum_radius, pin=pin)
     checks = [
@@ -367,8 +368,8 @@ def cmd_gromov(args) -> tuple:
             "data": {
                 "count": len(betas),
                 "tables": [
-                    {groups.Z.serialize(x): groups.Z.serialize(v)
-                     for x, v in sorted(b.items(), key=lambda kv: groups.sort_key(groups.Z, kv[0]))}
+                    {source.serialize(x): target.serialize(v)
+                     for x, v in sorted(b.items(), key=lambda kv: source.sort_key(kv[0]))}
                     for b in betas
                 ],
             },

@@ -269,12 +269,11 @@ def translate_pair_family(space, a, side: str) -> ParamFamily:
     return ParamFamily(tag=tag, space=space, grow=grow)
 
 
-def shape_translate_family(space, shape: tuple, side: str, tag: str = "") -> ParamFamily:
+def shape_translate_family(space, shape: tuple, side: str) -> ParamFamily:
     """r -> {g*S} ("left") or {S*g} ("right") over g in Ball(r), S fixed."""
     spec = space.spec
-    if not tag:
-        shape_ser = ",".join(spec.serialize(s) for s in shape)
-        tag = f"{{g*[{shape_ser}]}}" if side == "left" else f"{{[{shape_ser}]*g}}"
+    shape_ser = ",".join(spec.serialize(s) for s in shape)
+    tag = f"{{g*[{shape_ser}]}}" if side == "left" else f"{{[{shape_ser}]*g}}"
 
     def grow(r: int):
         mul = spec.mul
@@ -296,7 +295,7 @@ def image_family(pf: ParamFamily, rule: Callable, target_space, tag: str = "") -
     return ParamFamily(tag=tag or f"image({pf.tag})", space=target_space, grow=grow)
 
 
-def constant_family(space, members, tag: str = "") -> ParamFamily:
+def constant_family(space, members) -> ParamFamily:
     fam = finite_family(space, members)
-    label = tag or "{" + ";".join("[" + ",".join(map(str, m)) + "]" for m in fam.members) + "}"
+    label = "{" + ";".join("[" + ",".join(map(str, m)) + "]" for m in fam.members) + "}"
     return ParamFamily(tag=label, space=space, grow=lambda r: () if r else fam.members)

@@ -608,22 +608,22 @@ def ball(spec: GroupSpec, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
     return found
 
 
-def sphere(spec: GroupSpec, r: int, cap: int = DEFAULT_BALL_CAP) -> tuple:
+def sphere(spec: GroupSpec, r: int) -> tuple:
     """Elements of word length exactly r, in canonical order."""
-    layers = _extended(spec, r, cap).layers
+    layers = _extended(spec, r, DEFAULT_BALL_CAP).layers
     return layers[r] if r < len(layers) else ()
 
 
-def conjugacy_window(spec: GroupSpec, a: Element, radius: int, cap: int = DEFAULT_BALL_CAP) -> tuple:
+def conjugacy_window(spec: GroupSpec, a: Element, radius: int) -> tuple:
     """All conjugates h^-1 a h with h in the radius ball, canonically ordered."""
     spec.validate(a)
     out = set()
-    for h in ball(spec, radius, cap).elements:
+    for h in ball(spec, radius).elements:
         out.add(conjugate(spec, a, h))
     return canonical_sorted(spec, out)
 
 
-def geodesic_word(spec: GroupSpec, g: Element, cap: int = DEFAULT_BALL_CAP) -> tuple:
+def geodesic_word(spec: GroupSpec, g: Element) -> tuple:
     """Generator indices of one geodesic spelling of g."""
     r = word_length(spec, g)
-    return ball(spec, r, cap).words[g]
+    return ball(spec, r).words[g]

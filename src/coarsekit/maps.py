@@ -435,8 +435,6 @@ def pullback_structure_equality(
     spec1: CoarseStructure,
     spec2: CoarseStructure,
     radius: int,
-    seed: int = 0,
-    n_random: int = 32,
 ) -> Certificate:
     """Compare two structures on the target of a surjective map by pulling
     battery families back and pushing them forward again."""
@@ -452,7 +450,7 @@ def pullback_structure_equality(
             )
 
     def one_direction(a: CoarseStructure, b: CoarseStructure):
-        for pf in a.default_battery(seed=seed, n_random=n_random):
+        for pf in a.default_battery(seed=0, n_random=32):
             res_a = membership_window(a, pf, radius)
             if not res_a.bounded:
                 raise PreconditionError(f"battery family {pf.tag} is not bounded in {a.label}")

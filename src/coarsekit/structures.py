@@ -82,7 +82,7 @@ class CoarseStructure:
         """A canonical bounded set containing y, one notch of mesh at a time."""
         raise NotImplementedError
 
-    def default_battery(self, seed: int = 0, n_random: int = 32) -> list:
+    def default_battery(self, seed: int, n_random: int) -> list:
         raise NotImplementedError
 
 
@@ -120,7 +120,7 @@ class GroupStructure(CoarseStructure):
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
         return self.space.ball_about(y, mesh, side=self.side)
 
-    def default_battery(self, seed: int = 0, n_random: int = 32) -> list:
+    def default_battery(self, seed: int, n_random: int) -> list:
         # translate pairs on the opposite side are bounded on this one
         other = "right" if self.side == "left" else "left"
         fams = [translate_pair_family(self.space, s, other) for s in self.spec.generators()]
@@ -187,7 +187,7 @@ class PullbackStructure(CoarseStructure):
             nb.add(self.rule(w))
         return tuple(sorted(nb, key=self.space.sort_key))
 
-    def default_battery(self, seed: int = 0, n_random: int = 32) -> list:
+    def default_battery(self, seed: int, n_random: int) -> list:
         out = []
         for pf in self.source.default_battery(seed=seed, n_random=n_random):
             out.append(image_family(pf, self.rule, self.space, tag=f"push({pf.tag})"))

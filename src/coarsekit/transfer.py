@@ -37,7 +37,13 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import groups
-from .errors import CoverFailureError, PreconditionError, ResourceLimitError, WindowOverflowError
+from .errors import (
+    CoverFailureError,
+    MalformedElementError,
+    PreconditionError,
+    ResourceLimitError,
+    WindowOverflowError,
+)
 from .families import entry_trace, trace_stabilizes
 from .maps import Certificate, MapWindow, check_bornologous, check_coarsely_proper
 
@@ -50,14 +56,6 @@ ALL_CONDITIONS = ("pin", "c", "d", "cover")
 def _key_tag(spec: groups.GroupSpec, key: frozenset) -> str:
     elems = sorted(key, key=lambda g: groups.sort_key(spec, g))
     return "{" + ",".join(spec.serialize(g) for g in elems) + "}"
-
-
-def _element_of(spec: groups.GroupSpec, g) -> bool:
-    try:
-        groups.word_length(spec, g)
-    except (TypeError, ValueError, IndexError):
-        return False
-    return True
 
 
 class TransferData:
@@ -169,20 +167,26 @@ def _union(tables: dict, key) -> dict:
 def compute_transfer_sets(alpha: MapWindow, F, radius: int) -> dict:
     """Both displacement sets of one key, with their stabilization traces.
 
-    The key is read in the source for c and in the target for d; a half
-    is omitted when the key does not consist of elements of its group."""
+    The key is read in the source for c and in the target for d, each only
+    when it is made of normal forms of that group; a key of neither is refused."""
     G = alpha.source.space.spec
     H = alpha.target.space.spec
+    in_g = all(G.is_normal(f) for f in F)
+    in_h = all(H.is_normal(f) for f in F)
+    if not (in_g or in_h):
+        raise MalformedElementError(
+            f"transfer key {sorted(map(repr, F))} holds elements of neither {G.label()} nor {H.label()}"
+        )
     _require_coarse(alpha, radius)
     src_radius = alpha.source_radius(radius)
-    rec: dict = {"key": None}
-    # (half, group of the key, group of the values, singleton tables)
-    for half, keyed, valued, singletons in (("c", G, H, _c_singletons), ("d", H, G, _d_singletons)):
+    rec: dict = {"key": groups.canonical_sorted(G if in_g else H, F)}
+    # (half, group of the key, group of the values, singleton tables, key in its group)
+    for half, keyed, valued, singletons, keyed_in in (
+        ("c", G, H, _c_singletons, in_g), ("d", H, G, _d_singletons, in_h)
+    ):
         vals, trace, stable = None, {}, None
-        if all(_element_of(keyed, f) for f in F):
+        if keyed_in:
             key = groups.canonical_sorted(keyed, F)
-            if rec["key"] is None:
-                rec["key"] = key
             enters = _union(singletons(alpha, key, src_radius), key)
             vals = groups.canonical_sorted(valued, enters)
             trace = entry_trace(enters.values(), src_radius)
@@ -400,9 +404,6 @@ def enumerate_beta_windows(
                 if back in Fset and mul_g(inv_g(y), x) not in dset:
                     return False
         return True
-
-    if dom[0] != one:
-        raise PreconditionError("enumeration ball does not start at the identity")
 
     results: list = []
     expanded = 0

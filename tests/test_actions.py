@@ -335,6 +335,31 @@ class TestCommuting:
                 z_on_dih_left(), left_translation(identity_hom(DIH)), (ONE, T), ONE, 6
             )
 
+    def test_translation_pair_checks_commutation_at_the_identity(self, monkeypatch):
+        action1, action2 = left_translation(identity_hom(DIH)), right_translation(identity_hom(DIH))
+        calls = []
+        apply = TranslationAction.apply
+        monkeypatch.setattr(
+            TranslationAction, "apply", lambda self, g, x: calls.append(x) or apply(self, g, x)
+        )
+        commuting_equivalence(action1, action2, (ONE, T), ONE, 8)
+        # the points of window(3) would take 8,872 applications
+        assert len(calls) < 3000
+
+    @pytest.mark.parametrize("trivial,depth", [(True, 3), (False, 0)], ids=["trivial", "translation"])
+    def test_commutation_points_come_from_the_deeper_law(self, monkeypatch, trivial, depth):
+        # a trivial action checks its law on window(3), so the pair is checked there too
+        first = trivial_action(Z, GroupSpace(Z)) if trivial else right_translation(identity_hom(Z))
+        second = left_translation(identity_hom(Z))
+        radii = []
+        window = GroupSpace.window
+        monkeypatch.setattr(GroupSpace, "window", lambda self, r: radii.append(r) or window(self, r))
+        try:
+            commuting_equivalence(first, second, (0,), 0, 8)
+        except PreconditionError:
+            assert trivial  # the trivial action is not cobounded
+        assert radii[0] == depth
+
     def test_trivial_group_is_vacuous(self):
         one = groups.cyclic(1)
         action = trivial_action(one, GroupSpace(one))

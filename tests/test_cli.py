@@ -289,6 +289,18 @@ class TestErrors:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "malformed-element"
 
+    @pytest.mark.parametrize("action1,at", [
+        ("left(DihInf)", "g=(0, 1), h=(1, 0), x=(0, 0)"),
+        ("left(Z->DihInf via x^n)", "g=1, h=(0, 1), x=(0, 0)"),
+    ])
+    def test_actions_that_do_not_commute_name_the_first_failure(self, action1, at):
+        code, out = run_cli(["commuting", "--action1", action1, "--action2", "left(DihInf)",
+                             "--set", "1", "--radius", "6"])
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error == {"code": "commutativity-violation",
+                         "message": f"actions do not commute at {at}"}
+
     def test_negative_cover_distance_exits_2(self):
         code, out = run_cli(
             ["map-check", "--group", "Z", "--map", "identity", "--equivalence",

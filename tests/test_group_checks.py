@@ -2,6 +2,7 @@ import pytest
 
 import oracles
 from coarsekit import group_checks, groups
+from coarsekit.errors import WindowTooSmallError
 from coarsekit.families import fold_witness, translate_pair_family
 from coarsekit.group_checks import (
     compare_left_right,
@@ -107,6 +108,22 @@ class TestDihedralDemo:
         assert data["conjugacy_window_x"]["4"] == 2
         assert all(entry["agree"] for entry in data["pullback_agreement"])
         assert data["exact_pullback"].startswith("not applicable")
+
+    @pytest.mark.parametrize("radius", range(1, 7))
+    def test_exact_pullback_is_not_applicable_at_every_radius(self, radius):
+        # the inclusion misses t, which lies in window(1)
+        cert = dihedral_demo(radius)
+        assert cert.data["exact_pullback"] == "not applicable: the inclusion misses the reflections"
+        assert cert.notes == [
+            "conjugates of x stabilize at {x, x^-1}; conjugates of t grow as 2r+1,"
+            " so t separates the left and right structures",
+            "exact pullback comparison needs an onto map; the distance-1 cover"
+            " stands in for it",
+        ]
+
+    def test_radius_zero_is_refused(self):
+        with pytest.raises(WindowTooSmallError):
+            dihedral_demo(0)
 
 
 # ---------------------------------------------------------------------------

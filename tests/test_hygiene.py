@@ -1,16 +1,21 @@
-"""Source hygiene of the package: every module other than ``__init__.py``
-uses each name it imports, and every private name a module defines at its
-top level is read somewhere in the package.  A name imported and never
-read, or a private helper nothing calls, is left over from code that moved
-or went away."""
+"""Source hygiene of the package: every module uses each name it imports,
+every private name a module defines at its top level is read somewhere in
+the package, and every parameter with a default is set by some call in the
+package or the benchmark.  A name imported and never read, a private helper
+nothing calls, or a setting every caller leaves at one value is left over
+from code that moved or went away.  Importing one module does not import
+the whole package."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "coarsekit"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "coarsekit"
 ALL_MODULES = sorted(p.name for p in SRC.glob("*.py"))
 
 
@@ -34,7 +39,7 @@ def test_unused_import_is_found():
     assert unused_imports(source) == ["b"]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", ALL_MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
 
@@ -77,3 +82,96 @@ def test_module_private_names_are_read(module):
     read = set().union(*(names_read((SRC / m).read_text()) for m in ALL_MODULES))
     defined = private_definitions((SRC / module).read_text())
     assert [name for name in defined if name not in read] == []
+
+
+# parameters with a default that no call in src/ or perfbench/ sets
+UNSET_DEFAULTS = {
+    "enumerate_beta_windows(cap)": "tests reach the enumeration's resource guard through it",
+    "actions_commute_check(g_depth)": "an admissibility check of each table is to replace this "
+    "check (ROADMAP.md)",
+    "actions_commute_check(h_depth)": "an admissibility check of each table is to replace this "
+    "check (ROADMAP.md)",
+}
+
+
+def optional_parameters(source: str) -> list:
+    """(label, callee, position, name) for every parameter with a default on
+    a function or method at the top of the module.  A method's callee is its
+    name, a constructor's its class; the position counts the arguments a
+    call passes, so self is not counted, and it is None for keyword-only
+    parameters."""
+    out = []
+    tree = ast.parse(source)
+    scopes = [(None, node) for node in tree.body]
+    scopes += [(c.name, node) for c in tree.body if isinstance(c, ast.ClassDef) for node in c.body]
+    for cls, node in scopes:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        label = f"{cls}.{node.name}" if cls else node.name
+        callee = cls if node.name == "__init__" else node.name
+        offset = 1 if cls else 0
+        out += [(label, callee, i - offset, positional[i].arg) for i in range(first, len(positional))]
+        out += [(label, callee, None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def calls(source: str) -> list:
+    """(callee, positional arguments before any *, keywords, *?, **?) of every
+    call, the callee being the name or attribute called."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        starred = [isinstance(a, ast.Starred) for a in node.args]
+        n_pos = starred.index(True) if any(starred) else len(node.args)
+        keywords = {k.arg for k in node.keywords}
+        out.append((callee, n_pos, keywords, any(starred), None in keywords))
+    return out
+
+
+def unset_defaults(defining: list, calling: list) -> list:
+    """``label(name)`` of the parameters with a default in the ``defining``
+    sources that no call in the ``calling`` sources sets."""
+    made = [c for source in calling for c in calls(source)]
+    unset = []
+    for source in defining:
+        for label, callee, pos, name in optional_parameters(source):
+            if not any(
+                c == callee and (name in kw or spread or (pos is not None and (pos < n or star)))
+                for c, n, kw, star, spread in made
+            ):
+                unset.append(f"{label}({name})")
+    return sorted(unset)
+
+
+def test_unset_default_is_found():
+    source = (
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n"
+        "def g(a=1, b=2):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0):\n        pass\n"
+        "    def m(self, y=0, z=0):\n        pass\n"
+        "f(0, 5)\nf(0, d=4)\ng(**opts)\nK(1)\nK().m(1)\n"
+    )
+    assert unset_defaults([source], [source]) == ["K.m(z)", "f(c)"]
+    assert unset_defaults([source], [source, "f(0, *rest)\nK().m(0, z=1)\n"]) == []
+
+
+def test_every_default_is_set_by_some_call():
+    package = [(SRC / m).read_text() for m in ALL_MODULES]
+    bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unset_defaults(package, package + bench) == sorted(UNSET_DEFAULTS)
+
+
+def test_importing_one_module_leaves_the_rest_of_the_package_out():
+    probe = "import sys, coarsekit.groups; print(sorted(m for m in sys.modules if m.startswith('coarsekit')))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    loaded = ast.literal_eval(out.stdout)
+    assert "coarsekit.groups" in loaded
+    assert "coarsekit.actions" not in loaded and "coarsekit.cli" not in loaded

@@ -53,7 +53,7 @@ def induced_case(name):
 
 
 def battery_members(struct, radius) -> list:
-    return [m for pf in struct.default_battery() for m in pf.at(radius).members]
+    return [m for pf in struct.default_battery(seed=0, n_random=8) for m in pf.at(radius).members]
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from coarsekit import groups
 from coarsekit.errors import (
+    MalformedElementError,
     PreconditionError,
     ResourceLimitError,
     WindowOverflowError,
@@ -84,6 +85,20 @@ class TestTransferSets:
         assert res["c"] is None and res["c_trace"] == {} and res["c_stable"] is None
         assert res["d"] == (1,)
         assert res["d_stable"]
+
+    def test_source_key_of_a_map_between_groups(self):
+        # a key of integers has a c half and no d half
+        alpha = inclusion_z_to_dih(CL_Z, LeftGroupStructure(groups.DIH))
+        res = compute_transfer_sets(alpha, frozenset({1}), 4)
+        assert res["key"] == (1,) and res["c"] == ((1, 0),)
+        assert res["d"] is None and res["d_trace"] == {} and res["d_stable"] is None
+
+    @pytest.mark.parametrize("key", [frozenset({(1, 5)}), frozenset({True})], ids=["(1,5)", "True"])
+    def test_key_of_neither_group_is_refused(self, key):
+        # (1, 5) is no DihInf normal form, and True is no integer of Z
+        alpha = inclusion_z_to_dih(CL_Z, LeftGroupStructure(groups.DIH))
+        with pytest.raises(MalformedElementError):
+            compute_transfer_sets(alpha, key, 4)
 
     def test_improper_map_rejected(self):
         with pytest.raises(PreconditionError):
