@@ -7,3 +7,7 @@ counterexample at that scale).
 """
 
 __version__ = "0.1.0"
+
+# every name is imported from its module; importing the package loads each
+# module but the CLI, and perfbench/child.py traces the modules loaded then
+from . import errors, groups, spaces, families, structures, maps, actions, group_checks, transfer

@@ -92,7 +92,10 @@ class Action:
     group: groups.GroupSpec
     space: object
     name: str
-    law_depth = ACTION_LAW_DEPTH  # the law is checked at the points of space.window(law_depth)
+    # the law is checked at the points of space.window(law_depth), and the
+    # commutation of a pair at the deeper of their two windows: a class that
+    # lowers it must commute everywhere once it does there, as translations do
+    law_depth = ACTION_LAW_DEPTH
 
     def apply(self, g, x):
         raise NotImplementedError

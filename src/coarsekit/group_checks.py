@@ -189,7 +189,7 @@ def dihedral_demo(radius: int = 16, seed: int = 0) -> Certificate:
     the same structure on Z at this window.  The exact pullback comparison
     needs a map onto the window, and the inclusion misses t, which lies in
     window(1): it is reported not applicable, and radius 0 is refused."""
-    if radius < 1:
+    if radius == 0:
         raise WindowTooSmallError(f"the dihedral demo needs radius 1 or more, got {radius}")
     dih = groups.DIH
     left = LeftGroupStructure(dih)

@@ -373,12 +373,16 @@ class Product(GroupSpec):
         return tuple((s, ib) for s in a.generators()) + tuple((ia, s) for s in b.generators())
 
     def is_normal(self, g: Element) -> bool:
+        a, b = self.factors
+        return isinstance(g, tuple) and len(g) == 2 and a.is_normal(g[0]) and b.is_normal(g[1])
+
+    def validate(self, g: Element) -> Element:
         if not (isinstance(g, tuple) and len(g) == 2):
-            return False
-        # a bad component raises here, naming its own factor
+            return super().validate(g)
+        # a bad component is named in its own factor
         self.factors[0].validate(g[0])
         self.factors[1].validate(g[1])
-        return True
+        return g
 
     def _format(self, g: Element) -> str:
         return f"({self.factors[0]._format(g[0])},{self.factors[1]._format(g[1])})"

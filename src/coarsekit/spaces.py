@@ -117,9 +117,6 @@ class FiniteSpace:
         raise MalformedElementError(f"{text!r} is not a point of {self.name}")
 
 
-Space = object  # GroupSpace | FiniteSpace
-
-
 class Preimages:
     """For each key, the points p of ``space`` with that key in ``keys(p)``,
     in one index grown one sphere of the space at a time.

@@ -144,6 +144,8 @@ def test_bad_element_fails_like_reference(text, g):
     expected = _failure(oracles.ref_validate, spec, g)
     assert _failure(spec.validate, g) == expected
     assert _failure(spec.serialize, g) == expected
+    # a membership test answers, also for a pair with one bad component
+    assert spec.is_normal(g) is False
 
 
 @pytest.mark.parametrize("text,word", BAD_TEXTS, ids=[f"{t}-{w}" for t, w in BAD_TEXTS])

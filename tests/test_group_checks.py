@@ -2,7 +2,7 @@ import pytest
 
 import oracles
 from coarsekit import group_checks, groups
-from coarsekit.errors import WindowTooSmallError
+from coarsekit.errors import InvalidRadiusError, WindowTooSmallError
 from coarsekit.families import fold_witness, translate_pair_family
 from coarsekit.group_checks import (
     compare_left_right,
@@ -124,6 +124,10 @@ class TestDihedralDemo:
     def test_radius_zero_is_refused(self):
         with pytest.raises(WindowTooSmallError):
             dihedral_demo(0)
+
+    def test_negative_radius_is_invalid(self):
+        with pytest.raises(InvalidRadiusError):
+            dihedral_demo(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,20 @@
-"""Source hygiene of the package: every module uses each name it imports,
-every private name a module defines at its top level is read somewhere in
-the package, and every parameter with a default is set by some call in the
-package or the benchmark.  A name imported and never read, a private helper
-nothing calls, or a setting every caller leaves at one value is left over
-from code that moved or went away.  Importing one module does not import
-the whole package."""
+"""Source hygiene of the package: every module other than ``__init__.py``
+uses each name it imports, every private name a module defines at its top
+level is read somewhere in the package, and every parameter with a default
+is set by some call in the package or the benchmark.  A name imported and
+never read, a private helper nothing calls, or a setting every caller
+leaves at one value is left over from code that moved or went away.
+``__init__.py`` imports the modules only to load them, and binds no other
+name than ``__version__``."""
 
 import ast
-import os
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "coarsekit"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(p.name for p in SRC.glob("*.py"))
 
 
@@ -39,7 +38,7 @@ def test_unused_import_is_found():
     assert unused_imports(source) == ["b"]
 
 
-@pytest.mark.parametrize("module", ALL_MODULES)
+@pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
 
@@ -168,10 +167,14 @@ def test_every_default_is_set_by_some_call():
     assert unset_defaults(package, package + bench) == sorted(UNSET_DEFAULTS)
 
 
-def test_importing_one_module_leaves_the_rest_of_the_package_out():
-    probe = "import sys, coarsekit.groups; print(sorted(m for m in sys.modules if m.startswith('coarsekit')))"
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    loaded = ast.literal_eval(out.stdout)
-    assert "coarsekit.groups" in loaded
-    assert "coarsekit.actions" not in loaded and "coarsekit.cli" not in loaded
+def test_package_binds_only_its_modules_and_version():
+    bound = set()
+    for node in ast.parse((SRC / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 1 and node.module is None
+            bound.update(f"{alias.name}.py" for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(n.id for n in node.targets)
+        else:
+            assert isinstance(node, ast.Expr)  # the docstring
+    assert bound == {"__version__"} | set(MODULES) - {"cli.py"}

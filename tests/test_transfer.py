@@ -93,6 +93,15 @@ class TestTransferSets:
         assert res["key"] == (1,) and res["c"] == ((1, 0),)
         assert res["d"] is None and res["d_trace"] == {} and res["d_stable"] is None
 
+    def test_source_key_that_is_no_element_of_a_product_target(self):
+        # (1, 0) is in Z^2 but not in product(Z,DihInf), whose DihInf half is no pair
+        target = LeftGroupStructure(groups.product(groups.Z, groups.DIH))
+        alpha = MapWindow("(a,b)->(a,x^b)", LeftGroupStructure(groups.free_abelian(2)), target,
+                          lambda g: (g[0], (g[1], 0)))
+        res = compute_transfer_sets(alpha, frozenset({(1, 0)}), 6)
+        assert res["key"] == ((1, 0),) and res["c"] == ((1, (0, 0)),)
+        assert res["d"] is None
+
     @pytest.mark.parametrize("key", [frozenset({(1, 5)}), frozenset({True})], ids=["(1,5)", "True"])
     def test_key_of_neither_group_is_refused(self, key):
         # (1, 5) is no DihInf normal form, and True is no integer of Z
