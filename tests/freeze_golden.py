@@ -3,9 +3,10 @@
     PYTHONPATH=src python tests/freeze_golden.py
 
 Run this only when a report changes on purpose: the corpus is the frozen
-JSON stdout of the README commands, ``commuting --radius 16``, and a
-``commuting`` run on Z^2, a group of quadratic growth, and the group checks
-on Z^2 and on products with DihInf; ``test_golden.py`` asserts that the
+JSON stdout of the README commands, ``commuting --radius 16``, a
+``commuting`` run on Z^2, a group of quadratic growth, the group checks on
+Z^2 and on products with DihInf, and three balls listed in full;
+``test_golden.py`` asserts that the
 current code prints the same bytes.
 """
 
@@ -55,6 +56,11 @@ COMMANDS = {
     "compare-lr-product-dihinf-z-6": [
         "compare-lr", "--group", "product(DihInf,Z)", "--radius", "6",
     ],
+    # the order of whole balls: a free group, a rank-3 lattice and a product
+    # with a finite factor, each listed element by element
+    "ball-f2-4-list": ["ball", "--group", "F(2)", "--radius", "4", "--list"],
+    "ball-z3-3": ["ball", "--group", "Z^3", "--radius", "3"],
+    "ball-product-zmod5-dihinf-3": ["ball", "--group", "product(Zmod(5),DihInf)", "--radius", "3"],
 }
 
 
