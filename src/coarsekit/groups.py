@@ -19,8 +19,11 @@ generators, label, normal-form test, text format and parser.  Code that needs
 to know the kind asks ``isinstance(spec, groups.Cyclic)``.
 
 Generating sets are fixed by the constructor (each positive generator followed
-by its inverse; ``t`` is its own inverse).  Word lengths come from closed
-forms that agree with breadth-first search over these generators.
+by its inverse; ``t`` is its own inverse).  Word lengths come from exact
+closed forms, and balls rest on that: sphere r is the products g*s with g in
+sphere r-1 and length(g*s) = r, and ``geodesic_parent`` steps down one length,
+so nothing per element is stored.  A kind without a closed form must bring
+its own lengths.
 """
 
 from __future__ import annotations
@@ -236,7 +239,7 @@ class Free(GroupSpec):
     def is_normal(self, g: Element) -> bool:
         return (
             isinstance(g, tuple)
-            and all(isinstance(l, int) and l != 0 and abs(l) <= self.rank for l in g)
+            and all(_is_int(l) and l != 0 and abs(l) <= self.rank for l in g)
             and all(g[i] != -g[i + 1] for i in range(len(g) - 1))
         )
 
@@ -281,7 +284,7 @@ class DihInf(GroupSpec):
         return ((1, 0), (-1, 0), (0, 1))
 
     def is_normal(self, g: Element) -> bool:
-        return isinstance(g, tuple) and len(g) == 2 and isinstance(g[0], int) and g[1] in (0, 1)
+        return isinstance(g, tuple) and len(g) == 2 and all(map(_is_int, g)) and g[1] in (0, 1)
 
     def _format(self, g: Element) -> str:
         n, f = g
@@ -524,15 +527,13 @@ def canonical_sorted(spec: GroupSpec, elements: Iterable[Element]) -> tuple:
 # balls
 
 class Ball:
-    def __init__(
-        self, group: GroupSpec, radius: int, elements: tuple, lengths: dict, words: dict, layers: list
-    ):
+    """A ball of the word metric: ``layers[r]`` is sphere r in canonical order
+    and ``elements`` the layers in turn."""
+
+    def __init__(self, group: GroupSpec, elements: tuple, layers: list):
         self.group = group
-        self.radius = radius
-        self.elements = elements  # breadth-first layer order, canonical tie-break inside layers
-        self.lengths = lengths
-        self.words = words  # element -> geodesic tuple of generator indices
-        self.layers = layers  # layers[r]: the elements of length r
+        self.elements = elements
+        self.layers = layers
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -542,44 +543,29 @@ class Ball:
 
 
 class _BallCache:
+    """The sorted spheres of one group built so far, the ball sizes and the
+    per-radius ``Ball`` memo.  Sphere r is {g*s : g in sphere r-1, s a
+    generator, length(g*s) = r} sorted by ``skey``; ``length`` must be exact."""
+
     def __init__(self, spec: GroupSpec):
         self.spec = spec
-        ident = spec.identity()
-        self.layers = [(ident,)]
-        self.lengths = {ident: 0}
-        self.words = {ident: ()}
-        self.total = 1
+        self.layers = [(spec.identity(),)]
+        self.sizes = [1]  # sizes[r]: the number of elements of Ball(r)
         self.balls: dict = {}  # radius -> Ball, built once; nothing mutates a Ball
 
     def extend(self, radius: int, cap: int) -> None:
-        if len(self.layers) > radius:
-            return
-        spec = self.spec
-        mul, skey = spec.mul, spec.skey
-        gens = spec.generators()
-        while len(self.layers) <= radius:
-            frontier = self.layers[-1]
-            r = len(self.layers)
-            new = {}
-            for g in frontier:
-                base_word = self.words[g]
-                for i, s in enumerate(gens):
-                    h = mul(g, s)
-                    if h not in self.lengths and h not in new:
-                        new[h] = base_word + (i,)
-            ordered = sorted(new, key=skey)
-            self.total += len(ordered)
-            if self.total > cap:
-                raise ResourceLimitError(
-                    f"ball of radius {r} in {spec.label()} exceeds cap {cap}"
-                )
-            for h in ordered:
-                self.lengths[h] = r
-                self.words[h] = new[h]
-            self.layers.append(tuple(ordered))
-            if not ordered:
-                # group exhausted (finite); further layers stay empty
-                break
+        """Build the spheres up to radius, stopping once the ball passes cap
+        or the group is exhausted; raise if Ball(radius) exceeds cap."""
+        layers, sizes, spec = self.layers, self.sizes, self.spec
+        while len(layers) <= radius and layers[-1] and sizes[-1] <= cap:
+            r = len(layers)
+            mul, length, gens = spec.mul, spec.length, spec.generators()
+            layer = {h for g in layers[-1] for s in gens if length(h := mul(g, s)) == r}
+            layers.append(tuple(sorted(layer, key=spec.skey)))
+            sizes.append(sizes[-1] + len(layer))
+        if sizes[min(radius, len(sizes) - 1)] > cap:
+            over = next(r for r, n in enumerate(sizes) if n > cap)
+            raise ResourceLimitError(f"ball of radius {over} in {spec.label()} exceeds cap {cap}")
 
 
 _BALL_CACHES: dict[GroupSpec, _BallCache] = {}
@@ -601,14 +587,7 @@ def ball(spec: GroupSpec, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
     found = cache.balls.get(radius)
     if found is None:
         layers = cache.layers[: radius + 1]
-        found = cache.balls[radius] = Ball(
-            group=spec,
-            radius=radius,
-            elements=tuple(itertools.chain.from_iterable(layers)),
-            lengths=cache.lengths,
-            words=cache.words,
-            layers=layers,
-        )
+        found = cache.balls[radius] = Ball(spec, tuple(itertools.chain.from_iterable(layers)), layers)
     return found
 
 
@@ -627,7 +606,23 @@ def conjugacy_window(spec: GroupSpec, a: Element, radius: int) -> tuple:
     return canonical_sorted(spec, out)
 
 
+def geodesic_parent(spec: GroupSpec, g: Element) -> tuple:
+    """The (p, i) with g = p * generators()[i] and length(p) = length(g) - 1
+    (g not the identity), least p by ``skey`` and then least i: the pair that
+    first reaches g in a walk of the sorted spheres.  ``length`` must be exact."""
+    mul, inv, length, skey = spec.mul, spec.inv, spec.length, spec.skey
+    r = length(g) - 1
+    steps = ((mul(g, inv(s)), i) for i, s in enumerate(spec.generators()))
+    _, i, p = min((skey(p), i, p) for p, i in steps if length(p) == r)
+    return p, i
+
+
 def geodesic_word(spec: GroupSpec, g: Element) -> tuple:
-    """Generator indices of one geodesic spelling of g."""
-    r = word_length(spec, g)
-    return ball(spec, r).words[g]
+    """Generator indices of one geodesic spelling of g: ``geodesic_parent``
+    repeated down to the identity."""
+    spec.validate(g)
+    word = []
+    while spec.length(g):
+        g, i = geodesic_parent(spec, g)
+        word.append(i)
+    return tuple(reversed(word))

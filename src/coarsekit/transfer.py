@@ -367,13 +367,13 @@ def enumerate_beta_windows(
             raise PreconditionError(
                 f"enumeration needs a c-table entry for the generator {G.serialize(s)}"
             )
-    b = groups.ball(G, radius)
-    dom = b.elements
+    dom = groups.ball(G, radius).elements
     singleton_c = {s: td.c_table[frozenset({s})] for s in gens}
+    steps = {x: groups.geodesic_parent(G, x) for x in dom[1:]}  # x -> (parent, letter)
 
     estimate = 1
     for x in dom[1:]:
-        estimate *= max(1, len(singleton_c[gens[b.words[x][-1]]]))
+        estimate *= max(1, len(singleton_c[gens[steps[x][1]]]))
         if estimate > cap:
             raise ResourceLimitError(
                 f"beta enumeration would expand about {estimate} candidates (cap {cap})"
@@ -414,10 +414,9 @@ def enumerate_beta_windows(
             results.append(dict(assigned))
             return
         x = dom[idx]
-        word = b.words[x]
-        parent = groups.multiply(G, x, groups.invert(G, gens[word[-1]]))
+        parent, letter = steps[x]
         base = assigned[parent]
-        step_c = singleton_c[gens[word[-1]]]
+        step_c = singleton_c[gens[letter]]
         for v in groups.canonical_sorted(H, (groups.multiply(H, base, c) for c in step_c)):
             expanded += 1
             if expanded > cap:

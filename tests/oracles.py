@@ -117,6 +117,28 @@ def naive_conjugacy_window(kind: str, a, radius: int) -> set:
     return {mul(inv(h), mul(a, h)) for h in naive_ball(kind, radius)}
 
 
+def ref_ball(spec, radius: int) -> tuple:
+    """(layers, words) of the ball by breadth-first search with a seen-set.
+
+    Each frontier is walked in canonical order and each element tries the
+    generators in index order; the first (parent, generator) pair to reach
+    an element spells its word.  No word length is read, so this also checks
+    that the package's closed-form lengths are exact."""
+    gens = spec.generators()
+    one = spec.identity()
+    layers, words = [(one,)], {one: ()}
+    for _ in range(radius):
+        new = {}
+        for g in layers[-1]:
+            for i, s in enumerate(gens):
+                h = spec.mul(g, s)
+                if h not in words and h not in new:
+                    new[h] = words[g] + (i,)
+        layers.append(tuple(sorted(new, key=spec.skey)))
+        words.update(new)
+    return layers, words
+
+
 # ---------------------------------------------------------------------------
 # star of a set against a family, straight from the definition
 

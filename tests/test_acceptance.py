@@ -67,7 +67,7 @@ def test_criterion_1_ball_counts(criterion):
         b = groups.ball(spec, rmax)
         dt = time.perf_counter() - t0
         times.append(f"{spec.label()} {dt * 1000:.0f}ms")
-        sizes = {r: sum(1 for g in b.elements if b.lengths[g] <= r) for r in range(1, rmax + 1)}
+        sizes = {r: sum(1 for g in b.elements if spec.length(g) <= r) for r in range(1, rmax + 1)}
         parts.append(dt < 1.0)
         parts.append(all(sizes[r] == formula(r) for r in range(1, rmax + 1)))
     # independent BFS as a spot check

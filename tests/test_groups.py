@@ -22,6 +22,12 @@ T = (0, 1)
 ONE = (0, 0)
 
 
+@pytest.mark.parametrize("spec,g", [(DIH, (True, 0)), (DIH, (1, True)), (F2, (True,))], ids=repr)
+def test_bool_components_are_not_normal(spec, g):
+    # bool is a subclass of int, and True would be read as 1
+    assert spec.is_normal(g) is False
+
+
 class TestDihedralNormalForm:
     def test_relations(self):
         # t^2 = 1 and t x t = x^-1
@@ -92,7 +98,7 @@ class TestBalls:
         reference = oracles.naive_ball(kind, radius)
         b = groups.ball(spec, radius)
         assert set(b.elements) == set(reference)
-        assert all(b.lengths[g] == d for g, d in reference.items())
+        assert all(spec.length(g) == d and g in b.sphere(d) for g, d in reference.items())
 
     def test_formulas(self):
         assert [len(groups.ball(Z, r)) for r in range(11)] == [2 * r + 1 for r in range(11)]
@@ -130,6 +136,15 @@ class TestBalls:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             groups.ball(F2, 10, cap=1000)
+
+    def test_cap_does_not_depend_on_call_history(self):
+        groups._BALL_CACHES.pop(F2, None)
+        with pytest.raises(ResourceLimitError) as cold:
+            groups.ball(F2, 6, cap=100)
+        groups.ball(F2, 6)
+        with pytest.raises(ResourceLimitError) as warm:
+            groups.ball(F2, 6, cap=100)
+        assert str(warm.value) == str(cold.value) == "ball of radius 4 in F(2) exceeds cap 100"
 
 
 class TestConjugacy:
@@ -198,6 +213,14 @@ class TestSerialization:
             groups.free_group(0)
 
 
+# every catalog kind, finite ones past the point where they are exhausted
+BFS_CASES = [
+    ("Z", 8), ("Z^2", 6), ("Z^3", 4), ("DihInf", 8), ("F(2)", 5), ("F(3)", 4),
+    ("Zmod(1)", 3), ("Zmod(2)", 3), ("Zmod(3)", 3), ("Zmod(6)", 5), ("Zmod(7)", 5),
+    ("product(Z,DihInf)", 5), ("product(DihInf,Z)", 5), ("product(Zmod(4),F(2))", 4),
+]
+
+
 class TestGeodesics:
     def test_words_spell_their_element(self):
         for spec in (Z, DIH, F2, Z6):
@@ -209,6 +232,18 @@ class TestGeodesics:
                 for i in word:
                     acc = groups.multiply(spec, acc, gens[i])
                 assert acc == g
+
+    @pytest.mark.parametrize("text,radius", BFS_CASES, ids=[t for t, _ in BFS_CASES])
+    def test_spheres_and_words_match_bfs(self, text, radius):
+        spec = groups.parse_group_spec(text)
+        layers, words = oracles.ref_ball(spec, radius)
+        assert [groups.sphere(spec, r) for r in range(radius + 1)] == layers
+        assert {g: groups.geodesic_word(spec, g) for g in words} == words
+
+    @pytest.mark.parametrize("spec,g", [(Z, 2.5), (F2, (5,)), (DIH, (1, 2))], ids=repr)
+    def test_word_of_a_non_element_is_refused(self, spec, g):
+        with pytest.raises(MalformedElementError):
+            groups.geodesic_word(spec, g)
 
     def test_conjugate_helper(self):
         # h^-1 a h

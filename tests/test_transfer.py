@@ -102,9 +102,14 @@ class TestTransferSets:
         assert res["key"] == ((1, 0),) and res["c"] == ((1, (0, 0)),)
         assert res["d"] is None
 
-    @pytest.mark.parametrize("key", [frozenset({(1, 5)}), frozenset({True})], ids=["(1,5)", "True"])
+    @pytest.mark.parametrize(
+        "key",
+        [frozenset({(1, 5)}), frozenset({True}), frozenset({(True, 0)})],
+        ids=["(1,5)", "True", "(True,0)"],
+    )
     def test_key_of_neither_group_is_refused(self, key):
-        # (1, 5) is no DihInf normal form, and True is no integer of Z
+        # (1, 5) is no DihInf normal form, and True is neither an integer of Z nor
+        # a component of a DihInf element
         alpha = inclusion_z_to_dih(CL_Z, LeftGroupStructure(groups.DIH))
         with pytest.raises(MalformedElementError):
             compute_transfer_sets(alpha, key, 4)
