@@ -5,9 +5,8 @@
 Run this only when a report changes on purpose: the corpus is the frozen
 JSON stdout of the README commands, ``commuting --radius 16``, a
 ``commuting`` run on Z^2, a group of quadratic growth, the group checks on
-Z^2 and on products with DihInf, and three balls listed in full;
-``test_golden.py`` asserts that the
-current code prints the same bytes.
+Z^2, Z^3, F(2) and on products with DihInf, and three balls listed in full;
+``test_golden.py`` asserts that the current code prints the same bytes.
 """
 
 from __future__ import annotations
@@ -56,6 +55,10 @@ COMMANDS = {
     "compare-lr-product-dihinf-z-6": [
         "compare-lr", "--group", "product(DihInf,Z)", "--radius", "6",
     ],
+    # the group checks on a rank-3 lattice (PASS) and a free group (FAIL)
+    "mult-born-z3-8": ["mult-born", "--group", "Z^3", "--radius", "8"],
+    "compare-lr-f2-8": ["compare-lr", "--group", "F(2)", "--radius", "8"],
+    "fc-f2-8": ["fc", "--group", "F(2)", "--radius", "8"],
     # the order of whole balls: a free group, a rank-3 lattice and a product
     # with a finite factor, each listed element by element
     "ball-f2-4-list": ["ball", "--group", "F(2)", "--radius", "4", "--list"],
