@@ -5,12 +5,34 @@ when the conjugates g^-1*a*g stop accumulating, so the comparison between
 the left and right structures reduces, member by member, to conjugacy
 windows.  A group passes the window when every tested class stabilizes;
 one growing class is a counterexample and names the separating family.
+
+Every catalog generating set is symmetric, so inversion maps each sphere
+S_n onto itself.  Write C_D(r) = {g^-1*d*g : d in D, |g| <= r}.  These
+identities fix the windows the checks read:
+
+(L1) the right witness of {g, g*a} over S_n is the left witness of
+     {h, a^-1*h} over S_n, where h = g^-1;
+(L2) the left witnesses of {g, a*g} and {g, a^-1*g} are the same set
+     {1, g^-1*a*g, g^-1*a^-1*g} for each g;
+(L3) C_{a^-1}(r) holds the inverses of C_a(r);
+(L4) the left witness of a column F x {g} in G x G is (F^-1*F) x {1} for
+     every g;
+(L6) the left witness of the right translates {F*g : |g| <= r} is
+     C_{F^-1*F}(r), since (f*g)^-1*(f'*g) = g^-1*(f^-1*f')*g; F^-1*F holds
+     1 when F is nonempty;
+(L7) C_D(r) is C_D(r-1) together with s^-1*c*s for the c new at r-1 and
+     the generators s, since every g of S_r is g'*s with g' in S_{r-1}.
+
+By L6 and L7 each check grows the classes it needs one generator step at a
+time (``groups.conjugacy_layers``): a class costs its own size, not the ball.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from . import groups
-from .errors import WindowTooSmallError
+from .errors import InvalidRadiusError, WindowTooSmallError
 from .families import (
     ceil_half,
     image_family,
@@ -19,6 +41,7 @@ from .families import (
     translate_pair_family,
 )
 from .maps import Certificate, inclusion_z_to_dih, surjective_equivalence_check
+from .spaces import GroupSpace
 from .structures import LeftGroupStructure, RightGroupStructure, membership_window
 
 
@@ -27,30 +50,30 @@ def _battery(spec: groups.GroupSpec, radius: int) -> tuple[list, list]:
     those of them whose inverse does not come earlier.  Every catalog
     generating set is symmetric, so inversion maps each sphere onto itself
     and a^-1 is in the battery whenever a is."""
+    if radius < 0:
+        raise InvalidRadiusError(f"radius must be >= 0, got {radius}")
     battery = [a for a in groups.ball(spec, ceil_half(radius)).elements if a != spec.identity()]
     index = {a: i for i, a in enumerate(battery)}
     return battery, [a for i, a in enumerate(battery) if index[spec.inv(a)] >= i]
 
 
+def _class_trace(spec: groups.GroupSpec, seeds, radius: int) -> dict:
+    """r -> |C_D(r)| for r <= radius, D the seeds (L7)."""
+    layers = zip(range(radius + 1), groups.conjugacy_layers(spec, seeds))
+    return dict(enumerate(accumulate(len(new) for _, new in layers)))
+
+
 def fc_test(spec: groups.GroupSpec, radius: int) -> Certificate:
     """Do all conjugacy classes met by the half-ball stop growing?
 
-    Walks Ball(radius/2) in canonical order and traces each conjugacy
-    window out to the full radius, stopping at the first class that keeps
-    growing.  (L3) The conjugates of a^-1 are the inverses of the conjugates
-    of a, so a^-1 has the trace of a and is not traced again when a came
-    first; ``classes_tested`` still counts it."""
+    Walks Ball(radius/2) in canonical order and traces each class C_a(r) out
+    to the full radius, one generator step per radius (L7), stopping at the
+    first class that keeps growing.  (L3) a^-1 has the trace of a and is
+    not traced again when a came first; ``classes_tested`` still counts it."""
     battery, firsts = _battery(spec, radius)
-    mul, inv = spec.mul, spec.inv
-    b = groups.ball(spec, radius)
-    spheres = [[(inv(g), g) for g in b.sphere(r)] for r in range(radius + 1)]
     bound = 0
     for a in firsts:
-        seen: set = set()
-        trace = {}
-        for r, pairs in enumerate(spheres):
-            seen.update([mul(mul(ig, a), g) for ig, g in pairs])
-            trace[r] = len(seen)
+        trace = _class_trace(spec, (a,), radius)
         if not trace_stabilizes(trace, radius):
             return Certificate(
                 check="fc",
@@ -79,30 +102,24 @@ def fc_test(spec: groups.GroupSpec, radius: int) -> Certificate:
 def compare_left_right(spec: groups.GroupSpec, radius: int) -> Certificate:
     """EQUAL or DIFFER for the left and right structures on the window.
 
-    For each a in the half-ball, the family {g, a*g} is always bounded on
-    the right (witness {1, a, a^-1}); it is bounded on the left exactly when
-    the conjugacy window of a stabilizes.  Only that left window is
-    evaluated, because two identities fix the others:
-
-    (L1) the right witness of {g, g*a} over a sphere S_n is the left witness
-         of {h, a^-1*h} over S_n, where h = g^-1 (inversion maps S_n onto
-         itself);
-    (L2) the left witnesses of {g, a*g} and {g, a^-1*g} are the same set
-         {1, g^-1*a*g, g^-1*a^-1*g} for each g.
-
-    So {g, g*a} has the same trace on the right as {g, a*g} on the left, and
-    a^-1 has the trace of a: it is not evaluated again when a came first, and
-    the first separating element in canonical order is still the one
-    returned, with both sides' evidence."""
-    left = LeftGroupStructure(spec)
-    space = left.space
+    For each a in the half-ball, the family {g, a*g} is bounded on the right
+    with witness {1, a, a^-1}, since g*(a*g)^-1 = a^-1.  On the left its
+    witness at radius r is C_{1,a,a^-1}(r) (L6 with F = {1, a}), grown by
+    generator steps (L7), and the family is bounded exactly when that trace
+    stabilizes.  By L1 the right trace of {g, g*a} is the left trace of
+    {h, a^-1*h}, and by L2 that is the trace of a, so no other window is
+    read: a^-1 is not traced again when a came first, and the first
+    separating element in canonical order is still the one returned, with
+    both sides' evidence."""
+    one, inv = spec.identity(), spec.inv
     battery, firsts = _battery(spec, radius)
     for a in firsts:
-        pairs = translate_pair_family(space, a, "left")
-        failing = membership_window(left, pairs, radius)
-        if failing.bounded:
+        seeds = (one, a, inv(a))
+        trace = _class_trace(spec, seeds, radius)
+        if trace_stabilizes(trace, radius):
             continue
-        other = membership_window(RightGroupStructure(spec), pairs, radius)
+        left, right = LeftGroupStructure(spec), RightGroupStructure(spec)
+        tag = translate_pair_family(left.space, a, "left").tag
         return Certificate(
             check="compare-left-right",
             verdict="DIFFER",
@@ -110,18 +127,15 @@ def compare_left_right(spec: groups.GroupSpec, radius: int) -> Certificate:
             data={
                 "group": spec.label(),
                 "witness": spec.serialize(a),
-                "family": pairs.tag,
-                "failing_structure": failing.structure,
-                "growing_trace": {str(r): n for r, n in failing.trace.items()},
-                "bounded_structure": other.structure,
+                "family": tag,
+                "failing_structure": left.label,
+                "growing_trace": {str(r): n for r, n in trace.items()},
+                "bounded_structure": right.label,
                 "bounded_witness": [
-                    spec.serialize(g) for g in groups.canonical_sorted(spec, other.elements)
+                    spec.serialize(g) for g in groups.canonical_sorted(spec, seeds)
                 ],
             },
-            notes=[
-                f"family {pairs.tag} grows in {failing.structure} "
-                f"but is bounded in {other.structure}"
-            ],
+            notes=[f"family {tag} grows in {left.label} but is bounded in {right.label}"],
         )
     return Certificate(
         check="compare-left-right",
@@ -137,15 +151,13 @@ def multiplication_bornologous_check(spec: groups.GroupSpec, radius: int) -> Cer
     Test families are columns F x {g} over the window.  (L4) The left
     witness of a column in G x G is (F^-1*F) x {1} for every g, so the column
     family is bounded upstairs at every radius and is not evaluated.  Its
-    image is the right translate F*g, which is bounded on the left exactly
-    when conjugation by the window leaves F^-1*F finite, so the verdict must
+    image is the right translate F*g, whose left witness at radius r is
+    C_{F^-1*F}(r) (L6), grown by generator steps (L7); so it is bounded
+    exactly when conjugation leaves F^-1*F finite, and the verdict must
     match the left-right comparison.  Each F is tested once, even where
     Ball(1) and Ball(2) coincide."""
-    downstairs = LeftGroupStructure(spec)
-    space = downstairs.space
-
-    shapes = [(spec.identity(), s) for s in groups.ball(spec, 2).elements
-              if s != spec.identity()]
+    one, mul, inv = spec.identity(), spec.mul, spec.inv
+    shapes = [(one, s) for s in groups.ball(spec, 2).elements if s != one]
     batteries = list(dict.fromkeys(
         [*shapes, groups.ball(spec, 1).elements, groups.ball(spec, 2).elements]
     ))
@@ -154,18 +166,19 @@ def multiplication_bornologous_check(spec: groups.GroupSpec, radius: int) -> Cer
     checked = []
     for F in batteries:
         Ftag = "[" + ",".join(spec.serialize(f) for f in F) + "]"
-        images = shape_translate_family(space, F, "right")
-        down = membership_window(downstairs, images, radius)
-        checked.append({"F": Ftag, "bounded": down.bounded})
-        if not down.bounded:
-            failure = down
+        trace = _class_trace(spec, {mul(inv(f), f2) for f in F for f2 in F}, radius)
+        bounded = trace_stabilizes(trace, radius)
+        checked.append({"F": Ftag, "bounded": bounded})
+        if not bounded:
+            failure = (F, trace)
             break
 
     comparison = compare_left_right(spec, radius)
     data = {"group": spec.label()}
     if failure is not None:
-        data["family"] = failure.family
-        data["growing_trace"] = {str(r): n for r, n in failure.trace.items()}
+        F, trace = failure
+        data["family"] = shape_translate_family(GroupSpace(spec), F, "right").tag
+        data["growing_trace"] = {str(r): n for r, n in trace.items()}
     data.update(checked=checked, left_right_verdict=comparison.verdict,
                 cross_check_agrees=(failure is None) == (comparison.verdict == "EQUAL"))
     return Certificate(

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from operator import add, neg
 
 from .errors import (
@@ -597,13 +597,37 @@ def sphere(spec: GroupSpec, r: int) -> tuple:
     return layers[r] if r < len(layers) else ()
 
 
+def conjugacy_layers(spec: GroupSpec, seeds: Iterable[Element]) -> Iterator[set]:
+    """For r = 0, 1, 2, ... in turn, the conjugates g^-1*d*g (d in seeds,
+    |g| <= r) that no shorter g gives; empty sets once none are new.
+
+    Every g of sphere r is g'*s with g' in sphere r-1 and s a generator, and
+    g^-1*d*g = s^-1*c*s with c = g'^-1*d*g'.  A c already there at r-2 gives
+    a conjugate there at r-1, so the conjugates new at r are among s^-1*c*s
+    with c new at r-1.  Each radius costs two products per new conjugate and
+    generator, and no ball is built.  Raises once the union passes
+    ``DEFAULT_BALL_CAP``."""
+    mul = spec.mul
+    steps = [(spec.inv(s), s) for s in spec.generators()]
+    new = set(seeds)
+    seen = set(new)
+    while True:
+        yield new
+        new = {h for c in new for si, s in steps if (h := mul(mul(si, c), s)) not in seen}
+        seen |= new
+        if len(seen) > DEFAULT_BALL_CAP:
+            raise ResourceLimitError(
+                f"conjugacy window in {spec.label()} exceeds cap {DEFAULT_BALL_CAP}"
+            )
+
+
 def conjugacy_window(spec: GroupSpec, a: Element, radius: int) -> tuple:
     """All conjugates h^-1 a h with h in the radius ball, canonically ordered."""
     spec.validate(a)
-    out = set()
-    for h in ball(spec, radius).elements:
-        out.add(conjugate(spec, a, h))
-    return canonical_sorted(spec, out)
+    if radius < 0:
+        raise InvalidRadiusError(f"radius must be >= 0, got {radius}")
+    layers = itertools.islice(conjugacy_layers(spec, (a,)), radius + 1)
+    return canonical_sorted(spec, itertools.chain.from_iterable(layers))
 
 
 def geodesic_parent(spec: GroupSpec, g: Element) -> tuple:

@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from coarsekit import group_checks, groups
+from coarsekit import groups
 from coarsekit.errors import InvalidRadiusError, WindowTooSmallError
 from coarsekit.families import fold_witness, translate_pair_family
 from coarsekit.group_checks import (
@@ -149,10 +149,10 @@ def test_checks_match_every_window_reference(name, radius):
     assert compare_left_right(spec, radius).to_json() == expected
 
 
-# Z^3 only at radius 3: its image windows, the same code on both sides, take
-# seconds at radius 8
+# Z^3 only at radii 3 and 8: the reference walks every image window, which
+# takes about 2 s at radius 8, while the check grows conjugacy classes
 @pytest.mark.parametrize("name,radius", [case for case in ORACLE_CASES
-                                         if case[0] != "Z^3" or case[1] == 3])
+                                         if case[0] != "Z^3" or case[1] in (3, 8)])
 def test_multiplication_matches_column_reference(name, radius):
     """Equal to the reference that evaluates every column upstairs, once
     the reference's repeated batteries (Zmod(n) for n <= 3) are dropped."""
@@ -230,19 +230,96 @@ def test_l4_column_witness_is_fixed():
             assert set(window.trace.values()) == {len(fixed)}
 
 
-def test_compare_evaluates_one_window_per_inverse_pair(monkeypatch):
-    """Z^2 at radius 8 has 40 battery elements in 20 inverse pairs: one left
-    window each, against 80 windows when both sides of every element ran."""
+def test_compare_costs_the_class_sizes(monkeypatch):
+    """Every class of Z^2 is one point, so compare_left_right(Z^2, 8) on a
+    fresh ball cache costs the Ball(4) battery and one generator step per
+    seed: 580 products, against 6,252 when each window walked Ball(8)."""
+    spec = groups.free_abelian(2)
+    mul = spec.mul
     calls = []
 
-    def counting(structure, pf, radius):
-        calls.append(pf.tag)
-        return membership_window(structure, pf, radius)
+    def counting(a, b):
+        calls.append(None)
+        return mul(a, b)
 
-    monkeypatch.setattr(group_checks, "membership_window", counting)
-    cert = compare_left_right(Z2, 8)
+    monkeypatch.setattr(groups, "_BALL_CACHES", {})
+    monkeypatch.setattr(spec, "mul", counting)
+    cert = compare_left_right(spec, 8)
+    assert cert.verdict == "EQUAL"
     assert cert.data["elements_tested"] == 40
-    assert len(calls) <= 20
+    assert len(calls) <= 1000
+
+
+def test_l6_right_translate_witness_is_a_class():
+    """The left witness of {F*g : g in Ball(r)}, every ordered pair of each
+    member multiplied, is C_{F^-1*F}(r) for each battery of the
+    multiplication check."""
+    for name in LEMMA_GROUPS:
+        spec = groups.parse_group_spec(name)
+        mul, inv = spec.mul, spec.inv
+        layers, _ = oracles.ref_ball(spec, 3)
+        for F in _multiplication_batteries(spec):
+            seeds = {mul(inv(f), f2) for f in F for f2 in F}
+            grown = groups.conjugacy_layers(spec, seeds)
+            witness, cls = set(), set()
+            for sphere in layers:
+                for g in sphere:
+                    witness |= oracles.ref_member_witness("left", spec, [mul(f, g) for f in F])
+                cls |= next(grown)
+                assert witness == cls, (name, F)
+
+
+def _multiplication_batteries(spec) -> list:
+    one = spec.identity()
+    ball2 = groups.ball(spec, 2).elements
+    return [(one, s) for s in ball2 if s != one] + [groups.ball(spec, 1).elements, ball2]
+
+
+def _seed_sets(spec) -> set:
+    """Single elements and {1, a, a^-1} over Ball(2), and F^-1*F for each
+    battery of the multiplication check."""
+    one, mul, inv = spec.identity(), spec.mul, spec.inv
+    ball2 = groups.ball(spec, 2).elements
+    return ({frozenset([a]) for a in ball2}
+            | {frozenset([one, a, inv(a)]) for a in ball2}
+            | {frozenset(mul(inv(f), f2) for f in F for f2 in F)
+               for F in _multiplication_batteries(spec)})
+
+
+# the catalog kinds of the breadth-first ball tests; F(3) at radius 3, where
+# F^-1*F for F = Ball(2) is already Ball(4), 937 elements
+KERNEL_CASES = [
+    ("Z", 6), ("Z^2", 6), ("Z^3", 6), ("DihInf", 6), ("F(2)", 4), ("F(3)", 3),
+    ("Zmod(1)", 6), ("Zmod(2)", 6), ("Zmod(3)", 6), ("Zmod(6)", 6), ("Zmod(7)", 6),
+    ("product(Z,DihInf)", 6), ("product(DihInf,Z)", 6), ("product(Zmod(4),F(2))", 4),
+]
+
+
+@pytest.mark.parametrize("name,radius", KERNEL_CASES)
+def test_conjugacy_layers_match_brute_force(name, radius):
+    """(L7) Layer r of the kernel is {g^-1*d*g : d in D, g in Ball(r)} less
+    the same set at r - 1, with the ball by breadth-first search."""
+    spec = groups.parse_group_spec(name)
+    mul, inv = spec.mul, spec.inv
+    layers, _ = oracles.ref_ball(spec, radius)
+    for seeds in _seed_sets(spec):
+        grown = groups.conjugacy_layers(spec, seeds)
+        cls: set = set()
+        for r, sphere in enumerate(layers):
+            before = set(cls)
+            cls |= {mul(mul(inv(g), d), g) for g in sphere for d in seeds}
+            assert next(grown) == cls - before, (name, sorted(seeds, key=repr), r)
+
+
+def test_conjugacy_window_refuses_a_negative_radius():
+    with pytest.raises(InvalidRadiusError):
+        groups.conjugacy_window(Z, 1, -1)
+
+
+@pytest.mark.parametrize("check", [fc_test, compare_left_right, multiplication_bornologous_check])
+def test_checks_refuse_a_negative_radius(check):
+    with pytest.raises(InvalidRadiusError):
+        check(Z2, -1)
 
 
 @pytest.mark.parametrize("n,expected", [
