@@ -131,8 +131,8 @@ class TestDihedralDemo:
 
 
 # ---------------------------------------------------------------------------
-# symmetry reduction: each check against its every-window reference, and the
-# four identities that let it skip windows
+# each check against its every-window reference, and the identities (L1-L4,
+# L6, L7) that let it skip windows and grow classes by generator steps
 
 ORACLE_GROUPS = ["Z", "Z^2", "Z^3", "DihInf", "F(2)", "Zmod(1)", "Zmod(2)", "Zmod(5)", "Zmod(6)",
                  "product(Z,DihInf)"]
