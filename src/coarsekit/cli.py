@@ -391,92 +391,90 @@ def cmd_demo_dihedral(args) -> tuple:
 # ---------------------------------------------------------------------------
 # parser
 
-def build_parser() -> argparse.ArgumentParser:
+_GROUP = ("--group", {"required": True})
+_RADIUS = ("--radius", {"type": int, "default": 8})
+_STRUCTURE = ("--structure", {"choices": ("left", "right"), "default": "left"})
+_BASE = ("--base", {"help": "base point (default: the identity)"})
+
+# name -> (help, flags past --format and --seed); the handler is cmd_<name>
+SUBCOMMANDS = {
+    "ball": ("word metric ball sizes", [
+        _GROUP, _RADIUS, ("--cap", {"type": int, "default": groups.DEFAULT_BALL_CAP}),
+        ("--list", {"action": "store_true", "help": "list the window elements"}),
+    ]),
+    "fc": ("do all conjugacy windows stabilize", [_GROUP, _RADIUS]),
+    "compare-lr": ("left structure vs right structure", [_GROUP, _RADIUS]),
+    "mult-born": ("is multiplication bornologous", [_GROUP, _RADIUS]),
+    "witness": ("membership of one family", [
+        _GROUP,
+        ("--family", {"required": True, "help": "edge-left:ELT, edge-right:ELT, "
+                      "shape-left:E1;E2, shape-right:E1;E2"}),
+        _STRUCTURE, _RADIUS,
+    ]),
+    "map-check": ("bornologous and proper checks for a map", [
+        ("--group", {"required": True, "help": "source group"}),
+        ("--target", {"help": "target group (default: source)"}),
+        ("--map", {"required": True}),
+        ("--source-side", {"choices": ("left", "right"), "default": "left"}),
+        ("--target-side", {"choices": ("left", "right"), "default": "left"}),
+        _RADIUS,
+        ("--equivalence", {"action": "store_true"}),
+        ("--cover-distance", {"type": int, "default": 0}),
+        ("--close-to", {"help": "second map to compare against"}),
+    ]),
+    "action-check": ("cobounded and translate checks", [
+        ("--action", {"required": True}), _STRUCTURE,
+        ("--set", {"help": "comma separated bounded set U"}), _RADIUS,
+    ]),
+    "svarc-milnor": ("full coarse action certificate", [
+        ("--action", {"required": True}), _STRUCTURE, _BASE, _RADIUS,
+    ]),
+    "commuting": ("coarse inverse from two commuting actions", [
+        ("--action1", {"default": "left(DihInf)"}), ("--action2", {"default": "right(DihInf)"}),
+        ("--set", {"default": "1,t"}), _BASE, _RADIUS,
+    ]),
+    "gromov": ("transfer tables and beta window count", [
+        ("--map", {"default": "power:2"}), _RADIUS,
+        ("--enum-radius", {"type": int, "default": 2}), ("--pin", {"default": "0"}),
+    ]),
+    "demo-dihedral": ("the index-two copy of Z in DihInf", [
+        ("--radius", {"type": int, "default": 16}),
+    ]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for every subcommand, or for ``command`` alone when it names one.
+
+    Each add_argument builds a HelpFormatter, so the full parser costs a CLI
+    call milliseconds that one subcommand's does not.  The one-command form
+    names every subcommand in its usage line, so its usage errors print the
+    same bytes.  Handlers are read from the module's cmd_* attributes here,
+    not at import, so a wrapper patched onto one after import is what runs.
+    """
     parser = argparse.ArgumentParser(
         prog="coarsekit",
         description="window checks for coarse structures on finitely generated groups",
     )
     parser.add_argument("--version", action="version", version=f"coarsekit {__version__}")
-    sub = parser.add_subparsers(dest="_command", required=True)
-
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=handler)
+    names = [command] if command in SUBCOMMANDS else list(SUBCOMMANDS)
+    metavar = "{%s}" % ",".join(SUBCOMMANDS) if command in SUBCOMMANDS else None
+    sub = parser.add_subparsers(dest="_command", required=True, metavar=metavar)
+    for name in names:
+        help_text, flags = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--seed", type=int, default=0)
-        return p
-
-    p = add("ball", cmd_ball, help="word metric ball sizes")
-    p.add_argument("--group", required=True)
-    p.add_argument("--radius", type=int, default=8)
-    p.add_argument("--cap", type=int, default=groups.DEFAULT_BALL_CAP)
-    p.add_argument("--list", action="store_true", help="list the window elements")
-
-    p = add("fc", cmd_fc, help="do all conjugacy windows stabilize")
-    p.add_argument("--group", required=True)
-    p.add_argument("--radius", type=int, default=8)
-
-    p = add("compare-lr", cmd_compare_lr, help="left structure vs right structure")
-    p.add_argument("--group", required=True)
-    p.add_argument("--radius", type=int, default=8)
-
-    p = add("mult-born", cmd_mult_born, help="is multiplication bornologous")
-    p.add_argument("--group", required=True)
-    p.add_argument("--radius", type=int, default=8)
-
-    p = add("witness", cmd_witness, help="membership of one family")
-    p.add_argument("--group", required=True)
-    p.add_argument("--family", required=True,
-                   help="edge-left:ELT, edge-right:ELT, shape-left:E1;E2, shape-right:E1;E2")
-    p.add_argument("--structure", choices=("left", "right"), default="left")
-    p.add_argument("--radius", type=int, default=8)
-
-    p = add("map-check", cmd_map_check, help="bornologous and proper checks for a map")
-    p.add_argument("--group", required=True, help="source group")
-    p.add_argument("--target", help="target group (default: source)")
-    p.add_argument("--map", required=True)
-    p.add_argument("--source-side", choices=("left", "right"), default="left")
-    p.add_argument("--target-side", choices=("left", "right"), default="left")
-    p.add_argument("--radius", type=int, default=8)
-    p.add_argument("--equivalence", action="store_true")
-    p.add_argument("--cover-distance", type=int, default=0)
-    p.add_argument("--close-to", help="second map to compare against")
-
-    p = add("action-check", cmd_action_check, help="cobounded and translate checks")
-    p.add_argument("--action", required=True)
-    p.add_argument("--structure", choices=("left", "right"), default="left")
-    p.add_argument("--set", help="comma separated bounded set U")
-    p.add_argument("--radius", type=int, default=8)
-
-    p = add("svarc-milnor", cmd_svarc_milnor, help="full coarse action certificate")
-    p.add_argument("--action", required=True)
-    p.add_argument("--structure", choices=("left", "right"), default="left")
-    p.add_argument("--base", help="base point (default: the identity)")
-    p.add_argument("--radius", type=int, default=8)
-
-    p = add("commuting", cmd_commuting, help="coarse inverse from two commuting actions")
-    p.add_argument("--action1", default="left(DihInf)")
-    p.add_argument("--action2", default="right(DihInf)")
-    p.add_argument("--set", default="1,t")
-    p.add_argument("--base", help="base point (default: the identity)")
-    p.add_argument("--radius", type=int, default=8)
-
-    p = add("gromov", cmd_gromov, help="transfer tables and beta window count")
-    p.add_argument("--map", default="power:2")
-    p.add_argument("--radius", type=int, default=8)
-    p.add_argument("--enum-radius", type=int, default=2)
-    p.add_argument("--pin", default="0")
-
-    p = add("demo-dihedral", cmd_demo_dihedral, help="the index-two copy of Z in DihInf")
-    p.add_argument("--radius", type=int, default=16)
-
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     """Print one report for the command line argv; return its exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     report = {"tool": {"name": "coarsekit", "version": __version__}, "command": args._command}
     try:
         if args.func is not cmd_ball and args.radius < MIN_VERDICT_RADIUS:

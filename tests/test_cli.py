@@ -4,6 +4,7 @@ Every case runs twice and must print identical bytes, since reports carry
 no timestamps and all randomness is seeded.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -380,6 +381,53 @@ class TestFormats:
         data = json.loads(out)["checks"][0]["data"]
         assert data["sizes"] == {"0": 1, "1": 3, "2": 5}
         assert sorted(data["window"]) == ["-1", "-2", "0", "1", "2"]
+
+
+# argv whose parse ends the process: usage errors, help and version
+PARSE_EXITS = [
+    [], ["nope"], ["--help"], ["--version"], ["--format", "json", "ball"], ["ball", "--bogus"],
+    ["ball", "--version"], ["fc", "--group", "Z", "--radius", "x"],
+] + [[name, "--help"] for name in cli.SUBCOMMANDS]
+
+
+def _exit_and_streams(call, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            call(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSE_EXITS, ids=" ".join)
+    def test_main_parses_as_the_full_parser(self, argv):
+        full = _exit_and_streams(cli.build_parser().parse_args, argv)
+        assert _exit_and_streams(cli.main, argv) == full
+
+    def test_a_named_subcommand_builds_one_subparser(self, monkeypatch):
+        inits = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            inits.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        code, _ = run_cli(["fc", "--group", "Z", "--radius", "3"])
+        assert code == 0
+        assert inits == ["coarsekit", "coarsekit fc"]
+
+    def test_handler_is_read_when_the_parser_is_built(self, monkeypatch):
+        calls = []
+
+        def fake_fc(args):
+            calls.append(args.group)
+            return [], ["patched"]
+
+        monkeypatch.setattr(cli, "cmd_fc", fake_fc)
+        code, out = run_cli(["fc", "--group", "Z", "--radius", "3"])
+        assert code == 0 and calls == ["Z"]
+        assert json.loads(out)["notes"] == ["patched"]
 
 
 def test_import_generates_no_code():
