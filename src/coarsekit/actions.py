@@ -47,6 +47,7 @@ from .maps import Certificate, MapWindow, surjective_equivalence_check, check_bo
 from .spaces import FiniteSpace, GroupSpace, Preimages
 from .structures import (
     CoarseStructure,
+    GroupStructure,
     LeftGroupStructure,
     PullbackStructure,
     membership_window,
@@ -456,15 +457,29 @@ def uniformly_bornologous_action_check(
     itself, hence in E.E.E.E: a pair (x, y) comes from a member holding x
     and y, whose pairs (x,x), (y,y) and (y,x) join E with it.  So that
     containment always holds, and the report records it as ``true``.
+
+    L5: translations on the structure's own side are isometries, through
+    any homomorphism: (h*u)^-1*(h*v) = u^-1*v and (u*h^-1)*(v*h^-1)^-1 =
+    u*v^-1.  So the translates of a family have its own trace and witness,
+    and the controlled route's trace is a prefix of it; such a pair reads
+    both off the family and builds no translate.
     """
     if action.space != struct.space:
         raise SpaceMismatchError("action and structure live on different spaces")
+    isometric = (
+        isinstance(action, TranslationAction)
+        and isinstance(struct, GroupStructure)
+        and action.side == struct.side
+    )
     rb = min(radius, CONTROLLED_ROUTE_RADIUS)
     results = {}
     for pf in struct.default_battery(seed=seed, n_random=BATTERY_SHAPES):
         base = membership_window(struct, pf, radius)
         if not base.bounded:
             raise PreconditionError(f"battery family {pf.tag} is not bounded in {struct.label}")
+        if isometric:
+            results[pf.tag] = {"direct": base.to_json(), "controlled_route_agrees": True}
+            continue
 
         res_a = membership_window(struct, translates_family(action, pf, f"translates({pf.tag})"), radius)
 

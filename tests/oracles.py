@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 from coarsekit import groups
+from coarsekit.actions import BATTERY_SHAPES, CONTROLLED_ROUTE_RADIUS, _pieces_family, translates_family
 from coarsekit.errors import MalformedElementError, SearchFailureError, WindowOverflowError
 from coarsekit.families import (
     ParamFamily,
@@ -1020,3 +1021,30 @@ def ref_action_law_error(action, depth: int = 3):
                 if action.apply(g12, x) != action.apply(g1, action.apply(g2, x)):
                     return f"{action.name}: action law fails at g1={g1!r}, g2={g2!r}, x={x!r}"
     return None
+
+
+# ---------------------------------------------------------------------------
+# the translate check with every translate built
+
+def ref_uniformly_bornologous_action_check(action, struct, radius: int, seed: int = 0) -> Certificate:
+    """``uniformly_bornologous_action_check`` by its generic route for every
+    pair: each battery family's translates over Ball(r), and the translated
+    one and two point pieces at the controlled route's radius."""
+    rb = min(radius, CONTROLLED_ROUTE_RADIUS)
+    results = {}
+    for pf in struct.default_battery(seed=seed, n_random=BATTERY_SHAPES):
+        res_a = membership_window(struct, translates_family(action, pf, f"translates({pf.tag})"), radius)
+        rb_pf = translates_family(action, _pieces_family(pf), f"controlled({pf.tag})")
+        res_b = membership_window(struct, rb_pf, rb)
+        agree = trace_stabilizes({r: res_a.trace[r] for r in range(rb + 1)}, rb) == res_b.bounded
+        data = {"action": action.name, "structure": struct.label}
+        if not res_a.bounded:
+            data.update(counterexample=res_a.to_json(), controlled_route_agrees=agree)
+            return Certificate(check="uniformly-bornologous", verdict="FAIL", radius=radius, data=data)
+        if not agree:
+            data.update(family=pf.tag, note="direct and controlled-set routes disagree",
+                        containment=True, direct=res_a.to_json(), controlled=res_b.to_json())
+            return Certificate(check="uniformly-bornologous", verdict="FAIL", radius=radius, data=data)
+        results[pf.tag] = {"direct": res_a.to_json(), "controlled_route_agrees": agree}
+    return Certificate(check="uniformly-bornologous", verdict="PASS", radius=radius,
+                       data={"action": action.name, "structure": struct.label, "families": results})

@@ -34,6 +34,7 @@ from coarsekit.families import translate_pair_family
 from coarsekit.maps import check_bornologous, table_map
 from coarsekit.spaces import FiniteSpace, GroupSpace, point_space
 from coarsekit.structures import (
+    GroupStructure,
     LeftGroupStructure,
     RightGroupStructure,
     membership_window,
@@ -180,6 +181,38 @@ class TestUniformlyBornologous:
             right_translation(identity_hom(DIH)), RightGroupStructure(DIH), 6
         )
         assert cert.verdict == "PASS"
+
+    @pytest.mark.parametrize(
+        "hom,side,radius",
+        [
+            (identity_hom(groups.free_abelian(2)), "left", 6),
+            (identity_hom(groups.free_abelian(2)), "right", 6),
+            (identity_hom(DIH), "left", 8),
+            (identity_hom(DIH), "right", 8),
+            (inclusion_hom(), "left", 8),
+            (inclusion_hom(), "right", 8),
+            (power_hom(3), "right", 8),
+            (identity_hom(groups.free_group(2)), "left", 3),
+            (identity_hom(groups.parse_group_spec("product(Z,DihInf)")), "right", 4),
+        ],
+        ids=["left-Z^2", "right-Z^2", "left-DihInf", "right-DihInf", "left-Z-DihInf",
+             "right-Z-DihInf", "right-Z-3n", "left-F(2)", "right-product(Z,DihInf)"],
+    )
+    def test_translations_on_their_own_side_read_the_family(self, monkeypatch, hom, side, radius):
+        """L5: the report equals the generic route's, and no translate is built."""
+        action = TranslationAction(hom, side)
+        struct = GroupStructure(hom.target, side)
+        applied = []
+        apply_set = TranslationAction.apply_set
+        monkeypatch.setattr(
+            TranslationAction, "apply_set", lambda a, g, S: applied.append(g) or apply_set(a, g, S)
+        )
+        expected = oracles.ref_uniformly_bornologous_action_check(action, struct, radius)
+        assert applied  # the generic route builds translates
+        applied.clear()
+        cert = uniformly_bornologous_action_check(action, struct, radius)
+        assert cert.to_json() == expected.to_json()
+        assert cert.verdict == "PASS" and applied == []
 
     def test_right_translations_on_abelian_left_structure(self):
         cert = uniformly_bornologous_action_check(
