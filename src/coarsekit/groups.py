@@ -500,11 +500,6 @@ def invert(spec: GroupSpec, g: Element) -> Element:
     return spec.inv(g)
 
 
-def conjugate(spec: GroupSpec, a: Element, h: Element) -> Element:
-    """h^-1 a h."""
-    return spec.mul(spec.mul(spec.inv(h), a), h)
-
-
 def word_length(spec: GroupSpec, g: Element) -> int:
     return spec.length(g)
 

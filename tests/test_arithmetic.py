@@ -33,9 +33,6 @@ def test_arithmetic_matches_reference(text):
         assert groups.sort_key(spec, a) == oracles.ref_sort_key(spec, a), a
         for b in pool:
             assert groups.multiply(spec, a, b) == oracles.ref_multiply(spec, a, b), (a, b)
-            assert groups.conjugate(spec, a, b) == oracles.ref_multiply(
-                spec, oracles.ref_multiply(spec, oracles.ref_invert(spec, b), a), b
-            ), (a, b)
 
 
 @pytest.mark.parametrize("text", SPECS)

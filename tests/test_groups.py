@@ -163,6 +163,11 @@ class TestConjugacy:
         assert groups.conjugacy_window(Z, 7, 5) == (7,)
         assert groups.conjugacy_window(Z6, 2, 4) == (2,)
 
+    def test_conjugation_by_mul_and_inv(self):
+        # h^-1 a h: t inverts x, and x^-1 t x = x^-2 t
+        assert DIH.mul(DIH.mul(DIH.inv(T), X), T) == (-1, 0)
+        assert DIH.mul(DIH.mul(DIH.inv(X), T), X) == (-2, 1)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("spec,texts", [
@@ -244,11 +249,6 @@ class TestGeodesics:
     def test_word_of_a_non_element_is_refused(self, spec, g):
         with pytest.raises(MalformedElementError):
             groups.geodesic_word(spec, g)
-
-    def test_conjugate_helper(self):
-        # h^-1 a h
-        assert groups.conjugate(DIH, X, T) == (-1, 0)
-        assert groups.conjugate(DIH, T, X) == (-2, 1)
 
 
 class TestProductGroups:
