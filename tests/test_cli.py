@@ -383,10 +383,13 @@ class TestFormats:
         assert sorted(data["window"]) == ["-1", "-2", "0", "1", "2"]
 
 
-# argv whose parse ends the process: usage errors, help and version
+# argv whose parse ends the process: usage errors, help and version; an
+# unrecognized flag after a complete command is reported with the top-level
+# usage line, which names every subcommand
 PARSE_EXITS = [
     [], ["nope"], ["--help"], ["--version"], ["--format", "json", "ball"], ["ball", "--bogus"],
     ["ball", "--version"], ["fc", "--group", "Z", "--radius", "x"],
+    ["fc", "--group", "Z", "--bogus"],
 ] + [[name, "--help"] for name in cli.SUBCOMMANDS]
 
 
