@@ -50,6 +50,7 @@ from .structures import (
     GroupStructure,
     LeftGroupStructure,
     PullbackStructure,
+    bounded_battery,
     membership_window,
     random_shapes,
 )
@@ -473,10 +474,7 @@ def uniformly_bornologous_action_check(
     )
     rb = min(radius, CONTROLLED_ROUTE_RADIUS)
     results = {}
-    for pf in struct.default_battery(seed=seed, n_random=BATTERY_SHAPES):
-        base = membership_window(struct, pf, radius)
-        if not base.bounded:
-            raise PreconditionError(f"battery family {pf.tag} is not bounded in {struct.label}")
+    for pf, base in bounded_battery(struct, radius, seed, BATTERY_SHAPES):
         if isometric:
             results[pf.tag] = {"direct": base.to_json(), "controlled_route_agrees": True}
             continue
@@ -863,7 +861,6 @@ def commuting_equivalence(
     close2 = membership_window(struct_g2, close_family("{h, phi(psi(h))}", phi, psi, struct_g2), radius)
 
     # orbit closeness refines the star family of translates of U
-    refine_ok = True
     refine_data = {}
     for act, G, outer, inner, tagname in (
         (action1, G1, psi, phi, "psi.phi"),
@@ -881,10 +878,8 @@ def commuting_equivalence(
                 for g in groups.ball(G, radius).elements
             ),
         )
-        res = refines(pairs, starred)
-        refine_data[tagname] = bool(res.ok)
-        if not res.ok:
-            refine_ok = False
+        refine_data[tagname] = refines(pairs, starred)
+    refine_ok = all(refine_data.values())
 
     verdict = "PASS" if (
         born_psi.passed and born_phi.passed and close1.bounded and close2.bounded and refine_ok

@@ -214,7 +214,7 @@ def _print_table(report: dict) -> None:
 
 
 def _result_check(res) -> dict:
-    """Witness or counterexample, reshaped like a certificate entry."""
+    """A family's Membership, reshaped like a certificate entry."""
     body = res.to_json()
     return {
         "check": "membership",

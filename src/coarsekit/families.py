@@ -1,4 +1,4 @@
-"""Uniformly bounded families, controlled sets, and witness records.
+"""Uniformly bounded families, controlled sets, and membership results.
 
 A finite family is a finite list of finite subsets of a space, kept in a
 canonical order (members sorted elementwise and then lexicographically by
@@ -6,6 +6,10 @@ element order, duplicates dropped).  A parametrized family is given by its
 growth: the members that appear at each window radius r, one sphere of the
 window at a time.  The family at radius r is the union of that growth over
 0..r, so it never loses a member as r grows, which every check assumes.
+
+Every check asks one question of a family: is it bounded in a structure?
+Its answer is a ``Membership``: the witness set and its size trace, and
+whether that trace stabilizes.
 """
 
 from __future__ import annotations
@@ -22,9 +26,6 @@ class FiniteFamily:
     def __init__(self, space: object, members: tuple):
         self.space = space
         self.members = members  # tuple of tuples, canonical order
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def finite_family(space, members: Iterable[Iterable]) -> FiniteFamily:
@@ -89,54 +90,45 @@ def strictly_growing_suffix(trace: dict, radius: int) -> bool:
     ) and len(tail_radii) >= 2
 
 
-class Witness:
-    def __init__(self, structure: str, group: groups.GroupSpec, elements: tuple, trace: dict):
-        self.structure = structure
-        self.group = group  # group the witness elements live in
-        self.elements = elements
-        self.trace = trace
+class Membership:
+    """Is ``family`` bounded in ``structure``, as far as the window tells?
 
-    bounded = True
-    verdict = "PASS"
+    ``elements`` is the witness set at the final radius, in canonical order
+    when bounded and unordered otherwise, and ``trace`` maps each radius to
+    its size.  A bounded family reports its witness, an unbounded one its
+    tag."""
 
-    def size(self) -> int:
-        return len(self.elements)
-
-    def to_json(self) -> dict:
-        return {
-            "structure": self.structure,
-            "verdict": self.verdict,
-            "witness": [self.group.serialize(g) for g in self.elements],
-            "trace": {str(r): n for r, n in sorted(self.trace.items())},
-        }
-
-
-class Counterexample:
     def __init__(
-        self, structure: str, family: str, group: groups.GroupSpec, elements: frozenset, trace: dict
+        self,
+        structure: str,
+        family: str,
+        group: groups.GroupSpec,
+        elements,
+        trace: dict,
+        bounded: bool,
     ):
         self.structure = structure
         self.family = family
-        self.group = group
-        self.elements = elements  # witness at the final radius, unordered; kept as evidence
+        self.group = group  # group the witness elements live in
+        self.elements = elements
         self.trace = trace
-
-    bounded = False
-    verdict = "FAIL"
+        self.bounded = bounded
+        self.verdict = "PASS" if bounded else "FAIL"
 
     def to_json(self) -> dict:
-        return {
-            "structure": self.structure,
-            "verdict": self.verdict,
-            "family": self.family,
-            "trace": {str(r): n for r, n in sorted(self.trace.items())},
-        }
+        out = {"structure": self.structure, "verdict": self.verdict}
+        if self.bounded:
+            out["witness"] = [self.group.serialize(g) for g in self.elements]
+        else:
+            out["family"] = self.family
+        out["trace"] = {str(r): n for r, n in sorted(self.trace.items())}
+        return out
 
 
 # ---------------------------------------------------------------------------
 # core operations on families
 
-def side_witness(side: str, spec: groups.GroupSpec, fam: FiniteFamily) -> Witness:
+def side_witness(side: str, spec: groups.GroupSpec, fam: FiniteFamily) -> Membership:
     """Witness set of a family over a group: u^-1*v ("left") or u*v^-1
     ("right") over all ordered pairs within each member.  Pairs with u = v
     contribute the identity, so any nonempty family witnesses it."""
@@ -144,11 +136,8 @@ def side_witness(side: str, spec: groups.GroupSpec, fam: FiniteFamily) -> Witnes
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     out: set = set()
     fold_witness(out, side, spec, fam.members)
-    return Witness(
-        structure=f"{side}-group({spec.label()})",
-        group=spec,
-        elements=groups.canonical_sorted(spec, out),
-        trace={},
+    return Membership(
+        f"{side}-group({spec.label()})", "", spec, groups.canonical_sorted(spec, out), {}, True
     )
 
 
@@ -227,47 +216,14 @@ def compose_controlled(E1: ControlledSet, E2: ControlledSet) -> ControlledSet:
     return ControlledSet(space=E1.space, pairs=frozenset(pairs))
 
 
-class RefineResult:
-    def __init__(self, ok: bool, assignment: dict, failing: tuple | None = None):
-        self.ok = ok
-        self.assignment = assignment  # member -> containing member of the coarser family
-        self.failing = failing
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def refines(f1: FiniteFamily, f2: FiniteFamily) -> RefineResult:
+def refines(f1: FiniteFamily, f2: FiniteFamily) -> bool:
     """Does every member of f1 sit inside some member of f2?"""
-    assignment = {}
     members2 = [set(m) for m in f2.members]
-    for m in f1.members:
-        ms = set(m)
-        for raw, cooked in zip(f2.members, members2):
-            if ms <= cooked:
-                assignment[m] = raw
-                break
-        else:
-            return RefineResult(ok=False, assignment=assignment, failing=m)
-    return RefineResult(ok=True, assignment=assignment)
+    return all(any(ms <= m2 for m2 in members2) for ms in map(set, f1.members))
 
 
 # ---------------------------------------------------------------------------
 # stock parametrized families
-
-def translate_pair_family(space, a, side: str) -> ParamFamily:
-    """r -> {{g, a*g}} ("left") or {{g, g*a}} ("right") over g in Ball(r)."""
-    spec = space.spec
-    aser = spec.serialize(a)
-    tag = f"{{{{g, {aser}*g}}}}" if side == "left" else f"{{{{g, g*{aser}}}}}"
-
-    def grow(r: int):
-        mul = spec.mul
-        for g in groups.sphere(spec, r):
-            yield (g, mul(a, g) if side == "left" else mul(g, a))
-
-    return ParamFamily(tag=tag, space=space, grow=grow)
-
 
 def shape_translate_family(space, shape: tuple, side: str) -> ParamFamily:
     """r -> {g*S} ("left") or {S*g} ("right") over g in Ball(r), S fixed."""
@@ -286,6 +242,16 @@ def shape_translate_family(space, shape: tuple, side: str) -> ParamFamily:
     return ParamFamily(tag=tag, space=space, grow=grow)
 
 
+def translate_pair_family(space, a, side: str) -> ParamFamily:
+    """r -> {{g, a*g}} ("left") or {{g, g*a}} ("right") over g in Ball(r):
+    the shape {1, a} translated on the other side."""
+    aser = space.spec.serialize(a)
+    tag = f"{{{{g, {aser}*g}}}}" if side == "left" else f"{{{{g, g*{aser}}}}}"
+    other = "right" if side == "left" else "left"
+    pairs = shape_translate_family(space, (space.spec.identity(), a), other)
+    return ParamFamily(tag=tag, space=space, grow=pairs.grow)
+
+
 def image_family(pf: ParamFamily, rule: Callable, target_space, tag: str = "") -> ParamFamily:
     """r -> {rule(m)} over the members m of pf at radius r."""
 
@@ -293,9 +259,3 @@ def image_family(pf: ParamFamily, rule: Callable, target_space, tag: str = "") -
         return (tuple(rule(x) for x in m) for m in pf.delta(r))
 
     return ParamFamily(tag=tag or f"image({pf.tag})", space=target_space, grow=grow)
-
-
-def constant_family(space, members) -> ParamFamily:
-    fam = finite_family(space, members)
-    label = "{" + ";".join("[" + ",".join(map(str, m)) + "]" for m in fam.members) + "}"
-    return ParamFamily(tag=label, space=space, grow=lambda r: () if r else fam.members)

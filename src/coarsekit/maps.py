@@ -29,7 +29,7 @@ from .errors import (
 )
 from .families import ParamFamily, image_family, trace_stabilizes
 from .spaces import GroupSpace, Preimages
-from .structures import CoarseStructure, membership_window
+from .structures import CoarseStructure, bounded_battery, membership_window
 
 DEFAULT_SOURCE_FACTOR = 2
 DEFAULT_SOURCE_SLACK = 2
@@ -198,12 +198,7 @@ def check_bornologous(
 ) -> Certificate:
     """Do images of bounded families stay bounded in the target?"""
     results = {}
-    for pf in m.source.default_battery(seed=seed, n_random=n_random):
-        src_res = membership_window(m.source, pf, radius)
-        if not src_res.bounded:
-            raise PreconditionError(
-                f"battery family {pf.tag} is not bounded in {m.source.label}"
-            )
+    for pf, _ in bounded_battery(m.source, radius, seed, n_random):
         img = image_family(pf, m.rule, m.target.space, tag=f"{m.name}({pf.tag})")
         res = membership_window(m.target, img, radius)
         if not res.bounded:
@@ -345,12 +340,7 @@ def surjective_equivalence_check(
 
     preimage_results = {}
     if not failures:
-        for pf in m.target.default_battery(seed=seed, n_random=n_random):
-            tgt_res = membership_window(m.target, pf, radius)
-            if not tgt_res.bounded:
-                raise PreconditionError(
-                    f"battery family {pf.tag} is not bounded in {m.target.label}"
-                )
+        for pf, _ in bounded_battery(m.target, radius, seed, n_random):
             pre_pf = _preimage_family(m, pf, source_radius)
             res = membership_window(m.source, pre_pf, radius)
             preimage_results[pf.tag] = res.to_json()
@@ -450,10 +440,7 @@ def pullback_structure_equality(
             )
 
     def one_direction(a: CoarseStructure, b: CoarseStructure):
-        for pf in a.default_battery(seed=0, n_random=32):
-            res_a = membership_window(a, pf, radius)
-            if not res_a.bounded:
-                raise PreconditionError(f"battery family {pf.tag} is not bounded in {a.label}")
+        for pf, _ in bounded_battery(a, radius, 0, 32):
             # round trip through preimages: f(f^-1(B)) must reproduce B
             fam = pf.at(radius)
             for mem in fam.members:

@@ -18,11 +18,10 @@ import random
 from collections.abc import Callable
 
 from . import groups
-from .errors import CoarseKitError, WindowOverflowError
+from .errors import CoarseKitError, PreconditionError, WindowOverflowError
 from .families import (
-    Counterexample,
+    Membership,
     ParamFamily,
-    Witness,
     fold_witness,
     image_family,
     member_witness,
@@ -213,9 +212,10 @@ def membership_window(structure: CoarseStructure, pf: ParamFamily, radius: int):
     contributes at the radius where it first appears (see
     ``CoarseStructure``).  If a member is refused, the error raised is the
     one for the least new member of that radius, whatever order the delta
-    came in.  Returns a Witness, its elements in canonical order, when the
-    size trace is constant over the final ceil(radius/2) radii, else a
-    Counterexample carrying the growing trace and its elements unordered.
+    came in.  Returns the family's ``Membership``: bounded when the size
+    trace is constant over the final ceil(radius/2) radii.  Only a bounded
+    witness is reported, so only then are its elements put in canonical
+    order.
     """
     seen: set = set()
     witness: set = set()
@@ -234,13 +234,17 @@ def membership_window(structure: CoarseStructure, pf: ParamFamily, radius: int):
             raise
         trace[r] = len(witness)
     group = structure.witness_group()
-    if trace_stabilizes(trace, radius):
-        elements = groups.canonical_sorted(group, witness)
-        return Witness(structure=structure.label, group=group, elements=elements, trace=trace)
-    return Counterexample(
-        structure=structure.label,
-        family=pf.tag,
-        group=group,
-        elements=frozenset(witness),
-        trace=trace,
-    )
+    bounded = trace_stabilizes(trace, radius)
+    elements = groups.canonical_sorted(group, witness) if bounded else frozenset(witness)
+    return Membership(structure.label, pf.tag, group, elements, trace, bounded)
+
+
+def bounded_battery(structure: CoarseStructure, radius: int, seed: int, n_random: int):
+    """Yield (family, its Membership) for each family of the structure's
+    stock battery.  Every battery family is bounded in its own structure, so
+    one that is not is a broken structure, not a verdict."""
+    for pf in structure.default_battery(seed=seed, n_random=n_random):
+        res = membership_window(structure, pf, radius)
+        if not res.bounded:
+            raise PreconditionError(f"battery family {pf.tag} is not bounded in {structure.label}")
+        yield pf, res

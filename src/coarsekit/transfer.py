@@ -49,6 +49,7 @@ from .maps import Certificate, MapWindow, check_bornologous, check_coarsely_prop
 
 DEFAULT_COVER_CAP = 64
 DEFAULT_ENUM_CAP = 100000
+COMMUTE_DEPTH = 1  # the radius of both acting balls in actions_commute_check
 
 ALL_CONDITIONS = ("pin", "c", "d", "cover")
 
@@ -342,12 +343,7 @@ def beta_window_check(
     )
 
 
-def enumerate_beta_windows(
-    td: TransferData,
-    radius: int,
-    pin=None,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> list:
+def enumerate_beta_windows(td: TransferData, radius: int, pin=None) -> list:
     """All tables of the given radius compatible with the displacement
     tables, found by DFS along geodesics.
 
@@ -374,9 +370,9 @@ def enumerate_beta_windows(
     estimate = 1
     for x in dom[1:]:
         estimate *= max(1, len(singleton_c[gens[steps[x][1]]]))
-        if estimate > cap:
+        if estimate > DEFAULT_ENUM_CAP:
             raise ResourceLimitError(
-                f"beta enumeration would expand about {estimate} candidates (cap {cap})"
+                f"beta enumeration would expand about {estimate} candidates (cap {DEFAULT_ENUM_CAP})"
             )
 
     d_rules = [(set(F), set(dvals)) for F, dvals in td.d_table.items()]
@@ -419,8 +415,8 @@ def enumerate_beta_windows(
         step_c = singleton_c[gens[letter]]
         for v in groups.canonical_sorted(H, (groups.multiply(H, base, c) for c in step_c)):
             expanded += 1
-            if expanded > cap:
-                raise ResourceLimitError(f"beta enumeration exceeded {cap} nodes")
+            if expanded > DEFAULT_ENUM_CAP:
+                raise ResourceLimitError(f"beta enumeration exceeded {DEFAULT_ENUM_CAP} nodes")
             if local_ok(x, v, assigned):
                 assigned[x] = v
                 extend(idx + 1, assigned)
@@ -457,19 +453,13 @@ def act_target(td: TransferData, h, beta: dict) -> dict:
     return {x: mul(h, v) for x, v in beta.items()}
 
 
-def actions_commute_check(
-    td: TransferData,
-    beta: dict,
-    radius: int,
-    g_depth: int = 1,
-    h_depth: int = 1,
-) -> Certificate:
+def actions_commute_check(td: TransferData, beta: dict, radius: int) -> Certificate:
     """Source precomposition and target postcomposition commute on beta."""
     G, H = td.source_spec, td.target_spec
     checked = 0
-    for g in groups.ball(G, g_depth).elements:
+    for g in groups.ball(G, COMMUTE_DEPTH).elements:
         shrunk, new_radius = act_source(td, g, beta, radius)
-        for h in groups.ball(H, h_depth).elements:
+        for h in groups.ball(H, COMMUTE_DEPTH).elements:
             one = act_target(td, h, shrunk)
             two, _ = act_source(td, g, act_target(td, h, beta), radius)
             if one != two:
@@ -487,5 +477,5 @@ def actions_commute_check(
         check="beta-actions-commute",
         verdict="PASS",
         radius=radius,
-        data={"pairs_checked": checked, "g_depth": g_depth, "h_depth": h_depth},
+        data={"pairs_checked": checked, "g_depth": COMMUTE_DEPTH, "h_depth": COMMUTE_DEPTH},
     )

@@ -4,9 +4,9 @@ import oracles
 from coarsekit import groups
 from coarsekit.families import (
     ControlledSet,
+    ParamFamily,
     ceil_half,
     compose_controlled,
-    constant_family,
     controlled_to_family,
     family_to_controlled,
     finite_family,
@@ -158,10 +158,8 @@ class TestRefines:
     def test_positive_and_negative(self):
         small = finite_family(ZS, [(0, 1), (5, 6)])
         big = finite_family(ZS, [(0, 1, 2), (4, 5, 6, 7)])
-        assert refines(small, big)
-        res = refines(big, small)
-        assert not res
-        assert res.failing == (0, 1, 2)
+        assert refines(small, big) is True
+        assert refines(big, small) is False
 
 
 class TestTraces:
@@ -185,5 +183,5 @@ class TestParamFamilies:
             assert all(f == 0 for _n, f in m)
 
     def test_constant_family_ignores_radius(self):
-        cf = constant_family(ZS, [(0, 3)])
+        cf = ParamFamily("{[0,3]}", ZS, grow=lambda r: () if r else [(0, 3)])
         assert cf.at(0).members == cf.at(6).members == ((0, 3),)

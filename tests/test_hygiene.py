@@ -84,13 +84,7 @@ def test_module_private_names_are_read(module):
 
 
 # parameters with a default that no call in src/ or perfbench/ sets
-UNSET_DEFAULTS = {
-    "enumerate_beta_windows(cap)": "tests reach the enumeration's resource guard through it",
-    "actions_commute_check(g_depth)": "an admissibility check of each table is to replace this "
-    "check (ROADMAP.md)",
-    "actions_commute_check(h_depth)": "an admissibility check of each table is to replace this "
-    "check (ROADMAP.md)",
-}
+UNSET_DEFAULTS: dict = {}
 
 
 def optional_parameters(source: str) -> list:

@@ -1,5 +1,7 @@
 """Checks for the map catalog: bornologous, proper, close, equivalence."""
 
+import math
+
 import pytest
 
 from coarsekit import groups
@@ -10,6 +12,7 @@ from coarsekit.errors import (
     SurjectivityError,
 )
 from coarsekit.maps import (
+    MapWindow,
     check_bornologous,
     check_close,
     check_coarsely_proper,
@@ -124,6 +127,34 @@ class TestSurjectiveEquivalence:
         cert = surjective_equivalence_check(mod_map(CL_Z, CL_Z6, 6), 8)
         assert cert.verdict == "FAIL"
         assert [f["check"] for f in cert.data["failures"]] == ["coarsely-proper"]
+
+    def test_parity_flip_fails_bornologous(self):
+        # n -> -n on odd n sends the pair {n, n+1} to points about 2n apart
+        flip = {n: n if n % 2 == 0 else -n for n in groups.ball(Z, 40).elements}
+        cert = surjective_equivalence_check(table_map("flip-odd", CL_Z, CL_Z, flip), 8)
+        assert cert.verdict == "FAIL"
+        assert [f["check"] for f in cert.data["failures"]] == ["bornologous"]
+        assert cert.data["coarsely_proper"]["verdict"] == "PASS"
+
+    def test_isqrt_fails_bounded_preimages(self):
+        # the fibre over n has about 2n points, so the preimages of {n, n+1}
+        # grow; Ball(38*R) holds every preimage of Ball(R) at R = 36, and at
+        # R = 8 the properness traces still grow at the window edge
+        isqrt = MapWindow(
+            "isqrt",
+            CL_Z,
+            CL_Z,
+            lambda n: ((n > 0) - (n < 0)) * math.isqrt(abs(n)),
+            source_factor=38,
+            source_slack=0,
+        )
+        cert = surjective_equivalence_check(isqrt, 36)
+        assert cert.verdict == "FAIL"
+        [failure] = cert.data["failures"]
+        assert failure["check"] == "preimage-bounded"
+        assert failure["data"]["family"] == "{{g, g*1}}"
+        assert cert.data["bornologous"]["verdict"] == "PASS"
+        assert cert.data["coarsely_proper"]["verdict"] == "PASS"
 
     @pytest.mark.parametrize("target", [LeftGroupStructure(groups.cyclic(5)), CL_Z])
     def test_mod_k_needs_target_zmod_k(self, target):

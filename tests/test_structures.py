@@ -1,16 +1,24 @@
 import pytest
 
 from coarsekit import groups
-from coarsekit.actions import ActionInducedStructure, inclusion_hom, left_translation
-from coarsekit.families import (
-    Counterexample,
-    Witness,
-    constant_family,
-    shape_translate_family,
-    translate_pair_family,
+from coarsekit.actions import (
+    ActionInducedStructure,
+    identity_hom,
+    inclusion_hom,
+    left_translation,
+    uniformly_bornologous_action_check,
 )
+from coarsekit.errors import PreconditionError
+from coarsekit.families import ParamFamily, shape_translate_family, translate_pair_family
 from coarsekit.spaces import GroupSpace
+from coarsekit.maps import (
+    check_bornologous,
+    identity_map,
+    pullback_structure_equality,
+    surjective_equivalence_check,
+)
 from coarsekit.structures import (
+    GroupStructure,
     LeftGroupStructure,
     RightGroupStructure,
     membership_window,
@@ -27,8 +35,7 @@ X = (1, 0)
 class TestMembershipWindow:
     def test_consecutive_pairs_bounded(self):
         res = membership_window(LeftGroupStructure(groups.Z), translate_pair_family(ZS, 1, "right"), 8)
-        assert isinstance(res, Witness)
-        assert res.verdict == "PASS"
+        assert res.bounded and res.verdict == "PASS"
         assert set(res.elements) == {-1, 0, 1}
         assert set(res.trace.values()) == {3}
 
@@ -36,9 +43,8 @@ class TestMembershipWindow:
         pf = translate_pair_family(DS, T, "left")  # members {g, t.g}
         left = membership_window(LeftGroupStructure(DIH), pf, 8)
         right = membership_window(RightGroupStructure(DIH), pf, 8)
-        assert isinstance(left, Counterexample)
-        assert left.verdict == "FAIL"
-        assert isinstance(right, Witness)
+        assert not left.bounded and left.verdict == "FAIL"
+        assert right.bounded
         assert set(right.elements) == {(0, 0), T}
 
     def test_counterexample_trace_grows(self):
@@ -51,11 +57,48 @@ class TestMembershipWindow:
         assert all(g in res.elements for g in groups.conjugacy_window(DIH, T, 4))
 
     def test_constant_family_passes(self):
-        res = membership_window(
-            LeftGroupStructure(groups.Z), constant_family(ZS, [(0, 5)]), 6
-        )
+        constant = ParamFamily("{[0,5]}", ZS, grow=lambda r: () if r else [(0, 5)])
+        res = membership_window(LeftGroupStructure(groups.Z), constant, 6)
         assert res.verdict == "PASS"
         assert set(res.elements) == {-5, 0, 5}
+
+
+class DoublingBattery(GroupStructure):
+    """C_l(Z) with a broken battery: its one family {g, 2g} has the witness
+    {±g}, which grows with the window."""
+
+    def __init__(self):
+        super().__init__(groups.Z, "left")
+
+    def default_battery(self, seed, n_random):
+        def grow(r):
+            return ((g, 2 * g) for g in groups.sphere(groups.Z, r))
+
+        return [ParamFamily("{g, 2g}", self.space, grow)]
+
+
+CL_Z = LeftGroupStructure(groups.Z)
+DOUBLING = DoublingBattery()
+
+
+class TestBatteryGuard:
+    """Every check that reads a structure's battery refuses one whose family
+    is unbounded in that structure."""
+
+    CALLS = {
+        "bornologous": lambda: check_bornologous(identity_map(DOUBLING), 8),
+        "equivalence": lambda: surjective_equivalence_check(identity_map(CL_Z, DOUBLING), 8),
+        "action": lambda: uniformly_bornologous_action_check(
+            left_translation(identity_hom(groups.Z)), DOUBLING, 8
+        ),
+        "pullback": lambda: pullback_structure_equality(identity_map(CL_Z), DOUBLING, CL_Z, 8),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_unbounded_battery_family_is_refused(self, name):
+        with pytest.raises(PreconditionError) as err:
+            self.CALLS[name]()
+        assert str(err.value) == "battery family {g, 2g} is not bounded in C_l(Z)"
 
 
 class TestStructureHelpers:

@@ -4,7 +4,7 @@ compatible companion tables."""
 import pytest
 
 import oracles
-from coarsekit import groups
+from coarsekit import groups, transfer
 from coarsekit.errors import (
     MalformedElementError,
     PreconditionError,
@@ -43,6 +43,15 @@ def padded_identity(identity_data):
     return identity_data.padded(
         c_extra={frozenset({1}): {2}, frozenset({-1}): {-2}}
     )
+
+
+def oracle_count(td, radius):
+    """How many tables the search finds at radius; they must be the oracle's."""
+    betas = enumerate_beta_windows(td, radius, pin=0)
+    assert sorted(map(sorted, (b.items() for b in betas))) == sorted(
+        map(sorted, (b.items() for b in oracles.brute_betas(td, radius, pin=0)))
+    )
+    return len(betas)
 
 
 class TestTransferSets:
@@ -260,7 +269,34 @@ class TestEnumeration:
             }
         )
         with pytest.raises(ResourceLimitError):
-            enumerate_beta_windows(wide, 3, pin=0, cap=100)
+            enumerate_beta_windows(wide, 3, pin=0)
+
+    def test_search_prunes_on_the_d_conditions(self, identity_data, monkeypatch):
+        padded = identity_data.padded(
+            c_extra={frozenset({1}): {0, 2}, frozenset({-1}): {0, -2}}
+        )
+        steps = [padded.c_table[frozenset({s})] for s in (1, -1)]
+        assert len(steps[0]) * len(steps[1]) == 9  # candidate tables at radius 1
+        assert [oracle_count(padded, r) for r in (1, 2, 3)] == [4, 16, 64]
+        # a cap of 3^6 passes the estimate, but the unpruned radius-3 tree
+        # has 3 + 9 + ... + 729 = 1092 nodes
+        monkeypatch.setattr(transfer, "DEFAULT_ENUM_CAP", 3**6)
+        assert len(enumerate_beta_windows(padded, 3, pin=0)) == 64
+
+    def test_search_prunes_on_the_c_conditions(self, identity_data):
+        # a step of 2 over the key {2} leaves only the identity table
+        padded = identity_data.padded(
+            c_extra={frozenset({1}): {0, 2}, frozenset({-1}): {0, -2}, frozenset({2}): {2}}
+        )
+        assert [oracle_count(padded, r) for r in (1, 2, 3)] == [1, 1, 1]
+
+    def test_wide_padding_agrees_until_the_cap(self, identity_data):
+        wide = identity_data.padded(
+            c_extra={frozenset({1}): set(range(-3, 4)), frozenset({-1}): set(range(-3, 4))}
+        )
+        assert [oracle_count(wide, r) for r in (1, 2)] == [15, 110]
+        with pytest.raises(ResourceLimitError):
+            enumerate_beta_windows(wide, 3, pin=0)
 
 
 class TestTableActions:
