@@ -35,13 +35,14 @@ from .spaces import GroupSpace, Preimages
 class CoarseStructure:
     """A membership test for families, read off one member at a time.
 
-    ``fold(witness, members, seen)`` adds to ``witness`` the contribution of
-    every member in ``members`` (collections of points) that ``seen`` does
-    not hold yet, and records it there.  ``membership_window`` calls it once
-    per radius with that radius's delta.  This generic fold contributes each
-    distinct member once, through the memoized ``member_contribution``.  A
-    structure may override ``fold`` with a faster loop only if it gives the
-    same witness set, as ``GroupStructure`` does."""
+    ``fold(witness, members)`` adds to ``witness`` the contribution of every
+    member in ``members`` (collections of points).  ``membership_window``
+    calls it once per radius with that radius's delta.  This generic fold
+    hands every member to the memoized ``member_contribution``, and the memo
+    is the one record of members met: each distinct member is computed
+    once, and a repeat is a memo hit.  A structure may override ``fold``
+    with a faster loop only if it gives the same witness set, as
+    ``GroupStructure`` does."""
 
     space: object
     label: str
@@ -69,13 +70,10 @@ class CoarseStructure:
     def _compute_contribution(self, member):
         raise NotImplementedError
 
-    def fold(self, witness: set, members, seen: set) -> None:
+    def fold(self, witness: set, members) -> None:
         contribution = self.member_contribution
         for m in members:
-            m = frozenset(m)
-            if m not in seen:
-                seen.add(m)
-                witness |= contribution(m)
+            witness |= contribution(frozenset(m))
 
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
         """A canonical bounded set containing y, one notch of mesh at a time."""
@@ -90,10 +88,10 @@ class GroupStructure(CoarseStructure):
     u^-1*v) or the right one (witnesses u*v^-1).
 
     Its ``fold`` runs the witness kernel over every member straight into the
-    witness set, with no memo and no ``seen`` lookup: a repeated member adds
-    nothing.  It never calls ``member_contribution``, so a subclass that
-    changes how a member contributes must also set
-    ``fold = CoarseStructure.fold``."""
+    witness set and keeps no record of members met: a repeat adds nothing.
+    It never calls ``member_contribution``, so a subclass that changes how a
+    member contributes must set ``fold = CoarseStructure.fold``, whose memo
+    computes each distinct member once and answers a repeat from memory."""
 
     def __init__(self, spec: groups.GroupSpec, side: str):
         if side not in ("left", "right"):
@@ -113,7 +111,7 @@ class GroupStructure(CoarseStructure):
     def _compute_contribution(self, member):
         return member_witness(self.side, self.spec, member)
 
-    def fold(self, witness: set, members, seen: set) -> None:
+    def fold(self, witness: set, members) -> None:
         fold_witness(witness, self.side, self.spec, members)
 
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
@@ -217,19 +215,18 @@ def membership_window(structure: CoarseStructure, pf: ParamFamily, radius: int):
     witness is reported, so only then are its elements put in canonical
     order.
     """
-    seen: set = set()
     witness: set = set()
     trace: dict = {}
     fold = structure.fold
     for r in range(radius + 1):
         try:
-            fold(witness, pf.delta(r), seen)
+            fold(witness, pf.delta(r))
         except CoarseKitError:
-            # report the least failing member, whatever order the delta came in
+            # report the least failing member, whatever order the delta came
+            # in; a member met at an earlier radius contributed without error
             order = pf.space.sort_key
-            older = {frozenset(m) for q in range(r) for m in pf.delta(q)}
-            new = [tuple(sorted(m, key=order)) for m in {frozenset(m) for m in pf.delta(r)} - older]
-            for m in sorted(new, key=lambda m: [order(x) for x in m]):
+            delta = [tuple(sorted(m, key=order)) for m in {frozenset(m) for m in pf.delta(r)}]
+            for m in sorted(delta, key=lambda m: [order(x) for x in m]):
                 structure.member_contribution(m)
             raise
         trace[r] = len(witness)

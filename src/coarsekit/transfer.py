@@ -351,7 +351,9 @@ def enumerate_beta_windows(td: TransferData, radius: int, pin=None) -> list:
     c-set of the last geodesic step, so the search is complete whenever
     the c-table has entries for the generator singletons.  Tables are
     filtered by the c and d conditions only (the cover condition asks
-    about the image, not the table) and reverified before returning."""
+    about the image, not the table) and reverified before returning.  The
+    search refuses with ``ResourceLimitError`` (``resource-limit``) once
+    it has expanded ``DEFAULT_ENUM_CAP`` candidates."""
     G, H = td.source_spec, td.target_spec
     one = G.identity()
     pin = pin if pin is not None else td.alpha(one)
@@ -366,14 +368,6 @@ def enumerate_beta_windows(td: TransferData, radius: int, pin=None) -> list:
     dom = groups.ball(G, radius).elements
     singleton_c = {s: td.c_table[frozenset({s})] for s in gens}
     steps = {x: groups.geodesic_parent(G, x) for x in dom[1:]}  # x -> (parent, letter)
-
-    estimate = 1
-    for x in dom[1:]:
-        estimate *= max(1, len(singleton_c[gens[steps[x][1]]]))
-        if estimate > DEFAULT_ENUM_CAP:
-            raise ResourceLimitError(
-                f"beta enumeration would expand about {estimate} candidates (cap {DEFAULT_ENUM_CAP})"
-            )
 
     d_rules = [(set(F), set(dvals)) for F, dvals in td.d_table.items()]
 

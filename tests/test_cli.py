@@ -56,6 +56,9 @@ CASES = [
     (["action-check", "--action", "left(Z->DihInf via x^n)",
       "--set", "1,t", "--radius", "8"], 0),
     (["action-check", "--action", "trivial(Z on Z)", "--radius", "6"], 1),
+    # a space with no group structure: Z fixes the one point
+    (["action-check", "--action", "trivial(Z on point)"], 0),
+    (["action-check", "--action", "trivial(Z on point)", "--set", "pt"], 1),
     (["svarc-milnor", "--action", "left(Z)", "--radius", "8"], 0),
     (["svarc-milnor", "--action", "left(Z->DihInf via x^n)", "--radius", "10"], 0),
     (["commuting", "--radius", "8"], 0),
@@ -111,6 +114,17 @@ class TestActionCheck:
         assert [c["verdict"] for c in checks] == ["PASS"] * 4
         for c in checks[2:]:
             assert c["data"]["U"] == ["(0,0)", "(1,0)"]
+
+    def test_space_without_group_structure_skips_the_translate_check(self):
+        _, out = run_cli(["action-check", "--action", "trivial(Z on point)"])
+        report = json.loads(out)
+        assert [(c["check"], c["verdict"]) for c in report["checks"]] == [("cobounded", "PASS")]
+        assert report["checks"][0]["data"]["U"] == ["pt"]
+        assert report["notes"] == ["translate check skipped: the space carries no group structure"]
+        # all of Z fixes the point
+        _, out = run_cli(["action-check", "--action", "trivial(Z on point)", "--set", "pt"])
+        verdicts = {c["check"]: c["verdict"] for c in json.loads(out)["checks"]}
+        assert verdicts == {"cobounded": "PASS", "stabilizer": "FAIL", "point-finite": "FAIL"}
 
     def test_commuting_names_a_tuple_set(self):
         code, out = run_cli(
@@ -226,8 +240,15 @@ class TestGromov:
 
 
 class TestErrors:
-    def test_unknown_group_exits_2(self):
-        code, out = run_cli(["fc", "--group", "Sym(3)"])
+    @pytest.mark.parametrize("argv", [
+        ["fc", "--group", "Sym(3)"],
+        ["map-check", "--group", "Z", "--map", "bogus"],
+        ["witness", "--group", "Z", "--family", "bogus"],
+    ] + [["svarc-milnor", "--action", text] for text in (
+        "up(Z)", "trivial(Z)", "left(Z->DihInf)", "left(Z->Z via x^n)", "left(Z via n^2)",
+    )], ids=" ".join)
+    def test_unknown_name_exits_2(self, argv):
+        code, out = run_cli(argv)
         assert code == 2
         report = json.loads(out)
         assert report["error"]["code"] == "parse-error"
@@ -246,6 +267,18 @@ class TestErrors:
         code, out = run_cli(
             ["map-check", "--group", "Z", "--target", target, "--map", map_text, "--radius", "4"]
         )
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "precondition-violation"
+
+    @pytest.mark.parametrize("argv", [
+        ["--group", "DihInf", "--map", "square"],
+        ["--group", "Z", "--target", "DihInf", "--map", "power:2"],
+        ["--group", "Z", "--map", "floor-div:0"],
+        ["--group", "DihInf", "--map", "floor-div:2"],
+        ["--group", "Z", "--map", "inclusion"],
+    ], ids=" ".join)
+    def test_map_outside_its_domain_exits_2(self, argv):
+        code, out = run_cli(["map-check"] + argv)
         assert code == 2
         assert json.loads(out)["error"]["code"] == "precondition-violation"
 
@@ -278,6 +311,7 @@ class TestErrors:
         ["action-check", "--action", "left(Z)", "--set", ",", "--radius", "4"],
         ["action-check", "--action", "left(Z)", "--set", "", "--radius", "4"],
         ["commuting", "--set", ","],
+        ["action-check", "--action", "trivial(Z on point)", "--set", "q"],
     ])
     def test_set_naming_no_element_exits_2(self, argv):
         code, out = run_cli(argv)
@@ -362,6 +396,17 @@ class TestFormats:
         lines = out.splitlines()
         assert lines[0].startswith("coarsekit ") and "command=fc" in lines[0]
         assert any("PASS" in line for line in lines[1:])
+
+    def test_table_format_of_nested_data(self):
+        code, out = run_cli(["commuting", "--radius", "8", "--format", "table"])
+        assert code == 0
+        lines = out.splitlines()
+        assert '  U: ["1", "t"]' in lines
+        cut = [line for line in lines if line.endswith("...")]
+        assert cut and all(len(line.split(": ", 1)[1]) == 100 for line in cut)
+        assert lines[-1] == (
+            "note: right(DihInf via identity): right translations enter as the left action g.x = x.g^-1"
+        )
 
     def test_table_format_error(self):
         code, out = run_cli(["fc", "--group", "Sym(3)", "--format", "table"])

@@ -147,12 +147,15 @@ class _RefusesFarPoints(LeftGroupStructure):
         return super()._compute_contribution(member)
 
 
-@pytest.mark.parametrize("reverse", [False, True], ids=["sphere-order", "reversed"])
-def test_error_names_least_member_whatever_the_delta_order(reverse):
-    # at radius 1 both {1, 2} and {-1, -2} are refused; {1, 2} is the least
+@pytest.mark.parametrize("order", ["sphere-order", "reversed", "with-older-member"])
+def test_error_names_least_member_whatever_the_delta_order(order):
+    # at radius 1 both {1, 2} and {-1, -2} are refused; {1, 2} is the least.
+    # The third order yields the radius-0 member {0} again first at every
+    # radius: it contributed without error, so it is no candidate
     def grow(r):
         sphere = groups.sphere(groups.Z, r)
-        return [(g, 2 * g) for g in (sphere[::-1] if reverse else sphere)]
+        older = [(0, 0)] if order == "with-older-member" else []
+        return older + [(g, 2 * g) for g in (sphere[::-1] if order == "reversed" else sphere)]
 
     pf = ParamFamily(tag="{g, 2g}", space=GroupSpace(groups.Z), grow=grow)
     with pytest.raises(WindowOverflowError, match=r"^2 not covered"):

@@ -163,6 +163,11 @@ class TestConjugacy:
         assert groups.conjugacy_window(Z, 7, 5) == (7,)
         assert groups.conjugacy_window(Z6, 2, 4) == (2,)
 
+    def test_window_past_the_ball_cap_is_refused(self, monkeypatch):
+        monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", 1000)
+        with pytest.raises(ResourceLimitError, match=r"^conjugacy window in F\(2\) exceeds cap 1000$"):
+            groups.conjugacy_window(F2, (1,), 10)
+
     def test_conjugation_by_mul_and_inv(self):
         # h^-1 a h: t inverts x, and x^-1 t x = x^-2 t
         assert DIH.mul(DIH.mul(DIH.inv(T), X), T) == (-1, 0)

@@ -24,6 +24,8 @@ from coarsekit.actions import (
     right_translation,
 )
 from coarsekit.errors import WindowOverflowError
+from coarsekit.families import ParamFamily
+from coarsekit.structures import membership_window
 
 RADIUS = 6
 ONE, X, T = (0, 0), (1, 0), (0, 1)
@@ -104,6 +106,30 @@ def test_battery_contributions_count_few_multiplications():
         struct.member_contribution(m)
     # a scan of the pool per cover needs 233,439 products here; this search needs 4,690
     assert calls < 50_000
+
+
+@pytest.mark.parametrize("name", ["left(Z->DihInf via x^n)", "right(DihInf)"])
+def test_memo_computes_each_distinct_member_once(name):
+    # the contribution memo is the only record of members met: a family that
+    # yields every member twice costs one computation per distinct member
+    once, radius = induced_case(name)
+    twice, _ = induced_case(name)
+    computed = []
+    compute = twice._compute_contribution
+
+    def counted(member):
+        computed.append(frozenset(member))
+        return compute(member)
+
+    twice._compute_contribution = counted
+    distinct = set()
+    for pf in once.default_battery(seed=0, n_random=8):
+        doubled = ParamFamily(pf.tag, pf.space, grow=lambda r, pf=pf: [*pf.delta(r)] * 2)
+        plain, got = membership_window(once, pf, radius), membership_window(twice, doubled, radius)
+        assert (got.trace, got.elements) == (plain.trace, plain.elements), pf.tag
+        distinct |= {frozenset(m) for r in range(radius + 1) for m in pf.delta(r)}
+    assert len(computed) == len(set(computed))
+    assert set(computed) == distinct
 
 
 def test_covers_past_the_acting_ball():

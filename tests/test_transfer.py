@@ -278,8 +278,8 @@ class TestEnumeration:
         steps = [padded.c_table[frozenset({s})] for s in (1, -1)]
         assert len(steps[0]) * len(steps[1]) == 9  # candidate tables at radius 1
         assert [oracle_count(padded, r) for r in (1, 2, 3)] == [4, 16, 64]
-        # a cap of 3^6 passes the estimate, but the unpruned radius-3 tree
-        # has 3 + 9 + ... + 729 = 1092 nodes
+        # the unpruned radius-3 tree has 3 + 9 + ... + 729 = 1092 nodes, so
+        # the search stays under a cap of 3^6 only because it prunes
         monkeypatch.setattr(transfer, "DEFAULT_ENUM_CAP", 3**6)
         assert len(enumerate_beta_windows(padded, 3, pin=0)) == 64
 
@@ -294,9 +294,11 @@ class TestEnumeration:
         wide = identity_data.padded(
             c_extra={frozenset({1}): set(range(-3, 4)), frozenset({-1}): set(range(-3, 4))}
         )
-        assert [oracle_count(wide, r) for r in (1, 2)] == [15, 110]
-        with pytest.raises(ResourceLimitError):
-            enumerate_beta_windows(wide, 3, pin=0)
+        assert [oracle_count(wide, r) for r in (1, 2, 3)] == [15, 110, 870]
+        # the pruned search reaches what its node cap admits, and no further
+        assert len(enumerate_beta_windows(wide, 4, pin=0)) == 7247
+        with pytest.raises(ResourceLimitError, match=r"^beta enumeration exceeded 100000 nodes$"):
+            enumerate_beta_windows(wide, 5, pin=0)
 
 
 class TestTableActions:
