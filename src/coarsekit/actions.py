@@ -7,14 +7,11 @@ as powers of x, or an integer scaling on Z).  Table actions carry explicit
 generator permutations of a finite point set and extend along geodesic
 words.
 
-Two window constructions produce coarse structures from an action:
-
-* orbit pullback        membership of a family is membership of its
-                        preimage family under g -> g.x0 (transitive
-                        actions with finite point stabilizers)
-* bounded translates    a family is bounded when it refines translates
-                        {g.(F.U)} of a fixed bounded set U; the witness is
-                        the finite F needed, and its growth is the trace
+One window construction produces a coarse structure from an action, the
+bounded translates: a family is bounded when it refines translates
+{g.(F.U)} of a fixed bounded set U; the witness is the finite F needed, and
+its growth is the trace.  The orbit map g -> g.x0 into a structure given on
+the space is certified by ``coarse_action_certificate``.
 
 One index, ``_cover_index(action, U)``, answers every "which h of length
 <= r puts y in h.U" question: the cover constants, the stabilizer and
@@ -29,7 +26,6 @@ from collections.abc import Callable
 from . import groups
 from .errors import (
     CommutativityError,
-    InfiniteStabilizerError,
     PreconditionError,
     SearchFailureError,
     SpaceMismatchError,
@@ -49,7 +45,6 @@ from .structures import (
     CoarseStructure,
     GroupStructure,
     LeftGroupStructure,
-    PullbackStructure,
     bounded_battery,
     membership_window,
     random_shapes,
@@ -594,60 +589,6 @@ def cobounded_check(action: Action, radius: int, U: tuple | None = None) -> Cert
 
 # ---------------------------------------------------------------------------
 # induced structures
-
-def induced_structure_first(action: Action, x0, radius: int) -> tuple[PullbackStructure, Certificate]:
-    """Pull the left structure of the acting group through g -> g.x0.
-
-    Needs the orbit of x0 to cover the window (within a constant) and the
-    stabilizer of x0 to stop growing."""
-    action.space.validate(x0)
-    G = action.group
-    orbit = _cover_index(action, (x0,))  # the covers of x0 are its stabilizer
-    stab = orbit.get(x0, radius)
-    stab_trace = orbit.trace((x0,), radius)
-    if not trace_stabilizes(stab_trace, radius):
-        raise InfiniteStabilizerError(
-            f"{action.name}: stabilizer of {action.space.serialize(x0)} keeps growing, "
-            f"trace {sorted(stab_trace.items())}"
-        )
-    stab_extent = max((groups.word_length(G, g) for g in stab), default=0)
-
-    cover_c = _cover_constant(action.space, orbit, radius, COVER_CONSTANT_CAP)
-    if cover_c is None:
-        raise PreconditionError(
-            f"{action.name}: orbit of {action.space.serialize(x0)} does not cover the window"
-        )
-
-    structure = PullbackStructure(
-        rule=lambda g: action.apply(g, x0),
-        source=LeftGroupStructure(G),
-        space=action.space,
-        source_slack=cover_c + stab_extent + 1,
-        label=f"orbit-pullback({action.name}; x0={action.space.serialize(x0)})",
-    )
-    orbit_map = MapWindow(
-        f"orbit({action.name}; x0={action.space.serialize(x0)})",
-        LeftGroupStructure(G),
-        structure,
-        lambda g: action.apply(g, x0),
-        source_factor=1,
-        source_slack=cover_c + stab_extent,
-    )
-    equivalence = surjective_equivalence_check(orbit_map, radius, cover_distance=cover_c)
-    cert = Certificate(
-        check="induced-orbit-pullback",
-        verdict="PASS" if equivalence.passed else "FAIL",
-        radius=radius,
-        data={
-            "action": action.name,
-            "x0": action.space.serialize(x0),
-            "stabilizer_size": len(stab),
-            "cover_constant": cover_c,
-            "orbit_map_equivalence": equivalence.to_json(),
-        },
-    )
-    return structure, cert
-
 
 def induced_structure_second(
     action: Action,

@@ -80,9 +80,5 @@ class SearchFailureError(CoarseKitError):
     code = "search-failure"
 
 
-class InfiniteStabilizerError(CoarseKitError):
-    code = "infinite-stabilizer"
-
-
 class CoverFailureError(CoarseKitError):
     code = "cover-failure"

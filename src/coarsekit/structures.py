@@ -7,29 +7,27 @@ window can tell) or keeps growing (a genuine counterexample at this scale).
 
 Structures on a group's underlying set come in the left flavor (witnesses
 u^-1*v) and the right flavor (witnesses u*v^-1), one ``GroupStructure``
-each.  A pullback structure transports membership along a map into the
-space: a family belongs to it when its preimage family is bounded in the
-structure on the source.
+each.  The structure an action induces from the translates of a bounded
+set, ``actions.ActionInducedStructure``, is the memoized kind: each member's
+witness is a search, so the generic fold computes it once per member.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
 
 from . import groups
-from .errors import CoarseKitError, PreconditionError, WindowOverflowError
+from .errors import CoarseKitError, PreconditionError
 from .families import (
     Membership,
     ParamFamily,
     fold_witness,
-    image_family,
     member_witness,
     shape_translate_family,
     trace_stabilizes,
     translate_pair_family,
 )
-from .spaces import GroupSpace, Preimages
+from .spaces import GroupSpace
 
 
 class CoarseStructure:
@@ -56,9 +54,9 @@ class CoarseStructure:
     def member_contribution(self, member) -> frozenset:
         """Witness elements of one member, whose points may come in any order.
 
-        The result is memoized under ``frozenset(member)``: pullback and
-        induced contributions search a window per member, and the same
-        member recurs across families and radii.  The group structures
+        The result is memoized under ``frozenset(member)``: an induced
+        contribution searches a window per member, and the same member
+        recurs across families and radii.  The group structures
         override this without a memo, since a member's witness costs a
         few multiplications per pair, less than keeping it."""
         key = frozenset(member)
@@ -136,59 +134,6 @@ class LeftGroupStructure(GroupStructure):
 class RightGroupStructure(GroupStructure):
     def __init__(self, spec: groups.GroupSpec):
         super().__init__(spec, "right")
-
-
-class PullbackStructure(CoarseStructure):
-    """Structure on the target of a map: a family is bounded when its
-    preimage family is bounded in the structure on the source."""
-
-    def __init__(
-        self,
-        rule: Callable,
-        source: CoarseStructure,
-        space,
-        source_slack: int = 4,
-        label: str = "",
-    ):
-        super().__init__()
-        self.rule = rule
-        self.source = source
-        self.space = space
-        self.source_slack = source_slack
-        self.label = label or f"pullback({source.label})"
-        self._fibres = Preimages(source.space, lambda x: (rule(x),))
-
-    def witness_group(self) -> groups.GroupSpec:
-        return self.source.witness_group()
-
-    def preimage_member(self, member) -> tuple:
-        """The points of the source window over ``member``, in window order;
-        the window reaches source_slack past the member's extent."""
-        radius = max((self.space.extent(y) for y in member), default=0) + self.source_slack
-        fibre = self._fibres.get
-        hits = [x for y in set(member) for x in fibre(y, radius)]
-        return tuple(sorted(hits, key=self.source.space.sort_key))
-
-    def _compute_contribution(self, member):
-        return self.source.member_contribution(self.preimage_member(member))
-
-    def bounded_neighborhood(self, y, mesh: int) -> tuple:
-        pre = self.preimage_member((y,))
-        if not pre:
-            raise WindowOverflowError(
-                f"{self.label}: no preimage of {y!r} within the search window"
-            )
-        x0 = pre[0]
-        nb = set()
-        for w in self.source.bounded_neighborhood(x0, mesh):
-            nb.add(self.rule(w))
-        return tuple(sorted(nb, key=self.space.sort_key))
-
-    def default_battery(self, seed: int, n_random: int) -> list:
-        out = []
-        for pf in self.source.default_battery(seed=seed, n_random=n_random):
-            out.append(image_family(pf, self.rule, self.space, tag=f"push({pf.tag})"))
-        return out
 
 
 def random_shapes(spec: groups.GroupSpec, seed: int, count: int, mesh: int = 2) -> list:

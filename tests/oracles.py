@@ -474,8 +474,8 @@ def scan_selection(action_from, action_to, U, x0, table_radius: int, slack: int)
 # preimage questions by scanning the source window
 #
 # The package answers every "which x map to y" question from one fibre index
-# per map or pullback structure, grown one sphere at a time.  These are the
-# loops it replaced: each one applies the rule to a whole window afresh.
+# per map, grown one sphere at a time.  These are the loops it replaced: each
+# one applies the rule to a whole window afresh.
 
 def scan_full_index(m, source_radius: int) -> dict:
     """Image value -> its preimages in window(source_radius), in window order."""
@@ -485,14 +485,11 @@ def scan_full_index(m, source_radius: int) -> dict:
     return index
 
 
-def scan_preimage_member(struct, member) -> tuple:
-    """The points of the source window over member, the window reaching
-    source_slack past the member's extent."""
+def scan_preimage_member(m, member, source_radius: int) -> tuple:
+    """The points of the source window(source_radius) over member, in window
+    order."""
     target = set(member)
-    radius = max((struct.space.extent(y) for y in member), default=0) + struct.source_slack
-    src_space = struct.source.space
-    hits = [x for x in src_space.window(radius) if struct.rule(x) in target]
-    return tuple(sorted(hits, key=src_space.sort_key))
+    return tuple(x for x in m.source.space.window(source_radius) if m.rule(x) in target)
 
 
 def scan_proper_trace(m, U, radius: int) -> dict:

@@ -1,5 +1,5 @@
 """Action checks: stabilizers, uniform bornologousness, coboundedness, the
-two induced structures, action certificates, and commuting pairs."""
+induced structure, action certificates, and commuting pairs."""
 
 import pytest
 
@@ -14,7 +14,6 @@ from coarsekit.actions import (
     commuting_equivalence,
     identity_hom,
     inclusion_hom,
-    induced_structure_first,
     induced_structure_second,
     left_translation,
     point_finite_check,
@@ -27,12 +26,12 @@ from coarsekit.actions import (
 )
 from coarsekit.errors import (
     CommutativityError,
-    InfiniteStabilizerError,
     PreconditionError,
+    WindowTooSmallError,
 )
 from coarsekit.families import translate_pair_family
 from coarsekit.maps import check_bornologous, table_map
-from coarsekit.spaces import FiniteSpace, GroupSpace, point_space
+from coarsekit.spaces import FiniteSpace, GroupSpace
 from coarsekit.structures import (
     GroupStructure,
     LeftGroupStructure,
@@ -238,28 +237,14 @@ class TestCobounded:
     def test_trivial_action_is_not_cobounded(self):
         assert cobounded_check(trivial_action(Z, GroupSpace(Z)), 8).verdict == "FAIL"
 
+    def test_u_of_mesh_above_half_the_radius_is_refused(self):
+        # at radius 1 the mesh 1 ball covers the window under the trivial action
+        with pytest.raises(WindowTooSmallError):
+            cobounded_check(trivial_action(Z, GroupSpace(Z)), 1)
 
-class TestInducedFirst:
-    def test_group_on_itself(self):
-        structure, cert = induced_structure_first(left_translation(identity_hom(Z)), 0, 8)
-        assert cert.verdict == "PASS"
-        assert cert.data["orbit_map_equivalence"]["verdict"] == "PASS"
-        res = membership_window(structure, translate_pair_family(GroupSpace(Z), 1, "right"), 6)
-        assert res.verdict == "PASS"
-
-    def test_dihedral_on_itself(self):
-        _structure, cert = induced_structure_first(left_translation(identity_hom(DIH)), ONE, 8)
-        assert cert.verdict == "PASS"
-        assert cert.data["orbit_map_equivalence"]["verdict"] == "PASS"
-
-    def test_point_orbit_of_infinite_group_rejected(self):
-        action = trivial_action(Z, point_space())
-        with pytest.raises(InfiniteStabilizerError):
-            induced_structure_first(action, "pt", 6)
-
-    def test_partial_orbit_rejected(self):
-        with pytest.raises(PreconditionError):
-            induced_structure_first(z_on_dih_left(), ONE, 8)
+    def test_u_of_mesh_half_the_radius_passes(self):
+        cert = cobounded_check(left_translation(power_hom(2)), 2)
+        assert (cert.verdict, cert.data["mesh"]) == ("PASS", 1)
 
 
 class TestInducedSecond:

@@ -173,6 +173,7 @@ class TestTraces:
     def test_growing_suffix(self):
         assert strictly_growing_suffix({0: 1, 1: 2, 2: 3, 3: 4, 4: 5}, 4)
         assert not strictly_growing_suffix({0: 1, 1: 2, 2: 3, 3: 3, 4: 3}, 4)
+        assert not strictly_growing_suffix({0: 1}, 0)  # one radius shows no growth
 
 
 class TestParamFamilies:

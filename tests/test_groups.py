@@ -168,6 +168,13 @@ class TestConjugacy:
         with pytest.raises(ResourceLimitError, match=r"^conjugacy window in F\(2\) exceeds cap 1000$"):
             groups.conjugacy_window(F2, (1,), 10)
 
+    def test_window_at_the_ball_cap_is_kept(self, monkeypatch):
+        # the reflection window holds 2r + 1 elements: 5 fit a cap of 5, 7 do not
+        monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", 5)
+        assert len(groups.conjugacy_window(DIH, T, 2)) == 5
+        with pytest.raises(ResourceLimitError):
+            groups.conjugacy_window(DIH, T, 3)
+
     def test_conjugation_by_mul_and_inv(self):
         # h^-1 a h: t inverts x, and x^-1 t x = x^-2 t
         assert DIH.mul(DIH.mul(DIH.inv(T), X), T) == (-1, 0)

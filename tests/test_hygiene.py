@@ -1,9 +1,10 @@
 """Source hygiene of the package: every module other than ``__init__.py``
 uses each name it imports, every private name a module defines at its top
-level is read somewhere in the package, and every parameter with a default
-is set by some call in the package or the benchmark.  A name imported and
-never read, a private helper nothing calls, or a setting every caller
-leaves at one value is left over from code that moved or went away.
+level is read somewhere in the package, so is every public function and
+class not listed as library API, and every parameter with a default is set
+by some call in the package or the benchmark.  A name imported and never
+read, a helper nothing calls, or a setting every caller leaves at one value
+is left over from code that moved or went away.
 ``__init__.py`` imports the modules only to load them, and binds no other
 name than ``__version__``."""
 
@@ -11,6 +12,8 @@ import ast
 import pathlib
 
 import pytest
+
+from coarsekit.cli import SUBCOMMANDS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "coarsekit"
@@ -81,6 +84,44 @@ def test_module_private_names_are_read(module):
     read = set().union(*(names_read((SRC / m).read_text()) for m in ALL_MODULES))
     defined = private_definitions((SRC / module).read_text())
     assert [name for name in defined if name not in read] == []
+
+
+# public functions and classes that no module of src/ reads
+UNREAD_PUBLIC = {
+    "table_action": "library API: a validated action by generator permutations of a finite space",
+    "strictly_growing_suffix": "the strictly growing trace a counterexample needs (ROADMAP item 1)",
+    "side_witness": "library API: left/right witness sets (README, coarse-core)",
+    "family_to_controlled": "library API: families as controlled sets (README, coarse-core)",
+    "controlled_to_family": "library API: controlled sets as families (README, coarse-core)",
+    "compose_controlled": "library API: composition of controlled sets (README, coarse-core)",
+    "selection_map": "library API: the coarse inverse of an equivalence (README, coarse-maps)",
+    "pullback_structure_equality": "perfbench trace target; README, coarse-maps",
+    "compute_transfer_sets": "perfbench trace target",
+}
+
+
+def public_definitions(source: str) -> list:
+    """The names without a leading underscore that a module binds at its top
+    level by def or class."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def test_unread_public_name_is_found():
+    source = "def f():\n    return g()\ndef g():\n    pass\nclass K:\n    pass\ndef _h():\n    pass\nX = 1\n"
+    assert public_definitions(source) == ["f", "g", "K"]
+    assert [n for n in public_definitions(source) if n not in names_read(source)] == ["f", "K"]
+
+
+def test_public_names_are_read_or_listed():
+    read = set().union(*(names_read((SRC / m).read_text()) for m in ALL_MODULES))
+    read |= {"cmd_" + name.replace("-", "_") for name in SUBCOMMANDS}  # cli.build_parser looks these up
+    defined = [name for m in ALL_MODULES for name in public_definitions((SRC / m).read_text())]
+    assert sorted(name for name in defined if name not in read) == sorted(UNREAD_PUBLIC)
 
 
 # parameters with a default that no call in src/ or perfbench/ sets

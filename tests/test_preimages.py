@@ -2,10 +2,10 @@
 
 Every "which x map to y" question about a map reads one index of its fibres,
 grown one sphere of the source at a time: the preimage families and least
-preimages of the equivalence check, the coarsely-proper traces, the members
-of a pullback structure and the displacement sets d(F).  oracles.py keeps the
-scans, which apply the rule to a whole window afresh.  Both must give the same
-fibres, traces, members and tables at every radius.
+preimages of the equivalence check, the coarsely-proper traces and the
+displacement sets d(F).  oracles.py keeps the scans, which apply the rule to a
+whole window afresh.  Both must give the same fibres, traces, members and
+tables at every radius.
 """
 
 from collections import Counter
@@ -15,14 +15,15 @@ import pytest
 import oracles
 from coarsekit import groups
 from coarsekit.cli import parse_map_dsl
-from coarsekit.families import entry_trace, trace_stabilizes
+from coarsekit.families import ParamFamily, entry_trace, trace_stabilizes
 from coarsekit.maps import (
     MapWindow,
+    _preimage_family,
     check_coarsely_proper,
     surjective_equivalence_check,
     table_map,
 )
-from coarsekit.structures import LeftGroupStructure, PullbackStructure
+from coarsekit.structures import LeftGroupStructure
 from coarsekit.transfer import _c_singletons, _d_singletons, _union, default_key_battery
 
 Z2 = groups.free_abelian(2)
@@ -137,15 +138,15 @@ def _members(space) -> list:
 def test_preimage_member_matches_scan(name, order):
     _, make = MAPS[name]
     m = make()
-    struct = PullbackStructure(m.rule, m.source, m.target.space, source_slack=2)
     members = _members(m.target.space)
-    if name == "table on Z":
-        # the table covers Ball(6), the member window Ball(2 + slack) stays inside
-        members = [mem for mem in members if max(m.target.space.extent(y) for y in mem) <= 2]
     if order == "reversed":
         members.reverse()
     for mem in members:
-        assert struct.preimage_member(mem) == oracles.scan_preimage_member(struct, mem), mem
+        # each member asks the shared index for the window 2 past its extent
+        source_radius = max(m.target.space.extent(y) for y in mem) + 2
+        single = ParamFamily("member", m.target.space, lambda r, mem=mem: [mem] if r == 0 else [])
+        [got] = _preimage_family(m, single, source_radius).delta(0)
+        assert set(got) == set(oracles.scan_preimage_member(m, mem, source_radius)), mem
 
 
 def test_selection_takes_the_least_preimage():
