@@ -154,7 +154,11 @@ def fold_witness(out: set, side: str, spec: groups.GroupSpec, members: Iterable)
     A pair (u, u) gives the identity, added when some member is nonempty, and
     the pair (v, u) gives the inverse of what (u, v) gives, since
     (u^-1 v)^-1 = v^-1 u and (v u^-1)^-1 = u v^-1.  So only the pairs (u, v)
-    with u before v are multiplied.  A member is any collection of points."""
+    with u before v are multiplied.  A member is any collection of points.
+
+    ``out`` must be closed under inversion, as every witness built here is:
+    a product it already holds has its inverse there too.  So only the
+    products new to ``out`` are added, and only those are inverted."""
     mul, inv = spec.mul, spec.inv
     ws: list = []
     extend = ws.extend
@@ -170,8 +174,9 @@ def fold_witness(out: set, side: str, spec: groups.GroupSpec, members: Iterable)
             extend([mul(v, inv(u)) for u, v in combinations(m, 2)])
     if nonempty:
         out.add(spec.identity())
-    out.update(ws)
-    out.update(map(inv, ws))
+    fresh = set(ws).difference(out)
+    out |= fresh
+    out.update(map(inv, fresh))
 
 
 def star(member: Iterable, fam: FiniteFamily) -> tuple:
@@ -225,21 +230,37 @@ def refines(f1: FiniteFamily, f2: FiniteFamily) -> bool:
 # ---------------------------------------------------------------------------
 # stock parametrized families
 
-def shape_translate_family(space, shape: tuple, side: str) -> ParamFamily:
-    """r -> {g*S} ("left") or {S*g} ("right") over g in Ball(r), S fixed."""
-    spec = space.spec
-    shape_ser = ",".join(spec.serialize(s) for s in shape)
-    tag = f"{{g*[{shape_ser}]}}" if side == "left" else f"{{[{shape_ser}]*g}}"
+class ShapeTranslates:
+    """grow of the translate family r -> {g*S} ("left") or {S*g} ("right")
+    over g in the sphere of radius r, S fixed.
 
-    def grow(r: int):
-        mul = spec.mul
-        for g in groups.sphere(spec, r):
-            if side == "left":
+    It carries ``(spec, shape, side)``, so a group structure can read the
+    family's witness off S (see ``GroupStructure.shape_witness``)."""
+
+    def __init__(self, spec: groups.GroupSpec, shape: tuple, side: str):
+        self.spec = spec
+        self.shape = shape
+        self.side = side
+
+    def __call__(self, r: int):
+        mul, shape = self.spec.mul, self.shape
+        for g in groups.sphere(self.spec, r):
+            if self.side == "left":
                 yield tuple([mul(g, s) for s in shape])
             else:
                 yield tuple([mul(s, g) for s in shape])
 
-    return ParamFamily(tag=tag, space=space, grow=grow)
+
+def shape_translate_family(space, shape: tuple, side: str) -> ParamFamily:
+    """r -> {g*S} ("left") or {S*g} ("right") over g in Ball(r), S fixed.
+
+    Its grow is a ``ShapeTranslates``: a group structure on the family's
+    own side, or on either side of an abelian group, reads the family's
+    witness off S (L6) and folds no translate."""
+    spec = space.spec
+    shape_ser = ",".join(spec.serialize(s) for s in shape)
+    tag = f"{{g*[{shape_ser}]}}" if side == "left" else f"{{[{shape_ser}]*g}}"
+    return ParamFamily(tag=tag, space=space, grow=ShapeTranslates(spec, shape, side))
 
 
 def translate_pair_family(space, a, side: str) -> ParamFamily:

@@ -15,12 +15,14 @@ witness is a search, so the generic fold computes it once per member.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from . import groups
 from .errors import CoarseKitError, PreconditionError
 from .families import (
     Membership,
     ParamFamily,
+    ShapeTranslates,
     fold_witness,
     member_witness,
     shape_translate_family,
@@ -73,6 +75,11 @@ class CoarseStructure:
         for m in members:
             witness |= contribution(frozenset(m))
 
+    def shape_witness(self, grow) -> set | None:
+        """The witness of the family grown by ``grow`` at every radius, when
+        it can be read off the family's shape; None when it must be folded."""
+        return None
+
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
         """A canonical bounded set containing y, one notch of mesh at a time."""
         raise NotImplementedError
@@ -89,7 +96,12 @@ class GroupStructure(CoarseStructure):
     witness set and keeps no record of members met: a repeat adds nothing.
     It never calls ``member_contribution``, so a subclass that changes how a
     member contributes must set ``fold = CoarseStructure.fold``, whose memo
-    computes each distinct member once and answers a repeat from memory."""
+    computes each distinct member once and answers a repeat from memory.
+
+    A translate family of a shape S on the structure's own side, or on
+    either side of an abelian group, is read off S and not folded (L6, see
+    ``shape_witness``).  Every other family, and every family met by a
+    subclass whose fold is not this kernel, is folded."""
 
     def __init__(self, spec: groups.GroupSpec, side: str):
         if side not in ("left", "right"):
@@ -111,6 +123,25 @@ class GroupStructure(CoarseStructure):
 
     def fold(self, witness: set, members) -> None:
         fold_witness(witness, self.side, self.spec, members)
+
+    def shape_witness(self, grow) -> set | None:
+        """(L6) A group acts on itself by isometries: (g*u)^-1*(g*v) = u^-1*v
+        and (u*g)*(v*g)^-1 = u*v^-1.  So every member of {g*S} has the left
+        witness of S, and every member of {S*g} its right witness, at every
+        radius.  In an abelian group g*S = S*g and the two witnesses agree,
+        so either side's family reads off S; a group is abelian exactly when
+        its generators commute pairwise.  Any other family is folded."""
+        if (
+            not isinstance(grow, ShapeTranslates)
+            or grow.spec != self.spec
+            or type(self).fold is not GroupStructure.fold
+        ):
+            return None
+        if grow.side != self.side:
+            mul = self.spec.mul
+            if any(mul(a, b) != mul(b, a) for a, b in combinations(self.spec.generators(), 2)):
+                return None
+        return member_witness(self.side, self.spec, grow.shape)
 
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
         return self.space.ball_about(y, mesh, side=self.side)
@@ -151,30 +182,35 @@ def random_shapes(spec: groups.GroupSpec, seed: int, count: int, mesh: int = 2) 
 def membership_window(structure: CoarseStructure, pf: ParamFamily, radius: int):
     """Evaluate the witness trace of a parametrized family.
 
-    Each radius's delta goes to ``structure.fold`` in one call, so a member
-    contributes at the radius where it first appears (see
-    ``CoarseStructure``).  If a member is refused, the error raised is the
-    one for the least new member of that radius, whatever order the delta
-    came in.  Returns the family's ``Membership``: bounded when the size
-    trace is constant over the final ceil(radius/2) radii.  Only a bounded
-    witness is reported, so only then are its elements put in canonical
-    order.
+    When the structure reads the family's witness off its shape
+    (``shape_witness``), that witness holds at every radius and no member
+    is folded.  Otherwise each radius's delta goes to ``structure.fold`` in
+    one call, so a member contributes at the radius where it first appears
+    (see ``CoarseStructure``).  If a member is refused, the error raised is
+    the one for the least new member of that radius, whatever order the
+    delta came in.  Returns the family's ``Membership``: bounded when the
+    size trace is constant over the final ceil(radius/2) radii.  Only a
+    bounded witness is reported, so only then are its elements put in
+    canonical order.
     """
-    witness: set = set()
-    trace: dict = {}
-    fold = structure.fold
-    for r in range(radius + 1):
-        try:
-            fold(witness, pf.delta(r))
-        except CoarseKitError:
-            # report the least failing member, whatever order the delta came
-            # in; a member met at an earlier radius contributed without error
-            order = pf.space.sort_key
-            delta = [tuple(sorted(m, key=order)) for m in {frozenset(m) for m in pf.delta(r)}]
-            for m in sorted(delta, key=lambda m: [order(x) for x in m]):
-                structure.member_contribution(m)
-            raise
-        trace[r] = len(witness)
+    witness = structure.shape_witness(pf.grow) if radius >= 0 else None
+    if witness is not None:
+        trace = dict.fromkeys(range(radius + 1), len(witness))
+    else:
+        witness, trace = set(), {}
+        fold = structure.fold
+        for r in range(radius + 1):
+            try:
+                fold(witness, pf.delta(r))
+            except CoarseKitError:
+                # report the least failing member, whatever order the delta came
+                # in; a member met at an earlier radius contributed without error
+                order = pf.space.sort_key
+                delta = [tuple(sorted(m, key=order)) for m in {frozenset(m) for m in pf.delta(r)}]
+                for m in sorted(delta, key=lambda m: [order(x) for x in m]):
+                    structure.member_contribution(m)
+                raise
+            trace[r] = len(witness)
     group = structure.witness_group()
     bounded = trace_stabilizes(trace, radius)
     elements = groups.canonical_sorted(group, witness) if bounded else frozenset(witness)

@@ -7,13 +7,20 @@ wide columns, members that repeat across radii or repeat a point, members
 given as sets), the verdict, trace and elements must be those of
 ``oracles.ref_membership_window``, which multiplies every ordered pair of
 every distinct member.
+
+A translate family of a shape, on the structure's own side or in an abelian
+group, is read off the shape and never folded (L6); its verdict, trace and
+elements must be the reference's too.
 """
 
+import contextlib
+import io
+import json
 import random
 
 import pytest
 
-from coarsekit import groups
+from coarsekit import cli, groups, structures
 from coarsekit.families import (
     ParamFamily,
     finite_family,
@@ -189,3 +196,104 @@ def test_overriding_a_contribution_restores_the_generic_fold():
     pf = _repeating_images(spec)[0]
     got = membership_window(_Passthrough(spec), pf, RADIUS)
     assert (got.verdict, got.trace, got.elements) == oracles.ref_membership_window("left", spec, pf, RADIUS)
+
+
+# ---------------------------------------------------------------------------
+# translate families read off their shape (L6)
+
+ABELIAN = ["Z^2", "Zmod(6)", "product(Z,Zmod(3))"]
+NON_ABELIAN = ["DihInf", "F(2)", "product(Z,DihInf)"]
+
+
+def _read_off_shapes(spec):
+    """Shapes of 1, 2 and 3 points, one with a repeated point, and the empty
+    shape."""
+    e, a = spec.identity(), spec.generators()[0]
+    ball2 = groups.ball(spec, 2).elements
+    return [(a,), (e, a), (a, e, a), (ball2[1], e, ball2[-1]), ()]
+
+
+def _read_off_cases(texts):
+    for text in texts:
+        spec = _spec(text)
+        space = GroupSpace(spec)
+        for shape in _read_off_shapes(spec):
+            for side in SIDES:
+                for family_side in SIDES:
+                    yield spec, side, shape_translate_family(space, shape, family_side)
+
+
+@pytest.mark.parametrize("text", sorted(set(SPECS) | set(ABELIAN) | set(NON_ABELIAN)))
+def test_translate_family_read_off_matches_the_reference(text):
+    # radii 0..8; F(2) stops at 6, where the reference already walks 1,457
+    # elements per radius (radii 7 and 8 would add about 5 s)
+    fired = set()
+    for spec, side, pf in _read_off_cases([text]):
+        struct = GroupStructure(spec, side)
+        fired.add((pf.grow.side == side, struct.shape_witness(pf.grow) is not None))
+        for radius in range(7 if text == "F(2)" else 9):
+            got = membership_window(struct, pf, radius)
+            expected = oracles.ref_membership_window(side, spec, pf, radius)
+            assert (got.verdict, got.trace, got.elements) == expected, (pf.tag, side, radius)
+    # the own side is always read off; the opposite side only when abelian
+    assert fired == {(True, True), (False, text in ABELIAN + ["Z"])}
+
+
+@pytest.mark.parametrize("text", ABELIAN + NON_ABELIAN)
+def test_opposite_side_is_read_off_exactly_when_abelian(text):
+    spec = _spec(text)
+    verdicts = set()
+    for _, side, pf in _read_off_cases([text]):
+        if pf.grow.side != side:
+            read = GroupStructure(spec, side).shape_witness(pf.grow)
+            assert (read is not None) == (text in ABELIAN), pf.tag
+            verdicts.add(membership_window(GroupStructure(spec, side), pf, 6).verdict)
+    # a non-abelian group has an unbounded opposite-side translate family
+    assert verdicts == ({"PASS"} if text in ABELIAN else {"PASS", "FAIL"})
+
+
+def test_a_structure_with_its_own_fold_folds_translate_families():
+    spec = _spec("Z^2")
+    pf = shape_translate_family(GroupSpace(spec), ((0, 0), (1, 0)), "left")
+    assert LeftGroupStructure(spec).shape_witness(pf.grow) is not None
+    assert _Passthrough(spec).shape_witness(pf.grow) is None
+    other = shape_translate_family(GroupSpace(_spec("Z^3")), ((0, 0, 0), (1, 0, 0)), "left")
+    assert LeftGroupStructure(spec).shape_witness(other.grow) is None
+
+
+def test_witness_reads_a_translate_family_without_a_ball(monkeypatch):
+    Z2 = _spec("Z^2")
+    folds = []
+
+    def counted(*args):
+        folds.append(args)
+        return fold_witness(*args)
+
+    monkeypatch.setattr(structures, "fold_witness", counted)
+    monkeypatch.setattr(groups, "_BALL_CACHES", {})
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["witness", "--group", "Z^2", "--family", "shape-right:(0,1);(0,2)", "--radius", "24"])
+    data = json.loads(buf.getvalue())["checks"][0]["data"]
+    assert (code, data["witness"]) == (0, ["(0,0)", "(0,1)", "(0,-1)"])
+    assert data["trace"] == {str(r): 3 for r in range(25)}
+    assert folds == []
+    cache = groups._BALL_CACHES.get(Z2)
+    assert cache is None or len(cache.layers) == 1
+
+
+def test_fold_inverts_only_new_products(monkeypatch):
+    spec = _spec("Z^2")
+    members = [m for pf in _shape_translates(spec) for m in pf.at(2).members]
+    pairs = sum(len(m) * (len(m) - 1) // 2 for m in members)
+    inversions = []
+    inv = spec.inv
+    monkeypatch.setattr(spec, "inv", lambda g: inversions.append(g) or inv(g))
+    out: set = set()
+    fold_witness(out, "right", spec, members)
+    first = len(inversions)
+    fold_witness(out, "right", spec, members)
+    # one inversion per pair inside the products, and one per new product:
+    # every element of the witness but the identity, then none
+    assert first == pairs + len(out) - 1
+    assert len(inversions) - first == pairs

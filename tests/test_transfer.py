@@ -127,6 +127,17 @@ class TestTransferSets:
         with pytest.raises(PreconditionError):
             build_transfer_data(constant_map(CL_Z, CL_Z, 0), 8)
 
+    @pytest.mark.parametrize("radius, probe", [(4, 4), (6, 6), (8, 6)])
+    def test_coarseness_is_probed_at_six_at_most(self, monkeypatch, radius, probe):
+        probed = []
+        for name in ("check_bornologous", "check_coarsely_proper"):
+            check = getattr(transfer, name)
+            monkeypatch.setattr(
+                transfer, name, lambda m, r, check=check, name=name: probed.append((name, r)) or check(m, r)
+            )
+        build_transfer_data(identity_map(CL_Z), radius)
+        assert probed == [("check_bornologous", probe), ("check_coarsely_proper", probe)]
+
 
 class TestTransferTables:
     """build_transfer_data reads every key as a union of singleton tables."""
