@@ -17,6 +17,10 @@ One index, ``_cover_index(action, U)``, answers every "which h of length
 <= r puts y in h.U" question: the cover constants, the stabilizer and
 point-finite traces, the induced contributions, and the gap and selections
 of ``commuting_equivalence``.
+
+A translation action by isometries of a group structure (its own side, or
+either side of an abelian group: ``GroupStructure.translations_isometric``)
+moves no family's witness, so the translate check reads it off (L5).
 """
 
 from __future__ import annotations
@@ -214,19 +218,20 @@ def _cover_index(action: Action, U) -> Preimages:
     return Preimages(GroupSpace(action.group), lambda h: action.apply_set(h, U))
 
 
-def _cover_constant(space, covers: Preimages, radius: int, cap: int) -> int | None:
-    """The least c <= cap with window(r) of ``space`` inside Ball(r + c).U
-    for every r <= radius, or None.  A point y enters window(r) at
-    r = extent(y), so c is the largest reach(y) - extent(y) over
-    window(radius)."""
-    c = 0
-    for y in space.window(radius):
-        e = space.extent(y)
+def _reach_excess(covers: Preimages, entries, cap: int) -> int | None:
+    """The largest reach(y) - e over the pairs (y, e) of ``entries``, each y
+    searched up to e + cap, or None when one is out of that reach.  The
+    least c <= cap with window(r) inside Ball(r + c).U for all r <= radius
+    takes e = extent(y) over window(radius), where y enters the window; the
+    least gap with Ball(s).U inside Ball(s + gap).U under another action
+    takes e = s over Ball(s).U, with that action's covers."""
+    excess = 0
+    for y, e in entries:
         r = covers.reach(y, e + cap)
         if r is None:
             return None
-        c = max(c, r - e)
-    return c
+        excess = max(excess, r - e)
+    return excess
 
 
 class ActionInducedStructure(CoarseStructure):
@@ -376,7 +381,7 @@ def translates_family(action: Action, pf: ParamFamily, tag: str) -> ParamFamily:
 
     def grow(r: int):
         while len(layers) <= r:
-            fresh = dict.fromkeys(m for m in map(frozenset, pf.delta(len(layers))) if m not in known)
+            fresh = dict.fromkeys(m for m in map(frozenset, pf.grow(len(layers))) if m not in known)
             known.update(fresh)
             layers.append(tuple(fresh))
         for g in groups.sphere(G, r):
@@ -403,7 +408,7 @@ def _pieces_family(pf: ParamFamily) -> ParamFamily:
         return ParamFamily(tag=tag, space=pf.space, grow=_Orbit(orbit.action, seeds, orbit.scale))
 
     def grow(r: int):
-        return ((u, v) for m in pf.delta(r) for u in m for v in m)
+        return ((u, v) for m in pf.grow(r) for u in m for v in m)
 
     return ParamFamily(tag=tag, space=pf.space, grow=grow)
 
@@ -454,18 +459,18 @@ def uniformly_bornologous_action_check(
     and y, whose pairs (x,x), (y,y) and (y,x) join E with it.  So that
     containment always holds, and the report records it as ``true``.
 
-    L5: translations on the structure's own side are isometries, through
-    any homomorphism: (h*u)^-1*(h*v) = u^-1*v and (u*h^-1)*(v*h^-1)^-1 =
-    u*v^-1.  So the translates of a family have its own trace and witness,
-    and the controlled route's trace is a prefix of it; such a pair reads
-    both off the family and builds no translate.
+    L5: where the action's translations are isometries of the structure
+    (``GroupStructure.translations_isometric``), through any homomorphism,
+    the translates of a family have its own trace and witness, and the
+    controlled route's trace is a prefix of it; such a pair reads both off
+    the family and builds no translate.
     """
     if action.space != struct.space:
         raise SpaceMismatchError("action and structure live on different spaces")
     isometric = (
         isinstance(action, TranslationAction)
         and isinstance(struct, GroupStructure)
-        and action.side == struct.side
+        and struct.translations_isometric(action.side)
     )
     rb = min(radius, CONTROLLED_ROUTE_RADIUS)
     results = {}
@@ -531,6 +536,10 @@ def cobounded_check(action: Action, radius: int, U: tuple | None = None) -> Cert
     mesh above radius/2 raises WindowTooSmallError: such a U fills the
     window, so it covers under any action, the trivial one included."""
     space = action.space
+    extents = [(y, space.extent(y)) for y in space.window(radius)]
+
+    def constant(Ucand: tuple, cap: int) -> int | None:
+        return _reach_excess(_cover_index(action, Ucand), extents, cap)
 
     def passed(Ufound: tuple, mesh: int, c: int) -> Certificate:
         if 2 * mesh > radius:
@@ -548,7 +557,7 @@ def cobounded_check(action: Action, radius: int, U: tuple | None = None) -> Cert
 
     if U is not None:
         U = tuple(sorted(set(U), key=space.sort_key))
-        c = _cover_constant(space, _cover_index(action, U), radius, COVER_CONSTANT_CAP)
+        c = constant(U, COVER_CONSTANT_CAP)
         if c is None:
             return Certificate(
                 check="cobounded",
@@ -565,7 +574,7 @@ def cobounded_check(action: Action, radius: int, U: tuple | None = None) -> Cert
             Ucand = space.ball_about(base, mesh, side="left")
         else:
             Ucand = space.window(mesh)
-        c = _cover_constant(space, _cover_index(action, Ucand), radius, COVER_CONSTANT_CAP)
+        c = constant(Ucand, COVER_CONSTANT_CAP)
         if c is None:
             continue
         # prune, largest elements first, keeping the same constant
@@ -574,7 +583,7 @@ def cobounded_check(action: Action, radius: int, U: tuple | None = None) -> Cert
             if len(kept) == 1:
                 break
             trial = tuple(v for v in kept if v != u)
-            if _cover_constant(space, _cover_index(action, trial), radius, c) is not None:
+            if constant(trial, c) is not None:
                 kept = list(trial)
         return passed(tuple(sorted(kept, key=space.sort_key)), mesh, c)
     return Certificate(
@@ -754,8 +763,8 @@ def commuting_equivalence(
     gap_cap = _mesh(space, U) + max(c1, c2) + 2
     max_gap = 0
     for s in range(radius + 1):
-        gap12 = _cover_gap(struct1.index, struct2.index, s, gap_cap)
-        gap21 = _cover_gap(struct2.index, struct1.index, s, gap_cap)
+        gap12 = _reach_excess(struct2.index, ((y, s) for y in struct1.index.image(s)), gap_cap)
+        gap21 = _reach_excess(struct1.index, ((y, s) for y in struct2.index.image(s)), gap_cap)
         if gap12 is None or gap21 is None:
             return Certificate(
                 check="commuting-equivalence",
@@ -853,19 +862,6 @@ def commuting_equivalence(
             "orbit_closeness_refines_star": refine_data,
         },
     )
-
-
-def _cover_gap(covers: Preimages, other: Preimages, s: int, gap_cap: int) -> int | None:
-    """Least extra <= gap_cap with Ball(s).U under one action inside
-    Ball(s + extra).U under the other, or None: the largest reach under the
-    other action over Ball(s).U, less s."""
-    gap = 0
-    for y in covers.image(s):
-        r = other.reach(y, s + gap_cap)
-        if r is None:
-            return None
-        gap = max(gap, r - s)
-    return gap
 
 
 def _selection(action_from: Action, covers: Preimages, x0, table_radius: int, slack: int) -> dict:

@@ -19,7 +19,7 @@ from collections.abc import Callable, Iterable
 from itertools import accumulate, combinations
 
 from . import groups
-from .errors import SpaceMismatchError
+from .errors import InvalidRadiusError, SpaceMismatchError
 
 
 class FiniteFamily:
@@ -51,10 +51,6 @@ class ParamFamily:
             self.space, (m for q in range(r + 1) for m in self.grow(q))
         )
 
-    def delta(self, r: int) -> Iterable:
-        """Members that appear at radius r, as iterables of points."""
-        return self.grow(r)
-
 
 class ControlledSet:
     def __init__(self, space: object, pairs: frozenset):
@@ -70,7 +66,10 @@ def ceil_half(r: int) -> int:
 
 
 def trace_stabilizes(trace: dict, radius: int) -> bool:
-    """True when the final ceil(radius/2) trace values are all equal."""
+    """True when the final ceil(radius/2) trace values are all equal.  Every
+    window verdict is read here; a negative radius's empty trace is refused."""
+    if radius < 0:
+        raise InvalidRadiusError(f"radius must be >= 0, got {radius}")
     tail = [trace[r] for r in range(radius - ceil_half(radius) + 1, radius + 1) if r in trace]
     return len(set(tail)) <= 1
 
@@ -254,9 +253,9 @@ class ShapeTranslates:
 def shape_translate_family(space, shape: tuple, side: str) -> ParamFamily:
     """r -> {g*S} ("left") or {S*g} ("right") over g in Ball(r), S fixed.
 
-    Its grow is a ``ShapeTranslates``: a group structure on the family's
-    own side, or on either side of an abelian group, reads the family's
-    witness off S (L6) and folds no translate."""
+    Its grow is a ``ShapeTranslates``: a group structure whose isometries
+    include the family's translations reads the family's witness off S (L6,
+    ``GroupStructure.shape_witness``) and folds no translate."""
     spec = space.spec
     shape_ser = ",".join(spec.serialize(s) for s in shape)
     tag = f"{{g*[{shape_ser}]}}" if side == "left" else f"{{[{shape_ser}]*g}}"
@@ -277,6 +276,6 @@ def image_family(pf: ParamFamily, rule: Callable, target_space, tag: str = "") -
     """r -> {rule(m)} over the members m of pf at radius r."""
 
     def grow(r: int):
-        return (tuple(rule(x) for x in m) for m in pf.delta(r))
+        return (tuple(rule(x) for x in m) for m in pf.grow(r))
 
     return ParamFamily(tag=tag or f"image({pf.tag})", space=target_space, grow=grow)

@@ -278,7 +278,7 @@ def _preimage_family(m: MapWindow, pf: ParamFamily, source_radius: int) -> Param
     fibre = m.fibres.get
 
     def grow(r: int):
-        return ([x for y in mem for x in fibre(y, source_radius)] for mem in pf.delta(r))
+        return ([x for y in mem for x in fibre(y, source_radius)] for mem in pf.grow(r))
 
     return ParamFamily(tag=f"pre({pf.tag})", space=m.source.space, grow=grow)
 

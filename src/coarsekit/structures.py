@@ -37,12 +37,13 @@ class CoarseStructure:
 
     ``fold(witness, members)`` adds to ``witness`` the contribution of every
     member in ``members`` (collections of points).  ``membership_window``
-    calls it once per radius with that radius's delta.  This generic fold
-    hands every member to the memoized ``member_contribution``, and the memo
-    is the one record of members met: each distinct member is computed
-    once, and a repeat is a memo hit.  A structure may override ``fold``
-    with a faster loop only if it gives the same witness set, as
-    ``GroupStructure`` does."""
+    calls it once per radius with the members grown there, ``pf.grow(r)``.
+    This generic fold hands every member to the memoized
+    ``member_contribution``, and the memo is the one record of members met:
+    each distinct member is computed once, and a repeat is a memo hit.  A
+    structure may override ``fold`` with a faster loop only if it gives the
+    same witness set, as ``GroupStructure`` does, and may read a family's
+    witness off its shape (``shape_witness``) where every member shares it."""
 
     space: object
     label: str
@@ -58,9 +59,7 @@ class CoarseStructure:
 
         The result is memoized under ``frozenset(member)``: an induced
         contribution searches a window per member, and the same member
-        recurs across families and radii.  The group structures
-        override this without a memo, since a member's witness costs a
-        few multiplications per pair, less than keeping it."""
+        recurs across families and radii."""
         key = frozenset(member)
         found = self._contributions.get(key)
         if found is None:
@@ -93,15 +92,15 @@ class GroupStructure(CoarseStructure):
     u^-1*v) or the right one (witnesses u*v^-1).
 
     Its ``fold`` runs the witness kernel over every member straight into the
-    witness set and keeps no record of members met: a repeat adds nothing.
-    It never calls ``member_contribution``, so a subclass that changes how a
-    member contributes must set ``fold = CoarseStructure.fold``, whose memo
-    computes each distinct member once and answers a repeat from memory.
+    witness set and keeps no record of members met: a member's witness costs
+    a few multiplications per pair, less than keeping it, and a repeat adds
+    nothing.
 
-    A translate family of a shape S on the structure's own side, or on
-    either side of an abelian group, is read off S and not folded (L6, see
-    ``shape_witness``).  Every other family, and every family met by a
-    subclass whose fold is not this kernel, is folded."""
+    ``translations_isometric`` is the one rule for which translations
+    preserve the structure.  Both isometry read-offs ask it: a translate
+    family of a shape S read off S (L6, ``shape_witness``), and an action's
+    translates read off the family (L5, in the translate check of
+    ``actions``)."""
 
     def __init__(self, spec: groups.GroupSpec, side: str):
         if side not in ("left", "right"):
@@ -115,32 +114,35 @@ class GroupStructure(CoarseStructure):
     def witness_group(self) -> groups.GroupSpec:
         return self.spec
 
-    def member_contribution(self, member) -> frozenset:
-        return frozenset(self._compute_contribution(member))
-
     def _compute_contribution(self, member):
         return member_witness(self.side, self.spec, member)
 
     def fold(self, witness: set, members) -> None:
         fold_witness(witness, self.side, self.spec, members)
 
+    def translations_isometric(self, side: str) -> bool:
+        """Are the translations on ``side`` isometries of this structure?
+
+        Those on its own side are, by every element h: (h*u)^-1*(h*v) =
+        u^-1*v and (u*h)*(v*h)^-1 = u*v^-1.  Those on the other side are too
+        when the group is abelian, since then h*u = u*h; a group is abelian
+        exactly when its generators commute pairwise.  No other case is
+        claimed."""
+        if side == self.side:
+            return True
+        mul = self.spec.mul
+        return all(mul(a, b) == mul(b, a) for a, b in combinations(self.spec.generators(), 2))
+
     def shape_witness(self, grow) -> set | None:
-        """(L6) A group acts on itself by isometries: (g*u)^-1*(g*v) = u^-1*v
-        and (u*g)*(v*g)^-1 = u*v^-1.  So every member of {g*S} has the left
-        witness of S, and every member of {S*g} its right witness, at every
-        radius.  In an abelian group g*S = S*g and the two witnesses agree,
-        so either side's family reads off S; a group is abelian exactly when
-        its generators commute pairwise.  Any other family is folded."""
+        """(L6) Where translations on the family's side are isometries
+        (``translations_isometric``), every member of {g*S} or {S*g} has
+        the witness of S, at every radius.  Any other family is folded."""
         if (
             not isinstance(grow, ShapeTranslates)
             or grow.spec != self.spec
-            or type(self).fold is not GroupStructure.fold
+            or not self.translations_isometric(grow.side)
         ):
             return None
-        if grow.side != self.side:
-            mul = self.spec.mul
-            if any(mul(a, b) != mul(b, a) for a, b in combinations(self.spec.generators(), 2)):
-                return None
         return member_witness(self.side, self.spec, grow.shape)
 
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
@@ -184,16 +186,16 @@ def membership_window(structure: CoarseStructure, pf: ParamFamily, radius: int):
 
     When the structure reads the family's witness off its shape
     (``shape_witness``), that witness holds at every radius and no member
-    is folded.  Otherwise each radius's delta goes to ``structure.fold`` in
-    one call, so a member contributes at the radius where it first appears
+    is folded.  Otherwise each radius's growth goes to ``structure.fold``
+    in one call, so a member contributes at the radius where it first appears
     (see ``CoarseStructure``).  If a member is refused, the error raised is
     the one for the least new member of that radius, whatever order the
-    delta came in.  Returns the family's ``Membership``: bounded when the
+    growth came in.  Returns the family's ``Membership``: bounded when the
     size trace is constant over the final ceil(radius/2) radii.  Only a
     bounded witness is reported, so only then are its elements put in
     canonical order.
     """
-    witness = structure.shape_witness(pf.grow) if radius >= 0 else None
+    witness = structure.shape_witness(pf.grow)
     if witness is not None:
         trace = dict.fromkeys(range(radius + 1), len(witness))
     else:
@@ -201,13 +203,13 @@ def membership_window(structure: CoarseStructure, pf: ParamFamily, radius: int):
         fold = structure.fold
         for r in range(radius + 1):
             try:
-                fold(witness, pf.delta(r))
+                fold(witness, pf.grow(r))
             except CoarseKitError:
-                # report the least failing member, whatever order the delta came
-                # in; a member met at an earlier radius contributed without error
+                # report the least failing member, whatever order the growth
+                # came in; a member met at an earlier radius contributed without error
                 order = pf.space.sort_key
-                delta = [tuple(sorted(m, key=order)) for m in {frozenset(m) for m in pf.delta(r)}]
-                for m in sorted(delta, key=lambda m: [order(x) for x in m]):
+                grown = [tuple(sorted(m, key=order)) for m in {frozenset(m) for m in pf.grow(r)}]
+                for m in sorted(grown, key=lambda m: [order(x) for x in m]):
                     structure.member_contribution(m)
                 raise
             trace[r] = len(witness)

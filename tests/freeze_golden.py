@@ -5,8 +5,9 @@
 Run this only when a report changes on purpose: the corpus is the frozen
 JSON stdout of the README commands, ``commuting --radius 16``, a
 ``commuting`` run on Z^2, a group of quadratic growth, ``svarc-milnor`` for
-translations of Z^2 and DihInf, the group checks on Z^2, Z^3, F(2) and on
-products with DihInf, and three balls listed in full;
+translations of Z^2 (against either structure) and DihInf, the group checks
+on Z^2, Z^3, F(2) and on products with DihInf, and three balls listed in
+full;
 ``test_golden.py`` asserts that the current code prints the same bytes.
 """
 
@@ -44,6 +45,8 @@ COMMANDS = {
         "svarc-milnor", "--action", "right(Z^2)", "--structure", "right", "--radius", "8",
     ],
     "svarc-milnor-right-dihinf-8": ["svarc-milnor", "--action", "right(DihInf)", "--radius", "8"],
+    # translations of a lattice against the structure of the other side (PASS)
+    "svarc-milnor-right-z2-8": ["svarc-milnor", "--action", "right(Z^2)", "--radius", "8"],
     "commuting-8": ["commuting", "--radius", "8"],
     "gromov-power-2-8": ["gromov", "--map", "power:2", "--radius", "8", "--enum-radius", "2"],
     "demo-dihedral-16": ["demo-dihedral", "--radius", "16"],

@@ -190,7 +190,7 @@ def ref_membership_window(side: str, spec, pf, radius: int) -> tuple:
     witness: set = set()
     trace = {}
     for r in range(radius + 1):
-        for m in pf.delta(r):
+        for m in pf.grow(r):
             m = frozenset(m)
             if m not in seen:
                 seen.add(m)

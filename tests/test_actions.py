@@ -156,6 +156,15 @@ class TestPointFinite:
         assert cert.data["trace"]["8"] == 1
 
 
+@pytest.fixture
+def applied(monkeypatch):
+    """The acting elements of every ``TranslationAction.apply_set`` call."""
+    seen = []
+    apply_set = TranslationAction.apply_set
+    monkeypatch.setattr(TranslationAction, "apply_set", lambda a, g, S: seen.append(g) or apply_set(a, g, S))
+    return seen
+
+
 class TestUniformlyBornologous:
     def test_left_translations_preserve_left_structure(self):
         cert = uniformly_bornologous_action_check(
@@ -182,36 +191,50 @@ class TestUniformlyBornologous:
         assert cert.verdict == "PASS"
 
     @pytest.mark.parametrize(
-        "hom,side,radius",
+        "hom,side,struct_side,radius",
         [
-            (identity_hom(groups.free_abelian(2)), "left", 6),
-            (identity_hom(groups.free_abelian(2)), "right", 6),
-            (identity_hom(DIH), "left", 8),
-            (identity_hom(DIH), "right", 8),
-            (inclusion_hom(), "left", 8),
-            (inclusion_hom(), "right", 8),
-            (power_hom(3), "right", 8),
-            (identity_hom(groups.free_group(2)), "left", 3),
-            (identity_hom(groups.parse_group_spec("product(Z,DihInf)")), "right", 4),
+            (identity_hom(groups.free_abelian(2)), "left", "left", 6),
+            (identity_hom(groups.free_abelian(2)), "right", "right", 6),
+            (identity_hom(DIH), "left", "left", 8),
+            (identity_hom(DIH), "right", "right", 8),
+            (inclusion_hom(), "left", "left", 8),
+            (inclusion_hom(), "right", "right", 8),
+            (power_hom(3), "right", "right", 8),
+            (identity_hom(groups.free_group(2)), "left", "left", 3),
+            (identity_hom(groups.parse_group_spec("product(Z,DihInf)")), "right", "right", 4),
+            # abelian groups: translations on the other side are isometries too
+            (identity_hom(groups.free_abelian(2)), "right", "left", 6),
+            (power_hom(3), "right", "left", 8),
+            (identity_hom(groups.parse_group_spec("Zmod(6)")), "left", "right", 6),
+            (identity_hom(groups.parse_group_spec("product(Z,Zmod(3))")), "right", "left", 6),
         ],
         ids=["left-Z^2", "right-Z^2", "left-DihInf", "right-DihInf", "left-Z-DihInf",
-             "right-Z-DihInf", "right-Z-3n", "left-F(2)", "right-product(Z,DihInf)"],
+             "right-Z-DihInf", "right-Z-3n", "left-F(2)", "right-product(Z,DihInf)",
+             "right-Z^2-on-C_l", "right-Z-3n-on-C_l", "left-Zmod(6)-on-C_r",
+             "right-product(Z,Zmod(3))-on-C_l"],
     )
-    def test_translations_on_their_own_side_read_the_family(self, monkeypatch, hom, side, radius):
+    def test_translations_on_their_own_side_read_the_family(self, applied, hom, side, struct_side, radius):
         """L5: the report equals the generic route's, and no translate is built."""
         action = TranslationAction(hom, side)
-        struct = GroupStructure(hom.target, side)
-        applied = []
-        apply_set = TranslationAction.apply_set
-        monkeypatch.setattr(
-            TranslationAction, "apply_set", lambda a, g, S: applied.append(g) or apply_set(a, g, S)
-        )
+        struct = GroupStructure(hom.target, struct_side)
         expected = oracles.ref_uniformly_bornologous_action_check(action, struct, radius)
         assert applied  # the generic route builds translates
         applied.clear()
         cert = uniformly_bornologous_action_check(action, struct, radius)
         assert cert.to_json() == expected.to_json()
         assert cert.verdict == "PASS" and applied == []
+
+    @pytest.mark.parametrize("text", ["DihInf", "F(2)", "product(Z,DihInf)"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_non_abelian_translations_on_the_other_side_build_translates(self, applied, text, side):
+        spec = groups.parse_group_spec(text)
+        other = "right" if side == "left" else "left"
+        action = TranslationAction(identity_hom(spec), side)
+        struct = GroupStructure(spec, other)
+        assert not struct.translations_isometric(side)
+        cert = uniformly_bornologous_action_check(action, struct, 3)
+        assert applied
+        assert cert.to_json() == oracles.ref_uniformly_bornologous_action_check(action, struct, 3).to_json()
 
     def test_right_translations_on_abelian_left_structure(self):
         cert = uniformly_bornologous_action_check(

@@ -14,9 +14,8 @@ import pytest
 import oracles
 from coarsekit import groups
 from coarsekit.actions import (
-    _cover_constant,
-    _cover_gap,
     _cover_index,
+    _reach_excess,
     _selection,
     identity_hom,
     inclusion_hom,
@@ -49,6 +48,12 @@ SPACES = {name: make().space for name, make in ACTIONS.items()}
 PAIRS = [(a, b) for a, b in itertools.product(ACTIONS, repeat=2) if SPACES[a] == SPACES[b]]
 
 
+def cover_constant(space, covers, cap: int):
+    """The cover constant at RADIUS: the excess reach over window(RADIUS)
+    past each point's extent."""
+    return _reach_excess(covers, [(y, space.extent(y)) for y in space.window(RADIUS)], cap)
+
+
 def sets_of(action) -> list:
     """One, two and three points of window(1), in canonical order."""
     pts = action.space.window(1)
@@ -61,7 +66,7 @@ def test_cover_constant_matches_scan(name):
     for U in sets_of(action):
         for cap in range(5):
             expect = oracles.scan_cobounded_constant(action, U, RADIUS, cap)
-            assert _cover_constant(action.space, _cover_index(action, U), RADIUS, cap) == expect, (U, cap)
+            assert cover_constant(action.space, _cover_index(action, U), cap) == expect, (U, cap)
 
 
 @pytest.mark.parametrize("name", list(ACTIONS))
@@ -74,7 +79,7 @@ def test_orbit_constant_and_point_stabilizer_match_scan(name):
         assert orbit.trace((x0,), RADIUS) == trace, x0
         for cap in range(5):
             expect = oracles.scan_orbit_constant(action, x0, RADIUS, cap)
-            assert _cover_constant(action.space, orbit, RADIUS, cap) == expect, (x0, cap)
+            assert cover_constant(action.space, orbit, cap) == expect, (x0, cap)
 
 
 @pytest.mark.parametrize("name", list(ACTIONS))
@@ -97,7 +102,8 @@ def test_cover_gap_matches_scan(first, second):
         for s in range(RADIUS + 1):
             for gap_cap in (0, 3):
                 expect = oracles.scan_cover_gap(action, other, U, s, gap_cap)
-                assert _cover_gap(covers, other_covers, s, gap_cap) == expect, (U, s, gap_cap)
+                gap = _reach_excess(other_covers, [(y, s) for y in covers.image(s)], gap_cap)
+                assert gap == expect, (U, s, gap_cap)
 
 
 def _outcome(select):

@@ -38,7 +38,8 @@ from coarsekit.families import (
 )
 from coarsekit.maps import MapWindow, _preimage_family
 from coarsekit.spaces import FiniteSpace, GroupSpace
-from coarsekit.structures import CoarseStructure, LeftGroupStructure, RightGroupStructure, membership_window
+from coarsekit.structures import LeftGroupStructure, RightGroupStructure, membership_window
+from test_fold import _Passthrough
 
 SPECS = [groups.Z, groups.free_abelian(2), groups.DIH, groups.free_group(2)]
 KINDS = ["translate-pair", "shape-translate", "action-translate", "image", "preimage", "translates"]
@@ -119,7 +120,7 @@ def test_deltas_union_to_snapshot(spec, kind):
     pf, snapshot = _setup(spec, kind)
     grown: set = set()
     for r in range(_radius(spec, kind) + 1):
-        grown |= {frozenset(m) for m in pf.delta(r)}
+        grown |= {frozenset(m) for m in pf.grow(r)}
         expected = snapshot(r)
         assert grown == expected, f"radius {r}"
         assert {frozenset(m) for m in pf.at(r).members} == expected, f"radius {r}"
@@ -135,10 +136,9 @@ def test_snapshot_copy_gives_same_result(spec, kind):
         assert (grown.verdict, grown.trace, grown.elements) == snap
 
 
-class _RefusesFarPoints(LeftGroupStructure):
-    """Left structure that refuses every member with a point beyond length 1."""
-
-    fold = CoarseStructure.fold
+class _RefusesFarPoints(_Passthrough):
+    """The generic memo fold of left witnesses, refusing every member with a
+    point beyond length 1."""
 
     def _compute_contribution(self, member):
         for x in member:
@@ -211,7 +211,7 @@ def _orbit_case(route, action, base_action, V):
 def _assert_grows_to(tf, snapshot):
     grown: set = set()
     for r in range(RADIUS + 1):
-        grown |= {frozenset(m) for m in tf.delta(r)}
+        grown |= {frozenset(m) for m in tf.grow(r)}
         expected = snapshot(r)
         assert grown == expected, f"radius {r}"
         assert {frozenset(m) for m in tf.at(r).members} == expected, f"radius {r}"

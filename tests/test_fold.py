@@ -8,9 +8,10 @@ given as sets), the verdict, trace and elements must be those of
 ``oracles.ref_membership_window``, which multiplies every ordered pair of
 every distinct member.
 
-A translate family of a shape, on the structure's own side or in an abelian
-group, is read off the shape and never folded (L6); its verdict, trace and
-elements must be the reference's too.
+A translate family of a shape whose translations are isometries of the
+structure (``GroupStructure.translations_isometric``: its own side, or either
+side of an abelian group) is read off the shape and never folded (L6); its
+verdict, trace and elements must be the reference's too.
 """
 
 import contextlib
@@ -132,7 +133,7 @@ def test_fold_matches_per_member_loop(text, side, kind):
 def test_cases_repeat_members_and_reach_both_verdicts():
     spec = _spec("Z^2")
     for pf in _repeating_images(spec):
-        firsts = [{frozenset(m) for m in pf.delta(r)} for r in range(RADIUS + 1)]
+        firsts = [{frozenset(m) for m in pf.grow(r)} for r in range(RADIUS + 1)]
         assert any(firsts[r] & firsts[r + 1] for r in range(RADIUS)), pf.tag
     dih = _spec("DihInf")
     verdicts = {
@@ -143,7 +144,7 @@ def test_cases_repeat_members_and_reach_both_verdicts():
 
 
 def test_columns_have_two_five_and_thirteen_points_on_z2():
-    sizes = [len(next(iter(pf.delta(1)))) for pf in _columns(_spec("Z^2"))]
+    sizes = [len(next(iter(pf.grow(1)))) for pf in _columns(_spec("Z^2"))]
     assert sizes == [2, 5, 13]
 
 
@@ -181,11 +182,18 @@ def test_no_member_and_empty_members_add_nothing():
     assert out == {0}
 
 
-class _Passthrough(LeftGroupStructure):
-    fold = CoarseStructure.fold
+class _Passthrough(CoarseStructure):
+    """The left witness of each member, through the generic memo fold."""
+
+    def __init__(self, spec):
+        super().__init__()
+        self.spec, self.space, self.label = spec, GroupSpace(spec), f"passthrough({spec.label()})"
+
+    def witness_group(self):
+        return self.spec
 
     def _compute_contribution(self, member):
-        return super()._compute_contribution(member)
+        return member_witness("left", self.spec, member)
 
 
 def test_overriding_a_contribution_restores_the_generic_fold():
@@ -193,9 +201,11 @@ def test_overriding_a_contribution_restores_the_generic_fold():
     assert LeftGroupStructure.fold is GroupStructure.fold
     assert _Passthrough.fold is CoarseStructure.fold
     spec = _spec("Z^2")
-    pf = _repeating_images(spec)[0]
-    got = membership_window(_Passthrough(spec), pf, RADIUS)
-    assert (got.verdict, got.trace, got.elements) == oracles.ref_membership_window("left", spec, pf, RADIUS)
+    for pf in (_repeating_images(spec)[0], shape_translate_family(GroupSpace(spec), ((0, 0), (1, 0)), "left")):
+        assert _Passthrough(spec).shape_witness(pf.grow) is None
+        got = membership_window(_Passthrough(spec), pf, RADIUS)
+        expected = oracles.ref_membership_window("left", spec, pf, RADIUS)
+        assert (got.verdict, got.trace, got.elements) == expected, pf.tag
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +262,9 @@ def test_opposite_side_is_read_off_exactly_when_abelian(text):
     assert verdicts == ({"PASS"} if text in ABELIAN else {"PASS", "FAIL"})
 
 
-def test_a_structure_with_its_own_fold_folds_translate_families():
-    spec = _spec("Z^2")
-    pf = shape_translate_family(GroupSpace(spec), ((0, 0), (1, 0)), "left")
-    assert LeftGroupStructure(spec).shape_witness(pf.grow) is not None
-    assert _Passthrough(spec).shape_witness(pf.grow) is None
+def test_a_translate_family_of_another_group_is_folded():
     other = shape_translate_family(GroupSpace(_spec("Z^3")), ((0, 0, 0), (1, 0, 0)), "left")
-    assert LeftGroupStructure(spec).shape_witness(other.grow) is None
+    assert LeftGroupStructure(_spec("Z^2")).shape_witness(other.grow) is None
 
 
 def test_witness_reads_a_translate_family_without_a_ball(monkeypatch):

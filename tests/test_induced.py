@@ -124,10 +124,10 @@ def test_memo_computes_each_distinct_member_once(name):
     twice._compute_contribution = counted
     distinct = set()
     for pf in once.default_battery(seed=0, n_random=8):
-        doubled = ParamFamily(pf.tag, pf.space, grow=lambda r, pf=pf: [*pf.delta(r)] * 2)
+        doubled = ParamFamily(pf.tag, pf.space, grow=lambda r, pf=pf: [*pf.grow(r)] * 2)
         plain, got = membership_window(once, pf, radius), membership_window(twice, doubled, radius)
         assert (got.trace, got.elements) == (plain.trace, plain.elements), pf.tag
-        distinct |= {frozenset(m) for r in range(radius + 1) for m in pf.delta(r)}
+        distinct |= {frozenset(m) for r in range(radius + 1) for m in pf.grow(r)}
     assert len(computed) == len(set(computed))
     assert set(computed) == distinct
 

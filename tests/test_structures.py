@@ -6,13 +6,17 @@ from coarsekit.actions import (
     identity_hom,
     inclusion_hom,
     left_translation,
+    point_finite_check,
+    right_translation,
     uniformly_bornologous_action_check,
 )
-from coarsekit.errors import PreconditionError
+from coarsekit.errors import InvalidRadiusError, PreconditionError
 from coarsekit.families import ParamFamily, shape_translate_family, translate_pair_family
 from coarsekit.spaces import GroupSpace
 from coarsekit.maps import (
     check_bornologous,
+    check_close,
+    check_coarsely_proper,
     identity_map,
     pullback_structure_equality,
     surjective_equivalence_check,
@@ -165,3 +169,30 @@ class TestRandomShapes:
                 for v in shape:
                     diff = groups.multiply(DIH, groups.invert(DIH, u), v)
                     assert groups.word_length(DIH, diff) <= 4
+
+
+# every window verdict is read by trace_stabilizes, which refuses a negative
+# radius: the empty window there would read as a vacuous PASS
+NEGATIVE_RADIUS_CALLS = {
+    "membership_window": lambda r: membership_window(
+        LeftGroupStructure(groups.Z), translate_pair_family(ZS, 1, "right"), r
+    ),
+    "check_bornologous": lambda r: check_bornologous(identity_map(LeftGroupStructure(groups.Z)), r),
+    "check_coarsely_proper": lambda r: check_coarsely_proper(identity_map(LeftGroupStructure(groups.Z)), r),
+    "check_close": lambda r: check_close(
+        identity_map(LeftGroupStructure(groups.Z)), identity_map(LeftGroupStructure(groups.Z)), r
+    ),
+    "point_finite_check": lambda r: point_finite_check(left_translation(identity_hom(groups.Z)), (0,), 0, r),
+    # a FAIL at radius 8
+    "uniformly_bornologous_action_check": lambda r: uniformly_bornologous_action_check(
+        right_translation(identity_hom(DIH)), LeftGroupStructure(DIH), r
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NEGATIVE_RADIUS_CALLS))
+def test_a_negative_radius_is_refused(name):
+    call = NEGATIVE_RADIUS_CALLS[name]
+    assert call(0).verdict == "PASS"
+    with pytest.raises(InvalidRadiusError):
+        call(-1)
