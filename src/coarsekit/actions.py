@@ -262,6 +262,7 @@ class ActionInducedStructure(CoarseStructure):
         useral = ",".join(self.space.serialize(u) for u in self.U)
         self.label = f"induced({action.name}; U=[{useral}])"
         self.index = _cover_index(action, self.U)
+        self.u_mesh = _mesh(self.space, self.U)
         self._nears: dict = {}  # h -> [h.Ball(0), h.Ball(1), ...]
 
     def witness_group(self) -> groups.GroupSpec:
@@ -282,7 +283,7 @@ class ActionInducedStructure(CoarseStructure):
             return frozenset()
         G = self.action.group
         ext = max(self.space.extent(y) for y in member)
-        acting_radius = ext + _mesh(self.space, self.U) + self.slack
+        acting_radius = ext + self.u_mesh + self.slack
         covers = {}
         for y in member:
             hits = self.index.get(y, acting_radius)
@@ -312,7 +313,7 @@ class ActionInducedStructure(CoarseStructure):
 
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
         G = self.action.group
-        acting_radius = self.space.extent(y) + _mesh(self.space, self.U) + self.slack
+        acting_radius = self.space.extent(y) + self.u_mesh + self.slack
         hits = self.index.get(y, acting_radius)
         if not hits:
             raise WindowOverflowError(f"{self.label}: {self.space.serialize(y)} not covered")

@@ -9,12 +9,12 @@ same flags produces the same bytes.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import os
 import re
 import sys
+import types
 
 from . import __version__, groups
 from .actions import (
@@ -180,8 +180,8 @@ def _parse_set(text: str, space) -> tuple:
 # ---------------------------------------------------------------------------
 # report plumbing
 
-def _config(args: argparse.Namespace) -> dict:
-    skip = {"func", "format"}
+def _config(args) -> dict:
+    skip = {"format"}
     out = {}
     for k, v in vars(args).items():
         if k in skip or k.startswith("_"):
@@ -396,7 +396,11 @@ _RADIUS = ("--radius", {"type": int, "default": 8})
 _STRUCTURE = ("--structure", {"choices": ("left", "right"), "default": "left"})
 _BASE = ("--base", {"help": "base point (default: the identity)"})
 
-# name -> (help, flags past --format and --seed); the handler is cmd_<name>
+# flags every subcommand takes ahead of its own
+_COMMON = [("--format", {"choices": ("json", "table"), "default": "json"}),
+           ("--seed", {"type": int, "default": 0})]
+
+# name -> (help, flags past _COMMON); the handler is cmd_<name>
 SUBCOMMANDS = {
     "ball": ("word metric ball sizes", [
         _GROUP, _RADIUS, ("--cap", {"type": int, "default": groups.DEFAULT_BALL_CAP}),
@@ -443,15 +447,56 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser for every subcommand, or for ``command`` alone when it names one.
+def read_argv(argv: list):
+    """The namespace ``build_parser().parse_args(argv)`` returns, read off
+    SUBCOMMANDS, or None unless argv is a subcommand name followed only by
+    exact flags of it, each flag but a store_true one followed by a value not
+    starting with "-".  None leaves argv to argparse: help, the version, usage
+    errors, abbreviations, ``--flag=value``, negative numbers and ``--``.
+    """
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    flags = dict(_COMMON + SUBCOMMANDS[argv[0]][1])
+    given, tokens = {}, iter(argv[1:])
+    for flag in tokens:
+        kwargs = flags.get(flag)
+        if kwargs is None:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+    if any(kwargs.get("required") and flag not in given for flag, kwargs in flags.items()):
+        return None
+    args = types.SimpleNamespace(_command=argv[0])
+    for flag, kwargs in flags.items():
+        default = kwargs.get("default", False if "action" in kwargs else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
+def build_parser(command: str | None = None):
+    """The parser for every subcommand, or for ``command`` alone when it names
+    one; ``main`` builds it only for argv that ``read_argv`` declines.
 
     Each add_argument builds a HelpFormatter, so the full parser costs a CLI
     call milliseconds that one subcommand's does not.  The one-command form
     names every subcommand in its usage line, so its usage errors print the
-    same bytes.  Handlers are read from the module's cmd_* attributes here,
-    not at import, so a wrapper patched onto one after import is what runs.
+    same bytes.
     """
+    # imported here: argparse imports gettext, whose first lookup imports
+    # locale, and together they cost more than a well-formed call's parse
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="coarsekit",
         description="window checks for coarse structures on finitely generated groups",
@@ -463,23 +508,23 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name in names:
         help_text, flags = SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--seed", type=int, default=0)
-        for flag, kwargs in flags:
+        for flag, kwargs in _COMMON + flags:
             p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    """Print one report for the command line argv; return its exit code."""
+    """Print one report for the command line argv; return its exit code.  A
+    well-formed argv (``read_argv``) skips argparse, which parses the rest."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = read_argv(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
     report = {"tool": {"name": "coarsekit", "version": __version__}, "command": args._command}
+    # read now, not at import, so a wrapper patched onto a cmd_* after import runs
+    handler = globals()["cmd_" + args._command.replace("-", "_")]
     try:
-        if args.func is not cmd_ball and args.radius < MIN_VERDICT_RADIUS:
+        if args._command != "ball" and args.radius < MIN_VERDICT_RADIUS:
             raise WindowTooSmallError(f"{args._command} needs --radius {MIN_VERDICT_RADIUS} or more")
-        checks, notes = args.func(args)
+        checks, notes = handler(args)
     except CoarseKitError as exc:
         report["error"] = {"code": exc.code, "message": str(exc)}
         code = 2

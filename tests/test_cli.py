@@ -13,6 +13,7 @@ import subprocess
 import sys
 
 import pytest
+from freeze_golden import COMMANDS, GOLDEN_DIR
 
 from coarsekit import cli
 
@@ -463,7 +464,12 @@ class TestParser:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         code, _ = run_cli(["fc", "--group", "Z", "--radius", "3"])
         assert code == 0
-        assert inits == ["coarsekit", "coarsekit fc"]
+        assert inits == []  # read off SUBCOMMANDS
+        # an abbreviated flag is left to argparse, which builds one subparser
+        code, out = run_cli(["commuting", "--rad", "8"])
+        assert code == 0
+        assert inits == ["coarsekit", "coarsekit commuting"]
+        assert out == (GOLDEN_DIR / "commuting-8.json").read_text()
 
     def test_handler_is_read_when_the_parser_is_built(self, monkeypatch):
         calls = []
@@ -476,6 +482,90 @@ class TestParser:
         code, out = run_cli(["fc", "--group", "Z", "--radius", "3"])
         assert code == 0 and calls == ["Z"]
         assert json.loads(out)["notes"] == ["patched"]
+
+
+def _split(argv):
+    """The flags of argv past its subcommand name, each with its value."""
+    flags = dict(cli._COMMON + cli.SUBCOMMANDS[argv[0]][1])
+    pairs, i = [], 1
+    while i < len(argv):
+        n = 2 if argv[i] in flags and flags[argv[i]].get("action") != "store_true" else 1
+        pairs.append(argv[i:i + n])
+        i += n
+    return pairs
+
+
+def _mutants(argv):
+    """argv with flags abbreviated, written --flag=value, repeated,
+    reordered, cut short, dropped or given odd values, and with bad flags
+    or values appended."""
+    if not argv or argv[0] not in cli.SUBCOMMANDS:
+        return []
+    head, pairs = argv[:1], _split(argv)
+    join = lambda ps: head + [t for p in ps for t in p]  # noqa: E731
+    out = [join([[p[0][:-1]] + p[1:] for p in pairs]), join(pairs[::-1]), join(pairs + pairs)]
+    for k, p in enumerate(pairs):
+        out.append(join(pairs[:k] + pairs[k + 1:]))
+        out.append(join(pairs[:k] + [[p[0][:-1]] + p[1:]] + pairs[k + 1:]))
+        if len(p) == 2:
+            out.append(join(pairs[:k] + [["=".join(p)]] + pairs[k + 1:]))
+            out.append(join(pairs + [[p[0], "3"]]))
+            out.append(join(pairs[:k] + [p[:1]]))
+            out += [join(pairs[:k] + [[p[0], v]] + pairs[k + 1:]) for v in ("-1", "-x", "")]
+    extras = [["--seed"], ["--seed", "99"], ["--seed", "x"], ["--format", "xml"],
+              ["--format", "table"], ["--bogus", "1"], ["-h"], ["--"], ["stray"]]
+    return out + [argv + e for e in extras] + [head + ["--"] + argv[1:]]
+
+
+def _argparse_reads(parser, argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# the README commands are among the golden ones (test_readme.py)
+CORPUS = list({tuple(a): a for a in [*COMMANDS.values(), *PARSE_EXITS, *(a for a, _ in CASES)]}.values())
+
+
+class TestReadArgv:
+    @pytest.fixture(scope="class")
+    def parser(self):
+        return cli.build_parser()
+
+    @pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+    def test_reader_agrees_with_argparse(self, argv, parser):
+        for mutant in [argv, *_mutants(argv)]:
+            expected = _argparse_reads(parser, mutant)
+            args = cli.read_argv(mutant)
+            if expected is None or args is not None:
+                assert (args if args is None else vars(args)) == expected, mutant
+
+    @pytest.mark.parametrize("stem", sorted(COMMANDS))
+    def test_golden_commands_take_the_reader(self, stem):
+        assert cli.read_argv(COMMANDS[stem]) is not None
+
+    def test_every_flag_is_one_the_reader_models(self):
+        keys = {"required", "type", "default", "choices", "help", "action"}
+        for name, (_, flags) in cli.SUBCOMMANDS.items():
+            for flag, kwargs in cli._COMMON + flags:
+                assert flag.startswith("--") and set(kwargs) <= keys, (name, flag)
+                assert kwargs.get("action", "store_true") == "store_true", (name, flag)
+                assert kwargs.get("type", int) is int, (name, flag)
+
+    def test_a_well_formed_call_imports_no_argparse(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "coarsekit.cli",
+             "fc", "--group", "Z", "--radius", "3"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["checks"][0]["verdict"] == "PASS"
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert not {"argparse", "gettext", "locale"} & imported
 
 
 def test_import_generates_no_code():

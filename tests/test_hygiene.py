@@ -119,7 +119,7 @@ def test_unread_public_name_is_found():
 
 def test_public_names_are_read_or_listed():
     read = set().union(*(names_read((SRC / m).read_text()) for m in ALL_MODULES))
-    read |= {"cmd_" + name.replace("-", "_") for name in SUBCOMMANDS}  # cli.build_parser looks these up
+    read |= {"cmd_" + name.replace("-", "_") for name in SUBCOMMANDS}  # cli.main looks these up
     defined = [name for m in ALL_MODULES for name in public_definitions((SRC / m).read_text())]
     assert sorted(name for name in defined if name not in read) == sorted(UNREAD_PUBLIC)
 
