@@ -29,6 +29,7 @@ from collections.abc import Callable
 
 from . import groups
 from .errors import (
+    CoarseKitError,
     CommutativityError,
     PreconditionError,
     SearchFailureError,
@@ -38,6 +39,7 @@ from .errors import (
 )
 from .families import (
     ParamFamily,
+    entry_trace,
     finite_family,
     refines,
     star_family,
@@ -249,7 +251,13 @@ class ActionInducedStructure(CoarseStructure):
     under inverses, the centres of cost <= c are the pool elements in the
     intersection over y of the union of h.Ball(c) over the covers h of y.
     The search tries c = 0, 1, 2, ... and takes the least element, in ball
-    order, of the first nonempty level; h.Ball(c) is kept per cover asked."""
+    order, of the first nonempty level; h.Ball(c) is kept per cover asked.
+
+    An orbit {g.S : g in Ball(c*r)} of this structure's own action is read
+    off orbit layers (``read_off``): per seed S, ``layer[s]`` is the union of
+    the contributions of the translates g.S over g in sphere(s).  Each
+    sphere of a seed is walked once, however many families, scales and
+    radii ask for it; a layer is kept as the first s of each element."""
 
     def __init__(self, action: Action, U, slack: int = 2):
         super().__init__()
@@ -264,6 +272,7 @@ class ActionInducedStructure(CoarseStructure):
         self.index = _cover_index(action, self.U)
         self.u_mesh = _mesh(self.space, self.U)
         self._nears: dict = {}  # h -> [h.Ball(0), h.Ball(1), ...]
+        self._layers: dict = {}  # seed S -> [spheres walked, {element: first layer}]
 
     def witness_group(self) -> groups.GroupSpec:
         return self.action.group
@@ -311,6 +320,40 @@ class ActionInducedStructure(CoarseStructure):
             for y in member
         }
 
+    def _first_spheres(self, S: frozenset, top: int) -> dict:
+        """The orbit layers of seed S walked through sphere ``top``: each
+        witness element e -> the first s with e in layer[s].  The spheres
+        walked are counted in ``_layers[S][0]``; a sphere whose contribution
+        raises is neither counted nor entered."""
+        layers = self._layers.setdefault(S, [0, {}])
+        firsts, contribution = layers[1], self.member_contribution
+        apply_set, G = self.action.apply_set, self.action.group
+        for s in range(layers[0], top + 1):
+            for w in [contribution(apply_set(g, S)) for g in groups.sphere(G, s)]:
+                for e in w:
+                    firsts.setdefault(e, s)
+            layers[0] = s + 1
+        return firsts
+
+    def read_off(self, grow, radius: int) -> tuple[set, dict] | None:
+        """The witness and trace of an orbit of this structure's action, as
+        its fold gives them: an element enters at the least r such that a
+        layer s <= scale*r of one of the orbit's seeds holds it.
+        Any other family, or an orbit with a refused member, is folded, so
+        the fold reports the least refused member."""
+        if not (isinstance(grow, _Orbit) and grow.action is self.action):
+            return None
+        c, enters = grow.scale, {}
+        try:
+            for S in map(frozenset, grow.seeds):
+                for e, s in self._first_spheres(S, c * radius).items():
+                    r = -(-s // c)  # the radius where the orbit grows sphere s
+                    if r <= radius and enters.get(e, r) >= r:
+                        enters[e] = r
+        except CoarseKitError:
+            return None
+        return set(enters), entry_trace(enters.values(), radius)
+
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
         G = self.action.group
         acting_radius = self.space.extent(y) + self.u_mesh + self.slack
@@ -337,7 +380,10 @@ class _Orbit:
     """grow of the orbit family r -> {g.S : g in Ball(scale*r), S in seeds}.
 
     At radius r it yields the translates by the new spheres
-    scale*(r-1)+1 .. scale*r, so each translate is applied once."""
+    scale*(r-1)+1 .. scale*r, so sphere s enters at radius ceil(s/scale) and
+    each translate is applied once per call.  An induced structure of the
+    same action reads the family off its orbit layers instead
+    (``ActionInducedStructure.read_off``)."""
 
     def __init__(self, action: Action, seeds: tuple, scale: int):
         self.action = action

@@ -234,7 +234,7 @@ class ShapeTranslates:
     over g in the sphere of radius r, S fixed.
 
     It carries ``(spec, shape, side)``, so a group structure can read the
-    family's witness off S (see ``GroupStructure.shape_witness``)."""
+    family's witness off S (see ``GroupStructure.read_off``)."""
 
     def __init__(self, spec: groups.GroupSpec, shape: tuple, side: str):
         self.spec = spec
@@ -255,7 +255,7 @@ def shape_translate_family(space, shape: tuple, side: str) -> ParamFamily:
 
     Its grow is a ``ShapeTranslates``: a group structure whose isometries
     include the family's translations reads the family's witness off S (L6,
-    ``GroupStructure.shape_witness``) and folds no translate."""
+    ``GroupStructure.read_off``) and folds no translate."""
     spec = space.spec
     shape_ser = ",".join(spec.serialize(s) for s in shape)
     tag = f"{{g*[{shape_ser}]}}" if side == "left" else f"{{[{shape_ser}]*g}}"

@@ -18,6 +18,7 @@ that radius (used for finite-index style embeddings).
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import cache
 
 from . import groups
 from .errors import (
@@ -274,11 +275,11 @@ def check_close(m1: MapWindow, m2: MapWindow, radius: int) -> Certificate:
     )
 
 
-def _preimage_family(m: MapWindow, pf: ParamFamily, source_radius: int) -> ParamFamily:
-    fibre = m.fibres.get
+def _preimage_family(m: MapWindow, pf: ParamFamily, fibre: Callable) -> ParamFamily:
+    """r -> the preimages of the members of pf at r, a point y read as ``fibre(y)``."""
 
     def grow(r: int):
-        return ([x for y in mem for x in fibre(y, source_radius)] for mem in pf.grow(r))
+        return ([x for y in mem for x in fibre(y)] for mem in pf.grow(r))
 
     return ParamFamily(tag=f"pre({pf.tag})", space=m.source.space, grow=grow)
 
@@ -308,7 +309,10 @@ def surjective_equivalence_check(
     if cover_distance < 0:
         raise InvalidRadiusError(f"cover distance must be >= 0, got {cover_distance}")
     source_radius = m.source_radius(radius)
-    fibres = m.fibres
+    # a fibre is a pure function of (y, source_radius), so each one is read
+    # once per check; the memo ends with the check, not with the map
+    get = m.fibres.get
+    fibre = cache(lambda y: get(y, source_radius))
     window = target_window(radius) if target_window else m.target.space.window(radius)
 
     selection: dict = {}
@@ -318,7 +322,7 @@ def surjective_equivalence_check(
         # nearer covered points win; canonical order only breaks ties
         for d in range(cover_distance + 1):
             for z in _neighborhood(m.target, y, d):
-                xs = fibres.get(z, source_radius)
+                xs = fibre(z)
                 if xs:
                     cands.append(xs[0])
             if cands:
@@ -341,7 +345,7 @@ def surjective_equivalence_check(
     preimage_results = {}
     if not failures:
         for pf, _ in bounded_battery(m.target, radius, seed, n_random):
-            pre_pf = _preimage_family(m, pf, source_radius)
+            pre_pf = _preimage_family(m, pf, fibre)
             res = membership_window(m.source, pre_pf, radius)
             preimage_results[pf.tag] = res.to_json()
             if not res.bounded:

@@ -9,7 +9,8 @@ Structures on a group's underlying set come in the left flavor (witnesses
 u^-1*v) and the right flavor (witnesses u*v^-1), one ``GroupStructure``
 each.  The structure an action induces from the translates of a bounded
 set, ``actions.ActionInducedStructure``, is the memoized kind: each member's
-witness is a search, so the generic fold computes it once per member.
+witness is a search, so it is computed once per member, and an orbit of the
+structure's own action is read off per-seed layers (``read_off``).
 """
 
 from __future__ import annotations
@@ -42,8 +43,11 @@ class CoarseStructure:
     ``member_contribution``, and the memo is the one record of members met:
     each distinct member is computed once, and a repeat is a memo hit.  A
     structure may override ``fold`` with a faster loop only if it gives the
-    same witness set, as ``GroupStructure`` does, and may read a family's
-    witness off its shape (``shape_witness``) where every member shares it."""
+    same witness set, as ``GroupStructure`` does.  It may also read a
+    family's witness and trace off the family's ``grow`` (``read_off``)
+    where it knows them without folding the growth: off a shape that every
+    member shares (``GroupStructure``), or off orbit layers it keeps
+    (``actions.ActionInducedStructure``)."""
 
     space: object
     label: str
@@ -74,9 +78,10 @@ class CoarseStructure:
         for m in members:
             witness |= contribution(frozenset(m))
 
-    def shape_witness(self, grow) -> set | None:
-        """The witness of the family grown by ``grow`` at every radius, when
-        it can be read off the family's shape; None when it must be folded."""
+    def read_off(self, grow, radius: int) -> tuple[set, dict] | None:
+        """The witness at ``radius`` and the trace r -> |witness at r| of the
+        family grown by ``grow``, exactly as the generic fold gives them, or
+        None when the family must be folded."""
         return None
 
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
@@ -98,7 +103,7 @@ class GroupStructure(CoarseStructure):
 
     ``translations_isometric`` is the one rule for which translations
     preserve the structure.  Both isometry read-offs ask it: a translate
-    family of a shape S read off S (L6, ``shape_witness``), and an action's
+    family of a shape S read off S (L6, ``read_off``), and an action's
     translates read off the family (L5, in the translate check of
     ``actions``)."""
 
@@ -133,17 +138,19 @@ class GroupStructure(CoarseStructure):
         mul = self.spec.mul
         return all(mul(a, b) == mul(b, a) for a, b in combinations(self.spec.generators(), 2))
 
-    def shape_witness(self, grow) -> set | None:
+    def read_off(self, grow, radius: int) -> tuple[set, dict] | None:
         """(L6) Where translations on the family's side are isometries
         (``translations_isometric``), every member of {g*S} or {S*g} has
-        the witness of S, at every radius.  Any other family is folded."""
+        the witness of S, at every radius, so the trace is constant.  Any
+        other family is folded."""
         if (
             not isinstance(grow, ShapeTranslates)
             or grow.spec != self.spec
             or not self.translations_isometric(grow.side)
         ):
             return None
-        return member_witness(self.side, self.spec, grow.shape)
+        witness = member_witness(self.side, self.spec, grow.shape)
+        return witness, dict.fromkeys(range(radius + 1), len(witness))
 
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
         return self.space.ball_about(y, mesh, side=self.side)
@@ -184,20 +191,20 @@ def random_shapes(spec: groups.GroupSpec, seed: int, count: int, mesh: int = 2) 
 def membership_window(structure: CoarseStructure, pf: ParamFamily, radius: int):
     """Evaluate the witness trace of a parametrized family.
 
-    When the structure reads the family's witness off its shape
-    (``shape_witness``), that witness holds at every radius and no member
-    is folded.  Otherwise each radius's growth goes to ``structure.fold``
-    in one call, so a member contributes at the radius where it first appears
-    (see ``CoarseStructure``).  If a member is refused, the error raised is
+    When the structure reads the family's witness and trace off its
+    ``grow`` (``read_off``), no member is folded here.  Otherwise each
+    radius's growth goes to ``structure.fold`` in one call, so a member
+    contributes at the radius where it first appears (see
+    ``CoarseStructure``).  If a member is refused, the error raised is
     the one for the least new member of that radius, whatever order the
     growth came in.  Returns the family's ``Membership``: bounded when the
     size trace is constant over the final ceil(radius/2) radii.  Only a
     bounded witness is reported, so only then are its elements put in
     canonical order.
     """
-    witness = structure.shape_witness(pf.grow)
-    if witness is not None:
-        trace = dict.fromkeys(range(radius + 1), len(witness))
+    read = structure.read_off(pf.grow, radius)
+    if read is not None:
+        witness, trace = read
     else:
         witness, trace = set(), {}
         fold = structure.fold

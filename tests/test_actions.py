@@ -21,6 +21,7 @@ from coarsekit.actions import (
     right_translation,
     stabilizer_window,
     table_action,
+    translates_family,
     trivial_action,
     uniformly_bornologous_action_check,
 )
@@ -283,6 +284,28 @@ class TestInducedSecond:
         assert membership_window(right_ind, reflect_left, 8).verdict == "PASS"
         assert membership_window(left_ind, reflect_right, 8).verdict == "PASS"
         assert membership_window(right_ind, reflect_right, 8).verdict == "FAIL"
+
+    def test_orbit_layers_walk_each_sphere_once(self, applied):
+        # the battery of the commuting pair's induced structure, then its
+        # translates at double scale; the cover index is grown past every
+        # acting radius first, so that only translates of seeds are counted
+        radius = 6
+        action = z_on_dih_left()
+        struct, _ = induced_structure_second(action, (ONE, T), radius)
+        struct.index.get(ONE, 4 * radius)
+        battery = struct.default_battery(seed=0, n_random=8)
+        for pf in battery:
+            membership_window(struct, pf, radius)
+        applied.clear()
+        for pf in battery:
+            membership_window(struct, pf, radius)
+        assert applied == []
+        seeds = {frozenset(S) for pf in battery for S in pf.grow.seeds}
+        assert len(seeds) < len(battery)  # some F_i.U repeat
+        for pf in battery:
+            membership_window(struct, translates_family(action, pf, f"translates({pf.tag})"), radius)
+        outer = [g for s in range(radius + 1, 2 * radius + 1) for g in groups.sphere(Z, s)]
+        assert sorted(applied) == sorted(outer * len(seeds))
 
     def test_translate_unions_agree_at_every_scale(self):
         # both orbits sweep out the same sets even though the structures differ

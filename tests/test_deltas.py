@@ -8,7 +8,8 @@ verdict, trace and witness elements as those snapshots read whole by
 (or of its pieces) under its own action are grown as one orbit at double
 scale; they must be the brute-force set {g.M : g in Ball(r), M a member at
 r}, and an orbit of any other action object must take the generic route to
-the same set.
+the same set.  An induced structure reads an orbit of its own action off
+orbit layers; that must give what the generic fold of the same family gives.
 """
 
 import functools
@@ -17,8 +18,9 @@ import pytest
 
 import oracles
 from coarsekit import groups
-from coarsekit.errors import WindowOverflowError
+from coarsekit.errors import CoarseKitError, WindowOverflowError
 from coarsekit.actions import (
+    ActionInducedStructure,
     _Orbit,
     _pieces_family,
     action_translate_family,
@@ -89,7 +91,9 @@ def _setup(spec, kind):
         struct = LeftGroupStructure(spec)
         m = MapWindow("square", struct, struct, _square(spec))
         source_radius = RADIUS + PREIMAGE_SLACK
-        pf = _preimage_family(m, shape_translate_family(space, shape, "right"), source_radius)
+        pf = _preimage_family(
+            m, shape_translate_family(space, shape, "right"), lambda y: m.fibres.get(y, source_radius)
+        )
         preimages: dict = {}
         for x in groups.ball(spec, source_radius).elements:
             preimages.setdefault(m.rule(x), []).append(x)
@@ -246,3 +250,102 @@ def test_orbit_of_the_opposite_side_grows_generically(route):
     tf, snapshot = _orbit_case(route, left, right, (ONE, X))
     assert not isinstance(tf.grow, _Orbit)
     _assert_grows_to(tf, snapshot)
+
+
+# ---------------------------------------------------------------------------
+# orbits of an induced structure's own action: read off its orbit layers
+
+LAYER_SLACK = 2  # the 7-cycle then leaves 4 uncovered: {3, 4} = 3.{0, 1} is refused at sphere 3
+
+
+def _window_or_error(struct, pf, radius):
+    try:
+        res = membership_window(struct, pf, radius)
+    except CoarseKitError as err:
+        return type(err), str(err)
+    return res.trace, res.elements, res.bounded
+
+
+def _folded(orbit):
+    """The same growth behind a plain function, which no structure reads off."""
+    return lambda r: orbit(r)
+
+
+def _assert_layers_read_the_fold(read, folded, V):
+    """Seeds V, V twice (in two orders) and the pieces of V, at scales 1-3,
+    read at falling and rising radii on one structure, so that later reads
+    reuse earlier layers."""
+    action = read.action
+    pieces = _pieces_family(action_translate_family(action, V)).grow.seeds
+    for seeds in ((V,), (V, V[::-1]), pieces):
+        for scale in (1, 2, 3):
+            orbit = _Orbit(action, seeds, scale)
+            plain = ParamFamily("plain", action.space, grow=_folded(orbit))
+            assert folded.read_off(plain.grow, RADIUS) is None
+            for radius in (RADIUS, 2, RADIUS - 1):
+                got = _window_or_error(read, ParamFamily("orbit", action.space, grow=orbit), radius)
+                assert got == _window_or_error(folded, plain, radius), (seeds, scale, radius)
+    assert read._layers and not folded._layers
+    assert set(read._contributions) == set(folded._contributions)
+
+
+@pytest.mark.parametrize("name", list(ORBIT_CASES))
+def test_orbit_layers_read_what_the_fold_gives(name):
+    # U = V covers every translate of V
+    make, V = ORBIT_CASES[name]
+    action = make()
+    read, folded = (ActionInducedStructure(action, V, slack=LAYER_SLACK) for _ in range(2))
+    _assert_layers_read_the_fold(read, folded, V)
+
+
+class _PointsAsWitness(ActionInducedStructure):
+    """A member's own points as its contribution, for an action of a group
+    on itself: an orbit's witness then grows with every sphere, so each
+    radius of the trace counts."""
+
+    def _compute_contribution(self, member):
+        return member
+
+
+@pytest.mark.parametrize("name", ["left(DihInf)", "right(DihInf)"])
+def test_orbit_layers_read_a_growing_trace(name):
+    make, V = ORBIT_CASES[name]
+    action = make()
+    read, folded = (_PointsAsWitness(action, V) for _ in range(2))
+    _assert_layers_read_the_fold(read, folded, V)
+    # an orbit of the other side's action is folded, not read off these layers
+    other = _translation(groups.DIH, "right" if name == "left(DihInf)" else "left")
+    orbit = _Orbit(other, (V,), 1)
+    assert read.read_off(orbit, RADIUS) is None
+    assert membership_window(read, ParamFamily("other", action.space, grow=orbit), RADIUS).trace == (
+        membership_window(folded, ParamFamily("plain", action.space, grow=_folded(orbit)), RADIUS).trace
+    )
+
+
+@pytest.mark.parametrize(
+    "make, U, seeds, walked, inside",
+    [
+        # 2n + 0 misses every odd integer: the seed itself is refused
+        (lambda: left_translation(power_hom(2)), (0,), [(0, 1)], {(0, 1): 0}, None),
+        # 4 has no cover h.{0, 1} with |h| <= 2: the translates by sphere 3 are refused
+        (_rotation, (0, 1), [(0, 1)], {(0, 1): 3}, 2),
+        # h.{0} with |h| <= 2 misses 3 and 4.  The layers of {0} are refused
+        # at sphere 3 (on 3), before {6} is walked; the fold meets {4} = -2.{6}
+        # at radius 2 first, so only the fold names the least refused member
+        (_rotation, (0,), [(0,), (6,)], {(0,): 3}, 1),
+    ],
+)
+def test_refused_orbit_raises_what_the_fold_raises(make, U, seeds, walked, inside):
+    action = make()
+    read = ActionInducedStructure(action, U, slack=LAYER_SLACK)
+    folded = ActionInducedStructure(action, U, slack=LAYER_SLACK)
+    orbit = _Orbit(action, tuple(seeds), 1)
+    pf, plain = ParamFamily("orbit", action.space, grow=orbit), ParamFamily("plain", action.space, grow=_folded(orbit))
+    got = _window_or_error(read, pf, RADIUS)
+    assert got[0] is WindowOverflowError
+    assert got == _window_or_error(folded, plain, RADIUS)
+    # each layer keeps only the spheres walked whole
+    assert {S: done for S, (done, _) in read._layers.items()} == {frozenset(S): n for S, n in walked.items()}
+    assert all(s < done for done, firsts in read._layers.values() for s in firsts.values())
+    if inside is not None:
+        assert _window_or_error(read, pf, inside) == _window_or_error(folded, plain, inside)

@@ -202,7 +202,7 @@ def test_overriding_a_contribution_restores_the_generic_fold():
     assert _Passthrough.fold is CoarseStructure.fold
     spec = _spec("Z^2")
     for pf in (_repeating_images(spec)[0], shape_translate_family(GroupSpace(spec), ((0, 0), (1, 0)), "left")):
-        assert _Passthrough(spec).shape_witness(pf.grow) is None
+        assert _Passthrough(spec).read_off(pf.grow, RADIUS) is None
         got = membership_window(_Passthrough(spec), pf, RADIUS)
         expected = oracles.ref_membership_window("left", spec, pf, RADIUS)
         assert (got.verdict, got.trace, got.elements) == expected, pf.tag
@@ -240,7 +240,11 @@ def test_translate_family_read_off_matches_the_reference(text):
     fired = set()
     for spec, side, pf in _read_off_cases([text]):
         struct = GroupStructure(spec, side)
-        fired.add((pf.grow.side == side, struct.shape_witness(pf.grow) is not None))
+        read = struct.read_off(pf.grow, 8)
+        fired.add((pf.grow.side == side, read is not None))
+        if read is not None:
+            witness = oracles.ref_member_witness(side, spec, pf.grow.shape)
+            assert read == (witness, dict.fromkeys(range(9), len(witness))), (pf.tag, side)
         for radius in range(7 if text == "F(2)" else 9):
             got = membership_window(struct, pf, radius)
             expected = oracles.ref_membership_window(side, spec, pf, radius)
@@ -255,8 +259,11 @@ def test_opposite_side_is_read_off_exactly_when_abelian(text):
     verdicts = set()
     for _, side, pf in _read_off_cases([text]):
         if pf.grow.side != side:
-            read = GroupStructure(spec, side).shape_witness(pf.grow)
+            read = GroupStructure(spec, side).read_off(pf.grow, 6)
             assert (read is not None) == (text in ABELIAN), pf.tag
+            if read is not None:
+                witness = oracles.ref_member_witness(side, spec, pf.grow.shape)
+                assert read == (witness, dict.fromkeys(range(7), len(witness))), pf.tag
             verdicts.add(membership_window(GroupStructure(spec, side), pf, 6).verdict)
     # a non-abelian group has an unbounded opposite-side translate family
     assert verdicts == ({"PASS"} if text in ABELIAN else {"PASS", "FAIL"})
@@ -264,7 +271,7 @@ def test_opposite_side_is_read_off_exactly_when_abelian(text):
 
 def test_a_translate_family_of_another_group_is_folded():
     other = shape_translate_family(GroupSpace(_spec("Z^3")), ((0, 0, 0), (1, 0, 0)), "left")
-    assert LeftGroupStructure(_spec("Z^2")).shape_witness(other.grow) is None
+    assert LeftGroupStructure(_spec("Z^2")).read_off(other.grow, RADIUS) is None
 
 
 def test_witness_reads_a_translate_family_without_a_ball(monkeypatch):

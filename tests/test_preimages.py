@@ -145,7 +145,7 @@ def test_preimage_member_matches_scan(name, order):
         # each member asks the shared index for the window 2 past its extent
         source_radius = max(m.target.space.extent(y) for y in mem) + 2
         single = ParamFamily("member", m.target.space, lambda r, mem=mem: [mem] if r == 0 else [])
-        [got] = _preimage_family(m, single, source_radius).grow(0)
+        [got] = _preimage_family(m, single, lambda y: m.fibres.get(y, source_radius)).grow(0)
         assert set(got) == set(oracles.scan_preimage_member(m, mem, source_radius)), mem
 
 
