@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from coarsekit import groups
-from coarsekit.actions import BATTERY_SHAPES, CONTROLLED_ROUTE_RADIUS, _pieces_family, translates_family
+from coarsekit.actions import BATTERY_SHAPES, _Orbit, translates_family
 from coarsekit.errors import MalformedElementError, SearchFailureError, WindowOverflowError
 from coarsekit.families import (
     ParamFamily,
@@ -1023,10 +1023,33 @@ def ref_action_law_error(action, depth: int = 3):
 # ---------------------------------------------------------------------------
 # the translate check with every translate built
 
+CONTROLLED_ROUTE_RADIUS = 6  # the greatest radius of the controlled-set route
+
+
+def _pieces_family(pf: ParamFamily) -> ParamFamily:
+    """r -> the one and two point subsets of the members of pf at radius r.
+
+    The pieces of an orbit {g.S} are the orbit of the pieces of its seeds at
+    the same scale, since g.{u, v} = {g.u, g.v}."""
+    tag = f"pieces({pf.tag})"
+    orbit = pf.grow
+    if isinstance(orbit, _Orbit):
+        seeds = tuple(dict.fromkeys(frozenset((u, v)) for S in orbit.seeds for u in S for v in S))
+        return ParamFamily(tag=tag, space=pf.space, grow=_Orbit(orbit.action, seeds, orbit.scale))
+
+    def grow(r: int):
+        return ((u, v) for m in pf.grow(r) for u in m for v in m)
+
+    return ParamFamily(tag=tag, space=pf.space, grow=grow)
+
+
 def ref_uniformly_bornologous_action_check(action, struct, radius: int, seed: int = 0) -> Certificate:
     """``uniformly_bornologous_action_check`` by its generic route for every
     pair: each battery family's translates over Ball(r), and the translated
-    one and two point pieces at the controlled route's radius."""
+    one and two point pieces at the controlled route's radius.  The package
+    writes ``controlled_route_agrees`` as a fixed ``true``; this reference
+    writes whether the two routes agree, so the reports are equal only
+    while they do."""
     rb = min(radius, CONTROLLED_ROUTE_RADIUS)
     results = {}
     for pf in struct.default_battery(seed=seed, n_random=BATTERY_SHAPES):

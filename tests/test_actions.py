@@ -4,7 +4,7 @@ induced structure, action certificates, and commuting pairs."""
 import pytest
 
 import oracles
-from coarsekit import groups
+from coarsekit import actions, groups, structures
 from coarsekit.actions import (
     Hom,
     TranslationAction,
@@ -174,7 +174,6 @@ class TestUniformlyBornologous:
         assert cert.verdict == "PASS"
         edge = cert.data["families"]["{{g, g*x}}"]
         assert set(edge["direct"]["witness"]) == {"1", "x", "x^-1"}
-        assert all(entry["controlled_route_agrees"] for entry in cert.data["families"].values())
 
     def test_left_translations_break_right_structure(self):
         cert = uniformly_bornologous_action_check(
@@ -236,6 +235,70 @@ class TestUniformlyBornologous:
         cert = uniformly_bornologous_action_check(action, struct, 3)
         assert applied
         assert cert.to_json() == oracles.ref_uniformly_bornologous_action_check(action, struct, 3).to_json()
+
+    @pytest.mark.parametrize("radius", [3, 4, 6])
+    @pytest.mark.parametrize(
+        "make_inducing,make_other",
+        [
+            (z_on_dih_left, None),
+            (lambda: right_translation(identity_hom(DIH)), None),
+            (lambda: left_translation(power_hom(2)), None),
+            (lambda: left_translation(identity_hom(groups.free_abelian(2))), None),
+            # the other side of a non-abelian group: both FAIL
+            (lambda: right_translation(identity_hom(DIH)), lambda: left_translation(identity_hom(DIH))),
+            (lambda: left_translation(identity_hom(DIH)), lambda: right_translation(identity_hom(DIH))),
+        ],
+        ids=["left-Z-DihInf", "right-DihInf", "left-Z-2n", "left-Z^2",
+             "left-DihInf-on-right-induced", "right-DihInf-on-left-induced"],
+    )
+    def test_induced_structures_match_the_reference(self, make_inducing, make_other, radius):
+        """The reference also reads the translated one and two point pieces
+        and writes whether the two routes agree, where the check writes a
+        fixed ``true``: the reports are equal only while the routes agree."""
+        inducing = make_inducing()
+        action = make_other() if make_other else inducing
+        U = cb_elements(cobounded_check(inducing, radius), inducing)
+        struct, _ = induced_structure_second(inducing, U, radius)
+        cert = uniformly_bornologous_action_check(action, struct, radius)
+        assert cert.verdict == ("FAIL" if make_other else "PASS")
+        assert cert.to_json() == oracles.ref_uniformly_bornologous_action_check(action, struct, radius).to_json()
+
+    @pytest.mark.parametrize(
+        "action,struct,isometric",
+        [
+            (left_translation(identity_hom(DIH)), RightGroupStructure(DIH), False),
+            (z_on_dih_right(), None, False),
+            (left_translation(identity_hom(DIH)), LeftGroupStructure(DIH), True),
+        ],
+        ids=["left-DihInf-on-C_r", "right-Z-DihInf-on-own-induced", "left-DihInf-on-C_l"],
+    )
+    def test_each_family_and_its_translates_are_read_once(self, monkeypatch, applied, action, struct, isometric):
+        """One read of each battery family, and one of its translates unless
+        the translations are isometries; nothing else is read."""
+        radius = 4
+        if struct is None:
+            struct, _ = induced_structure_second(action, (ONE, T), radius)
+        read = []
+        window = structures.membership_window
+
+        def counted(structure, pf, r):
+            read.append(pf.tag)
+            return window(structure, pf, r)
+
+        monkeypatch.setattr(structures, "membership_window", counted)
+        monkeypatch.setattr(actions, "membership_window", counted)
+        applied.clear()
+        cert = uniformly_bornologous_action_check(action, struct, radius)
+        battery = [pf.tag for pf in struct.default_battery(seed=0, n_random=8)]
+        if isometric:
+            assert cert.verdict == "PASS" and applied == []
+            assert read == battery
+            return
+        assert read == [tag for t in battery[: len(read) // 2] for tag in (t, f"translates({t})")]
+        if cert.verdict == "PASS":
+            assert len(read) == 2 * len(battery)
+        else:
+            assert cert.data["counterexample"]["family"] == read[-1]
 
     def test_right_translations_on_abelian_left_structure(self):
         cert = uniformly_bornologous_action_check(

@@ -17,12 +17,12 @@ import functools
 import pytest
 
 import oracles
+from oracles import _pieces_family
 from coarsekit import groups
 from coarsekit.errors import CoarseKitError, WindowOverflowError
 from coarsekit.actions import (
     ActionInducedStructure,
     _Orbit,
-    _pieces_family,
     action_translate_family,
     identity_hom,
     inclusion_hom,

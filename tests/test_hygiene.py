@@ -1,10 +1,10 @@
 """Source hygiene of the package: every module other than ``__init__.py``
 uses each name it imports, every private name a module defines at its top
-level is read somewhere in the package, so is every public function and
-class not listed as library API, and every parameter with a default is set
-by some call in the package or the benchmark.  A name imported and never
-read, a helper nothing calls, or a setting every caller leaves at one value
-is left over from code that moved or went away.
+level is read somewhere in the package, so is every public function,
+class and constant not listed as library API, and every parameter with a
+default is set by some call in the package or the benchmark.  A name
+imported and never read, a helper nothing calls, or a setting every caller
+leaves at one value is left over from code that moved or went away.
 ``__init__.py`` imports the modules only to load them, and binds no other
 name than ``__version__``."""
 
@@ -46,20 +46,23 @@ def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
-def private_definitions(source: str) -> list:
-    """The names with one leading underscore that a module binds at its top
-    level, by def, class or assignment."""
+def top_level_names(source: str) -> list:
+    """The names a module binds at its top level, by def, class or
+    assignment."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            bound = [node.name]
+            names.append(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
-            continue
-        names += [name for name in bound if name.startswith("_") and not name.startswith("__")]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
     return names
+
+
+def private_definitions(source: str) -> list:
+    """The names with one leading underscore that a module binds at its top
+    level, by def, class or assignment."""
+    return [name for name in top_level_names(source) if name.startswith("_") and not name.startswith("__")]
 
 
 def names_read(source: str) -> set:
@@ -86,7 +89,7 @@ def test_module_private_names_are_read(module):
     assert [name for name in defined if name not in read] == []
 
 
-# public functions and classes that no module of src/ reads
+# public functions, classes and constants that no module of src/ reads
 UNREAD_PUBLIC = {
     "table_action": "library API: a validated action by generator permutations of a finite space",
     "strictly_growing_suffix": "the strictly growing trace a counterexample needs (ROADMAP item 1)",
@@ -102,19 +105,17 @@ UNREAD_PUBLIC = {
 
 def public_definitions(source: str) -> list:
     """The names without a leading underscore that a module binds at its top
-    level by def or class."""
-    return [
-        node.name
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-    ]
+    level, by def, class or assignment."""
+    return [name for name in top_level_names(source) if not name.startswith("_")]
 
 
 def test_unread_public_name_is_found():
-    source = "def f():\n    return g()\ndef g():\n    pass\nclass K:\n    pass\ndef _h():\n    pass\nX = 1\n"
-    assert public_definitions(source) == ["f", "g", "K"]
-    assert [n for n in public_definitions(source) if n not in names_read(source)] == ["f", "K"]
+    source = (
+        "def f():\n    return g()\ndef g():\n    pass\nclass K:\n    pass\ndef _h():\n    pass\n"
+        "X = 1\nY: int = X\nA, (B, C) = 2, (3, 4)\n_Z = B\n"
+    )
+    assert public_definitions(source) == ["f", "g", "K", "X", "Y", "A", "B", "C"]
+    assert [n for n in public_definitions(source) if n not in names_read(source)] == ["f", "K", "Y", "A", "C"]
 
 
 def test_public_names_are_read_or_listed():
