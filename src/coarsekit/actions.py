@@ -39,6 +39,7 @@ from .errors import (
 )
 from .families import (
     ParamFamily,
+    ShapeTranslates,
     entry_trace,
     finite_family,
     refines,
@@ -78,8 +79,12 @@ class Hom:
         self.apply = apply
 
 
+def _identity(g):
+    return g
+
+
 def identity_hom(spec: groups.GroupSpec) -> Hom:
-    return Hom("identity", spec, spec, lambda g: g)
+    return Hom("identity", spec, spec, _identity)
 
 
 def inclusion_hom() -> Hom:
@@ -256,7 +261,25 @@ class ActionInducedStructure(CoarseStructure):
     off orbit layers (``read_off``): per seed S, ``layer[s]`` is the union of
     the contributions of the translates g.S over g in sphere(s).  Each
     sphere of a seed is walked once, however many families, scales and
-    radii ask for it; a layer is kept as the first s of each element."""
+    radii ask for it; a layer is kept as the first s of each element.
+
+    The contributions of an orbit's translates are read off one centre
+    table per seed S, with no search per translate, when these hold:
+
+    * the action is a translation of a group on itself through the identity
+      homomorphism, on either side.  Then y is in h.U exactly when g.y is
+      in (gh).U, so covers(g.y) = g.covers(y), and a cover h of y has
+      |h| <= |y| + mesh(U), so the acting radius cuts none;
+    * the class does not override ``_compute_contribution``;
+    * the least cost c* the search finds for S is at most ``slack``.  A
+      centre of cost <= c has |g| <= max|y| + mesh(U) + c, so for c <= slack
+      every such centre lies in the pool, for S and for every g.S alike.
+
+    The cost |k^-1 h| is left-invariant, so the centres of g.S of least cost
+    are g.K, K those of S, and g.S contributes C(k) = {min over the covers
+    h of y of k^-1 h : y in S}, where k in K makes g.k least in ball order.
+    The table holds C(k) for each k in K.  Any other seed keeps the search
+    per translate."""
 
     def __init__(self, action: Action, U, slack: int = 2):
         super().__init__()
@@ -272,6 +295,12 @@ class ActionInducedStructure(CoarseStructure):
         self.u_mesh = _mesh(self.space, self.U)
         self._nears: dict = {}  # h -> [h.Ball(0), h.Ball(1), ...]
         self._layers: dict = {}  # seed S -> [spheres walked, {element: first layer}]
+        self._tables: dict = {}  # seed S -> {centre k: C(k)}, or None to search per translate
+        self._translates_self = isinstance(action, TranslationAction) and action.hom.apply is _identity
+        self._equivariant = (
+            self._translates_self
+            and type(self)._compute_contribution is ActionInducedStructure._compute_contribution
+        )
 
     def witness_group(self) -> groups.GroupSpec:
         return self.action.group
@@ -286,9 +315,10 @@ class ActionInducedStructure(CoarseStructure):
             levels.append(levels[-1].union([G.mul(h, s) for s in groups.sphere(G, r)]))
         return levels[c]
 
-    def _compute_contribution(self, member):
-        if not member:
-            return frozenset()
+    def _centres(self, member) -> tuple[dict, int, list]:
+        """The least-cost search of a nonempty member: the covers of each
+        point, the first level c with a centre in the pool, and the pool
+        elements of cost <= c."""
         G = self.action.group
         ext = max(self.space.extent(y) for y in member)
         acting_radius = ext + self.u_mesh + self.slack
@@ -301,7 +331,7 @@ class ActionInducedStructure(CoarseStructure):
                     f"within acting radius {acting_radius}"
                 )
             covers[y] = hits
-        mul, length, skey = G.mul, G.length, G.skey
+        length = G.length
         for c in range(acting_radius + 1):  # the identity costs at most acting_radius
             found = None
             for hits in covers.values():
@@ -311,13 +341,49 @@ class ActionInducedStructure(CoarseStructure):
                     break
             found = [g for g in found if length(g) <= acting_radius]
             if found:
-                break
-        best_g = min(found, key=lambda g: (length(g), skey(g)))
-        ig = G.inv(best_g)
-        return {
-            min([mul(ig, h) for h in covers[y]], key=lambda e: (length(e), skey(e)))
-            for y in member
-        }
+                return covers, c, found
+
+    def _around(self, covers: dict, g) -> frozenset:
+        """The contribution about centre g: per point, its least g^-1 h."""
+        G = self.action.group
+        mul, length, skey = G.mul, G.length, G.skey
+        ig = G.inv(g)
+        return frozenset(
+            min([mul(ig, h) for h in hits], key=lambda e: (length(e), skey(e)))
+            for hits in covers.values()
+        )
+
+    def _compute_contribution(self, member):
+        if not member:
+            return frozenset()
+        G = self.action.group
+        covers, _, found = self._centres(member)
+        return self._around(covers, min(found, key=lambda g: (G.length(g), G.skey(g))))
+
+    def _centre_table(self, S: frozenset) -> dict | None:
+        """The centre table of seed S, or None when its translates are
+        searched one by one (see the class docstring)."""
+        if S in self._tables:
+            return self._tables[S]
+        table = None
+        if self._equivariant and S:
+            covers, c, found = self._centres(S)
+            if c <= self.slack:
+                table = {k: self._around(covers, k) for k in found}
+        self._tables[S] = table
+        return table
+
+    def _translate_reader(self, S: frozenset) -> Callable:
+        """g -> the contribution of the translate g.S: read off the centre
+        table of S, or searched through the memo when S has none."""
+        table = self._centre_table(S)
+        if table is None:
+            apply_set, contribution = self.action.apply_set, self.member_contribution
+            return lambda g: contribution(apply_set(g, S))
+        G = self.action.group
+        mul, length, skey = G.mul, G.length, G.skey
+        order = lambda e: (length(e), skey(e))
+        return lambda g: table[min(table, key=lambda k: order(mul(g, k)))]
 
     def _first_spheres(self, S: frozenset, top: int) -> dict:
         """The orbit layers of seed S walked through sphere ``top``: each
@@ -325,10 +391,9 @@ class ActionInducedStructure(CoarseStructure):
         walked are counted in ``_layers[S][0]``; a sphere whose contribution
         raises is neither counted nor entered."""
         layers = self._layers.setdefault(S, [0, {}])
-        firsts, contribution = layers[1], self.member_contribution
-        apply_set, G = self.action.apply_set, self.action.group
+        firsts, G, read = layers[1], self.action.group, self._translate_reader(S)
         for s in range(layers[0], top + 1):
-            for w in [contribution(apply_set(g, S)) for g in groups.sphere(G, s)]:
+            for w in [read(g) for g in groups.sphere(G, s)]:
                 for e in w:
                     firsts.setdefault(e, s)
             layers[0] = s + 1
@@ -338,8 +403,19 @@ class ActionInducedStructure(CoarseStructure):
         """The witness and trace of an orbit of this structure's action, as
         its fold gives them: an element enters at the least r such that a
         layer s <= scale*r of one of the orbit's seeds holds it.
+        For a translation of a group on itself through the identity, a
+        ``ShapeTranslates`` {g*S} or {S*g} on the action's side is the orbit
+        {g.S} sphere by sphere (spheres are closed under inverses, and
+        S*g = g^-1.S on the right), and is read off as that orbit.
         Any other family, or an orbit with a refused member, is folded, so
         the fold reports the least refused member."""
+        if (
+            self._translates_self
+            and isinstance(grow, ShapeTranslates)
+            and grow.spec == self.action.group
+            and grow.side == self.action.side
+        ):
+            grow = _Orbit(self.action, (grow.shape,), 1)
         if not (isinstance(grow, _Orbit) and grow.action is self.action):
             return None
         c, enters = grow.scale, {}
@@ -634,6 +710,40 @@ def induced_structure_second(
 # ---------------------------------------------------------------------------
 # coarse action certificate
 
+class _OrbitMap(MapWindow):
+    """The orbit map g -> g.x0, from the left structure of the acting group.
+
+    For a translation action, the image of a left translate family {g*S} of
+    the acting group is, sphere by sphere, the orbit {g.(S.x0)}: by the
+    action law (g*s).x0 = g.(s.x0).  ``image`` returns it as that orbit, so
+    an induced structure of the same action reads it off its orbit layers
+    (``ActionInducedStructure.read_off``).  Any other family, or another
+    action, whose law is checked only on a window, keeps the image family."""
+
+    def __init__(self, action: Action, x0, target: CoarseStructure, slack: int):
+        super().__init__(
+            name=f"orbit@{action.space.serialize(x0)}",
+            source=LeftGroupStructure(action.group),
+            target=target,
+            rule=lambda g: action.apply(g, x0),
+            source_factor=1,
+            source_slack=slack,
+        )
+        self.action = action
+
+    def image(self, pf: ParamFamily) -> ParamFamily:
+        img = super().image(pf)
+        grow, action = pf.grow, self.action
+        if (
+            isinstance(action, TranslationAction)
+            and isinstance(grow, ShapeTranslates)
+            and grow.side == "left"
+            and grow.spec == action.group
+        ):
+            img.grow = _Orbit(action, (tuple(map(self.rule, grow.shape)),), 1)
+        return img
+
+
 def coarse_action_certificate(
     action: Action,
     struct: CoarseStructure,
@@ -685,14 +795,7 @@ def coarse_action_certificate(
     Ucb = cb_elements(cb, action)
     slack = cover_c + _mesh(action.space, Ucb) + 2
 
-    orbit_map = MapWindow(
-        name=f"orbit@{action.space.serialize(x0)}",
-        source=LeftGroupStructure(action.group),
-        target=struct,
-        rule=lambda g: action.apply(g, x0),
-        source_factor=1,
-        source_slack=slack,
-    )
+    orbit_map = _OrbitMap(action, x0, struct, slack)
     orbit_cert = surjective_equivalence_check(
         orbit_map, radius, cover_distance=0, seed=seed, n_random=BATTERY_SHAPES,
         target_window=lambda r: orbit_map.fibres.image(r),

@@ -63,6 +63,13 @@ class MapWindow:
     def __call__(self, x):
         return self.rule(x)
 
+    def image(self, pf: ParamFamily) -> ParamFamily:
+        """The image family r -> {rule(m)} of pf, tagged ``name(pf.tag)``,
+        that the bornologous check reads.  A map that knows its images as
+        another growth of the same members may return that instead (the
+        orbit map of ``actions.coarse_action_certificate`` does)."""
+        return image_family(pf, self.rule, self.target.space, tag=f"{self.name}({pf.tag})")
+
 
 class Certificate:
     def __init__(
@@ -200,8 +207,7 @@ def check_bornologous(
     """Do images of bounded families stay bounded in the target?"""
     results = {}
     for pf, _ in bounded_battery(m.source, radius, seed, n_random):
-        img = image_family(pf, m.rule, m.target.space, tag=f"{m.name}({pf.tag})")
-        res = membership_window(m.target, img, radius)
+        res = membership_window(m.target, m.image(pf), radius)
         if not res.bounded:
             return Certificate(
                 check="bornologous",

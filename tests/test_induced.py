@@ -9,13 +9,19 @@ contribution for every member of every default-battery family, the same
 bounded neighbourhoods, and the same error for an uncovered point.
 """
 
+import contextlib
+import io
+import random
+
 import pytest
 
 import oracles
-from coarsekit import groups
+from coarsekit import cli, groups
 from coarsekit.actions import (
     ActionInducedStructure,
     TranslationAction,
+    _Orbit,
+    _OrbitMap,
     identity_hom,
     inclusion_hom,
     induced_structure_second,
@@ -24,7 +30,8 @@ from coarsekit.actions import (
     right_translation,
 )
 from coarsekit.errors import WindowOverflowError
-from coarsekit.families import ParamFamily
+from coarsekit.families import ParamFamily, shape_translate_family
+from coarsekit.maps import MapWindow, check_bornologous
 from coarsekit.structures import membership_window
 
 RADIUS = 6
@@ -223,3 +230,142 @@ def test_translation_apply_set_is_pointwise_apply(hom, side):
     S = action.space.window(4)
     for g in groups.ball(action.group, 4).elements:
         assert action.apply_set(g, S) == frozenset(action.apply(g, x) for x in S)
+
+
+# ---------------------------------------------------------------------------
+# centre tables: the translates of a seed read off one search of the seed
+
+TABLE_SPECS = [
+    groups.Z,
+    Z2,
+    groups.DIH,
+    F2,
+    groups.product(groups.Z, groups.DIH),
+    groups.cyclic(6),
+    groups.product(groups.Z, groups.cyclic(3)),
+]
+TABLE_BALL = 2  # the acting elements g whose translates g.S are compared
+
+
+def _table_pool(spec) -> list:
+    # U and the seeds are drawn from Ball(2); F(2) grows its cover index
+    # past Ball(9) from there, so it draws from Ball(1)
+    return list(groups.ball(spec, 1 if spec == F2 else 2).elements)
+
+
+def _assert_table_reads_the_search(struct, S) -> bool:
+    """Every translate g.S, g in Ball(TABLE_BALL), gets from the reader of
+    S what a search of g.S gives; True when S has a centre table."""
+    action = struct.action
+    read = struct._translate_reader(S)
+    for g in groups.ball(action.group, TABLE_BALL).elements:
+        assert read(g) == struct._compute_contribution(action.apply_set(g, S)), (S, g)
+    return struct._tables[S] is not None
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=lambda s: s.label())
+def test_centre_table_reads_what_the_search_gives(spec, side):
+    rng = random.Random(f"{spec.label()}-{side}")
+    pool = _table_pool(spec)
+    action = TranslationAction(identity_hom(spec), side=side)
+    tabled = 0
+    for _ in range(2):
+        U = rng.sample(pool, rng.randint(1, 3))
+        seeds = [frozenset(rng.sample(pool, rng.randint(1, 3))) for _ in range(3)]
+        for slack in range(4):
+            struct = ActionInducedStructure(action, U, slack=slack)
+            assert struct._equivariant
+            for S in seeds:
+                has_table = _assert_table_reads_the_search(struct, S)
+                # a seed has a table exactly when its least cost is within the slack
+                assert has_table == (struct._centres(S)[1] <= slack), (U, slack, S)
+                tabled += has_table
+    assert tabled
+
+
+def _searched_per_translate(struct, S):
+    """Read the orbit layers of S, and check that each translate walked was
+    searched through the memo."""
+    action = struct.action
+    struct.read_off(_Orbit(action, (S,), 1), TABLE_BALL)
+    translates = {action.apply_set(g, S) for g in groups.ball(action.group, TABLE_BALL).elements}
+    assert translates <= set(struct._contributions)
+    assert _assert_table_reads_the_search(struct, S) is False
+
+
+def test_seed_of_cost_above_the_slack_is_searched_per_translate():
+    # the centre of {0, 2} under U = {0} is 1, at cost 1 > slack 0
+    struct = ActionInducedStructure(left_translation(identity_hom(groups.Z)), (0,), slack=0)
+    assert struct._centres(frozenset({0, 2}))[1] == 1
+    _searched_per_translate(struct, frozenset({0, 2}))
+
+
+def test_other_homomorphisms_and_table_actions_search_per_translate():
+    from test_deltas import _rotation
+
+    for action, U, S in (
+        (left_translation(inclusion_hom()), (ONE, T), frozenset({ONE, X})),
+        (_rotation(), (0, 1), frozenset({0, 1})),
+    ):
+        struct = ActionInducedStructure(action, U, slack=2)
+        assert not struct._equivariant
+        _searched_per_translate(struct, S)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_shape_translates_on_the_action_side_are_read_as_its_orbit(side):
+    action = TranslationAction(identity_hom(groups.DIH), side=side)
+    struct, _ = induced_structure_second(action, (ONE, X, T), RADIUS)
+    for shape in ((ONE,), (ONE, T), (X, T, (2, 1))):
+        for family_side in ("left", "right"):
+            pf = shape_translate_family(action.space, shape, family_side)
+            read = ActionInducedStructure(action, struct.U, slack=struct.slack)
+            assert (read.read_off(pf.grow, RADIUS) is not None) == (family_side == side)
+            plain = ParamFamily(pf.tag, pf.space, grow=lambda r, grow=pf.grow: grow(r))
+            got, want = membership_window(read, pf, RADIUS), membership_window(struct, plain, RADIUS)
+            assert got.to_json() == want.to_json(), (shape, family_side)
+    # an inclusion's acting group is Z, so a family of DihInf translates is folded
+    inclusion = ActionInducedStructure(TranslationAction(inclusion_hom(), side=side), (ONE, T))
+    assert inclusion.read_off(shape_translate_family(inclusion.space, (ONE, T), side).grow, RADIUS) is None
+
+
+def _contributions_computed(monkeypatch, argv) -> int:
+    calls = 0
+    compute = ActionInducedStructure._compute_contribution
+
+    def counted(self, member):
+        nonlocal calls
+        calls += 1
+        return compute(self, member)
+
+    monkeypatch.setattr(ActionInducedStructure, "_compute_contribution", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    return calls
+
+
+def test_commuting_searches_few_contributions(monkeypatch):
+    # a search per translate computes 772 contributions here
+    assert _contributions_computed(monkeypatch, ["commuting", "--radius", "8"]) <= 100
+
+
+def test_an_inclusion_keeps_its_searches(monkeypatch):
+    argv = ["svarc-milnor", "--action", "left(Z->DihInf via x^n)", "--radius", "10"]
+    assert _contributions_computed(monkeypatch, argv) == 307
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_orbit_map_images_into_their_own_structure_fold_no_member(monkeypatch, side):
+    action = TranslationAction(identity_hom(groups.DIH), side=side)
+    struct, _ = induced_structure_second(action, (ONE, X, T), RADIUS)
+    orbit_map = _OrbitMap(action, X, struct, slack=4)
+    plain = MapWindow(orbit_map.name, orbit_map.source, struct, orbit_map.rule)
+    expect = check_bornologous(plain, RADIUS, n_random=8).to_json()
+    folded = []
+    fold = ActionInducedStructure.fold
+    monkeypatch.setattr(ActionInducedStructure, "fold", lambda s, w, ms: folded.append(s) or fold(s, w, ms))
+    read = ActionInducedStructure(action, struct.U, slack=struct.slack)
+    orbit_map.target = read
+    assert check_bornologous(orbit_map, RADIUS, n_random=8).to_json() == expect
+    assert not [s for s in folded if s is read]
