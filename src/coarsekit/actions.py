@@ -39,12 +39,12 @@ from .errors import (
 )
 from .families import (
     ParamFamily,
+    Reading,
     ShapeTranslates,
     entry_trace,
     finite_family,
     refines,
     star_family,
-    trace_stabilizes,
 )
 from .maps import Certificate, MapWindow, surjective_equivalence_check, check_bornologous, table_map
 from .spaces import FiniteSpace, GroupSpace, Preimages
@@ -402,7 +402,7 @@ class ActionInducedStructure(CoarseStructure):
     def read_off(self, grow, radius: int) -> tuple[set, dict] | None:
         """The witness and trace of an orbit of this structure's action, as
         its fold gives them: an element enters at the least r such that a
-        layer s <= scale*r of one of the orbit's seeds holds it.
+        layer s <= scale*r of the orbit's seed holds it.
         For a translation of a group on itself through the identity, a
         ``ShapeTranslates`` {g*S} or {S*g} on the action's side is the orbit
         {g.S} sphere by sphere (spheres are closed under inverses, and
@@ -415,18 +415,16 @@ class ActionInducedStructure(CoarseStructure):
             and grow.spec == self.action.group
             and grow.side == self.action.side
         ):
-            grow = _Orbit(self.action, (grow.shape,), 1)
+            grow = _Orbit(self.action, grow.shape, 1)
         if not (isinstance(grow, _Orbit) and grow.action is self.action):
             return None
-        c, enters = grow.scale, {}
+        c = grow.scale
         try:
-            for S in map(frozenset, grow.seeds):
-                for e, s in self._first_spheres(S, c * radius).items():
-                    r = -(-s // c)  # the radius where the orbit grows sphere s
-                    if r <= radius and enters.get(e, r) >= r:
-                        enters[e] = r
+            firsts = self._first_spheres(frozenset(grow.seed), c * radius)
         except CoarseKitError:
             return None
+        # -(-s // c) is the radius where the orbit grows sphere s
+        enters = {e: -(-s // c) for e, s in firsts.items() if s <= c * radius}
         return set(enters), entry_trace(enters.values(), radius)
 
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
@@ -452,7 +450,7 @@ class ActionInducedStructure(CoarseStructure):
 
 
 class _Orbit:
-    """grow of the orbit family r -> {g.S : g in Ball(scale*r), S in seeds}.
+    """grow of the orbit family r -> {g.S : g in Ball(scale*r)} of one seed S.
 
     At radius r it yields the translates by the new spheres
     scale*(r-1)+1 .. scale*r, so sphere s enters at radius ceil(s/scale) and
@@ -460,17 +458,16 @@ class _Orbit:
     same action reads the family off its orbit layers instead
     (``ActionInducedStructure.read_off``)."""
 
-    def __init__(self, action: Action, seeds: tuple, scale: int):
+    def __init__(self, action: Action, seed: tuple, scale: int):
         self.action = action
-        self.seeds = seeds
+        self.seed = seed
         self.scale = scale
 
     def __call__(self, r: int):
-        apply_set, G, c = self.action.apply_set, self.action.group, self.scale
+        apply_set, G, c, S = self.action.apply_set, self.action.group, self.scale, self.seed
         for s in range(max(0, c * (r - 1) + 1), c * r + 1):
             for g in groups.sphere(G, s):
-                for S in self.seeds:
-                    yield apply_set(g, S)
+                yield apply_set(g, S)
 
 
 def action_translate_family(action: Action, V, tag: str = "") -> ParamFamily:
@@ -479,7 +476,7 @@ def action_translate_family(action: Action, V, tag: str = "") -> ParamFamily:
     if not tag:
         vs = ",".join(action.space.serialize(v) for v in V)
         tag = f"{{g.[{vs}]}}"
-    return ParamFamily(tag=tag, space=action.space, grow=_Orbit(action, (V,), 1))
+    return ParamFamily(tag=tag, space=action.space, grow=_Orbit(action, V, 1))
 
 
 def translates_family(action: Action, pf: ParamFamily, tag: str) -> ParamFamily:
@@ -496,7 +493,7 @@ def translates_family(action: Action, pf: ParamFamily, tag: str) -> ParamFamily:
     new at r."""
     orbit = pf.grow
     if isinstance(orbit, _Orbit) and orbit.action is action:
-        return ParamFamily(tag=tag, space=action.space, grow=_Orbit(action, orbit.seeds, orbit.scale + 1))
+        return ParamFamily(tag=tag, space=action.space, grow=_Orbit(action, orbit.seed, orbit.scale + 1))
     G = action.group
     layers: list = []  # layers[q]: the members of pf that appear at radius q
     known: set = set()
@@ -530,17 +527,16 @@ def stabilizer_window(action: Action, U, radius: int) -> tuple[tuple, dict]:
 
 def point_finite_check(action: Action, U, x, radius: int) -> Certificate:
     """Trace of |{g in Ball(r) : x in g.U}|; PASS when it stabilizes."""
-    trace = _cover_index(action, U).trace((x,), radius)
-    verdict = "PASS" if trace_stabilizes(trace, radius) else "FAIL"
+    reading = Reading(_cover_index(action, U).trace((x,), radius), radius)
     return Certificate(
         check="point-finite",
-        verdict=verdict,
+        verdict=reading.verdict,
         radius=radius,
         data={
             "action": action.name,
             "point": action.space.serialize(x),
             "U": [action.space.serialize(u) for u in U],
-            "trace": {str(r): n for r, n in trace.items()},
+            "trace": reading.to_json(),
         },
     )
 
@@ -686,10 +682,10 @@ def induced_structure_second(
     cb = cobounded_check(action, radius, U=tuple(U))
     if not cb.passed:
         raise PreconditionError(f"{action.name}: not cobounded with the given U: {cb.data}")
-    _, st_trace = stabilizer_window(action, tuple(U), radius)
-    if not trace_stabilizes(st_trace, radius):
+    stabilizer = Reading(stabilizer_window(action, tuple(U), radius)[1], radius)
+    if not stabilizer.stable:
         raise PreconditionError(
-            f"{action.name}: stabilizer of U keeps growing, trace {sorted(st_trace.items())}"
+            f"{action.name}: stabilizer of U keeps growing, trace {sorted(stabilizer.trace.items())}"
         )
     slack = _mesh(action.space, U) + cb.data["constant"] + 2
     structure = ActionInducedStructure(action, U, slack=slack)
@@ -701,7 +697,7 @@ def induced_structure_second(
             "action": action.name,
             "U": [action.space.serialize(u) for u in structure.U],
             "cover_constant": cb.data["constant"],
-            "stabilizer_trace": {str(r): n for r, n in st_trace.items()},
+            "stabilizer_trace": stabilizer.to_json(),
         },
     )
     return structure, cert
@@ -740,7 +736,7 @@ class _OrbitMap(MapWindow):
             and grow.side == "left"
             and grow.spec == action.group
         ):
-            img.grow = _Orbit(action, (tuple(map(self.rule, grow.shape)),), 1)
+            img.grow = _Orbit(action, tuple(map(self.rule, grow.shape)), 1)
         return img
 
 
@@ -764,18 +760,17 @@ def coarse_action_certificate(
     proper_ok = True
     for mesh in (0, 1):
         V = struct.bounded_neighborhood(x0, mesh)
-        _, st_trace = stabilizer_window(action, V, radius)
-        st_ok = trace_stabilizes(st_trace, radius)
+        stabilizer = Reading(stabilizer_window(action, V, radius)[1], radius)
         pf_cert = point_finite_check(action, V, x0, radius)
         proper_parts.append(
             {
                 "test_set_mesh": mesh,
-                "stabilizer_trace": {str(r): n for r, n in st_trace.items()},
-                "stabilizer_stabilizes": st_ok,
+                "stabilizer_trace": stabilizer.to_json(),
+                "stabilizer_stabilizes": stabilizer.stable,
                 "point_finite": pf_cert.to_json(),
             }
         )
-        if not st_ok or not pf_cert.passed:
+        if not stabilizer.stable or not pf_cert.passed:
             proper_ok = False
 
     cb = cobounded_check(action, radius)

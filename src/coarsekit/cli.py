@@ -39,7 +39,7 @@ from .errors import (
     SpaceMismatchError,
     WindowTooSmallError,
 )
-from .families import shape_translate_family, trace_stabilizes, translate_pair_family
+from .families import MIN_VERDICT_RADIUS, Reading, shape_translate_family, translate_pair_family
 from .group_checks import (
     compare_left_right,
     dihedral_demo,
@@ -47,6 +47,7 @@ from .group_checks import (
     multiplication_bornologous_check,
 )
 from .maps import (
+    Certificate,
     check_bornologous,
     check_close,
     check_coarsely_proper,
@@ -74,11 +75,6 @@ from .transfer import (
     build_transfer_data,
     enumerate_beta_windows,
 )
-
-
-# A verdict reads the final ceil(R/2) values of a size trace.  Below this
-# radius that tail holds one value, so every trace would "stabilize".
-MIN_VERDICT_RADIUS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +215,7 @@ def _result_check(res) -> dict:
     return {
         "check": "membership",
         "verdict": body.pop("verdict"),
-        "radius": max(res.trace) if res.trace else 0,
+        "radius": res.reading.radius,
         "data": body,
     }
 
@@ -304,18 +300,11 @@ def cmd_action_check(args) -> tuple:
     if args.set is not None:
         U = _parse_set(args.set, action.space)
         stab, trace = stabilizer_window(action, U, args.radius)
-        checks.append(
-            {
-                "check": "stabilizer",
-                "verdict": "PASS" if trace_stabilizes(trace, args.radius) else "FAIL",
-                "radius": args.radius,
-                "data": {
-                    "U": [action.space.serialize(u) for u in U],
-                    "size": len(stab),
-                    "trace": {str(r): n for r, n in trace.items()},
-                },
-            }
-        )
+        reading = Reading(trace, args.radius)
+        data = {"U": [action.space.serialize(u) for u in U], "size": len(stab), "trace": reading.to_json()}
+        stabilizer = Certificate("stabilizer", reading.verdict, args.radius, data).to_json()
+        del stabilizer["notes"]  # reported without notes, like a membership entry
+        checks.append(stabilizer)
         checks.append(point_finite_check(action, U, U[0], args.radius).to_json())
     return checks, notes
 

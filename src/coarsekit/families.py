@@ -8,8 +8,9 @@ window at a time.  The family at radius r is the union of that growth over
 0..r, so it never loses a member as r grows, which every check assumes.
 
 Every check asks one question of a family: is it bounded in a structure?
-Its answer is a ``Membership``: the witness set and its size trace, and
-whether that trace stabilizes.
+Its answer is a ``Membership``: the witness set and the ``Reading`` of its
+size trace.  Every window verdict is a ``Reading``: the one place that reads
+a trace's tail, and that writes the trace into a report.
 """
 
 from __future__ import annotations
@@ -65,13 +66,28 @@ def ceil_half(r: int) -> int:
     return math.ceil(r / 2)
 
 
-def trace_stabilizes(trace: dict, radius: int) -> bool:
-    """True when the final ceil(radius/2) trace values are all equal.  Every
-    window verdict is read here; a negative radius's empty trace is refused."""
-    if radius < 0:
-        raise InvalidRadiusError(f"radius must be >= 0, got {radius}")
-    tail = [trace[r] for r in range(radius - ceil_half(radius) + 1, radius + 1) if r in trace]
-    return len(set(tail)) <= 1
+# Below this radius the tail a Reading reads holds at most one value, so
+# every trace would read stable.
+MIN_VERDICT_RADIUS = 3
+
+
+class Reading:
+    """A size trace read on a window of radius ``radius``: stable when its
+    final ceil(radius/2) values, the ``tail``, are all equal.  Every window
+    verdict is read here; a negative radius's empty trace is refused."""
+
+    def __init__(self, trace: dict, radius: int):
+        if radius < 0:
+            raise InvalidRadiusError(f"radius must be >= 0, got {radius}")
+        self.trace = trace
+        self.radius = radius
+        self.tail = [trace[r] for r in range(radius - ceil_half(radius) + 1, radius + 1) if r in trace]
+        self.stable = len(set(self.tail)) <= 1
+        self.verdict = "PASS" if self.stable else "FAIL"
+
+    def to_json(self) -> dict:
+        """The trace as a report writes it: radius strings to sizes."""
+        return {str(r): n for r, n in sorted(self.trace.items())}
 
 
 def entry_trace(entries, radius: int) -> dict:
@@ -83,36 +99,29 @@ def entry_trace(entries, radius: int) -> dict:
 
 
 def strictly_growing_suffix(trace: dict, radius: int) -> bool:
-    tail_radii = [r for r in range(radius - ceil_half(radius), radius + 1) if r in trace]
-    return all(
-        trace[a] < trace[b] for a, b in zip(tail_radii, tail_radii[1:])
-    ) and len(tail_radii) >= 2
+    """Does the tail a ``Reading`` reads grow strictly, over two radii or more?"""
+    tail = Reading(trace, radius).tail
+    return len(tail) >= 2 and all(a < b for a, b in zip(tail, tail[1:]))
 
 
 class Membership:
     """Is ``family`` bounded in ``structure``, as far as the window tells?
 
     ``elements`` is the witness set at the final radius, in canonical order
-    when bounded and unordered otherwise, and ``trace`` maps each radius to
-    its size.  A bounded family reports its witness, an unbounded one its
-    tag."""
+    when bounded and unordered otherwise.  ``reading`` reads its size trace:
+    ``trace``, ``bounded`` and ``verdict`` are read off it.  A bounded family
+    reports its witness, an unbounded one its tag."""
 
-    def __init__(
-        self,
-        structure: str,
-        family: str,
-        group: groups.GroupSpec,
-        elements,
-        trace: dict,
-        bounded: bool,
-    ):
+    def __init__(self, structure: str, family: str, group: groups.GroupSpec, elements, reading: Reading):
         self.structure = structure
         self.family = family
         self.group = group  # group the witness elements live in
         self.elements = elements
-        self.trace = trace
-        self.bounded = bounded
-        self.verdict = "PASS" if bounded else "FAIL"
+        self.reading = reading
+
+    trace = property(lambda self: self.reading.trace)
+    bounded = property(lambda self: self.reading.stable)
+    verdict = property(lambda self: self.reading.verdict)
 
     def to_json(self) -> dict:
         out = {"structure": self.structure, "verdict": self.verdict}
@@ -120,7 +129,7 @@ class Membership:
             out["witness"] = [self.group.serialize(g) for g in self.elements]
         else:
             out["family"] = self.family
-        out["trace"] = {str(r): n for r, n in sorted(self.trace.items())}
+        out["trace"] = self.reading.to_json()
         return out
 
 
@@ -136,7 +145,7 @@ def side_witness(side: str, spec: groups.GroupSpec, fam: FiniteFamily) -> Member
     out: set = set()
     fold_witness(out, side, spec, fam.members)
     return Membership(
-        f"{side}-group({spec.label()})", "", spec, groups.canonical_sorted(spec, out), {}, True
+        f"{side}-group({spec.label()})", "", spec, groups.canonical_sorted(spec, out), Reading({}, 0)
     )
 
 

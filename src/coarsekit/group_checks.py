@@ -33,12 +33,7 @@ from itertools import accumulate
 
 from . import groups
 from .errors import InvalidRadiusError, WindowTooSmallError
-from .families import (
-    ceil_half,
-    shape_translate_family,
-    trace_stabilizes,
-    translate_pair_family,
-)
+from .families import Reading, ceil_half, shape_translate_family, translate_pair_family
 from .maps import Certificate, inclusion_z_to_dih, surjective_equivalence_check
 from .spaces import GroupSpace
 from .structures import LeftGroupStructure, RightGroupStructure
@@ -56,10 +51,10 @@ def _battery(spec: groups.GroupSpec, radius: int) -> tuple[list, list]:
     return battery, [a for i, a in enumerate(battery) if index[spec.inv(a)] >= i]
 
 
-def _class_trace(spec: groups.GroupSpec, seeds, radius: int) -> dict:
-    """r -> |C_D(r)| for r <= radius, D the seeds (L7)."""
+def _class_trace(spec: groups.GroupSpec, seeds, radius: int) -> Reading:
+    """The Reading of r -> |C_D(r)| for r <= radius, D the seeds (L7)."""
     layers = zip(range(radius + 1), groups.conjugacy_layers(spec, seeds))
-    return dict(enumerate(accumulate(len(new) for _, new in layers)))
+    return Reading(dict(enumerate(accumulate(len(new) for _, new in layers))), radius)
 
 
 def fc_test(spec: groups.GroupSpec, radius: int) -> Certificate:
@@ -72,20 +67,20 @@ def fc_test(spec: groups.GroupSpec, radius: int) -> Certificate:
     battery, firsts = _battery(spec, radius)
     bound = 0
     for a in firsts:
-        trace = _class_trace(spec, (a,), radius)
-        if not trace_stabilizes(trace, radius):
+        reading = _class_trace(spec, (a,), radius)
+        if not reading.stable:
             return Certificate(
                 check="fc",
-                verdict="FAIL",
+                verdict=reading.verdict,
                 radius=radius,
                 data={
                     "group": spec.label(),
                     "witness": spec.serialize(a),
-                    "trace": {str(r): n for r, n in trace.items()},
+                    "trace": reading.to_json(),
                 },
                 notes=[f"conjugacy window of {spec.serialize(a)} keeps growing"],
             )
-        bound = max(bound, trace[radius])
+        bound = max(bound, reading.trace[radius])
     return Certificate(
         check="fc",
         verdict="PASS",
@@ -114,8 +109,8 @@ def compare_left_right(spec: groups.GroupSpec, radius: int) -> Certificate:
     battery, firsts = _battery(spec, radius)
     for a in firsts:
         seeds = (one, a, inv(a))
-        trace = _class_trace(spec, seeds, radius)
-        if trace_stabilizes(trace, radius):
+        reading = _class_trace(spec, seeds, radius)
+        if reading.stable:
             continue
         left, right = LeftGroupStructure(spec), RightGroupStructure(spec)
         tag = translate_pair_family(left.space, a, "left").tag
@@ -128,7 +123,7 @@ def compare_left_right(spec: groups.GroupSpec, radius: int) -> Certificate:
                 "witness": spec.serialize(a),
                 "family": tag,
                 "failing_structure": left.label,
-                "growing_trace": {str(r): n for r, n in trace.items()},
+                "growing_trace": reading.to_json(),
                 "bounded_structure": right.label,
                 "bounded_witness": [
                     spec.serialize(g) for g in groups.canonical_sorted(spec, seeds)
@@ -165,19 +160,18 @@ def multiplication_bornologous_check(spec: groups.GroupSpec, radius: int) -> Cer
     checked = []
     for F in batteries:
         Ftag = "[" + ",".join(spec.serialize(f) for f in F) + "]"
-        trace = _class_trace(spec, {mul(inv(f), f2) for f in F for f2 in F}, radius)
-        bounded = trace_stabilizes(trace, radius)
-        checked.append({"F": Ftag, "bounded": bounded})
-        if not bounded:
-            failure = (F, trace)
+        reading = _class_trace(spec, {mul(inv(f), f2) for f in F for f2 in F}, radius)
+        checked.append({"F": Ftag, "bounded": reading.stable})
+        if not reading.stable:
+            failure = (F, reading)
             break
 
     comparison = compare_left_right(spec, radius)
     data = {"group": spec.label()}
     if failure is not None:
-        F, trace = failure
+        F, reading = failure
         data["family"] = shape_translate_family(GroupSpace(spec), F, "right").tag
-        data["growing_trace"] = {str(r): n for r, n in trace.items()}
+        data["growing_trace"] = reading.to_json()
     data.update(checked=checked, left_right_verdict=comparison.verdict,
                 cross_check_agrees=(failure is None) == (comparison.verdict == "EQUAL"))
     return Certificate(

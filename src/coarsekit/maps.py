@@ -28,7 +28,7 @@ from .errors import (
     SurjectivityError,
     WindowOverflowError,
 )
-from .families import ParamFamily, image_family, trace_stabilizes
+from .families import ParamFamily, Reading, image_family
 from .spaces import GroupSpace, Preimages
 from .structures import CoarseStructure, bounded_battery, membership_window
 
@@ -227,31 +227,24 @@ def check_bornologous(
 def check_coarsely_proper(m: MapWindow, radius: int) -> Certificate:
     """Do preimages of bounded target test sets stop growing with the window?"""
     fibres = m.fibres
-    traces = {}
+    readings = {}
     for y in fibres.image(1):
         for mesh in PROPER_TEST_MESHES:
             U = set(m.target.bounded_neighborhood(y, mesh))
             tag = f"nbhd({m.target.space.serialize(y)},{mesh})"
-            traces[tag] = trace = fibres.trace(U, radius)
-            if not trace_stabilizes(trace, radius):
+            readings[tag] = reading = Reading(fibres.trace(U, radius), radius)
+            if not reading.stable:
                 return Certificate(
                     check="coarsely-proper",
-                    verdict="FAIL",
+                    verdict=reading.verdict,
                     radius=radius,
-                    data={
-                        "map": m.name,
-                        "test_set": tag,
-                        "trace": {str(r): n for r, n in trace.items()},
-                    },
+                    data={"map": m.name, "test_set": tag, "trace": reading.to_json()},
                 )
     return Certificate(
         check="coarsely-proper",
         verdict="PASS",
         radius=radius,
-        data={
-            "map": m.name,
-            "traces": {t: {str(r): n for r, n in tr.items()} for t, tr in traces.items()},
-        },
+        data={"map": m.name, "traces": {t: rd.to_json() for t, rd in readings.items()}},
     )
 
 

@@ -23,11 +23,11 @@ from .errors import CoarseKitError, PreconditionError
 from .families import (
     Membership,
     ParamFamily,
+    Reading,
     ShapeTranslates,
     fold_witness,
     member_witness,
     shape_translate_family,
-    trace_stabilizes,
     translate_pair_family,
 )
 from .spaces import GroupSpace
@@ -197,10 +197,9 @@ def membership_window(structure: CoarseStructure, pf: ParamFamily, radius: int):
     contributes at the radius where it first appears (see
     ``CoarseStructure``).  If a member is refused, the error raised is
     the one for the least new member of that radius, whatever order the
-    growth came in.  Returns the family's ``Membership``: bounded when the
-    size trace is constant over the final ceil(radius/2) radii.  Only a
-    bounded witness is reported, so only then are its elements put in
-    canonical order.
+    growth came in.  Returns the family's ``Membership``, whose verdict is
+    the ``Reading`` of the size trace at ``radius``.  Only a bounded witness
+    is reported, so only then are its elements put in canonical order.
     """
     read = structure.read_off(pf.grow, radius)
     if read is not None:
@@ -221,9 +220,9 @@ def membership_window(structure: CoarseStructure, pf: ParamFamily, radius: int):
                 raise
             trace[r] = len(witness)
     group = structure.witness_group()
-    bounded = trace_stabilizes(trace, radius)
-    elements = groups.canonical_sorted(group, witness) if bounded else frozenset(witness)
-    return Membership(structure.label, pf.tag, group, elements, trace, bounded)
+    reading = Reading(trace, radius)
+    elements = groups.canonical_sorted(group, witness) if reading.stable else frozenset(witness)
+    return Membership(structure.label, pf.tag, group, elements, reading)
 
 
 def bounded_battery(structure: CoarseStructure, radius: int, seed: int, n_random: int):

@@ -44,7 +44,7 @@ from .errors import (
     ResourceLimitError,
     WindowOverflowError,
 )
-from .families import entry_trace, trace_stabilizes
+from .families import Reading, entry_trace
 from .maps import Certificate, MapWindow, check_bornologous, check_coarsely_proper
 
 DEFAULT_COVER_CAP = 64
@@ -191,7 +191,7 @@ def compute_transfer_sets(alpha: MapWindow, F, radius: int) -> dict:
             enters = _union(singletons(alpha, key, src_radius), key)
             vals = groups.canonical_sorted(valued, enters)
             trace = entry_trace(enters.values(), src_radius)
-            stable = trace_stabilizes(trace, src_radius)
+            stable = Reading(trace, src_radius).stable
         rec.update({half: vals, f"{half}_trace": trace, f"{half}_stable": stable})
     return rec
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 
 from coarsekit import groups
-from coarsekit.actions import BATTERY_SHAPES, _Orbit, translates_family
+from coarsekit.actions import BATTERY_SHAPES, translates_family
 from coarsekit.errors import MalformedElementError, SearchFailureError, WindowOverflowError
 from coarsekit.families import (
     ParamFamily,
+    Reading,
     ceil_half,
     shape_translate_family,
-    trace_stabilizes,
     translate_pair_family,
 )
 from coarsekit.maps import Certificate
@@ -196,7 +196,7 @@ def ref_membership_window(side: str, spec, pf, radius: int) -> tuple:
                 seen.add(m)
                 witness |= ref_member_witness(side, spec, m)
         trace[r] = len(witness)
-    if trace_stabilizes(trace, radius):
+    if Reading(trace, radius).stable:
         return "PASS", trace, groups.canonical_sorted(spec, witness)
     return "FAIL", trace, frozenset(witness)
 
@@ -217,7 +217,7 @@ def ref_snapshot_window(side: str, spec, snapshot, radius: int) -> tuple:
             witness |= ref_member_witness(side, spec, m)
         prev = cur
         trace[r] = len(witness)
-    if trace_stabilizes(trace, radius):
+    if Reading(trace, radius).stable:
         return "PASS", trace, groups.canonical_sorted(spec, witness)
     return "FAIL", trace, frozenset(witness)
 
@@ -878,7 +878,7 @@ def ref_fc_test(spec, radius: int) -> Certificate:
         for r, pairs in enumerate(spheres):
             seen.update([mul(mul(ig, a), g) for ig, g in pairs])
             trace[r] = len(seen)
-        if not trace_stabilizes(trace, radius):
+        if not Reading(trace, radius).stable:
             return Certificate(
                 check="fc",
                 verdict="FAIL",
@@ -1027,20 +1027,12 @@ CONTROLLED_ROUTE_RADIUS = 6  # the greatest radius of the controlled-set route
 
 
 def _pieces_family(pf: ParamFamily) -> ParamFamily:
-    """r -> the one and two point subsets of the members of pf at radius r.
-
-    The pieces of an orbit {g.S} are the orbit of the pieces of its seeds at
-    the same scale, since g.{u, v} = {g.u, g.v}."""
-    tag = f"pieces({pf.tag})"
-    orbit = pf.grow
-    if isinstance(orbit, _Orbit):
-        seeds = tuple(dict.fromkeys(frozenset((u, v)) for S in orbit.seeds for u in S for v in S))
-        return ParamFamily(tag=tag, space=pf.space, grow=_Orbit(orbit.action, seeds, orbit.scale))
+    """r -> the one and two point subsets of the members of pf at radius r."""
 
     def grow(r: int):
         return ((u, v) for m in pf.grow(r) for u in m for v in m)
 
-    return ParamFamily(tag=tag, space=pf.space, grow=grow)
+    return ParamFamily(tag=f"pieces({pf.tag})", space=pf.space, grow=grow)
 
 
 def ref_uniformly_bornologous_action_check(action, struct, radius: int, seed: int = 0) -> Certificate:
@@ -1056,7 +1048,7 @@ def ref_uniformly_bornologous_action_check(action, struct, radius: int, seed: in
         res_a = membership_window(struct, translates_family(action, pf, f"translates({pf.tag})"), radius)
         rb_pf = translates_family(action, _pieces_family(pf), f"controlled({pf.tag})")
         res_b = membership_window(struct, rb_pf, rb)
-        agree = trace_stabilizes({r: res_a.trace[r] for r in range(rb + 1)}, rb) == res_b.bounded
+        agree = Reading({r: res_a.trace[r] for r in range(rb + 1)}, rb).stable == res_b.bounded
         data = {"action": action.name, "structure": struct.label}
         if not res_a.bounded:
             data.update(counterexample=res_a.to_json(), controlled_route_agrees=agree)

@@ -363,7 +363,7 @@ class TestInducedSecond:
         for pf in battery:
             membership_window(struct, pf, radius)
         assert applied == []
-        seeds = {frozenset(S) for pf in battery for S in pf.grow.seeds}
+        seeds = {frozenset(pf.grow.seed) for pf in battery}
         assert len(seeds) < len(battery)  # some F_i.U repeat
         for pf in battery:
             membership_window(struct, translates_family(action, pf, f"translates({pf.tag})"), radius)

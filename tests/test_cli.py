@@ -103,6 +103,7 @@ class TestActionCheck:
         stab = next(c for c in json.loads(out)["checks"] if c["check"] == "stabilizer")
         assert stab["data"]["trace"] == {"0": 1, "1": 3, "2": 5, "3": 7, "4": 9, "5": 11, "6": 11}
         assert stab["verdict"] == "FAIL"
+        assert set(stab) == {"check", "verdict", "radius", "data"}
         assert code == 1
 
     def test_set_names_tuple_elements(self):

@@ -3,8 +3,10 @@ import pytest
 import oracles
 from coarsekit import groups
 from coarsekit.families import (
+    MIN_VERDICT_RADIUS,
     ControlledSet,
     ParamFamily,
+    Reading,
     ceil_half,
     compose_controlled,
     controlled_to_family,
@@ -18,7 +20,6 @@ from coarsekit.families import (
     star,
     star_family,
     strictly_growing_suffix,
-    trace_stabilizes,
     translate_pair_family,
 )
 from coarsekit.spaces import GroupSpace
@@ -167,13 +168,21 @@ class TestTraces:
         assert [ceil_half(r) for r in range(6)] == [0, 1, 1, 2, 2, 3]
 
     def test_stabilizes_needs_constant_tail(self):
-        assert trace_stabilizes({0: 1, 1: 2, 2: 2, 3: 2, 4: 2}, 4)
-        assert not trace_stabilizes({0: 1, 1: 2, 2: 2, 3: 2, 4: 3}, 4)
+        assert Reading({0: 1, 1: 2, 2: 2, 3: 2, 4: 2}, 4).stable
+        assert not Reading({0: 1, 1: 2, 2: 2, 3: 2, 4: 3}, 4).stable
 
     def test_growing_suffix(self):
         assert strictly_growing_suffix({0: 1, 1: 2, 2: 3, 3: 4, 4: 5}, 4)
         assert not strictly_growing_suffix({0: 1, 1: 2, 2: 3, 3: 3, 4: 3}, 4)
         assert not strictly_growing_suffix({0: 1}, 0)  # one radius shows no growth
+        # at R = 4 both read the tail 5, 6: it grows, so it is not stable
+        trace = {0: 1, 1: 3, 2: 5, 3: 5, 4: 6}
+        assert strictly_growing_suffix(trace, 4) and not Reading(trace, 4).stable
+
+    def test_min_verdict_radius_is_the_first_tail_of_two_values(self):
+        tails = [Reading(dict.fromkeys(range(R + 1), 0), R).tail for R in range(MIN_VERDICT_RADIUS + 1)]
+        assert all(len(tail) <= 1 for tail in tails[:-1])
+        assert len(tails[-1]) == 2
 
 
 class TestParamFamilies:

@@ -15,7 +15,7 @@ import pytest
 import oracles
 from coarsekit import groups
 from coarsekit.cli import parse_map_dsl
-from coarsekit.families import ParamFamily, entry_trace, trace_stabilizes
+from coarsekit.families import ParamFamily, Reading, entry_trace
 from coarsekit.maps import (
     MapWindow,
     _preimage_family,
@@ -99,7 +99,7 @@ def test_coarsely_proper_traces_match_scan(name):
             trace = oracles.scan_proper_trace(m, U, radius)
             tag = f"nbhd({m.target.space.serialize(y)},{mesh})"
             expect[tag] = {str(r): n for r, n in trace.items()}
-            if failed is None and not trace_stabilizes(trace, radius):
+            if failed is None and not Reading(trace, radius).stable:
                 failed = tag
     if failed is None:
         assert cert.passed

@@ -171,7 +171,7 @@ class TestRandomShapes:
                     assert groups.word_length(DIH, diff) <= 4
 
 
-# every window verdict is read by trace_stabilizes, which refuses a negative
+# every window verdict is a families.Reading, which refuses a negative
 # radius: the empty window there would read as a vacuous PASS
 NEGATIVE_RADIUS_CALLS = {
     "membership_window": lambda r: membership_window(
