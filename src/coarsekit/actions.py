@@ -15,8 +15,8 @@ the space is certified by ``coarse_action_certificate``.
 
 One index, ``_cover_index(action, U)``, answers every "which h of length
 <= r puts y in h.U" question: the cover constants, the stabilizer and
-point-finite traces, the induced contributions, and the gap and selections
-of ``commuting_equivalence``.
+point-finite traces, the induced contributions, and the gap, selections
+and star refinement of ``commuting_equivalence``.
 
 A translation action by isometries of a group structure (its own side, or
 either side of an abelian group: ``GroupStructure.translations_isometric``)
@@ -42,9 +42,6 @@ from .families import (
     Reading,
     ShapeTranslates,
     entry_trace,
-    finite_family,
-    refines,
-    star_family,
 )
 from .maps import Certificate, MapWindow, surjective_equivalence_check, check_bornologous, table_map
 from .spaces import FiniteSpace, GroupSpace, Preimages
@@ -426,6 +423,13 @@ class ActionInducedStructure(CoarseStructure):
         # -(-s // c) is the radius where the orbit grows sphere s
         enters = {e: -(-s // c) for e, s in firsts.items() if s <= c * radius}
         return set(enters), entry_trace(enters.values(), radius)
+
+    def stars(self, y, r: int) -> set:
+        """The h0 in Ball(r) whose star of translates {h.U : h in Ball(r)}
+        holds y: the covers of the points of y's covers (y is in an h.U that
+        meets h0.U).  Points share a star exactly when their stars meet."""
+        index = self.index
+        return {k for h in index.get(y, r) for z in index.keys(h) for k in index.get(z, r)}
 
     def bounded_neighborhood(self, y, mesh: int) -> tuple:
         G = self.action.group
@@ -833,10 +837,11 @@ def commuting_equivalence(
     psi sends h to the least g1 with h^-1.x0 inside g1.U; phi is symmetric.
     The certificate checks both are bornologous and that the compositions
     are close to the identities, with orbit closeness refining the star
-    family of translates of U.  Commutation is read for g, h in
-    Ball(ACTION_LAW_DEPTH) at window(d), d the larger ``law_depth``: two
-    translation actions (d = 0) commute at every point when they commute
-    at the identity, by the cancellation behind their ``law_depth``."""
+    family of translates of U, read off the induced structures' ``stars``.
+    Commutation is read for g, h in Ball(ACTION_LAW_DEPTH) at window(d), d
+    the larger ``law_depth``: two translation actions (d = 0) commute at
+    every point when they commute at the identity, by the cancellation
+    behind their ``law_depth``."""
     if action1.space != action2.space:
         raise SpaceMismatchError("commuting actions must share their space")
     space = action1.space
@@ -912,23 +917,15 @@ def commuting_equivalence(
 
     # orbit closeness refines the star family of translates of U
     refine_data = {}
-    for act, G, outer, inner, tagname in (
-        (action1, G1, psi, phi, "psi.phi"),
-        (action2, G2, phi, psi, "phi.psi"),
+    for act, struct, outer, inner, tagname in (
+        (action1, struct1, psi, phi, "psi.phi"),
+        (action2, struct2, phi, psi, "phi.psi"),
     ):
-        translates = finite_family(
-            space,
-            (act.apply_set(g, U) for g in groups.ball(G, radius + slack).elements),
+        refine_data[tagname] = all(
+            struct.stars(act.apply(g, x0), radius + slack)
+            & struct.stars(act.apply(outer[inner[g]], x0), radius + slack)
+            for g in groups.ball(act.group, radius).elements
         )
-        starred = star_family(translates, translates)
-        pairs = finite_family(
-            space,
-            (
-                (act.apply(g, x0), act.apply(outer[inner[g]], x0))
-                for g in groups.ball(G, radius).elements
-            ),
-        )
-        refine_data[tagname] = refines(pairs, starred)
     refine_ok = all(refine_data.values())
 
     verdict = "PASS" if (

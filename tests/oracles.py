@@ -18,7 +18,10 @@ from coarsekit.families import (
     ParamFamily,
     Reading,
     ceil_half,
+    finite_family,
+    refines,
     shape_translate_family,
+    star_family,
     translate_pair_family,
 )
 from coarsekit.maps import Certificate
@@ -1060,3 +1063,20 @@ def ref_uniformly_bornologous_action_check(action, struct, radius: int, seed: in
         results[pf.tag] = {"direct": res_a.to_json(), "controlled_route_agrees": agree}
     return Certificate(check="uniformly-bornologous", verdict="PASS", radius=radius,
                        data={"action": action.name, "structure": struct.label, "families": results})
+
+
+# ---------------------------------------------------------------------------
+# the star refinement with every translate built
+
+def ref_refines_star(action, U, radius: int):
+    """pairs -> whether every pair sits in one star of the translates
+    {g.U : g in Ball(radius)}, by the family route ``commuting_equivalence``
+    once took: the translates as a canonical family, its star family with
+    itself, and the pairs as a family asked to refine it."""
+    space = action.space
+    translates = finite_family(
+        space,
+        (action.apply_set(g, U) for g in groups.ball(action.group, radius).elements),
+    )
+    starred = star_family(translates, translates)
+    return lambda pairs: refines(finite_family(space, pairs), starred)

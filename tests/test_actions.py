@@ -1,11 +1,15 @@
 """Action checks: stabilizers, uniform bornologousness, coboundedness, the
 induced structure, action certificates, and commuting pairs."""
 
+import sys
+
 import pytest
 
 import oracles
-from coarsekit import actions, groups, structures
+from freeze_golden import COMMANDS, GOLDEN_DIR, render
+from coarsekit import actions, cli, groups, structures
 from coarsekit.actions import (
+    ActionInducedStructure,
     Hom,
     TranslationAction,
     cb_elements,
@@ -492,6 +496,51 @@ class TestCommuting:
         action = trivial_action(one, GroupSpace(one))
         cert = commuting_equivalence(action, action, (0,), 0, 4)
         assert cert.verdict == "PASS"
+
+    def test_star_refinement_builds_no_family(self, monkeypatch):
+        """The star refinement reads the cover index: with every family
+        builder refused, the reports keep their bytes and exit codes."""
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a family was built")
+
+        modules = [m for name, m in sys.modules.items() if name.startswith("coarsekit.")]
+        for module in modules:
+            for name in ("finite_family", "star_family", "refines"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refused)
+        assert render(COMMANDS["commuting-8"]) == (GOLDEN_DIR / "commuting-8.json").read_text()
+        probe = ["commuting", "--action1", "left(F(2))", "--action2", "right(F(2))", "--set", "1"]
+        assert cli.main(probe + ["--radius", "3"]) == 1
+
+
+# action, U: translations through the identity on both sides, the rotation
+# subgroup on DihInf and the even translations of Z
+STAR_CASES = [
+    *[
+        (TranslationAction(identity_hom(groups.parse_group_spec(text)), side), None)
+        for text in ("Z", "Z^2", "DihInf", "product(Z,DihInf)", "F(2)")
+        for side in ("left", "right")
+    ],
+    (z_on_dih_left(), (ONE, T)),
+    (left_translation(power_hom(2)), (0, 1)),
+]
+
+
+class TestStarRefinement:
+    @pytest.mark.parametrize("action,U", STAR_CASES, ids=[a.name for a, _ in STAR_CASES])
+    def test_stars_meet_exactly_when_the_family_route_refines(self, action, U):
+        """A pair sits in one star of the translates of U over Ball(3)
+        exactly when the stars of its points meet.  Near pairs (a, a*s) and
+        far ones (a in window(1), b in window(4)) give both answers."""
+        space, G = action.space, action.space.spec
+        U = U or space.window(1)[:2]  # the identity and a generator
+        struct, refined = ActionInducedStructure(action, U), oracles.ref_refines_star(action, U, 3)
+        pairs = [(a, G.mul(a, s)) for a in space.window(2) for s in G.generators()]
+        pairs += [(a, b) for a in space.window(1) for b in space.window(4)]
+        answers = [bool(struct.stars(a, 3) & struct.stars(b, 3)) for a, b in pairs]
+        assert answers == [refined([pair]) for pair in pairs]
+        assert True in answers and False in answers
 
 
 class TestTranslateMapsAreBornologous:

@@ -100,6 +100,8 @@ UNREAD_PUBLIC = {
     "selection_map": "library API: the coarse inverse of an equivalence (README, coarse-maps)",
     "pullback_structure_equality": "perfbench trace target; README, coarse-maps",
     "compute_transfer_sets": "perfbench trace target",
+    "star_family": "library API (README coarse-core); perfbench span target",
+    "refines": "library API (README coarse-core); perfbench span target",
 }
 
 
