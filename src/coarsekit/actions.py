@@ -14,9 +14,11 @@ its growth is the trace.  The orbit map g -> g.x0 into a structure given on
 the space is certified by ``coarse_action_certificate``.
 
 One index, ``_cover_index(action, U)``, answers every "which h of length
-<= r puts y in h.U" question: the cover constants, the stabilizer and
-point-finite traces, the induced contributions, and the gap, selections
-and star refinement of ``commuting_equivalence``.
+<= r puts y in h.U" question.  An induced structure reads U's cover
+constant and stabilizer trace off one index, its contributions and the
+gap, selections and star refinement of ``commuting_equivalence`` off its
+own; ``stabilizer_window``, ``point_finite_check`` and each candidate U of
+the cobounded search build one for their set.
 
 A translation action by isometries of a group structure (its own side, or
 either side of an abelian group: ``GroupStructure.translations_isometric``)
@@ -50,6 +52,7 @@ from .structures import (
     GroupStructure,
     LeftGroupStructure,
     bounded_battery,
+    first_unbounded,
     membership_window,
     random_shapes,
 )
@@ -575,76 +578,47 @@ def uniformly_bornologous_action_check(
         and isinstance(struct, GroupStructure)
         and struct.translations_isometric(action.side)
     )
-    results = {}
-    for pf, base in bounded_battery(struct, radius, seed, BATTERY_SHAPES):
-        res = base if isometric else membership_window(
+    taken, bad = first_unbounded(
+        (pf.tag, base if isometric else membership_window(
             struct, translates_family(action, pf, f"translates({pf.tag})"), radius
-        )
-        if not res.bounded:
-            return Certificate(
-                check="uniformly-bornologous",
-                verdict="FAIL",
-                radius=radius,
-                data={
-                    "action": action.name,
-                    "structure": struct.label,
-                    "counterexample": res.to_json(),
-                    "controlled_route_agrees": True,
-                },
-            )
-        results[pf.tag] = {"direct": res.to_json(), "controlled_route_agrees": True}
-    return Certificate(
-        check="uniformly-bornologous",
-        verdict="PASS",
-        radius=radius,
-        data={"action": action.name, "structure": struct.label, "families": results},
+        ))
+        for pf, base in bounded_battery(struct, radius, seed, BATTERY_SHAPES)
     )
+    data = {"action": action.name, "structure": struct.label}
+    if bad is not None:
+        data.update(counterexample=taken[-1][1].to_json(), controlled_route_agrees=True)
+    else:
+        data["families"] = {t: {"direct": r.to_json(), "controlled_route_agrees": True} for t, r in taken}
+    return Certificate("uniformly-bornologous", "PASS" if bad is None else "FAIL", radius, data)
 
 
 # ---------------------------------------------------------------------------
 # coboundedness
 
-def cobounded_check(action: Action, radius: int, U: tuple | None = None) -> Certificate:
-    """Search (or verify) a bounded U with window(r) inside Ball(r+c).U.
+def _require_within_half(action: Action, mesh: int, radius: int) -> None:
+    """Refuse a covering U of mesh above radius/2: such a U fills the window,
+    so it covers under any action, the trivial one included."""
+    if 2 * mesh > radius:
+        raise WindowTooSmallError(
+            f"{action.name}: the covering U has mesh {mesh}, above radius/2 at radius "
+            f"{radius}, so it fills the window and its cobounded PASS shows nothing"
+        )
 
-    Search mode walks meshes 0..COBOUNDED_MESH_CAP, takes the first metric
+
+def cobounded_check(action: Action, radius: int) -> Certificate:
+    """Search a bounded U with window(r) inside Ball(r+c).U.
+
+    The search walks meshes 0..COBOUNDED_MESH_CAP, takes the first metric
     ball that covers with some constant c <= COVER_CONSTANT_CAP, then
     greedily prunes it from the largest element down, keeping the covering
-    property.  A PASS whose U has
-    mesh above radius/2 raises WindowTooSmallError: such a U fills the
-    window, so it covers under any action, the trivial one included."""
+    property.  A PASS whose ball has mesh above radius/2 raises
+    WindowTooSmallError (``_require_within_half``).  A U given in advance
+    is checked by ``induced_structure_second``."""
     space = action.space
     extents = [(y, space.extent(y)) for y in space.window(radius)]
 
     def constant(Ucand: tuple, cap: int) -> int | None:
         return _reach_excess(_cover_index(action, Ucand), extents, cap)
-
-    def passed(Ufound: tuple, mesh: int, c: int) -> Certificate:
-        if 2 * mesh > radius:
-            raise WindowTooSmallError(
-                f"{action.name}: the covering U has mesh {mesh}, above radius/2 at radius "
-                f"{radius}, so it fills the window and its cobounded PASS shows nothing"
-            )
-        return Certificate(
-            check="cobounded",
-            verdict="PASS",
-            radius=radius,
-            data={"action": action.name, "U": [space.serialize(u) for u in Ufound],
-                  "mesh": mesh, "constant": c},
-        )
-
-    if U is not None:
-        U = tuple(sorted(set(U), key=space.sort_key))
-        c = constant(U, COVER_CONSTANT_CAP)
-        if c is None:
-            return Certificate(
-                check="cobounded",
-                verdict="FAIL",
-                radius=radius,
-                data={"action": action.name, "U": [space.serialize(u) for u in U],
-                      "note": f"window not covered with constant <= {COVER_CONSTANT_CAP}"},
-            )
-        return passed(U, _mesh(space, U), c)
 
     base = space.window(0)[0]
     for mesh in range(COBOUNDED_MESH_CAP + 1):
@@ -663,7 +637,10 @@ def cobounded_check(action: Action, radius: int, U: tuple | None = None) -> Cert
             trial = tuple(v for v in kept if v != u)
             if constant(trial, c) is not None:
                 kept = list(trial)
-        return passed(tuple(sorted(kept, key=space.sort_key)), mesh, c)
+        _require_within_half(action, mesh, radius)
+        U = [space.serialize(u) for u in sorted(kept, key=space.sort_key)]
+        return Certificate("cobounded", "PASS", radius,
+                           {"action": action.name, "U": U, "mesh": mesh, "constant": c})
     return Certificate(
         check="cobounded",
         verdict="FAIL",
@@ -682,25 +659,38 @@ def induced_structure_second(
     U,
     radius: int,
 ) -> tuple[ActionInducedStructure, Certificate]:
-    """Structure generated by translates of a bounded covering set U."""
-    cb = cobounded_check(action, radius, U=tuple(U))
-    if not cb.passed:
-        raise PreconditionError(f"{action.name}: not cobounded with the given U: {cb.data}")
-    stabilizer = Reading(stabilizer_window(action, tuple(U), radius)[1], radius)
+    """Structure generated by translates of a bounded covering set U.
+
+    U's cover constant (the least c <= COVER_CONSTANT_CAP with window(r)
+    inside Ball(r+c).U) and its stabilizer trace are read off one cover
+    index of (action, U).  U is refused, in this order, when no such c
+    exists, when its mesh is above radius/2 (``_require_within_half``), and
+    when its stabilizer keeps growing."""
+    space = action.space
+    U = tuple(sorted(set(U), key=space.sort_key))
+    listed = [space.serialize(u) for u in U]
+    covers = _cover_index(action, U)
+    c = _reach_excess(covers, [(y, space.extent(y)) for y in space.window(radius)], COVER_CONSTANT_CAP)
+    if c is None:
+        found = {"action": action.name, "U": listed,
+                 "note": f"window not covered with constant <= {COVER_CONSTANT_CAP}"}
+        raise PreconditionError(f"{action.name}: not cobounded with the given U: {found}")
+    mesh = _mesh(space, U)
+    _require_within_half(action, mesh, radius)
+    stabilizer = Reading(covers.trace(U, radius), radius)
     if not stabilizer.stable:
         raise PreconditionError(
             f"{action.name}: stabilizer of U keeps growing, trace {sorted(stabilizer.trace.items())}"
         )
-    slack = _mesh(action.space, U) + cb.data["constant"] + 2
-    structure = ActionInducedStructure(action, U, slack=slack)
+    structure = ActionInducedStructure(action, U, slack=mesh + c + 2)
     cert = Certificate(
         check="induced-bounded-translates",
         verdict="PASS",
         radius=radius,
         data={
             "action": action.name,
-            "U": [action.space.serialize(u) for u in structure.U],
-            "cover_constant": cb.data["constant"],
+            "U": listed,
+            "cover_constant": c,
             "stabilizer_trace": stabilizer.to_json(),
         },
     )
@@ -718,7 +708,8 @@ class _OrbitMap(MapWindow):
     action law (g*s).x0 = g.(s.x0).  ``image`` returns it as that orbit, so
     an induced structure of the same action reads it off its orbit layers
     (``ActionInducedStructure.read_off``).  Any other family, or another
-    action, whose law is checked only on a window, keeps the image family."""
+    action, whose law is checked only on a window, keeps the image family.
+    Its ``window`` is the orbit, onto which the map is checked."""
 
     def __init__(self, action: Action, x0, target: CoarseStructure, slack: int):
         super().__init__(
@@ -742,6 +733,12 @@ class _OrbitMap(MapWindow):
         ):
             img.grow = _Orbit(action, tuple(map(self.rule, grow.shape)), 1)
         return img
+
+    def window(self, r: int) -> list:
+        """The orbit Ball(r).x0, in the order of each point's first acting
+        element, which the equivalence check covers: the orbit map is onto
+        its orbit, not onto the space."""
+        return self.fibres.image(r)
 
 
 def coarse_action_certificate(
@@ -796,23 +793,21 @@ def coarse_action_certificate(
 
     orbit_map = _OrbitMap(action, x0, struct, slack)
     orbit_cert = surjective_equivalence_check(
-        orbit_map, radius, cover_distance=0, seed=seed, n_random=BATTERY_SHAPES,
-        target_window=lambda r: orbit_map.fibres.image(r),
+        orbit_map, radius, cover_distance=0, seed=seed, n_random=BATTERY_SHAPES
     )
     data["orbit_map"] = orbit_cert.to_json()
 
     refine_struct = ActionInducedStructure(action, Ucb, slack=slack)
-    refinement = {}
-    refine_ok = True
-    for pf in struct.default_battery(seed=seed, n_random=BATTERY_SHAPES):
-        res = membership_window(refine_struct, pf, radius)
-        refinement[pf.tag] = res.to_json()
-        if not res.bounded:
-            refine_ok = False
-            break
-    data["refines_translates"] = {"verdict": "PASS" if refine_ok else "FAIL", "families": refinement}
+    taken, bad = first_unbounded(
+        (pf.tag, membership_window(refine_struct, pf, radius))
+        for pf in struct.default_battery(seed=seed, n_random=BATTERY_SHAPES)
+    )
+    data["refines_translates"] = {
+        "verdict": "PASS" if bad is None else "FAIL",
+        "families": {tag: res.to_json() for tag, res in taken},
+    }
 
-    verdict = "PASS" if (orbit_cert.passed and refine_ok) else "FAIL"
+    verdict = "PASS" if (orbit_cert.passed and bad is None) else "FAIL"
     return Certificate("coarse-action", verdict, radius, data)
 
 

@@ -473,15 +473,9 @@ def read_argv(argv: list):
     return args
 
 
-def build_parser(command: str | None = None):
-    """The parser for every subcommand, or for ``command`` alone when it names
-    one; ``main`` builds it only for argv that ``read_argv`` declines.
-
-    Each add_argument builds a HelpFormatter, so the full parser costs a CLI
-    call milliseconds that one subcommand's does not.  The one-command form
-    names every subcommand in its usage line, so its usage errors print the
-    same bytes.
-    """
+def build_parser():
+    """The parser for every subcommand; ``main`` builds it only for argv that
+    ``read_argv`` declines."""
     # imported here: argparse imports gettext, whose first lookup imports
     # locale, and together they cost more than a well-formed call's parse
     import argparse
@@ -491,11 +485,8 @@ def build_parser(command: str | None = None):
         description="window checks for coarse structures on finitely generated groups",
     )
     parser.add_argument("--version", action="version", version=f"coarsekit {__version__}")
-    names = [command] if command in SUBCOMMANDS else list(SUBCOMMANDS)
-    metavar = "{%s}" % ",".join(SUBCOMMANDS) if command in SUBCOMMANDS else None
-    sub = parser.add_subparsers(dest="_command", required=True, metavar=metavar)
-    for name in names:
-        help_text, flags = SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="_command", required=True)
+    for name, (help_text, flags) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in _COMMON + flags:
             p.add_argument(flag, **kwargs)
@@ -506,7 +497,7 @@ def main(argv=None) -> int:
     """Print one report for the command line argv; return its exit code.  A
     well-formed argv (``read_argv``) skips argparse, which parses the rest."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = read_argv(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
+    args = read_argv(argv) or build_parser().parse_args(argv)
     report = {"tool": {"name": "coarsekit", "version": __version__}, "command": args._command}
     # read now, not at import, so a wrapper patched onto a cmd_* after import runs
     handler = globals()["cmd_" + args._command.replace("-", "_")]

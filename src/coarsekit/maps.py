@@ -30,7 +30,7 @@ from .errors import (
 )
 from .families import ParamFamily, Reading, image_family
 from .spaces import GroupSpace, Preimages
-from .structures import CoarseStructure, bounded_battery, membership_window
+from .structures import CoarseStructure, bounded_battery, first_unbounded, membership_window
 
 DEFAULT_SOURCE_FACTOR = 2
 DEFAULT_SOURCE_SLACK = 2
@@ -69,6 +69,14 @@ class MapWindow:
         another growth of the same members may return that instead (the
         orbit map of ``actions.coarse_action_certificate`` does)."""
         return image_family(pf, self.rule, self.target.space, tag=f"{self.name}({pf.tag})")
+
+    def window(self, r: int):
+        """The target window the equivalence check covers at radius r: the
+        target space's window(r).  A map whose image is known to be smaller
+        may cover its image instead (the orbit map of
+        ``actions.coarse_action_certificate`` covers its orbit).  Either
+        lists the points of window(r - 1) first."""
+        return self.target.space.window(r)
 
 
 class Certificate:
@@ -205,23 +213,15 @@ def check_bornologous(
     n_random: int = 32,
 ) -> Certificate:
     """Do images of bounded families stay bounded in the target?"""
-    results = {}
-    for pf, _ in bounded_battery(m.source, radius, seed, n_random):
-        res = membership_window(m.target, m.image(pf), radius)
-        if not res.bounded:
-            return Certificate(
-                check="bornologous",
-                verdict="FAIL",
-                radius=radius,
-                data={"map": m.name, "counterexample": res.to_json()},
-            )
-        results[pf.tag] = res.to_json()
-    return Certificate(
-        check="bornologous",
-        verdict="PASS",
-        radius=radius,
-        data={"map": m.name, "witnesses": results},
+    taken, bad = first_unbounded(
+        (pf.tag, membership_window(m.target, m.image(pf), radius))
+        for pf, _ in bounded_battery(m.source, radius, seed, n_random)
     )
+    if bad is not None:
+        data = {"map": m.name, "counterexample": taken[-1][1].to_json()}
+    else:
+        data = {"map": m.name, "witnesses": {tag: res.to_json() for tag, res in taken}}
+    return Certificate("bornologous", "PASS" if bad is None else "FAIL", radius, data)
 
 
 def check_coarsely_proper(m: MapWindow, radius: int) -> Certificate:
@@ -295,13 +295,15 @@ def surjective_equivalence_check(
     cover_distance: int = 0,
     seed: int = 0,
     n_random: int = 32,
-    target_window: Callable[[int], tuple] | None = None,
 ) -> Certificate:
     """Certify a coarse equivalence through the surjective criterion.
 
-    The target window at the top radius must be covered by the image up to
-    ``cover_distance`` (0 demands genuine surjectivity on the window and
-    raises otherwise).  On success the certificate stores the canonical
+    The map's window at the top radius (``MapWindow.window``: the target
+    space's window, or the orbit for an orbit map) must be covered by the
+    image up to ``cover_distance`` (0 demands genuine surjectivity on the
+    window and raises otherwise).  Bornologous, coarsely proper, then the
+    preimages of the target battery are read, each battery up to its first
+    unbounded family.  On success the certificate stores the canonical
     coarse inverse: every window element is sent to the least preimage of
     the nearest covered point.
     """
@@ -312,7 +314,7 @@ def surjective_equivalence_check(
     # once per check; the memo ends with the check, not with the map
     get = m.fibres.get
     fibre = cache(lambda y: get(y, source_radius))
-    window = target_window(radius) if target_window else m.target.space.window(radius)
+    window = m.window(radius)
 
     selection: dict = {}
     src_key = m.source.space.sort_key
@@ -341,29 +343,22 @@ def surjective_equivalence_check(
     if not proper.passed:
         failures.append(proper)
 
-    preimage_results = {}
+    taken = []
     if not failures:
-        for pf, _ in bounded_battery(m.target, radius, seed, n_random):
-            pre_pf = _preimage_family(m, pf, fibre)
-            res = membership_window(m.source, pre_pf, radius)
-            preimage_results[pf.tag] = res.to_json()
-            if not res.bounded:
-                failures.append(
-                    Certificate(
-                        check="preimage-bounded",
-                        verdict="FAIL",
-                        radius=radius,
-                        data={"family": pf.tag, "result": res.to_json()},
-                    )
-                )
-                break
+        taken, bad = first_unbounded(
+            (pf.tag, membership_window(m.source, _preimage_family(m, pf, fibre), radius))
+            for pf, _ in bounded_battery(m.target, radius, seed, n_random)
+        )
+        if bad is not None:
+            failures.append(Certificate("preimage-bounded", "FAIL", radius,
+                                        {"family": bad, "result": taken[-1][1].to_json()}))
 
     data: dict = {
         "map": m.name,
         "cover_distance": cover_distance,
         "bornologous": born.to_json(),
         "coarsely_proper": proper.to_json(),
-        "preimage_families": preimage_results,
+        "preimage_families": {tag: res.to_json() for tag, res in taken},
     }
 
     if failures:
@@ -375,12 +370,9 @@ def surjective_equivalence_check(
     sspace = m.source.space
 
     def mg_grow(r: int):
-        if target_window is None:
-            fresh = tspace.sphere(r)
-        else:
-            inner = set(target_window(r - 1)) if r else set()
-            fresh = [y for y in target_window(r) if y not in inner]
-        return ((m.rule(selection[y]), y) for y in fresh)
+        # window(r) lists window(r - 1) first: the points new at r are its suffix
+        inner = len(m.window(r - 1)) if r else 0
+        return ((m.rule(selection[y]), y) for y in m.window(r)[inner:])
 
     mg_pf = ParamFamily(tag="m.g vs id", space=tspace, grow=mg_grow)
     mg_res = membership_window(m.target, mg_pf, radius)
@@ -442,7 +434,7 @@ def pullback_structure_equality(
                 f"{m.name} is not onto the window: {m.target.space.serialize(y)} uncovered",
             )
 
-    def one_direction(a: CoarseStructure, b: CoarseStructure):
+    def reads(a: CoarseStructure, b: CoarseStructure):
         for pf, _ in bounded_battery(a, radius, 0, 32):
             # round trip through preimages: f(f^-1(B)) must reproduce B
             fam = pf.at(radius)
@@ -451,15 +443,12 @@ def pullback_structure_equality(
                     raise WindowOverflowError(
                         f"member of {pf.tag} leaves the covered window at radius {radius}"
                     )
-            res_b = membership_window(b, pf, radius)
-            if not res_b.bounded:
-                return pf.tag, res_b
-        return None, None
+            yield pf.tag, membership_window(b, pf, radius)
 
-    tag, res = one_direction(spec1, spec2)
+    taken, tag = first_unbounded(reads(spec1, spec2))
     direction = f"bounded in {spec1.label}, unbounded in {spec2.label}"
     if tag is None:
-        tag, res = one_direction(spec2, spec1)
+        taken, tag = first_unbounded(reads(spec2, spec1))
         direction = f"bounded in {spec2.label}, unbounded in {spec1.label}"
     if tag is None:
         return Certificate(
@@ -477,6 +466,6 @@ def pullback_structure_equality(
             "structures": [spec1.label, spec2.label],
             "separating_family": tag,
             "direction": direction,
-            "result": res.to_json(),
+            "result": taken[-1][1].to_json(),
         },
     )

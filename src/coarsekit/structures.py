@@ -234,3 +234,15 @@ def bounded_battery(structure: CoarseStructure, radius: int, seed: int, n_random
         if not res.bounded:
             raise PreconditionError(f"battery family {pf.tag} is not bounded in {structure.label}")
         yield pf, res
+
+
+def first_unbounded(reads) -> tuple[list, str | None]:
+    """The (tag, Membership) pairs of ``reads`` up to and including the first
+    unbounded one, and that one's tag, or None when every pair is bounded.
+    ``reads`` is taken one pair at a time, so nothing after it is read."""
+    taken = []
+    for tag, res in reads:
+        taken.append((tag, res))
+        if not res.bounded:
+            return taken, tag
+    return taken, None

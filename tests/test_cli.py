@@ -15,7 +15,7 @@ import sys
 import pytest
 from freeze_golden import COMMANDS, GOLDEN_DIR
 
-from coarsekit import cli
+from coarsekit import actions, cli, structures
 
 
 def run_cli(argv):
@@ -135,6 +135,68 @@ class TestActionCheck:
         )
         assert code == 0
         assert json.loads(out)["checks"][0]["data"]["U"] == ["(0,0)"]
+
+
+def _error_report(code, message):
+    report = {"command": "commuting", "error": {"code": code, "message": message},
+              "tool": {"name": "coarsekit", "version": cli.__version__}}
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+class TestInducedRefusals:
+    """The induced structure of ``commuting`` refuses a U in this order:
+    not covered, mesh above radius/2, then a growing stabilizer."""
+
+    def test_u_that_does_not_cover(self):
+        code, out = run_cli(["commuting", "--action1", "left(Z)", "--action2", "right(Z)",
+                             "--set", "5", "--radius", "8"])
+        assert code == 2
+        assert out == _error_report(
+            "precondition-violation",
+            "left(Z via identity): not cobounded with the given U: {'action': 'left(Z via "
+            "identity)', 'U': ['5'], 'note': 'window not covered with constant <= 4'}",
+        )
+
+    def test_u_that_fills_the_window(self):
+        code, out = run_cli(["commuting", "--action1", "left(Z)", "--action2", "right(Z)",
+                             "--set", "0,4", "--radius", "6"])
+        assert code == 2
+        assert out == _error_report(
+            "window-too-small",
+            "left(Z via identity): the covering U has mesh 4, above radius/2 at radius 6, so "
+            "it fills the window and its cobounded PASS shows nothing",
+        )
+
+    def test_u_whose_stabilizer_keeps_growing(self):
+        code, out = run_cli(["commuting", "--action1", "trivial(Z on point)",
+                             "--action2", "trivial(Z on point)", "--set", "pt", "--radius", "6"])
+        assert code == 2
+        assert out == _error_report(
+            "precondition-violation",
+            "trivial(Z on point): stabilizer of U keeps growing, trace [(0, 1), (1, 3), (2, 5), "
+            "(3, 7), (4, 9), (5, 11), (6, 13)]",
+        )
+
+
+def test_translate_check_stops_at_the_first_unbounded_family(monkeypatch):
+    # right translations of DihInf against its left structure: the third
+    # battery family, the t pair, is the first whose translates are
+    # unbounded, and no family after it is read, by the guard or the check
+    tags = []
+
+    def recording(read):
+        def wrapped(structure, pf, radius):
+            tags.append(pf.tag)
+            return read(structure, pf, radius)
+        return wrapped
+
+    monkeypatch.setattr(structures, "membership_window", recording(structures.membership_window))
+    monkeypatch.setattr(actions, "membership_window", recording(actions.membership_window))
+    code, out = run_cli(["svarc-milnor", "--action", "right(DihInf)", "--radius", "8"])
+    assert code == 1
+    assert out == (GOLDEN_DIR / "svarc-milnor-right-dihinf-8.json").read_text()
+    pairs = ["{{g, g*x}}", "{{g, g*x^-1}}", "{{g, g*t}}"]
+    assert tags == [t for p in pairs for t in (p, f"translates({p})")]
 
 
 class TestWindowTooSmall:
@@ -454,7 +516,7 @@ class TestParser:
         full = _exit_and_streams(cli.build_parser().parse_args, argv)
         assert _exit_and_streams(cli.main, argv) == full
 
-    def test_a_named_subcommand_builds_one_subparser(self, monkeypatch):
+    def test_argparse_builds_the_full_parser_only_when_the_reader_declines(self, monkeypatch):
         inits = []
         init = argparse.ArgumentParser.__init__
 
@@ -466,10 +528,10 @@ class TestParser:
         code, _ = run_cli(["fc", "--group", "Z", "--radius", "3"])
         assert code == 0
         assert inits == []  # read off SUBCOMMANDS
-        # an abbreviated flag is left to argparse, which builds one subparser
+        # an abbreviated flag is left to argparse, which builds every subparser
         code, out = run_cli(["commuting", "--rad", "8"])
         assert code == 0
-        assert inits == ["coarsekit", "coarsekit commuting"]
+        assert inits == ["coarsekit"] + [f"coarsekit {name}" for name in cli.SUBCOMMANDS]
         assert out == (GOLDEN_DIR / "commuting-8.json").read_text()
 
     def test_handler_is_read_when_the_parser_is_built(self, monkeypatch):
