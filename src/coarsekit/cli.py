@@ -10,11 +10,10 @@ same flags produces the same bytes.
 from __future__ import annotations
 
 import itertools
-import json
 import os
-import re
 import sys
 import types
+from _json import encode_basestring_ascii as _quote
 
 from . import __version__, groups
 from .actions import (
@@ -79,6 +78,19 @@ from .transfer import (
 
 # ---------------------------------------------------------------------------
 # small DSLs
+#
+# Read with str.partition, not re: a pattern is compiled on its first use in
+# the process, which costs more than a whole parse.  A body ``.+`` is a
+# nonempty text without a newline; an integer is ``\d+`` or ``-?\d+``, which
+# int() alone would widen to "+2", " 2" and "1_0".
+
+def _body(text: str) -> bool:
+    return bool(text) and "\n" not in text
+
+
+def _decimal(text: str, signed: bool = False) -> bool:
+    return (text[1:] if signed and text.startswith("-") else text).isdecimal()
+
 
 def parse_map_dsl(text: str, source: CoarseStructure, target: CoarseStructure):
     text = text.strip()
@@ -90,31 +102,27 @@ def parse_map_dsl(text: str, source: CoarseStructure, target: CoarseStructure):
         return squaring_map(source, target)
     if text == "inclusion":
         return inclusion_z_to_dih(source, target)
-    m = re.fullmatch(r"translate-(left|right):(.+)", text)
-    if m:
-        g = source.space.parse(m.group(2))
-        return translation_map(source, g, side=m.group(1), target=target)
-    m = re.fullmatch(r"power:(-?\d+)", text)
-    if m:
-        return power_map(source, target, int(m.group(1)))
-    m = re.fullmatch(r"floor-div:(\d+)", text)
-    if m:
-        return floor_div_map(source, target, int(m.group(1)))
-    m = re.fullmatch(r"mod:(\d+)", text)
-    if m:
-        return mod_map(source, target, int(m.group(1)))
-    m = re.fullmatch(r"constant:(.+)", text)
-    if m:
-        return constant_map(source, target, target.space.parse(m.group(1)))
+    head, _, body = text.partition(":")
+    if head in ("translate-left", "translate-right") and _body(body):
+        g = source.space.parse(body)
+        return translation_map(source, g, side=head[len("translate-"):], target=target)
+    if head == "power" and _decimal(body, signed=True):
+        return power_map(source, target, int(body))
+    if head == "floor-div" and _decimal(body):
+        return floor_div_map(source, target, int(body))
+    if head == "mod" and _decimal(body):
+        return mod_map(source, target, int(body))
+    if head == "constant" and _body(body):
+        return constant_map(source, target, target.space.parse(body))
     raise GroupParseError(text, 0, f"unknown map {text!r}")
 
 
 def parse_action_dsl(text: str) -> Action:
     text = text.strip()
-    m = re.fullmatch(r"(left|right|trivial)\((.*)\)", text)
-    if not m:
+    kind, _, body = text.partition("(")
+    if kind not in ("left", "right", "trivial") or not body.endswith(")") or "\n" in body:
         raise GroupParseError(text, 0, "action must be left(...), right(...) or trivial(...)")
-    kind, body = m.group(1), m.group(2).strip()
+    body = body[:-1].strip()
 
     if kind == "trivial":
         if " on " not in body:
@@ -146,23 +154,24 @@ def parse_action_dsl(text: str) -> Action:
             raise GroupParseError(text, 0, "x^n is the inclusion of Z into DihInf")
         hom = inclusion_hom()
     else:
-        mk = re.fullmatch(r"(-?\d+)n", hom_part)
-        if not mk or src != groups.Z or tgt != groups.Z:
+        k, n = hom_part[:-1], hom_part[-1:]
+        if n != "n" or not _decimal(k, signed=True) or src != groups.Z or tgt != groups.Z:
             raise GroupParseError(text, 0, f"unknown homomorphism {hom_part!r}")
-        hom = power_hom(int(mk.group(1)))
+        hom = power_hom(int(k))
 
     return left_translation(hom) if kind == "left" else right_translation(hom)
 
 
 def parse_family_dsl(text: str, spec: groups.GroupSpec):
     space = GroupSpace(spec)
-    m = re.fullmatch(r"edge-(left|right):(.+)", text.strip())
-    if m:
-        return translate_pair_family(space, space.parse(m.group(2)), m.group(1))
-    m = re.fullmatch(r"shape-(left|right):(.+)", text.strip())
-    if m:
-        shape = tuple(space.parse(p.strip()) for p in m.group(2).split(";"))
-        return shape_translate_family(space, shape, m.group(1))
+    head, _, body = text.strip().partition(":")
+    kind, _, side = head.partition("-")
+    if side in ("left", "right") and _body(body):
+        if kind == "edge":
+            return translate_pair_family(space, space.parse(body), side)
+        if kind == "shape":
+            shape = tuple(space.parse(p.strip()) for p in body.split(";"))
+            return shape_translate_family(space, shape, side)
     raise GroupParseError(text, 0, f"unknown family {text!r}")
 
 
@@ -186,7 +195,29 @@ def _config(args) -> dict:
     return out
 
 
+def _dumps(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for what a report
+    holds: dicts with str keys, lists, str, int, bool and None.  An indented
+    dump runs json's pure-Python encoder; this joins each container once."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        items = (f"{_quote(k)}: {_dumps(v, inner)}" for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if value else "{}"
+    if isinstance(value, list):
+        items = (_dumps(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if value else "[]"
+    raise TypeError(f"a report holds no {type(value).__name__}: {value!r}")
+
+
 def _print_table(report: dict) -> None:
+    import json
+
     print(f"coarsekit {report['tool']['version']}  command={report['command']}")
     if "error" in report:
         print(f"error [{report['error']['code']}]: {report['error']['message']}")
@@ -514,7 +545,7 @@ def main(argv=None) -> int:
         code = 0 if ok else 1
     try:
         if args.format == "json":
-            print(json.dumps(report, indent=2, sort_keys=True))
+            print(_dumps(report))
         else:
             _print_table(report)
         sys.stdout.flush()

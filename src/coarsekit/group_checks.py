@@ -25,11 +25,11 @@ identities fix the windows the checks read:
 
 By L6 and L7 each check grows the classes it needs one generator step at a
 time (``groups.conjugacy_layers``): a class costs its own size, not the ball.
+A class is read until its first empty layer, where it is closed: by L7 no
+later layer adds a conjugate, so its size holds out to the radius.
 """
 
 from __future__ import annotations
-
-from itertools import accumulate
 
 from . import groups
 from .errors import InvalidRadiusError, WindowTooSmallError
@@ -52,18 +52,28 @@ def _battery(spec: groups.GroupSpec, radius: int) -> tuple[list, list]:
 
 
 def _class_trace(spec: groups.GroupSpec, seeds, radius: int) -> Reading:
-    """The Reading of r -> |C_D(r)| for r <= radius, D the seeds (L7)."""
-    layers = zip(range(radius + 1), groups.conjugacy_layers(spec, seeds))
-    return Reading(dict(enumerate(accumulate(len(new) for _, new in layers))), radius)
+    """The Reading of r -> |C_D(r)| for r <= radius, D the seeds (L7).
+
+    The layers are read up to the first empty one, where the class closes:
+    by L7 every later layer is empty too, so the size reached there holds
+    out to radius."""
+    trace, size = {}, 0
+    for r, new in zip(range(radius + 1), groups.conjugacy_layers(spec, seeds)):
+        size = trace[r] = size + len(new)
+        if not new:
+            break
+    trace |= dict.fromkeys(range(len(trace), radius + 1), size)
+    return Reading(trace, radius)
 
 
 def fc_test(spec: groups.GroupSpec, radius: int) -> Certificate:
     """Do all conjugacy classes met by the half-ball stop growing?
 
     Walks Ball(radius/2) in canonical order and traces each class C_a(r) out
-    to the full radius, one generator step per radius (L7), stopping at the
-    first class that keeps growing.  (L3) a^-1 has the trace of a and is
-    not traced again when a came first; ``classes_tested`` still counts it."""
+    to the full radius, one generator step per radius (L7) until the class
+    closes, stopping at the first class that keeps growing.  (L3) a^-1 has
+    the trace of a and is not traced again when a came first;
+    ``classes_tested`` still counts it."""
     battery, firsts = _battery(spec, radius)
     bound = 0
     for a in firsts:

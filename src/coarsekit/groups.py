@@ -52,18 +52,21 @@ class GroupSpec(ABC):
     """A catalog group, with its arithmetic bound once.
 
     Each subclass's ``__init__`` rejects a bad rank or modulus, then calls
-    ``_bind`` with its constructor arguments and four closures: ``mul(a, b)``,
-    ``inv(g)``, ``length(g)`` (word length) and ``skey(g)`` (the structural
-    tie-break of the canonical order).  Hot loops bind them once
-    (``mul = spec.mul``).  Equality and hashing read the class and the
-    constructor arguments alone, never the closures: two specs built alike
-    are equal, hash alike and share one ball cache.  A class-level ``kind``
-    names the kind."""
+    ``_bind`` with its constructor arguments, its generating set and four
+    closures: ``mul(a, b)``, ``inv(g)``, ``length(g)`` (word length) and
+    ``skey(g)`` (the structural tie-break of the canonical order).  Hot loops
+    bind them once (``mul = spec.mul``).  The generators and their
+    (s^-1, s) steps are built once here.  Equality and hashing read the class
+    and the constructor arguments alone, never the closures: two specs built
+    alike are equal, hash alike and share one ball cache.  A class-level
+    ``kind`` names the kind."""
 
     def _bind(
-        self, args: tuple, mul: Callable, inv: Callable, length: Callable, skey: Callable
+        self, args: tuple, gens: tuple, mul: Callable, inv: Callable, length: Callable,
+        skey: Callable,
     ) -> None:
-        self._args = args
+        self._args, self._gens = args, gens
+        self._steps = tuple((inv(s), s) for s in gens)
         self.mul, self.inv, self.length, self.skey = mul, inv, length, skey
 
     def __eq__(self, other) -> bool:
@@ -83,13 +86,15 @@ class GroupSpec(ABC):
     @abstractmethod
     def identity(self) -> Element: ...
     @abstractmethod
-    def generators(self) -> tuple: ...  # the generating set of the word metric
-    @abstractmethod
     def is_normal(self, g: Element) -> bool: ...
     @abstractmethod
     def _format(self, g: Element) -> str: ...  # text for a normal g
     @abstractmethod
     def parse_element(self, text: str) -> Element: ...  # reads _format's text back
+
+    def generators(self) -> tuple:
+        """The generating set of the word metric."""
+        return self._gens
 
     def validate(self, g: Element) -> Element:
         """Check that g is in normal form; return it unchanged."""
@@ -137,12 +142,18 @@ class FreeAbelian(GroupSpec):
         if rank < 1:
             raise UnsupportedRankError(f"Z^{rank}: rank must be >= 1")
         self.rank = rank
+        # e_1, -e_1, e_2, -e_2, ...: the ints 1, -1 for Z
+        gens = tuple(
+            c if rank == 1 else tuple(c * (j == i) for j in range(rank))
+            for i in range(rank) for c in (1, -1)
+        )
         if rank == 1:
-            self._bind((rank,), add, neg, abs, _int_key)
+            self._bind((rank,), gens, add, neg, abs, _int_key)
         elif rank == 2:
             # unrolled: Z^2 is the common case and the generic form costs twice as much
             self._bind(
                 (rank,),
+                gens,
                 lambda a, b: (a[0] + b[0], a[1] + b[1]),
                 lambda g: (-g[0], -g[1]),
                 lambda g: abs(g[0]) + abs(g[1]),
@@ -151,6 +162,7 @@ class FreeAbelian(GroupSpec):
         else:
             self._bind(
                 (rank,),
+                gens,
                 lambda a, b: tuple(map(add, a, b)),
                 lambda g: tuple(map(neg, g)),
                 lambda g: sum(map(abs, g)),
@@ -162,15 +174,6 @@ class FreeAbelian(GroupSpec):
 
     def identity(self) -> Element:
         return 0 if self.rank == 1 else (0,) * self.rank
-
-    def generators(self) -> tuple:
-        if self.rank == 1:
-            return (1, -1)
-        gens = []
-        for i in range(self.rank):
-            e = tuple(1 if j == i else 0 for j in range(self.rank))
-            gens += [e, tuple(-c for c in e)]
-        return tuple(gens)
 
     def is_normal(self, g: Element) -> bool:
         if self.rank == 1:
@@ -221,6 +224,7 @@ class Free(GroupSpec):
         # letters are nonzero, so _int_key puts letter i before its inverse -i
         self._bind(
             (rank,),
+            tuple(w for i in range(1, rank + 1) for w in ((i,), (-i,))),
             _free_concat,
             lambda g: tuple(map(neg, reversed(g))),
             len,
@@ -232,9 +236,6 @@ class Free(GroupSpec):
 
     def identity(self) -> Element:
         return ()
-
-    def generators(self) -> tuple:
-        return tuple(w for i in range(1, self.rank + 1) for w in ((i,), (-i,)))
 
     def is_normal(self, g: Element) -> bool:
         return (
@@ -268,6 +269,7 @@ class DihInf(GroupSpec):
     def __init__(self):
         self._bind(
             (),
+            ((1, 0), (-1, 0), (0, 1)),
             lambda a, b: (a[0] - b[0] if a[1] else a[0] + b[0], a[1] ^ b[1]),
             lambda g: (g[0], 1) if g[1] else (-g[0], 0),
             lambda g: abs(g[0]) + g[1],
@@ -279,9 +281,6 @@ class DihInf(GroupSpec):
 
     def identity(self) -> Element:
         return (0, 0)
-
-    def generators(self) -> tuple:
-        return ((1, 0), (-1, 0), (0, 1))
 
     def is_normal(self, g: Element) -> bool:
         return isinstance(g, tuple) and len(g) == 2 and all(map(_is_int, g)) and g[1] in (0, 1)
@@ -316,6 +315,7 @@ class Cyclic(GroupSpec):
         half = n // 2
         self._bind(
             (n,),
+            () if n == 1 else (1,) if n == 2 else (1, n - 1),
             lambda a, b: (a + b) % n,
             lambda g: (-g) % n,
             (lambda g: min(g, n - g)) if n > 1 else (lambda g: 0),
@@ -327,10 +327,6 @@ class Cyclic(GroupSpec):
 
     def identity(self) -> Element:
         return 0
-
-    def generators(self) -> tuple:
-        n = self.modulus
-        return () if n == 1 else (1,) if n == 2 else (1, n - 1)
 
     def is_normal(self, g: Element) -> bool:
         return _is_int(g) and 0 <= g < self.modulus
@@ -356,8 +352,10 @@ class Product(GroupSpec):
         a, b = factors
         mul_a, inv_a, len_a, key_a = a.mul, a.inv, a.length, a.skey
         mul_b, inv_b, len_b, key_b = b.mul, b.inv, b.length, b.skey
+        ia, ib = a.identity(), b.identity()
         self._bind(
             (factors,),
+            tuple((s, ib) for s in a.generators()) + tuple((ia, s) for s in b.generators()),
             lambda x, y: (mul_a(x[0], y[0]), mul_b(x[1], y[1])),
             lambda g: (inv_a(g[0]), inv_b(g[1])),
             lambda g: len_a(g[0]) + len_b(g[1]),
@@ -369,11 +367,6 @@ class Product(GroupSpec):
 
     def identity(self) -> Element:
         return (self.factors[0].identity(), self.factors[1].identity())
-
-    def generators(self) -> tuple:
-        a, b = self.factors
-        ia, ib = a.identity(), b.identity()
-        return tuple((s, ib) for s in a.generators()) + tuple((ia, s) for s in b.generators())
 
     def is_normal(self, g: Element) -> bool:
         a, b = self.factors
@@ -552,9 +545,9 @@ class _BallCache:
         """Build the spheres up to radius, stopping once the ball passes cap
         or the group is exhausted; raise if Ball(radius) exceeds cap."""
         layers, sizes, spec = self.layers, self.sizes, self.spec
+        mul, length, gens = spec.mul, spec.length, spec.generators()
         while len(layers) <= radius and layers[-1] and sizes[-1] <= cap:
             r = len(layers)
-            mul, length, gens = spec.mul, spec.length, spec.generators()
             layer = {h for g in layers[-1] for s in gens if length(h := mul(g, s)) == r}
             layers.append(tuple(sorted(layer, key=spec.skey)))
             sizes.append(sizes[-1] + len(layer))
@@ -602,8 +595,7 @@ def conjugacy_layers(spec: GroupSpec, seeds: Iterable[Element]) -> Iterator[set]
     with c new at r-1.  Each radius costs two products per new conjugate and
     generator, and no ball is built.  Raises once the union passes
     ``DEFAULT_BALL_CAP``."""
-    mul = spec.mul
-    steps = [(spec.inv(s), s) for s in spec.generators()]
+    mul, steps = spec.mul, spec._steps
     new = set(seeds)
     seen = set(new)
     while True:
@@ -629,9 +621,9 @@ def geodesic_parent(spec: GroupSpec, g: Element) -> tuple:
     """The (p, i) with g = p * generators()[i] and length(p) = length(g) - 1
     (g not the identity), least p by ``skey`` and then least i: the pair that
     first reaches g in a walk of the sorted spheres.  ``length`` must be exact."""
-    mul, inv, length, skey = spec.mul, spec.inv, spec.length, spec.skey
+    mul, length, skey = spec.mul, spec.length, spec.skey
     r = length(g) - 1
-    steps = ((mul(g, inv(s)), i) for i, s in enumerate(spec.generators()))
+    steps = ((mul(g, si), i) for i, (si, _) in enumerate(spec._steps))
     _, i, p = min((skey(p), i, p) for p, i in steps if length(p) == r)
     return p, i
 

@@ -15,7 +15,8 @@ import sys
 import pytest
 from freeze_golden import COMMANDS, GOLDEN_DIR
 
-from coarsekit import actions, cli, structures
+from coarsekit import actions, cli, groups, structures
+from coarsekit.errors import GroupParseError, MalformedElementError, PreconditionError
 
 
 def run_cli(argv):
@@ -646,3 +647,161 @@ def test_import_generates_no_code():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_a_json_report_imports_neither_json_nor_re():
+    # the report writer and the DSL readers need neither module; -S keeps
+    # site from preloading re
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = (
+        "import io, sys, contextlib, coarsekit.cli as c\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    c.main(['witness', '--group', 'Z^2', '--family', 'shape-left:(0,1);(1,0)'])\n"
+        "    c.main(['map-check', '--group', 'Z', '--map', 'power:-2'])\n"
+        "    c.main(['action-check', '--action', 'left(Z via 2n)', '--set', '0'])\n"
+        "print(*sorted({'json', 're'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def _indented(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+class TestReportWriter:
+    """``cli._dumps`` writes what ``json.dumps(value, indent=2,
+    sort_keys=True)`` writes, for every value a report holds."""
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*.json")), ids=lambda p: p.name)
+    def test_every_golden(self, path):
+        report = json.loads(path.read_text())
+        assert cli._dumps(report) == _indented(report)
+
+    def test_an_error_report(self):
+        code, out = run_cli(["fc", "--group", "Q(2)"])
+        assert code == 2
+        report = json.loads(out)
+        assert report["error"]["code"] == "parse-error"
+        assert out == cli._dumps(report) + "\n" == _indented(report) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        {}, [], {"a": {}}, {"a": []}, [[]], [{}], [[[]], {}, {"b": [{}]}],
+        {"": "", "B": 1, "a": 2, "é": 3, "\x01": 4},
+        "é ü ☃ \U0001F600 ­",
+        "\x00\x1f\t\n\r\b\f\"\\/\x7f",
+        0, -1, 2**64, -(10**40), True, False, None,
+        {"n": [True, None, -2, "x"], "m": {"z": [], "y": {"x": [[1]]}}},
+    ], ids=repr)
+    def test_edge_cases(self, value):
+        assert cli._dumps(value) == _indented(value)
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": {2}}, b"x", [object()]],
+                             ids=repr)
+    def test_refuses_what_no_report_holds(self, value):
+        with pytest.raises(TypeError):
+            cli._dumps(value)
+
+
+# The DSL languages, as patterns: translate-(left|right):(.+), power:(-?\d+),
+# floor-div:(\d+), mod:(\d+), constant:(.+), (left|right|trivial)\((.*)\),
+# (-?\d+)n and (edge|shape)-(left|right):(.+).  Here ``.`` takes no newline,
+# and ``\d`` takes any decimal digit but no sign, space or underscore, which
+# int() alone would take.
+MAP_NAMES = {
+    "power:2": "power:2", "power:-3": "power:-3", "power:٢": "power:2",
+    "floor-div:3": "floor-div:3", "constant:5": "constant:5", "constant: 5": "constant:5",
+    "translate-left:2": "translate-left:2", "translate-right:-1": "translate-right:-1",
+    " negate ": "negate",
+}
+UNKNOWN_MAPS = [
+    "power:+2", "power: 2", "power:--2", "power:-", "power:", "power:2\n3", "power",
+    "Power:2", "power:2:3", "floor-div:1_0", "floor-div:-3", "floor-div:", "mod:",
+    "mod: 4", "mod:\n4", "mod:4n", "constant:", "constant:1\n2", "translate-left:",
+    "translate-up:1", "translate-left :1", "translate-left:1\n2", "squares",
+]
+ACTION_NAMES = {
+    "left(Z)": "left(Z via identity)", " right(DihInf) ": "right(DihInf via identity)",
+    "trivial(Z on point)": "trivial(Z on point)", "trivial(Z on DihInf)": "trivial(Z on DihInf)",
+    "left(Z->DihInf via x^n)": "left(Z->DihInf via x^n)", "left(Z via 2n)": "left(Z via 2n)",
+    "right(Z via -3n)": "right(Z via -3n)", "left(Z via ٢n)": "left(Z via 2n)",
+}
+MALFORMED_ACTIONS = [
+    "left(", "left)", "left", "up(Z)", "left (Z)", "left(Z\n)", "left(\nZ)", "left(Z)x",
+    "LEFT(Z)", "trivial(Z on point\n)",
+]
+UNKNOWN_HOMS = ["+2n", "--2n", "-n", "n", "2 n", "1_0n", "2"]
+FAMILY_TAGS = {
+    "edge-left:t": "{{g, t*g}}", " edge-left:t ": "{{g, t*g}}", "edge-left: t": "{{g, t*g}}",
+    "edge-right:x": "{{g, g*x}}", "shape-left:1;t": "{g*[1,t]}",
+    "shape-right: x ; t": "{[x,t]*g}", "shape-left:t;": "{g*[t,1]}",
+}
+UNKNOWN_FAMILIES = [
+    "edge-left-x:1", "shape-left:", "edge-left :t", "edge-left:\nt", "edge-left:t\nx",
+    "edge-up:t", "edge:t", "edge-left", "loop-left:t", "Edge-left:t", " edge-up:t ",
+]
+
+
+class TestDsl:
+    z, dih = structures.LeftGroupStructure(groups.Z), structures.LeftGroupStructure(groups.DIH)
+
+    @pytest.mark.parametrize("text,name", MAP_NAMES.items(), ids=repr)
+    def test_map_names(self, text, name):
+        assert cli.parse_map_dsl(text, self.z, self.z).name == name
+
+    @pytest.mark.parametrize("text", UNKNOWN_MAPS, ids=repr)
+    def test_unknown_maps(self, text):
+        with pytest.raises(GroupParseError) as exc:
+            cli.parse_map_dsl(text, self.z, self.z)
+        assert str(exc.value) == f"unknown map {text!r} at position 0 in {text!r}"
+
+    def test_map_bodies_reach_their_constructors(self):
+        assert cli.parse_map_dsl("constant:t", self.z, self.dih).name == "constant:t"
+        with pytest.raises(PreconditionError):
+            cli.parse_map_dsl("mod:4", self.z, self.z)
+
+    @pytest.mark.parametrize("text,name", ACTION_NAMES.items(), ids=repr)
+    def test_action_names(self, text, name):
+        assert cli.parse_action_dsl(text).name == name
+
+    @pytest.mark.parametrize("text", MALFORMED_ACTIONS, ids=repr)
+    def test_malformed_actions(self, text):
+        with pytest.raises(GroupParseError) as exc:
+            cli.parse_action_dsl(text)
+        assert str(exc.value).startswith("action must be left(...), right(...) or trivial(...)")
+
+    @pytest.mark.parametrize("hom", UNKNOWN_HOMS, ids=repr)
+    def test_unknown_homomorphisms(self, hom):
+        with pytest.raises(GroupParseError) as exc:
+            cli.parse_action_dsl(f"left(Z via {hom})")
+        assert str(exc.value).startswith(f"unknown homomorphism {hom!r}")
+
+    @pytest.mark.parametrize("text,message", [
+        ("left()", "expected one of Z"), ("left(Z))", "unexpected trailing input"),
+        ("trivial(Z)", "trivial action needs 'GROUP on SPACE'"),
+        ("right(Z^2 via 2n)", "unknown homomorphism '2n'"),
+    ])
+    def test_action_bodies_reach_their_readers(self, text, message):
+        with pytest.raises(GroupParseError) as exc:
+            cli.parse_action_dsl(text)
+        assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("text,tag", FAMILY_TAGS.items(), ids=repr)
+    def test_family_tags(self, text, tag):
+        assert cli.parse_family_dsl(text, groups.DIH).tag == tag
+
+    @pytest.mark.parametrize("text", UNKNOWN_FAMILIES, ids=repr)
+    def test_unknown_families(self, text):
+        with pytest.raises(GroupParseError) as exc:
+            cli.parse_family_dsl(text, groups.DIH)
+        assert str(exc.value) == f"unknown family {text!r} at position 0 in {text!r}"
+
+    @pytest.mark.parametrize("text", ["shape-left:1:t", "edge-left:t:x"])
+    def test_family_bodies_reach_the_element_reader(self, text):
+        with pytest.raises(MalformedElementError):
+            cli.parse_family_dsl(text, groups.DIH)

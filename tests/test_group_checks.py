@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 
 import oracles
@@ -5,6 +7,7 @@ from coarsekit import groups
 from coarsekit.errors import InvalidRadiusError, WindowTooSmallError
 from coarsekit.families import fold_witness, translate_pair_family
 from coarsekit.group_checks import (
+    _class_trace,
     compare_left_right,
     dihedral_demo,
     fc_test,
@@ -309,6 +312,57 @@ def test_conjugacy_layers_match_brute_force(name, radius):
             before = set(cls)
             cls |= {mul(mul(inv(g), d), g) for g in sphere for d in seeds}
             assert next(grown) == cls - before, (name, sorted(seeds, key=repr), r)
+
+
+def _full_walk(spec, seeds, radius) -> dict:
+    """r -> |C_D(r)| for r <= radius, with every layer read."""
+    layers = zip(range(radius + 1), groups.conjugacy_layers(spec, seeds))
+    return dict(enumerate(accumulate(len(new) for _, new in layers)))
+
+
+@pytest.mark.parametrize("name,radius", KERNEL_CASES)
+def test_class_trace_equals_the_full_walk(name, radius):
+    """A class read up to its first empty layer has the trace, tail and
+    verdict of the walk over all radius + 1 layers."""
+    spec = groups.parse_group_spec(name)
+    for seeds in _seed_sets(spec):
+        full = _full_walk(spec, seeds, radius)
+        reading = _class_trace(spec, seeds, radius)
+        assert reading.trace == full, (name, sorted(seeds, key=repr))
+        assert list(reading.trace) == list(range(radius + 1))
+        assert reading.to_json() == {str(r): n for r, n in full.items()}
+
+
+@pytest.mark.parametrize("name,element,trace", [
+    ("Z^2", "(1,0)", [1, 1, 1, 1, 1, 1, 1]),  # closes at r = 1
+    ("DihInf", "x", [1, 2, 2, 2, 2, 2, 2]),  # closes at r = 2
+    ("DihInf", "t", [1, 3, 5, 7, 9, 11, 13]),  # never closes
+    ("F(2)", "a", [1, 3, 9, 27, 81, 243, 729]),  # never closes
+])
+def test_class_trace_on_classes_closing_early_late_and_never(name, element, trace):
+    spec = groups.parse_group_spec(name)
+    seeds = (spec.parse_element(element),)
+    reading = _class_trace(spec, seeds, 6)
+    assert reading.trace == _full_walk(spec, seeds, 6) == dict(enumerate(trace))
+    assert reading.stable == (trace[-1] == trace[3])
+
+
+def test_fc_reads_each_abelian_class_to_its_first_empty_layer(monkeypatch):
+    """On Z^2 every class closes at r = 1: fc at radius 16 pulls two layers
+    of each of the 72 classes it traces, not 17."""
+    pulled = []
+    walk = groups.conjugacy_layers
+
+    def counted(spec, seeds):
+        pulled.append(0)
+        for layer in walk(spec, seeds):
+            pulled[-1] += 1
+            yield layer
+
+    monkeypatch.setattr(groups, "conjugacy_layers", counted)
+    cert = fc_test(Z2, 16)
+    assert cert.verdict == "PASS" and cert.data["classes_tested"] == 144
+    assert len(pulled) == 72 and max(pulled) <= 2
 
 
 def test_conjugacy_window_refuses_a_negative_radius():
