@@ -13,12 +13,12 @@ bounded translates: a family is bounded when it refines translates
 its growth is the trace.  The orbit map g -> g.x0 into a structure given on
 the space is certified by ``coarse_action_certificate``.
 
-One index, ``_cover_index(action, U)``, answers every "which h of length
-<= r puts y in h.U" question.  An induced structure reads U's cover
-constant and stabilizer trace off one index, its contributions and the
-gap, selections and star refinement of ``commuting_equivalence`` off its
-own; ``stabilizer_window``, ``point_finite_check`` and each candidate U of
-the cobounded search build one for their set.
+One index per set, ``action.covers(U)``, answers every "which h of length
+<= r puts y in h.U" question, and every check of the action that asks it
+about U reads that one index: the stabilizer, point-finite and cobounded
+checks, an induced structure's cover constant and contributions, the gap,
+selections and star refinement of ``commuting_equivalence``, and the orbit
+map, whose fibres are the covers of {x0}.
 
 A translation action by isometries of a group structure (its own side, or
 either side of an abelian group: ``GroupStructure.translations_isometric``)
@@ -109,6 +109,15 @@ class Action:
 
     def apply_set(self, g, S) -> frozenset:
         return frozenset(self.apply(g, x) for x in S)
+
+    def covers(self, U) -> Preimages:
+        """The covers of each point y, the acting elements h with y in h.U, in
+        ball order: one index per set U, in any order, kept with the action."""
+        U = frozenset(U)
+        memo = self.__dict__.setdefault("_covers", {})
+        if U not in memo:
+            memo[U] = Preimages(GroupSpace(self.group), lambda h: self.apply_set(h, U))
+        return memo[U]
 
     def validate(self) -> None:
         """Check the left action law on a small window."""
@@ -218,12 +227,6 @@ def _mesh(space, S) -> int:
 # ---------------------------------------------------------------------------
 # induced structure from bounded translates
 
-def _cover_index(action: Action, U) -> Preimages:
-    """The covers of each point y, the acting elements h with y in h.U, in
-    ball order; the reach of y is the least r with y in Ball(r).U."""
-    return Preimages(GroupSpace(action.group), lambda h: action.apply_set(h, U))
-
-
 def _reach_excess(covers: Preimages, entries, cap: int) -> int | None:
     """The largest reach(y) - e over the pairs (y, e) of ``entries``, each y
     searched up to e + cap, or None when one is out of that reach.  The
@@ -246,8 +249,8 @@ class ActionInducedStructure(CoarseStructure):
     member contribution is the least such F (canonical greedy choice), and
     the witness trace is the size of the union of these F over the family.
 
-    The covers of a point come from ``index``, the ``_cover_index`` of
-    (action, U) that ``commuting_equivalence`` also reads.
+    The covers of a point come from ``index``, ``action.covers(U)``, which
+    every other check of the action that asks about U reads too.
 
     A member's centre g is searched over the pool Ball(acting_radius): it
     minimizes max over points y of min over covers h of y of |g^-1 h|, and
@@ -291,7 +294,7 @@ class ActionInducedStructure(CoarseStructure):
         self.slack = slack
         useral = ",".join(self.space.serialize(u) for u in self.U)
         self.label = f"induced({action.name}; U=[{useral}])"
-        self.index = _cover_index(action, self.U)
+        self.index = action.covers(self.U)
         self.u_mesh = _mesh(self.space, self.U)
         self._nears: dict = {}  # h -> [h.Ball(0), h.Ball(1), ...]
         self._layers: dict = {}  # seed S -> [spheres walked, {element: first layer}]
@@ -525,16 +528,14 @@ def translates_family(action: Action, pf: ParamFamily, tag: str) -> ParamFamily:
 # ---------------------------------------------------------------------------
 # basic window checks
 
-def stabilizer_window(action: Action, U, radius: int) -> tuple[tuple, dict]:
-    """Elements g in Ball(radius) with U meeting g.U, plus the size trace."""
-    covers = _cover_index(action, U)
-    hits = groups.canonical_sorted(action.group, [h for u in U for h in covers.get(u, radius)])
-    return hits, covers.trace(U, radius)
+def stabilizer_window(action: Action, U, radius: int) -> Reading:
+    """The reading of the size trace of {g in Ball(r) : U meets g.U}."""
+    return Reading(action.covers(U).trace(U, radius), radius)
 
 
 def point_finite_check(action: Action, U, x, radius: int) -> Certificate:
     """Trace of |{g in Ball(r) : x in g.U}|; PASS when it stabilizes."""
-    reading = Reading(_cover_index(action, U).trace((x,), radius), radius)
+    reading = Reading(action.covers(U).trace((x,), radius), radius)
     return Certificate(
         check="point-finite",
         verdict=reading.verdict,
@@ -618,7 +619,7 @@ def cobounded_check(action: Action, radius: int) -> Certificate:
     extents = [(y, space.extent(y)) for y in space.window(radius)]
 
     def constant(Ucand: tuple, cap: int) -> int | None:
-        return _reach_excess(_cover_index(action, Ucand), extents, cap)
+        return _reach_excess(action.covers(Ucand), extents, cap)
 
     base = space.window(0)[0]
     for mesh in range(COBOUNDED_MESH_CAP + 1):
@@ -662,14 +663,14 @@ def induced_structure_second(
     """Structure generated by translates of a bounded covering set U.
 
     U's cover constant (the least c <= COVER_CONSTANT_CAP with window(r)
-    inside Ball(r+c).U) and its stabilizer trace are read off one cover
-    index of (action, U).  U is refused, in this order, when no such c
+    inside Ball(r+c).U) and its stabilizer trace (``stabilizer_window``) are
+    read off ``action.covers(U)``.  U is refused, in this order, when no such c
     exists, when its mesh is above radius/2 (``_require_within_half``), and
     when its stabilizer keeps growing."""
     space = action.space
     U = tuple(sorted(set(U), key=space.sort_key))
     listed = [space.serialize(u) for u in U]
-    covers = _cover_index(action, U)
+    covers = action.covers(U)
     c = _reach_excess(covers, [(y, space.extent(y)) for y in space.window(radius)], COVER_CONSTANT_CAP)
     if c is None:
         found = {"action": action.name, "U": listed,
@@ -677,7 +678,7 @@ def induced_structure_second(
         raise PreconditionError(f"{action.name}: not cobounded with the given U: {found}")
     mesh = _mesh(space, U)
     _require_within_half(action, mesh, radius)
-    stabilizer = Reading(covers.trace(U, radius), radius)
+    stabilizer = stabilizer_window(action, U, radius)
     if not stabilizer.stable:
         raise PreconditionError(
             f"{action.name}: stabilizer of U keeps growing, trace {sorted(stabilizer.trace.items())}"
@@ -709,7 +710,7 @@ class _OrbitMap(MapWindow):
     an induced structure of the same action reads it off its orbit layers
     (``ActionInducedStructure.read_off``).  Any other family, or another
     action, whose law is checked only on a window, keeps the image family.
-    Its ``window`` is the orbit, onto which the map is checked."""
+    Its fibres are the covers of {x0}, ``action.covers((x0,))``."""
 
     def __init__(self, action: Action, x0, target: CoarseStructure, slack: int):
         super().__init__(
@@ -721,6 +722,7 @@ class _OrbitMap(MapWindow):
             source_slack=slack,
         )
         self.action = action
+        self.fibres = action.covers((x0,))
 
     def image(self, pf: ParamFamily) -> ParamFamily:
         img = super().image(pf)
@@ -761,7 +763,7 @@ def coarse_action_certificate(
     proper_ok = True
     for mesh in (0, 1):
         V = struct.bounded_neighborhood(x0, mesh)
-        stabilizer = Reading(stabilizer_window(action, V, radius)[1], radius)
+        stabilizer = stabilizer_window(action, V, radius)
         pf_cert = point_finite_check(action, V, x0, radius)
         proper_parts.append(
             {

@@ -38,7 +38,7 @@ from .errors import (
     SpaceMismatchError,
     WindowTooSmallError,
 )
-from .families import MIN_VERDICT_RADIUS, Reading, shape_translate_family, translate_pair_family
+from .families import MIN_VERDICT_RADIUS, shape_translate_family, translate_pair_family
 from .group_checks import (
     compare_left_right,
     dihedral_demo,
@@ -46,7 +46,6 @@ from .group_checks import (
     multiplication_bornologous_check,
 )
 from .maps import (
-    Certificate,
     check_bornologous,
     check_close,
     check_coarsely_proper,
@@ -330,12 +329,11 @@ def cmd_action_check(args) -> tuple:
         notes.append("translate check skipped: the space carries no group structure")
     if args.set is not None:
         U = _parse_set(args.set, action.space)
-        stab, trace = stabilizer_window(action, U, args.radius)
-        reading = Reading(trace, args.radius)
-        data = {"U": [action.space.serialize(u) for u in U], "size": len(stab), "trace": reading.to_json()}
-        stabilizer = Certificate("stabilizer", reading.verdict, args.radius, data).to_json()
-        del stabilizer["notes"]  # reported without notes, like a membership entry
-        checks.append(stabilizer)
+        stab = stabilizer_window(action, U, args.radius)
+        listed = [action.space.serialize(u) for u in U]
+        data = {"U": listed, "size": stab.trace[args.radius], "trace": stab.to_json()}
+        # a plain entry without notes, like a membership's (_result_check)
+        checks.append({"check": "stabilizer", "verdict": stab.verdict, "radius": args.radius, "data": data})
         checks.append(point_finite_check(action, U, U[0], args.radius).to_json())
     return checks, notes
 

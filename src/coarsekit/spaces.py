@@ -122,12 +122,12 @@ class Preimages:
     in one index grown one sphere of the space at a time.
 
     Each list is thus in window order, and the points of window(r) with a
-    key are the prefix of its list of extent <= r.  The cover index of an
-    action is ``Preimages(GroupSpace(G), lambda h: action.apply_set(h, U))``
-    and the fibres of a map are ``Preimages(source, lambda x: (rule(x),))``.
-    ``keys`` is applied once to each point the index reaches, and the index
-    reaches only as far as its questions ask.  Grown to radius R, it holds
-    the sum of |keys(p)| over window(R) entries."""
+    key are the prefix of its list of extent <= r.  A map's fibres are
+    ``Preimages(source, lambda x: (rule(x),))``, an action's cover index of U
+    is ``action.covers(U)``, and the orbit map's fibres are the covers of
+    {x0}.  ``keys`` is applied once to each point the index reaches, and the
+    index reaches only as far as its questions ask.  Grown to radius R, it
+    holds the sum of |keys(p)| over window(R) entries."""
 
     def __init__(self, space, keys):
         self.space = space

@@ -6,8 +6,8 @@ Run this only when a report changes on purpose: the corpus is the frozen
 JSON stdout of the README commands, ``commuting --radius 16``, a
 ``commuting`` run on Z^2, a group of quadratic growth, ``svarc-milnor`` for
 translations of Z^2 (against either structure) and DihInf, the group checks
-on Z^2, Z^3, F(2) and on products with DihInf, and three balls listed in
-full;
+on Z^2, Z^3, F(2) and on products with DihInf, three balls listed in
+full, and ``action-check`` with a set on DihInf and on a point;
 ``test_golden.py`` asserts that the current code prints the same bytes.
 """
 
@@ -75,6 +75,15 @@ COMMANDS = {
     "ball-f2-4-list": ["ball", "--group", "F(2)", "--radius", "4", "--list"],
     "ball-z3-3": ["ball", "--group", "Z^3", "--radius", "3"],
     "ball-product-zmod5-dihinf-3": ["ball", "--group", "product(Zmod(5),DihInf)", "--radius", "3"],
+    # action-check with a set: every check PASSes on DihInf, and the trivial
+    # action on a point (a finite space, no translate check) has a growing
+    # stabilizer
+    "action-check-dihinf-1-t-8": [
+        "action-check", "--action", "left(DihInf)", "--set", "1,t", "--radius", "8",
+    ],
+    "action-check-trivial-point-4": [
+        "action-check", "--action", "trivial(Z on point)", "--set", "pt", "--radius", "4",
+    ],
 }
 
 

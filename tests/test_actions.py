@@ -131,18 +131,21 @@ class TestValidation:
 
 class TestStabilizerWindow:
     def test_free_action_has_trivial_stabilizer(self):
-        stab, trace = stabilizer_window(left_translation(identity_hom(DIH)), (ONE,), 6)
-        assert stab == (ONE,)
-        assert set(trace.values()) == {1}
+        stab = stabilizer_window(left_translation(identity_hom(DIH)), (ONE,), 6)
+        assert stab.trace[6] == 1
+        assert set(stab.trace.values()) == {1}
+        assert stab.stable
 
     def test_reflection_pair_under_rotation_subgroup(self):
-        stab, trace = stabilizer_window(z_on_dih_left(), (ONE, T), 6)
-        assert stab == (0,)
-        assert set(trace.values()) == {1}
+        stab = stabilizer_window(z_on_dih_left(), (ONE, T), 6)
+        assert stab.trace[6] == 1
+        assert set(stab.trace.values()) == {1}
+        assert stab.stable
 
     def test_trivial_action_stabilizes_nothing_out(self):
-        _stab, trace = stabilizer_window(trivial_action(Z, GroupSpace(Z)), (0,), 6)
-        assert [trace[r] for r in range(7)] == [2 * r + 1 for r in range(7)]
+        stab = stabilizer_window(trivial_action(Z, GroupSpace(Z)), (0,), 6)
+        assert [stab.trace[r] for r in range(7)] == [2 * r + 1 for r in range(7)]
+        assert stab.verdict == "FAIL"
 
 
 class TestPointFinite:
@@ -437,7 +440,7 @@ class TestCoarseActionCertificate:
         for action, struct, U, x in cases:
             cert = coarse_action_certificate(action, struct, U[0], 6)
             proper = cert.data["coarsely_proper"]["verdict"] == "PASS"
-            _stab, trace = stabilizer_window(action, U, 6)
+            trace = stabilizer_window(action, U, 6).trace
             stab_finite = trace[6] == trace[3]
             point = point_finite_check(action, U, x, 6).verdict == "PASS"
             assert proper == stab_finite == point, action.name

@@ -1,24 +1,29 @@
-"""The cover index against the ball scans it replaced.
+"""The cover index against the ball scans it replaced, and its sharing.
 
 Every "which h puts y in h.U" question of the action engine reads one index
-per (action, U), grown one sphere of the acting group at a time.  oracles.py
-keeps the scans: apply the acting ball to U afresh for each question.  Both
-must give the same cobounded and orbit cover constants, stabilizers and
-traces, bounded-sets gaps and selections (or the same error).
+per (action, U), ``action.covers(U)``, grown one sphere of the acting group
+at a time; every check that asks about U, the orbit map's fibres included,
+reads that same index.  oracles.py keeps the scans: apply the acting ball to
+U afresh for each question.  Both must give the same cobounded and orbit
+cover constants, stabilizers and traces, bounded-sets gaps and selections
+(or the same error).
 """
 
+import contextlib
+import io
 import itertools
 
 import pytest
 
 import oracles
-from coarsekit import groups
+from coarsekit import cli, groups, spaces
 from coarsekit.actions import (
-    _cover_index,
+    _OrbitMap,
     _reach_excess,
     _selection,
     identity_hom,
     inclusion_hom,
+    induced_structure_second,
     left_translation,
     point_finite_check,
     power_hom,
@@ -26,6 +31,7 @@ from coarsekit.actions import (
     stabilizer_window,
 )
 from coarsekit.errors import SearchFailureError
+from coarsekit.structures import LeftGroupStructure
 from test_deltas import _rotation
 
 RADIUS = 5
@@ -66,14 +72,14 @@ def test_cover_constant_matches_scan(name):
     for U in sets_of(action):
         for cap in range(5):
             expect = oracles.scan_cobounded_constant(action, U, RADIUS, cap)
-            assert cover_constant(action.space, _cover_index(action, U), cap) == expect, (U, cap)
+            assert cover_constant(action.space, action.covers(U), cap) == expect, (U, cap)
 
 
 @pytest.mark.parametrize("name", list(ACTIONS))
 def test_orbit_constant_and_point_stabilizer_match_scan(name):
     action = ACTIONS[name]()
     for x0 in action.space.window(1)[:3]:
-        orbit = _cover_index(action, (x0,))
+        orbit = action.covers((x0,))
         stab, trace = oracles.scan_point_stabilizer(action, x0, RADIUS)
         assert orbit.get(x0, RADIUS) == stab, x0
         assert orbit.trace((x0,), RADIUS) == trace, x0
@@ -86,7 +92,9 @@ def test_orbit_constant_and_point_stabilizer_match_scan(name):
 def test_stabilizer_and_point_finite_traces_match_scan(name):
     action = ACTIONS[name]()
     for U in sets_of(action):
-        assert stabilizer_window(action, U, RADIUS) == oracles.scan_stabilizer_window(action, U, RADIUS), U
+        hits, trace = oracles.scan_stabilizer_window(action, U, RADIUS)
+        assert stabilizer_window(action, U, RADIUS).trace == trace, U
+        assert trace[RADIUS] == len(hits), U  # the size action-check reports
         for x in action.space.window(2):
             trace = point_finite_check(action, U, x, RADIUS).data["trace"]
             expect = oracles.scan_point_finite_trace(action, U, x, RADIUS)
@@ -98,7 +106,7 @@ def test_cover_gap_matches_scan(first, second):
     action, other = ACTIONS[first](), ACTIONS[second]()
     for U in sets_of(action):
         # one pair of indexes serves every scale and cap, as in commuting_equivalence
-        covers, other_covers = _cover_index(action, U), _cover_index(other, U)
+        covers, other_covers = action.covers(U), other.covers(U)
         for s in range(RADIUS + 1):
             for gap_cap in (0, 3):
                 expect = oracles.scan_cover_gap(action, other, U, s, gap_cap)
@@ -118,7 +126,7 @@ def test_selection_matches_scan(first, second):
     action_from, action_to = ACTIONS[first](), ACTIONS[second]()
     x0 = action_from.space.window(0)[0]
     for U in sets_of(action_from):
-        covers = _cover_index(action_to, U)
+        covers = action_to.covers(U)
         for slack in (1, 3):
             expect = _outcome(
                 lambda: oracles.scan_selection(action_from, action_to, U, x0, RADIUS, slack)
@@ -130,4 +138,53 @@ def test_selection_names_the_uncovered_point():
     # 2n + 0 misses every odd integer
     to_even = ACTIONS["left(Z via 2n)"]()
     with pytest.raises(SearchFailureError, match="reaches -1 within radius 2"):
-        _selection(ACTIONS["left(Z)"](), _cover_index(to_even, (0,)), 0, RADIUS, 1)
+        _selection(ACTIONS["left(Z)"](), to_even.covers((0,)), 0, RADIUS, 1)
+
+
+def test_one_index_per_set_in_any_order():
+    action = ACTIONS["left(DihInf)"]()
+    one, t = action.space.window(1)[:2]
+    assert action.covers((one, t)) is action.covers([t, one, t])
+    assert action.covers((one,)) is not action.covers((one, t))
+    assert ACTIONS["left(DihInf)"]().covers((one,)) is not action.covers((one,))
+
+
+def test_induced_structure_and_orbit_map_read_the_action_index():
+    action = ACTIONS["left(DihInf)"]()
+    one, t = action.space.window(1)[:2]
+    struct, _ = induced_structure_second(action, (t, one), 8)
+    assert struct.index is action.covers((one, t))
+    orbit_map = _OrbitMap(action, t, LeftGroupStructure(groups.DIH), 2)
+    assert orbit_map.fibres is action.covers((t,))
+
+
+# command -> (most cover indexes grown, most points indexed over them): one
+# index per distinct (action, set) the command asks about
+INDEX_WORK = {
+    ("commuting", "--radius", "16"): (6, 432),
+    ("svarc-milnor", "--action", "left(Z->DihInf via x^n)", "--radius", "10"): (5, 103),
+    (
+        "commuting", "--action1", "left(F(2))", "--action2", "right(F(2))", "--set", "1",
+        "--radius", "4",
+    ): (4, 3236),
+}
+
+
+@pytest.mark.parametrize("argv", list(INDEX_WORK), ids=" ".join)
+def test_commands_grow_one_index_per_action_and_set(argv, monkeypatch):
+    grow = spaces.Preimages._grow
+    indexed: dict = {}  # index -> points it has reached
+
+    def counting(self, radius):
+        before = self.radius
+        grow(self, radius)
+        reached = sum(len(self.space.sphere(r)) for r in range(before + 1, self.radius + 1))
+        if reached:
+            indexed[self] = indexed.get(self, 0) + reached
+
+    monkeypatch.setattr(spaces.Preimages, "_grow", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0
+    most_indexes, most_points = INDEX_WORK[argv]
+    assert len(indexed) <= most_indexes
+    assert sum(indexed.values()) <= most_points

@@ -6,7 +6,9 @@ default is set by some call in the package or the benchmark.  A name
 imported and never read, a helper nothing calls, or a setting every caller
 leaves at one value is left over from code that moved or went away.
 ``__init__.py`` imports the modules only to load them, and binds no other
-name than ``__version__``."""
+name than ``__version__``.  Only ``Action.covers`` and ``MapWindow.__init__``
+build a ``Preimages`` index, so no check grows a second index for a set its
+action already indexes."""
 
 import ast
 import pathlib
@@ -216,3 +218,36 @@ def test_package_binds_only_its_modules_and_version():
         else:
             assert isinstance(node, ast.Expr)  # the docstring
     assert bound == {"__version__"} | set(MODULES) - {"cli.py"}
+
+
+def preimage_builders(source: str) -> list:
+    """The dotted names of the functions, in their classes, that call
+    ``Preimages(...)``, once per call."""
+    found = []
+
+    def walk(node, scope: tuple):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "Preimages":
+                    found.append(".".join(scope))
+            walk(child, scope)
+
+    walk(ast.parse(source), ())
+    return found
+
+
+def test_preimage_builder_is_found():
+    source = (
+        "class A:\n    def covers(self, U):\n        return Preimages(S, lambda h: U)\n"
+        "def check(a):\n    return [spaces.Preimages(S, k) for k in a]\nPreimages\n"
+    )
+    assert preimage_builders(source) == ["A.covers", "check"]
+
+
+def test_cover_indexes_are_built_in_one_place():
+    built = [f"{m[:-3]}.{f}" for m in ALL_MODULES for f in preimage_builders((SRC / m).read_text())]
+    assert sorted(built) == ["actions.Action.covers", "maps.MapWindow.__init__"]
