@@ -22,7 +22,9 @@ map, whose fibres are the covers of {x0}.
 
 A translation action by isometries of a group structure (its own side, or
 either side of an abelian group: ``GroupStructure.translations_isometric``)
-moves no family's witness, so the translate check reads it off (L5).
+moves no family's witness, so the translate check reads it off (L5).  So
+does any action on the structure it induces (L9): a translate h.(g.(F.U)) =
+(hg).(F.U) is bounded with the same F.
 """
 
 from __future__ import annotations
@@ -260,11 +262,13 @@ class ActionInducedStructure(CoarseStructure):
     The search tries c = 0, 1, 2, ... and takes the least element, in ball
     order, of the first nonempty level; h.Ball(c) is kept per cover asked.
 
-    An orbit {g.S : g in Ball(c*r)} of this structure's own action is read
+    An orbit {g.S : g in Ball(r)} of this structure's own action is read
     off orbit layers (``read_off``): per seed S, ``layer[s]`` is the union of
     the contributions of the translates g.S over g in sphere(s).  Each
-    sphere of a seed is walked once, however many families, scales and
-    radii ask for it; a layer is kept as the first s of each element.
+    sphere of a seed is walked once, however many families and radii ask
+    for it; a layer is kept as the first s of each element.  The translate
+    check walks no translates here: it reads each family off (L9, in
+    ``uniformly_bornologous_action_check``).
 
     The contributions of an orbit's translates are read off one centre
     table per seed S, with no search per translate, when these hold:
@@ -404,8 +408,8 @@ class ActionInducedStructure(CoarseStructure):
 
     def read_off(self, grow, radius: int) -> tuple[set, dict] | None:
         """The witness and trace of an orbit of this structure's action, as
-        its fold gives them: an element enters at the least r such that a
-        layer s <= scale*r of the orbit's seed holds it.
+        its fold gives them: an element enters at the first layer s of the
+        orbit's seed that holds it.
         For a translation of a group on itself through the identity, a
         ``ShapeTranslates`` {g*S} or {S*g} on the action's side is the orbit
         {g.S} sphere by sphere (spheres are closed under inverses, and
@@ -418,16 +422,14 @@ class ActionInducedStructure(CoarseStructure):
             and grow.spec == self.action.group
             and grow.side == self.action.side
         ):
-            grow = _Orbit(self.action, grow.shape, 1)
+            grow = _Orbit(self.action, grow.shape)
         if not (isinstance(grow, _Orbit) and grow.action is self.action):
             return None
-        c = grow.scale
         try:
-            firsts = self._first_spheres(frozenset(grow.seed), c * radius)
+            firsts = self._first_spheres(frozenset(grow.seed), radius)
         except CoarseKitError:
             return None
-        # -(-s // c) is the radius where the orbit grows sphere s
-        enters = {e: -(-s // c) for e, s in firsts.items() if s <= c * radius}
+        enters = {e: s for e, s in firsts.items() if s <= radius}
         return set(enters), entry_trace(enters.values(), radius)
 
     def stars(self, y, r: int) -> set:
@@ -460,24 +462,20 @@ class ActionInducedStructure(CoarseStructure):
 
 
 class _Orbit:
-    """grow of the orbit family r -> {g.S : g in Ball(scale*r)} of one seed S.
+    """grow of the orbit family r -> {g.S : g in Ball(r)} of one seed S.
 
-    At radius r it yields the translates by the new spheres
-    scale*(r-1)+1 .. scale*r, so sphere s enters at radius ceil(s/scale) and
-    each translate is applied once per call.  An induced structure of the
-    same action reads the family off its orbit layers instead
-    (``ActionInducedStructure.read_off``)."""
+    At radius r it yields the translates by sphere r, each applied once per
+    call.  An induced structure of the same action reads the family off its
+    orbit layers instead (``ActionInducedStructure.read_off``)."""
 
-    def __init__(self, action: Action, seed: tuple, scale: int):
+    def __init__(self, action: Action, seed: tuple):
         self.action = action
         self.seed = seed
-        self.scale = scale
 
     def __call__(self, r: int):
-        apply_set, G, c, S = self.action.apply_set, self.action.group, self.scale, self.seed
-        for s in range(max(0, c * (r - 1) + 1), c * r + 1):
-            for g in groups.sphere(G, s):
-                yield apply_set(g, S)
+        apply_set, S = self.action.apply_set, self.seed
+        for g in groups.sphere(self.action.group, r):
+            yield apply_set(g, S)
 
 
 def action_translate_family(action: Action, V, tag: str = "") -> ParamFamily:
@@ -486,24 +484,14 @@ def action_translate_family(action: Action, V, tag: str = "") -> ParamFamily:
     if not tag:
         vs = ",".join(action.space.serialize(v) for v in V)
         tag = f"{{g.[{vs}]}}"
-    return ParamFamily(tag=tag, space=action.space, grow=_Orbit(action, V, 1))
+    return ParamFamily(tag=tag, space=action.space, grow=_Orbit(action, V))
 
 
 def translates_family(action: Action, pf: ParamFamily, tag: str) -> ParamFamily:
     """r -> {g.M} over g in Ball(r) and the members M of pf at radius r.
 
-    When pf is an orbit {h.S : h in Ball(c*r)} of this same action, the
-    translates are the orbit {k.S : k in Ball((c+1)*r)}.  That rests on the
-    action law g.(h.S) = (gh).S and on ball products in a word metric,
-    Ball(r).Ball(c*r) = Ball((c+1)*r): a geodesic word of length at most
-    (c+1)*r splits into a word of length <= r and one of length <= c*r.
-
-    Any other pf grows generically: at radius r the new members are the new
-    sphere times every member so far, plus the inner ball times the members
-    new at r."""
-    orbit = pf.grow
-    if isinstance(orbit, _Orbit) and orbit.action is action:
-        return ParamFamily(tag=tag, space=action.space, grow=_Orbit(action, orbit.seed, orbit.scale + 1))
+    At radius r the new members are the new sphere times every member so
+    far, plus the inner ball times the members new at r."""
     G = action.group
     layers: list = []  # layers[q]: the members of pf that appear at radius q
     known: set = set()
@@ -571,16 +559,23 @@ def uniformly_bornologous_action_check(
     (``GroupStructure.translations_isometric``), through any homomorphism,
     the translates of a family have its own trace and witness; such a pair
     reads them off the family and builds no translate.
+
+    L9: so does an action on the structure it induces (an
+    ``ActionInducedStructure`` of this very action).  A member of a bounded
+    family fits in some g.(F.U), and by the action law its translate by h
+    fits in (hg).(F.U), a translate of the same F.U.  The translates are
+    bounded with the family's F, so the pair cannot FAIL, and the check
+    reports each family's own reading.
     """
     if action.space != struct.space:
         raise SpaceMismatchError("action and structure live on different spaces")
-    isometric = (
+    read_off = (
         isinstance(action, TranslationAction)
         and isinstance(struct, GroupStructure)
         and struct.translations_isometric(action.side)
-    )
+    ) or (isinstance(struct, ActionInducedStructure) and struct.action is action)
     taken, bad = first_unbounded(
-        (pf.tag, base if isometric else membership_window(
+        (pf.tag, base if read_off else membership_window(
             struct, translates_family(action, pf, f"translates({pf.tag})"), radius
         ))
         for pf, base in bounded_battery(struct, radius, seed, BATTERY_SHAPES)
@@ -733,7 +728,7 @@ class _OrbitMap(MapWindow):
             and grow.side == "left"
             and grow.spec == action.group
         ):
-            img.grow = _Orbit(action, tuple(map(self.rule, grow.shape)), 1)
+            img.grow = _Orbit(action, tuple(map(self.rule, grow.shape)))
         return img
 
     def window(self, r: int) -> list:

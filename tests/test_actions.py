@@ -25,7 +25,6 @@ from coarsekit.actions import (
     right_translation,
     stabilizer_window,
     table_action,
-    translates_family,
     trivial_action,
     uniformly_bornologous_action_check,
 )
@@ -164,6 +163,36 @@ class TestPointFinite:
         assert cert.data["trace"]["8"] == 1
 
 
+# (inducing action, acting action or None for the inducing one, radii,
+# seeds); the other side of a non-abelian group FAILs
+SEEDS = (0, 1, 2)
+INDUCED_REFERENCE = {
+    "left-Z-DihInf": (z_on_dih_left, None, (3, 4, 6), SEEDS),
+    "right-DihInf": (lambda: right_translation(identity_hom(DIH)), None, (3, 4, 6), SEEDS),
+    "left-Z-2n": (lambda: left_translation(power_hom(2)), None, (3, 4, 6), SEEDS),
+    "left-Z^2": (lambda: left_translation(identity_hom(groups.free_abelian(2))), None, (3, 4, 6), SEEDS),
+    "left-DihInf-on-right-induced": (
+        lambda: right_translation(identity_hom(DIH)), lambda: left_translation(identity_hom(DIH)), (3, 4, 6), SEEDS
+    ),
+    "right-DihInf-on-left-induced": (
+        lambda: left_translation(identity_hom(DIH)), lambda: right_translation(identity_hom(DIH)), (3, 4, 6), SEEDS
+    ),
+    # non-abelian groups on their own induced structures: the reference walks
+    # every translate, so the larger groups are read at small radii, seed 0
+    "left-DihInf": (lambda: left_translation(identity_hom(DIH)), None, (3, 4, 6), (0,)),
+    "left-product(Z,DihInf)": (
+        lambda: left_translation(identity_hom(groups.parse_group_spec("product(Z,DihInf)"))), None, (3,), (0,)
+    ),
+    "left-F(2)": (lambda: left_translation(identity_hom(groups.free_group(2))), None, (3,), (0,)),
+}
+INDUCED_REFERENCE_CASES = [
+    pytest.param(inducing, other, radius, seed, id=f"{name}-{radius}" + (f"-seed{seed}" if seed else ""))
+    for name, (inducing, other, radii, seeds) in INDUCED_REFERENCE.items()
+    for radius in radii
+    for seed in seeds
+]
+
+
 @pytest.fixture
 def applied(monkeypatch):
     """The acting elements of every ``TranslationAction.apply_set`` call."""
@@ -243,45 +272,41 @@ class TestUniformlyBornologous:
         assert applied
         assert cert.to_json() == oracles.ref_uniformly_bornologous_action_check(action, struct, 3).to_json()
 
-    @pytest.mark.parametrize("radius", [3, 4, 6])
-    @pytest.mark.parametrize(
-        "make_inducing,make_other",
-        [
-            (z_on_dih_left, None),
-            (lambda: right_translation(identity_hom(DIH)), None),
-            (lambda: left_translation(power_hom(2)), None),
-            (lambda: left_translation(identity_hom(groups.free_abelian(2))), None),
-            # the other side of a non-abelian group: both FAIL
-            (lambda: right_translation(identity_hom(DIH)), lambda: left_translation(identity_hom(DIH))),
-            (lambda: left_translation(identity_hom(DIH)), lambda: right_translation(identity_hom(DIH))),
-        ],
-        ids=["left-Z-DihInf", "right-DihInf", "left-Z-2n", "left-Z^2",
-             "left-DihInf-on-right-induced", "right-DihInf-on-left-induced"],
-    )
-    def test_induced_structures_match_the_reference(self, make_inducing, make_other, radius):
+    @pytest.mark.parametrize("make_inducing,make_other,radius,seed", INDUCED_REFERENCE_CASES)
+    def test_induced_structures_match_the_reference(self, monkeypatch, make_inducing, make_other, radius, seed):
         """The reference also reads the translated one and two point pieces
         and writes whether the two routes agree, where the check writes a
-        fixed ``true``: the reports are equal only while the routes agree."""
+        fixed ``true``: the reports are equal only while the routes agree.
+        On its own induced structure the check folds no family (L9); the
+        reference folds every translate, so it reads none off."""
         inducing = make_inducing()
         action = make_other() if make_other else inducing
         U = cb_elements(cobounded_check(inducing, radius), inducing)
         struct, _ = induced_structure_second(inducing, U, radius)
-        cert = uniformly_bornologous_action_check(action, struct, radius)
+        read = []  # per family read, whether its grow was read off
+        read_off = struct.read_off
+        monkeypatch.setattr(struct, "read_off", lambda grow, r: read.append(read_off(grow, r)) or read[-1])
+        cert = uniformly_bornologous_action_check(action, struct, radius, seed=seed)
         assert cert.verdict == ("FAIL" if make_other else "PASS")
-        assert cert.to_json() == oracles.ref_uniformly_bornologous_action_check(action, struct, radius).to_json()
+        assert all(got is not None for got in read) == (make_other is None)
+        read.clear()
+        expected = oracles.ref_uniformly_bornologous_action_check(action, struct, radius, seed=seed)
+        assert read and all(got is None for got in read)
+        assert cert.to_json() == expected.to_json()
 
     @pytest.mark.parametrize(
-        "action,struct,isometric",
+        "action,struct,route",
         [
-            (left_translation(identity_hom(DIH)), RightGroupStructure(DIH), False),
-            (z_on_dih_right(), None, False),
-            (left_translation(identity_hom(DIH)), LeftGroupStructure(DIH), True),
+            (left_translation(identity_hom(DIH)), RightGroupStructure(DIH), "translates"),
+            (z_on_dih_right(), None, "own"),
+            (left_translation(identity_hom(DIH)), LeftGroupStructure(DIH), "isometric"),
         ],
         ids=["left-DihInf-on-C_r", "right-Z-DihInf-on-own-induced", "left-DihInf-on-C_l"],
     )
-    def test_each_family_and_its_translates_are_read_once(self, monkeypatch, applied, action, struct, isometric):
+    def test_each_family_and_its_translates_are_read_once(self, monkeypatch, applied, action, struct, route):
         """One read of each battery family, and one of its translates unless
-        the translations are isometries; nothing else is read."""
+        the translations are isometries (L5) or the structure is the
+        action's own (L9); nothing else is read."""
         radius = 4
         if struct is None:
             struct, _ = induced_structure_second(action, (ONE, T), radius)
@@ -297,9 +322,9 @@ class TestUniformlyBornologous:
         applied.clear()
         cert = uniformly_bornologous_action_check(action, struct, radius)
         battery = [pf.tag for pf in struct.default_battery(seed=0, n_random=8)]
-        if isometric:
-            assert cert.verdict == "PASS" and applied == []
-            assert read == battery
+        if route != "translates":
+            assert cert.verdict == "PASS" and read == battery
+            assert route == "own" or applied == []
             return
         assert read == [tag for t in battery[: len(read) // 2] for tag in (t, f"translates({t})")]
         if cert.verdict == "PASS":
@@ -356,26 +381,37 @@ class TestInducedSecond:
         assert membership_window(right_ind, reflect_right, 8).verdict == "FAIL"
 
     def test_orbit_layers_walk_each_sphere_once(self, applied):
-        # the battery of the commuting pair's induced structure, then its
-        # translates at double scale; the cover index is grown past every
+        # the battery of the commuting pair's induced structure, read at
+        # radius 6 twice and then at 7; the cover index is grown past every
         # acting radius first, so that only translates of seeds are counted
         radius = 6
         action = z_on_dih_left()
         struct, _ = induced_structure_second(action, (ONE, T), radius)
         struct.index.get(ONE, 4 * radius)
         battery = struct.default_battery(seed=0, n_random=8)
-        for pf in battery:
-            membership_window(struct, pf, radius)
-        applied.clear()
-        for pf in battery:
-            membership_window(struct, pf, radius)
-        assert applied == []
         seeds = {frozenset(pf.grow.seed) for pf in battery}
         assert len(seeds) < len(battery)  # some F_i.U repeat
-        for pf in battery:
-            membership_window(struct, translates_family(action, pf, f"translates({pf.tag})"), radius)
-        outer = [g for s in range(radius + 1, 2 * radius + 1) for g in groups.sphere(Z, s)]
-        assert sorted(applied) == sorted(outer * len(seeds))
+        for r, spheres in ((radius, range(radius + 1)), (radius, ()), (radius + 1, (radius + 1,))):
+            applied.clear()
+            for pf in battery:
+                membership_window(struct, pf, r)
+            walked = [g for s in spheres for g in groups.sphere(Z, s)]
+            assert sorted(applied) == sorted(walked * len(seeds)), r
+
+    @pytest.mark.parametrize("make", [left_translation, right_translation])
+    def test_free_group_orbit_layers_stop_at_the_radius(self, make):
+        """The coarse action certificate of F(2) on the structure it induces
+        from U = {1} walks no seed's orbit layers past sphere R: its translate
+        check reads each battery family off (L9), not its translates."""
+        radius = 4
+        F2 = groups.free_group(2)
+        action = make(identity_hom(F2))
+        one = F2.identity()
+        struct, _ = induced_structure_second(action, (one,), radius)
+        cert = coarse_action_certificate(action, struct, one, radius)
+        assert cert.verdict == "PASS"
+        assert struct._layers
+        assert all(walked <= radius + 1 for walked, _ in struct._layers.values())
 
     def test_translate_unions_agree_at_every_scale(self):
         # both orbits sweep out the same sets even though the structures differ

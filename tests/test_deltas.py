@@ -4,13 +4,11 @@ Each stock family hands membership_window only the members that appear at
 radius r.  The union of those deltas over 0..r must be the family rebuilt
 from scratch on groups.ball(spec, r), and the family must give the same
 verdict, trace and witness elements as those snapshots read whole by
-``oracles.ref_snapshot_window``.  The translates of an orbit family {g.V}
-under its own action are grown as one orbit at double scale; they must be
-the brute-force set {g.M : g in Ball(r), M a member at r}, and an orbit of
-any other action object, or the pieces of an orbit, must take the generic
-route to the same set.  An induced structure reads an orbit of its own
-action off orbit layers; that must give what the generic fold of the same
-family gives.
+``oracles.ref_snapshot_window``.  The translates of an orbit family {g.V},
+or of its pieces, under its own action or any other, grow generically to
+the brute-force set {g.M : g in Ball(r), M a member at r}.  An induced
+structure reads an orbit of its own action off orbit layers; that must give
+what the generic fold of the same family gives.
 """
 
 import functools
@@ -168,7 +166,7 @@ def test_error_names_least_member_whatever_the_delta_order(order):
 
 
 # ---------------------------------------------------------------------------
-# translates of an orbit family: read as one orbit at double scale
+# translates of an orbit family: grown generically
 
 ONE, X, T = (0, 0), (1, 0), (0, 1)
 SEVEN = FiniteSpace("seven", tuple(range(7)))
@@ -225,24 +223,14 @@ def _assert_grows_to(tf, snapshot):
 @pytest.mark.parametrize("route", ORBIT_ROUTES)
 @pytest.mark.parametrize("name", list(ORBIT_CASES))
 def test_translates_of_an_orbit_are_an_orbit(name, route):
+    # an orbit of the action object itself, and of an equal action built
+    # twice, both grow generically
     make, V = ORBIT_CASES[name]
     action = make()
-    tf, snapshot = _orbit_case(route, action, action, V)
-    # the pieces of an orbit are no one-seed orbit: they grow generically
-    assert isinstance(tf.grow, _Orbit) == (route == "translates")
-    _assert_grows_to(tf, snapshot)
-
-
-@pytest.mark.parametrize("route", ORBIT_ROUTES)
-@pytest.mark.parametrize("name", list(ORBIT_CASES))
-def test_orbit_of_another_action_object_grows_generically(name, route):
-    # an equal action built twice is two objects: only the same object is
-    # known to satisfy g.(h.S) = (gh).S with the orbit's own h
-    make, V = ORBIT_CASES[name]
-    action = make()
-    tf, snapshot = _orbit_case(route, action, make(), V)
-    assert not isinstance(tf.grow, _Orbit)
-    _assert_grows_to(tf, snapshot)
+    for base_action in (action, make()):
+        tf, snapshot = _orbit_case(route, action, base_action, V)
+        assert not isinstance(tf.grow, _Orbit)
+        _assert_grows_to(tf, snapshot)
 
 
 @pytest.mark.parametrize("route", ORBIT_ROUTES)
@@ -274,16 +262,15 @@ def _folded(orbit):
 
 
 def _assert_layers_read_the_fold(read, folded, V):
-    """Seed V at scales 1-3, read at falling and rising radii on one
-    structure, so that later reads reuse earlier layers."""
+    """Seed V read at falling and rising radii on one structure, so that
+    later reads reuse earlier layers."""
     action = read.action
-    for scale in (1, 2, 3):
-        orbit = _Orbit(action, V, scale)
-        plain = ParamFamily("plain", action.space, grow=_folded(orbit))
-        assert folded.read_off(plain.grow, RADIUS) is None
-        for radius in (RADIUS, 2, RADIUS - 1):
-            got = _window_or_error(read, ParamFamily("orbit", action.space, grow=orbit), radius)
-            assert got == _window_or_error(folded, plain, radius), (scale, radius)
+    orbit = _Orbit(action, V)
+    plain = ParamFamily("plain", action.space, grow=_folded(orbit))
+    assert folded.read_off(plain.grow, RADIUS) is None
+    for radius in (RADIUS, 2, RADIUS - 1):
+        got = _window_or_error(read, ParamFamily("orbit", action.space, grow=orbit), radius)
+        assert got == _window_or_error(folded, plain, radius), radius
     assert read._layers and not folded._layers
     if not read._equivariant:
         assert set(read._contributions) == set(folded._contributions)
@@ -323,7 +310,7 @@ def test_orbit_layers_read_a_growing_trace(name):
     _assert_layers_read_the_fold(read, folded, V)
     # an orbit of the other side's action is folded, not read off these layers
     other = _translation(groups.DIH, "right" if name == "left(DihInf)" else "left")
-    orbit = _Orbit(other, V, 1)
+    orbit = _Orbit(other, V)
     assert read.read_off(orbit, RADIUS) is None
     assert membership_window(read, ParamFamily("other", action.space, grow=orbit), RADIUS).trace == (
         membership_window(folded, ParamFamily("plain", action.space, grow=_folded(orbit)), RADIUS).trace
@@ -343,7 +330,7 @@ def test_refused_orbit_raises_what_the_fold_raises(make, U, seed, walked, inside
     action = make()
     read = ActionInducedStructure(action, U, slack=LAYER_SLACK)
     folded = ActionInducedStructure(action, U, slack=LAYER_SLACK)
-    orbit = _Orbit(action, seed, 1)
+    orbit = _Orbit(action, seed)
     pf, plain = ParamFamily("orbit", action.space, grow=orbit), ParamFamily("plain", action.space, grow=_folded(orbit))
     got = _window_or_error(read, pf, RADIUS)
     assert got[0] is WindowOverflowError

@@ -288,7 +288,7 @@ def _searched_per_translate(struct, S):
     """Read the orbit layers of S, and check that each translate walked was
     searched through the memo."""
     action = struct.action
-    struct.read_off(_Orbit(action, S, 1), TABLE_BALL)
+    struct.read_off(_Orbit(action, S), TABLE_BALL)
     translates = {action.apply_set(g, S) for g in groups.ball(action.group, TABLE_BALL).elements}
     assert translates <= set(struct._contributions)
     assert _assert_table_reads_the_search(struct, S) is False
