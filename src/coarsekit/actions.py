@@ -286,7 +286,12 @@ class ActionInducedStructure(CoarseStructure):
     are g.K, K those of S, and g.S contributes C(k) = {min over the covers
     h of y of k^-1 h : y in S}, where k in K makes g.k least in ball order.
     The table holds C(k) for each k in K.  Any other seed keeps the search
-    per translate."""
+    per translate.
+
+    Every translate of a tabled seed contributes one of the table's values,
+    so its walk stops once the layers hold every element of their union:
+    the spheres after that, up to the radius asked, count as walked and
+    read no translate.  A one-centre table is saturated after sphere 0."""
 
     def __init__(self, action: Action, U, slack: int = 2):
         super().__init__()
@@ -303,9 +308,8 @@ class ActionInducedStructure(CoarseStructure):
         self._nears: dict = {}  # h -> [h.Ball(0), h.Ball(1), ...]
         self._layers: dict = {}  # seed S -> [spheres walked, {element: first layer}]
         self._tables: dict = {}  # seed S -> {centre k: C(k)}, or None to search per translate
-        self._translates_self = isinstance(action, TranslationAction) and action.hom.apply is _identity
         self._equivariant = (
-            self._translates_self
+            _translates_itself(action)
             and type(self)._compute_contribution is ActionInducedStructure._compute_contribution
         )
 
@@ -396,10 +400,16 @@ class ActionInducedStructure(CoarseStructure):
         """The orbit layers of seed S walked through sphere ``top``: each
         witness element e -> the first s with e in layer[s].  The spheres
         walked are counted in ``_layers[S][0]``; a sphere whose contribution
-        raises is neither counted nor entered."""
+        raises is neither counted nor entered, and a saturated walk (see the
+        class docstring) counts the spheres through ``top`` unread."""
         layers = self._layers.setdefault(S, [0, {}])
         firsts, G, read = layers[1], self.action.group, self._translate_reader(S)
+        table = self._centre_table(S)
+        full = len(frozenset().union(*table.values())) if table else None
         for s in range(layers[0], top + 1):
+            if len(firsts) == full:
+                layers[0] = top + 1
+                break
             for w in [read(g) for g in groups.sphere(G, s)]:
                 for e in w:
                     firsts.setdefault(e, s)
@@ -411,22 +421,15 @@ class ActionInducedStructure(CoarseStructure):
         its fold gives them: an element enters at the first layer s of the
         orbit's seed that holds it.
         For a translation of a group on itself through the identity, a
-        ``ShapeTranslates`` {g*S} or {S*g} on the action's side is the orbit
-        {g.S} sphere by sphere (spheres are closed under inverses, and
-        S*g = g^-1.S on the right), and is read off as that orbit.
+        ``ShapeTranslates`` on the action's side is read off as the orbit it
+        grows (``_orbit_seed``); an ``ImageTranslates`` is no orbit.
         Any other family, or an orbit with a refused member, is folded, so
         the fold reports the least refused member."""
-        if (
-            self._translates_self
-            and isinstance(grow, ShapeTranslates)
-            and grow.spec == self.action.group
-            and grow.side == self.action.side
-        ):
-            grow = _Orbit(self.action, grow.shape)
-        if not (isinstance(grow, _Orbit) and grow.action is self.action):
+        seed = _orbit_seed(self.action, grow)
+        if seed is None:
             return None
         try:
-            firsts = self._first_spheres(frozenset(grow.seed), radius)
+            firsts = self._first_spheres(frozenset(seed), radius)
         except CoarseKitError:
             return None
         enters = {e: s for e, s in firsts.items() if s <= radius}
@@ -476,6 +479,29 @@ class _Orbit:
         apply_set, S = self.action.apply_set, self.seed
         for g in groups.sphere(self.action.group, r):
             yield apply_set(g, S)
+
+
+def _translates_itself(action: Action) -> bool:
+    """Is ``action`` a translation of a group on itself through the identity?"""
+    return isinstance(action, TranslationAction) and action.hom.apply is _identity
+
+
+def _orbit_seed(action: Action, grow) -> tuple | None:
+    """The seed S when ``grow`` grows the orbit {g.S} of ``action`` sphere by
+    sphere, else None: an ``_Orbit`` of this action, or, for a translation
+    of a group on itself through the identity, a ``ShapeTranslates`` {g*S}
+    or {S*g} on the action's side (spheres are closed under inverses, and
+    S*g = g^-1.S on the right)."""
+    if isinstance(grow, _Orbit):
+        return grow.seed if grow.action is action else None
+    if (
+        _translates_itself(action)
+        and isinstance(grow, ShapeTranslates)
+        and grow.spec == action.group
+        and grow.side == action.side
+    ):
+        return grow.shape
+    return None
 
 
 def action_translate_family(action: Action, V, tag: str = "") -> ParamFamily:
@@ -705,7 +731,20 @@ class _OrbitMap(MapWindow):
     an induced structure of the same action reads it off its orbit layers
     (``ActionInducedStructure.read_off``).  Any other family, or another
     action, whose law is checked only on a window, keeps the image family.
-    Its fibres are the covers of {x0}, ``action.covers((x0,))``."""
+    Its fibres are the covers of {x0}, ``action.covers((x0,))``.
+
+    The map is equivariant, g.x0 -> (hg).x0, so the preimage of an orbit
+    {h.V} is the left translate family {h*P}, P the fibre set of V.
+    ``preimage`` returns it as a ``ShapeTranslates`` of P, which the left
+    structure of the acting group reads off P (L6), when all of these hold:
+
+    * the action translates a group on itself through the identity, on
+      either side, and the family is an orbit of it (``_orbit_seed``);
+    * every point of V has exactly one fibre point in the source window;
+    * max|p| + radius <= ``source_radius(radius)``, so each h*P with
+      |h| <= radius lies in that window whole, as its generic member does.
+
+    Any other family keeps the generic preimage family."""
 
     def __init__(self, action: Action, x0, target: CoarseStructure, slack: int):
         super().__init__(
@@ -730,6 +769,17 @@ class _OrbitMap(MapWindow):
         ):
             img.grow = _Orbit(action, tuple(map(self.rule, grow.shape)))
         return img
+
+    def preimage(self, pf: ParamFamily, fibre: Callable, radius: int) -> ParamFamily:
+        seed = _orbit_seed(self.action, pf.grow) if _translates_itself(self.action) else None
+        if seed is not None:
+            fibres = [fibre(v) for v in seed]
+            if all(len(xs) == 1 for xs in fibres):
+                G = self.action.group
+                P = tuple([xs[0] for xs in fibres])
+                if max(map(G.length, P), default=0) + radius <= self.source_radius(radius):
+                    return ParamFamily(f"pre({pf.tag})", self.source.space, ShapeTranslates(G, P, "left"))
+        return super().preimage(pf, fibre, radius)
 
     def window(self, r: int) -> list:
         """The orbit Ball(r).x0, in the order of each point's first acting

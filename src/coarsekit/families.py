@@ -259,6 +259,34 @@ class ShapeTranslates:
                 yield tuple([mul(s, g) for s in shape])
 
 
+class ImageTranslates:
+    """grow of the image of a ``ShapeTranslates`` {g*S} ("left") or {S*g}
+    ("right") through a homomorphism f into ``spec``: at radius r the
+    members f(g)*f(S) or f(S)*f(g) over g in the source sphere of radius r,
+    which are the images f(g*S) and f(S*g) member for member.
+
+    It carries ``(spec, shape, side)`` with shape f(S), so a group structure
+    on ``spec`` reads the family's witness off f(S) (``GroupStructure.read_off``).
+    It is no translate family of ``spec``: its members come one per g of the
+    source sphere, so nothing that reads a ``ShapeTranslates`` takes it."""
+
+    def __init__(self, translates: ShapeTranslates, f: Callable, spec: groups.GroupSpec):
+        self.source = translates.spec
+        self.f = f
+        self.spec = spec
+        self.shape = tuple([f(s) for s in translates.shape])
+        self.side = translates.side
+
+    def __call__(self, r: int):
+        mul, f, shape = self.spec.mul, self.f, self.shape
+        for g in groups.sphere(self.source, r):
+            h = f(g)
+            if self.side == "left":
+                yield tuple([mul(h, s) for s in shape])
+            else:
+                yield tuple([mul(s, h) for s in shape])
+
+
 def shape_translate_family(space, shape: tuple, side: str) -> ParamFamily:
     """r -> {g*S} ("left") or {S*g} ("right") over g in Ball(r), S fixed.
 

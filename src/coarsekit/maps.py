@@ -28,7 +28,7 @@ from .errors import (
     SurjectivityError,
     WindowOverflowError,
 )
-from .families import ParamFamily, Reading, image_family
+from .families import ImageTranslates, ParamFamily, Reading, ShapeTranslates, image_family
 from .spaces import GroupSpace, Preimages
 from .structures import CoarseStructure, bounded_battery, first_unbounded, membership_window
 
@@ -47,6 +47,7 @@ class MapWindow:
         rule: Callable,
         source_factor: int = DEFAULT_SOURCE_FACTOR,
         source_slack: int = DEFAULT_SOURCE_SLACK,
+        homomorphism: bool = False,
     ):
         self.name = name
         self.source = source
@@ -54,6 +55,8 @@ class MapWindow:
         self.rule = rule
         self.source_factor = source_factor
         self.source_slack = source_slack
+        # the rule is a group homomorphism of the source group into the target's
+        self.homomorphism = homomorphism
         # each image value's preimages, in window order; grown on demand
         self.fibres = Preimages(source.space, lambda x: (rule(x),))
 
@@ -67,8 +70,29 @@ class MapWindow:
         """The image family r -> {rule(m)} of pf, tagged ``name(pf.tag)``,
         that the bornologous check reads.  A map that knows its images as
         another growth of the same members may return that instead (the
+        orbit map of ``actions.coarse_action_certificate`` does).
+
+        A homomorphism f sends g*S to f(g)*f(S) and S*g to f(S)*f(g).  So
+        the image of a ``ShapeTranslates`` of the source group grows as an
+        ``ImageTranslates``: the same members, over the same source
+        spheres, carrying f(S), so a group structure on the target reads
+        the witness of f(S) off it wherever translations on the family's
+        side are isometries (``GroupStructure.read_off``), and folds the
+        members elsewhere."""
+        tag = f"{self.name}({pf.tag})"
+        grow = pf.grow
+        if self.homomorphism and isinstance(grow, ShapeTranslates) and grow.spec == self.source.space.spec:
+            return ParamFamily(tag, self.target.space, ImageTranslates(grow, self.rule, self.target.space.spec))
+        return image_family(pf, self.rule, self.target.space, tag=tag)
+
+    def preimage(self, pf: ParamFamily, fibre: Callable, radius: int) -> ParamFamily:
+        """The preimage family r -> {fibre(m)} of pf, tagged ``pre(pf.tag)``,
+        that the equivalence check reads at ``radius``, a point y read as
+        ``fibre(y)``: its fibre in the source window of
+        ``source_radius(radius)``.  A map that knows the preimages as
+        another growth of the same members may return that instead (the
         orbit map of ``actions.coarse_action_certificate`` does)."""
-        return image_family(pf, self.rule, self.target.space, tag=f"{self.name}({pf.tag})")
+        return _preimage_family(self, pf, fibre)
 
     def window(self, r: int):
         """The target window the equivalence check covers at radius r: the
@@ -125,7 +149,7 @@ def _onto_own_space(name: str, source: CoarseStructure, target: CoarseStructure 
 
 def identity_map(source: CoarseStructure, target: CoarseStructure | None = None) -> MapWindow:
     target = _onto_own_space("identity", source, target)
-    return MapWindow("identity", source, target, lambda x: x, source_factor=1)
+    return MapWindow("identity", source, target, lambda x: x, source_factor=1, homomorphism=True)
 
 
 def translation_map(
@@ -160,7 +184,7 @@ def squaring_map(source: CoarseStructure, target: CoarseStructure | None = None)
 def power_map(source: CoarseStructure, target: CoarseStructure, k: int) -> MapWindow:
     if source.space.spec != groups.Z or target.space.spec != groups.Z:
         raise PreconditionError("power map is defined on Z")
-    return MapWindow(f"power:{k}", source, target, lambda n: k * n)
+    return MapWindow(f"power:{k}", source, target, lambda n: k * n, homomorphism=True)
 
 
 def floor_div_map(source: CoarseStructure, target: CoarseStructure, k: int) -> MapWindow:
@@ -178,14 +202,14 @@ def inclusion_z_to_dih(source: CoarseStructure, target: CoarseStructure) -> MapW
     if source.space.spec != groups.Z or target.space.spec != groups.DIH:
         raise PreconditionError("inclusion is defined from Z into DihInf")
     return MapWindow("inclusion", source, target, lambda n: (n, 0), source_factor=1,
-                     source_slack=2)
+                     source_slack=2, homomorphism=True)
 
 
 def mod_map(source: CoarseStructure, target: CoarseStructure, k: int) -> MapWindow:
     tspec = target.space.spec
     if source.space.spec != groups.Z or not isinstance(tspec, groups.Cyclic) or tspec.modulus != k:
         raise PreconditionError(f"mod:{k} is defined from Z onto Zmod({k})")
-    return MapWindow(f"mod:{k}", source, target, lambda x: x % k)
+    return MapWindow(f"mod:{k}", source, target, lambda x: x % k, homomorphism=True)
 
 
 def constant_map(source: CoarseStructure, target: CoarseStructure, value) -> MapWindow:
@@ -306,6 +330,11 @@ def surjective_equivalence_check(
     unbounded family.  On success the certificate stores the canonical
     coarse inverse: every window element is sent to the least preimage of
     the nearest covered point.
+
+    The preimage families come from the map, ``m.preimage``: the generic
+    family of fibres, or the same members grown as a translate family the
+    source structure reads off (the orbit map's, when its exactness
+    conditions hold; see ``actions._OrbitMap``).
     """
     if cover_distance < 0:
         raise InvalidRadiusError(f"cover distance must be >= 0, got {cover_distance}")
@@ -346,7 +375,7 @@ def surjective_equivalence_check(
     taken = []
     if not failures:
         taken, bad = first_unbounded(
-            (pf.tag, membership_window(m.source, _preimage_family(m, pf, fibre), radius))
+            (pf.tag, membership_window(m.source, m.preimage(pf, fibre, radius), radius))
             for pf, _ in bounded_battery(m.target, radius, seed, n_random)
         )
         if bad is not None:

@@ -21,6 +21,7 @@ from itertools import combinations
 from . import groups
 from .errors import CoarseKitError, PreconditionError
 from .families import (
+    ImageTranslates,
     Membership,
     ParamFamily,
     Reading,
@@ -141,10 +142,12 @@ class GroupStructure(CoarseStructure):
     def read_off(self, grow, radius: int) -> tuple[set, dict] | None:
         """(L6) Where translations on the family's side are isometries
         (``translations_isometric``), every member of {g*S} or {S*g} has
-        the witness of S, at every radius, so the trace is constant.  Any
-        other family is folded."""
+        the witness of S, at every radius, so the trace is constant.  So
+        has every member h*S or S*h of the image of a translate family
+        through a homomorphism (``ImageTranslates``, S the image shape).
+        Any other family is folded."""
         if (
-            not isinstance(grow, ShapeTranslates)
+            not isinstance(grow, (ShapeTranslates, ImageTranslates))
             or grow.spec != self.spec
             or not self.translations_isometric(grow.side)
         ):

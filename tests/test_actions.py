@@ -1,6 +1,8 @@
 """Action checks: stabilizers, uniform bornologousness, coboundedness, the
 induced structure, action certificates, and commuting pairs."""
 
+import contextlib
+import io
 import sys
 
 import pytest
@@ -412,6 +414,61 @@ class TestInducedSecond:
         assert cert.verdict == "PASS"
         assert struct._layers
         assert all(walked <= radius + 1 for walked, _ in struct._layers.values())
+
+    @pytest.mark.parametrize("name", list(INDUCED_REFERENCE))
+    def test_saturated_orbit_walk_gives_the_full_walk(self, monkeypatch, name):
+        """Each battery seed's layers, asked through sphere 0, 1, ..., R and
+        then R twice, give what searching every translate of every sphere
+        gives; a tabled seed stops reading translates once its layers hold
+        its table's values."""
+        make_inducing, _, radii, seeds = INDUCED_REFERENCE[name]
+        inducing = make_inducing()
+        G = inducing.group
+        reads, translates = [], 0
+        for radius in radii:
+            U = cb_elements(cobounded_check(inducing, radius), inducing)
+            struct, _ = induced_structure_second(inducing, U, radius)
+            reader = struct._translate_reader
+            monkeypatch.setattr(struct, "_translate_reader", lambda S, reader=reader: (
+                lambda g, read=reader(S): reads.append(g) or read(g)))
+            for seed in seeds:
+                for pf in struct.default_battery(seed=seed, n_random=actions.BATTERY_SHAPES):
+                    S = frozenset(pf.grow.seed)
+                    full = {}
+                    for s in range(radius + 1):
+                        for g in groups.sphere(G, s):
+                            for e in struct.member_contribution(inducing.apply_set(g, S)):
+                                full.setdefault(e, s)
+                    for top in [*range(radius + 1), radius, radius]:
+                        got = struct._first_spheres(S, top)
+                        assert {e: s for e, s in got.items() if s <= top} == {
+                            e: s for e, s in full.items() if s <= top}, (S, top)
+                    assert struct._layers[S][0] == radius + 1
+            translates += sum(len(groups.ball(G, w - 1).elements) for w, _ in struct._layers.values())
+        if actions._translates_itself(inducing):
+            assert len(reads) < translates
+        else:
+            assert len(reads) == translates
+
+    def test_commuting_reads_fewer_translates(self, monkeypatch):
+        """Of the 2,560 translates whose layers ``commuting --radius 16``
+        walks, a saturated walk reads 106; an unsaturated one reads all."""
+        reads, structs = [], set()
+        reader = ActionInducedStructure._translate_reader
+
+        def counted(struct, S):
+            structs.add(struct)
+            read = reader(struct, S)
+            return lambda g: reads.append(g) or read(g)
+
+        monkeypatch.setattr(ActionInducedStructure, "_translate_reader", counted)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["commuting", "--radius", "16"]) == 0
+        walked = sum(
+            len(groups.ball(s.action.group, w - 1).elements) for s in structs for w, _ in s._layers.values()
+        )
+        assert walked == 2560
+        assert len(reads) <= walked // 20
 
     def test_translate_unions_agree_at_every_scale(self):
         # both orbits sweep out the same sets even though the structures differ

@@ -11,7 +11,8 @@ every distinct member.
 A translate family of a shape whose translations are isometries of the
 structure (``GroupStructure.translations_isometric``: its own side, or either
 side of an abelian group) is read off the shape and never folded (L6); its
-verdict, trace and elements must be the reference's too.
+verdict, trace and elements must be the reference's too.  So is the image of
+such a family through a catalog homomorphism, read off the image shape.
 """
 
 import contextlib
@@ -21,8 +22,10 @@ import random
 
 import pytest
 
-from coarsekit import cli, groups, structures
+from coarsekit import cli, groups, maps, structures
+from coarsekit.actions import ActionInducedStructure, _Orbit, _OrbitMap, identity_hom, left_translation
 from coarsekit.families import (
+    ImageTranslates,
     ParamFamily,
     finite_family,
     fold_witness,
@@ -32,11 +35,13 @@ from coarsekit.families import (
     side_witness,
     translate_pair_family,
 )
+from coarsekit.maps import identity_map, inclusion_z_to_dih, mod_map, power_map
 from coarsekit.spaces import GroupSpace
 from coarsekit.structures import (
     CoarseStructure,
     GroupStructure,
     LeftGroupStructure,
+    RightGroupStructure,
     membership_window,
     random_shapes,
 )
@@ -310,3 +315,123 @@ def test_fold_inverts_only_new_products(monkeypatch):
     # every element of the witness but the identity, then none
     assert first == pairs + len(out) - 1
     assert len(inversions) - first == pairs
+
+
+# ---------------------------------------------------------------------------
+# images of translate families through a homomorphism, read off f(S)
+
+def _homomorphisms():
+    """name -> (the MapWindow, the radii read, whether its target reads the
+    images off): every catalog homomorphism.  Each battery family lies on
+    its structure's side, so a map onto the other side of DihInf folds every
+    image.  F(2) is read at radii 3..5, where the reference already walks
+    485 elements per radius."""
+    z = LeftGroupStructure(groups.Z)
+    out = {}
+    for text in ("Z", "Z^2", "DihInf", "F(2)"):
+        spec = _spec(text)
+        radii = range(3, 6 if text == "F(2)" else 9)
+        for side in SIDES:
+            out[f"identity on {text}, C_{side[0]}"] = (identity_map(GroupStructure(spec, side)), radii, True)
+    out["identity C_l -> C_r on DihInf"] = (
+        identity_map(LeftGroupStructure(groups.DIH), RightGroupStructure(groups.DIH)), range(3, 9), False
+    )
+    for k in (-2, 0, 2, 3):
+        out[f"power:{k}"] = (power_map(z, z, k), range(3, 9), True)
+    out["inclusion into C_l"] = (inclusion_z_to_dih(z, LeftGroupStructure(groups.DIH)), range(3, 9), True)
+    out["inclusion into C_r"] = (inclusion_z_to_dih(z, RightGroupStructure(groups.DIH)), range(3, 9), False)
+    out["mod:3"] = (mod_map(z, LeftGroupStructure(groups.cyclic(3)), 3), range(3, 9), True)
+    return out
+
+
+HOMOMORPHISMS = _homomorphisms()
+
+
+def _members(grow, radius):
+    return [{frozenset(m) for m in grow(r)} for r in range(radius + 1)]
+
+
+@pytest.mark.parametrize("name", list(HOMOMORPHISMS))
+def test_image_of_a_translate_family_reads_what_the_fold_gives(name):
+    m, radii, read_off = HOMOMORPHISMS[name]
+    assert m.homomorphism
+    tgt = m.target
+    verdicts = set()
+    for pf in m.source.default_battery(seed=0, n_random=8):
+        img = m.image(pf)
+        plain = image_family(pf, m.rule, tgt.space, tag=img.tag)
+        assert isinstance(img.grow, ImageTranslates) and img.grow.shape == tuple(map(m.rule, pf.grow.shape))
+        # the true members f(g)*f(S), over the source spheres
+        assert _members(img.grow, radii[-1]) == _members(plain.grow, radii[-1]), pf.tag
+        for radius in radii:
+            assert (tgt.read_off(img.grow, radius) is not None) == read_off
+            got = membership_window(tgt, img, radius)
+            expected = oracles.ref_membership_window(tgt.side, tgt.spec, plain, radius)
+            assert (got.verdict, got.trace, got.elements) == expected, (pf.tag, radius)
+            verdicts.add(got.verdict)
+    assert verdicts == ({"PASS", "FAIL"} if name == "identity C_l -> C_r on DihInf" else {"PASS"})
+
+
+def test_inclusion_into_c_r_folds_the_true_members():
+    """The image of a left shape family of Z is not the translate family of
+    its image shape in DihInf: that one holds t*x^S too."""
+    m = HOMOMORPHISMS["inclusion into C_r"][0]
+    pf = m.source.default_battery(seed=0, n_random=8)[1]
+    img = m.image(pf)
+    assert m.target.read_off(img.grow, 8) is None
+    wide = shape_translate_family(m.target.space, img.grow.shape, "left")
+    assert _members(img.grow, 1) != _members(wide.grow, 1)
+    got = membership_window(m.target, img, 8)
+    assert got.verdict == "PASS"
+    assert (got.verdict, got.trace, got.elements) == oracles.ref_membership_window(
+        "right", groups.DIH, image_family(pf, m.rule, m.target.space), 8
+    )
+
+
+def test_image_is_no_translate_family_of_the_target():
+    """An induced structure of the target group's own translation, and the
+    orbit map of that translation, take the image of Z's left shapes under
+    the inclusion as no orbit: its members come one per element of Z."""
+    m = HOMOMORPHISMS["inclusion into C_l"][0]
+    action = left_translation(identity_hom(groups.DIH))
+    induced = ActionInducedStructure(action, ((0, 0),))
+    orbit_map = _OrbitMap(action, (0, 0), induced, 2)
+    for pf in m.source.default_battery(seed=0, n_random=8):
+        img = m.image(pf)
+        assert img.grow.side == action.side and img.grow.spec == action.group
+        assert induced.read_off(img.grow, 6) is None
+        assert not isinstance(orbit_map.image(img).grow, _Orbit)
+        plain = ParamFamily("plain", img.space, grow=lambda r, g=img.grow: g(r))
+        assert membership_window(induced, img, 6).trace == membership_window(induced, plain, 6).trace
+
+
+def test_maps_that_are_no_homomorphism_keep_the_image_family():
+    z = LeftGroupStructure(groups.Z)
+    for text in ("negate", "square", "floor-div:2", "translate-left:1", "constant:0"):
+        m = cli.parse_map_dsl(text, z, z)
+        assert not m.homomorphism
+        pf = shape_translate_family(z.space, (0, 1), "left")
+        assert not isinstance(m.image(pf).grow, ImageTranslates), text
+
+
+def test_gromov_folds_no_image_family(monkeypatch):
+    """``gromov --map power:2`` probes the map's bornologous check, whose
+    images of Z's battery are all read off their image shapes."""
+    folds = []
+    fold = GroupStructure.fold
+    monkeypatch.setattr(GroupStructure, "fold", lambda s, w, members: folds.append(s) or fold(s, w, members))
+    reads = []
+    window = maps.membership_window
+
+    def counted(struct, pf, radius):
+        before = len(folds)
+        res = window(struct, pf, radius)
+        reads.append((pf.tag, len(folds) - before))
+        return res
+
+    monkeypatch.setattr(maps, "membership_window", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gromov", "--map", "power:2", "--radius", "8", "--enum-radius", "2"]) == 0
+    images = [n for tag, n in reads if tag.startswith("power:2(")]
+    assert len(images) == len(LeftGroupStructure(groups.Z).default_battery(seed=0, n_random=32))
+    assert images == [0] * len(images)

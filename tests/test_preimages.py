@@ -6,6 +6,12 @@ preimages of the equivalence check, the coarsely-proper traces and the
 displacement sets d(F).  oracles.py keeps the scans, which apply the rule to a
 whole window afresh.  Both must give the same fibres, traces, members and
 tables at every radius.
+
+The orbit map of a group translating itself through the identity reads the
+preimage of an orbit {h.V} as the left translate family {h*P} of its fibre
+set P, when every point of V has one fibre point and every h*P with
+|h| <= radius lies in the source window; the generic family of fibres, which
+``_preimage_family`` grows, must give the same members, reports and verdicts.
 """
 
 from collections import Counter
@@ -14,8 +20,16 @@ import pytest
 
 import oracles
 from coarsekit import groups
+from coarsekit.actions import (
+    ActionInducedStructure,
+    TranslationAction,
+    _OrbitMap,
+    action_translate_family,
+    identity_hom,
+    power_hom,
+)
 from coarsekit.cli import parse_map_dsl
-from coarsekit.families import ParamFamily, Reading, entry_trace
+from coarsekit.families import ParamFamily, Reading, ShapeTranslates, entry_trace, shape_translate_family
 from coarsekit.maps import (
     MapWindow,
     _preimage_family,
@@ -23,7 +37,7 @@ from coarsekit.maps import (
     surjective_equivalence_check,
     table_map,
 )
-from coarsekit.structures import LeftGroupStructure
+from coarsekit.structures import GroupStructure, LeftGroupStructure
 from coarsekit.transfer import _c_singletons, _d_singletons, _union, default_key_battery
 
 Z2 = groups.free_abelian(2)
@@ -191,3 +205,84 @@ def test_transfer_sets_match_all_pairs(text, gname, radius):
             enters = _union(tables, F)
             got = groups.canonical_sorted(valued, enters), entry_trace(enters.values(), src_radius)
             assert got == ref(alpha, groups.canonical_sorted(keyed, F), src_radius), F
+
+
+# ---------------------------------------------------------------------------
+# preimages of orbits under the orbit map, read off the fibre set
+
+ORBIT_GROUPS = {**GROUPS, "product(Z,DihInf)": groups.parse_group_spec("product(Z,DihInf)")}
+ORBIT_SLACK = 2
+
+
+def _generic_preimages(monkeypatch):
+    monkeypatch.setattr(_OrbitMap, "preimage", lambda m, pf, fibre, radius: _preimage_family(m, pf, fibre))
+
+
+def _grown(grow, radius: int) -> list:
+    return [{frozenset(m) for m in grow(r)} for r in range(radius + 1)]
+
+
+@pytest.mark.parametrize("structure", ["induced", "own side"])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("gname", list(ORBIT_GROUPS))
+def test_orbit_map_preimages_match_the_generic_family(monkeypatch, gname, side, structure):
+    spec = ORBIT_GROUPS[gname]
+    action = TranslationAction(identity_hom(spec), side)
+    e = spec.identity()
+    if structure == "induced":
+        target = ActionInducedStructure(action, (e,), slack=ORBIT_SLACK)
+    else:
+        target = GroupStructure(spec, side)
+    radius = 4  # at 3 the properness traces fill the window, and no preimage is read
+    reports, read = [], []
+    preimage = _OrbitMap.preimage
+    monkeypatch.setattr(_OrbitMap, "preimage", lambda m, *a: read.append(preimage(m, *a)) or read[-1])
+    for x0 in (e, spec.generators()[0]):
+        m = _OrbitMap(action, x0, target, ORBIT_SLACK)
+        reports.append(surjective_equivalence_check(m, radius, n_random=8).to_json())
+    assert reports[0]["verdict"] == "PASS" and reports[0]["data"]["preimage_families"]
+    assert any(isinstance(pf.grow, ShapeTranslates) for pf in read)
+    _generic_preimages(monkeypatch)
+    for x0, report in zip((e, spec.generators()[0]), reports):
+        m = _OrbitMap(action, x0, target, ORBIT_SLACK)
+        assert report == surjective_equivalence_check(m, radius, n_random=8).to_json()
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("gname", ["Z", "DihInf", "F(2)"])
+def test_orbit_map_preimage_reads_off_up_to_the_window_edge(gname, side):
+    """P at max|p| = slack fills the source window at |h| = radius and is
+    read off; one step further, h*P leaves the window, the generic member is
+    cut there, and the generic family is kept."""
+    spec = GROUPS[gname]
+    action = TranslationAction(identity_hom(spec), side)
+    radius = 3
+    x0 = spec.generators()[0]
+    m = _OrbitMap(action, x0, GroupStructure(spec, side), ORBIT_SLACK)
+    source_radius = m.source_radius(radius)
+    fibre = lambda y: m.fibres.get(y, source_radius)
+    e = spec.identity()
+    for reach in (ORBIT_SLACK, ORBIT_SLACK + 1):
+        P = (e, groups.sphere(spec, reach)[-1])
+        V = tuple(action.apply(p, x0) for p in P)
+        for pf in (action_translate_family(action, V), shape_translate_family(action.space, V, side)):
+            got = m.preimage(pf, fibre, radius)
+            generic = _preimage_family(m, pf, fibre)
+            assert got.tag == generic.tag == f"pre({pf.tag})"
+            if reach == ORBIT_SLACK:
+                assert isinstance(got.grow, ShapeTranslates) and set(got.grow.shape) == set(P)
+                assert _grown(got.grow, radius) == _grown(generic.grow, radius)
+            else:
+                assert not isinstance(got.grow, ShapeTranslates)
+                assert _grown(ShapeTranslates(spec, P, "left"), radius) != _grown(generic.grow, radius)
+
+
+def test_orbit_map_through_another_homomorphism_keeps_the_generic_family(monkeypatch):
+    action = TranslationAction(power_hom(2), "left")  # left(Z via 2n)
+    m = _OrbitMap(action, 0, GroupStructure(groups.Z, "left"), ORBIT_SLACK)
+    fibre = lambda y: m.fibres.get(y, m.source_radius(4))
+    for pf in (action_translate_family(action, (0, 2)), shape_translate_family(action.space, (0, 2), "left")):
+        assert not isinstance(m.preimage(pf, fibre, 4).grow, ShapeTranslates)
+    report = surjective_equivalence_check(m, 4, n_random=8).to_json()
+    _generic_preimages(monkeypatch)
+    assert report == surjective_equivalence_check(m, 4, n_random=8).to_json()
