@@ -3,9 +3,10 @@
 Actions are left actions by construction; a right translation action is
 encoded as the left action g.x := x * h(g)^-1.  Translation actions go
 through a catalog homomorphism (identity, the inclusion of Z into DihInf
-as powers of x, or an integer scaling on Z).  Table actions carry explicit
-generator permutations of a finite point set and extend along geodesic
-words.
+as powers of x, or an integer scaling on Z); the orbit {g.S} of one through
+h is the ``families.ShapeTranslates`` of S through h, which a group
+structure reads off S (L6).  Table actions carry explicit generator
+permutations of a finite point set and extend along geodesic words.
 
 One window construction produces a coarse structure from an action, the
 bounded translates: a family is bounded when it refines translates
@@ -46,6 +47,7 @@ from .families import (
     Reading,
     ShapeTranslates,
     entry_trace,
+    identity,
 )
 from .maps import Certificate, MapWindow, surjective_equivalence_check, check_bornologous, table_map
 from .spaces import FiniteSpace, GroupSpace, Preimages
@@ -81,12 +83,8 @@ class Hom:
         self.apply = apply
 
 
-def _identity(g):
-    return g
-
-
 def identity_hom(spec: groups.GroupSpec) -> Hom:
-    return Hom("identity", spec, spec, _identity)
+    return Hom("identity", spec, spec, identity)
 
 
 def inclusion_hom() -> Hom:
@@ -112,6 +110,10 @@ class Action:
     def apply_set(self, g, S) -> frozenset:
         return frozenset(self.apply(g, x) for x in S)
 
+    def orbit(self, S) -> Callable:
+        """grow of the orbit family r -> {g.S : g in Ball(r)}."""
+        return _Orbit(self, S)
+
     def covers(self, U) -> Preimages:
         """The covers of each point y, the acting elements h with y in h.U, in
         ball order: one index per set U, in any order, kept with the action."""
@@ -131,7 +133,7 @@ class Action:
         elems = groups.ball(self.group, ACTION_LAW_DEPTH).elements
         for g1 in elems:
             for g2 in elems:
-                g12 = groups.multiply(self.group, g1, g2)
+                g12 = self.group.mul(g1, g2)
                 for x in pts:
                     if self.apply(g12, x) != self.apply(g1, self.apply(g2, x)):
                         raise PreconditionError(
@@ -161,6 +163,10 @@ class TranslationAction(Action):
         if self.side == "left":
             return spec.mul(h, x)
         return spec.mul(x, spec.inv(h))
+
+    def orbit(self, S) -> ShapeTranslates:
+        """{h(g)*S}, or {S*h(g)} on the right: the orbit, sphere by sphere."""
+        return ShapeTranslates(self.space.spec, S, self.side, self.group, self.hom.apply)
 
     def apply_set(self, g, S) -> frozenset:
         spec = self.space.spec
@@ -420,9 +426,8 @@ class ActionInducedStructure(CoarseStructure):
         """The witness and trace of an orbit of this structure's action, as
         its fold gives them: an element enters at the first layer s of the
         orbit's seed that holds it.
-        For a translation of a group on itself through the identity, a
-        ``ShapeTranslates`` on the action's side is read off as the orbit it
-        grows (``_orbit_seed``); an ``ImageTranslates`` is no orbit.
+        A ``ShapeTranslates`` is such an orbit when its acting group,
+        homomorphism, space and side are the translation's (``_orbit_seed``).
         Any other family, or an orbit with a refused member, is folded, so
         the fold reports the least refused member."""
         seed = _orbit_seed(self.action, grow)
@@ -451,7 +456,7 @@ class ActionInducedStructure(CoarseStructure):
         f0 = hits[0]  # ball order is the canonical order
         out = set()
         for g in groups.ball(G, mesh).elements:
-            out.update(self.action.apply_set(groups.multiply(G, g, f0), self.U))
+            out.update(self.action.apply_set(G.mul(g, f0), self.U))
         return tuple(sorted(out, key=self.space.sort_key))
 
     def default_battery(self, seed: int, n_random: int) -> list:
@@ -465,7 +470,8 @@ class ActionInducedStructure(CoarseStructure):
 
 
 class _Orbit:
-    """grow of the orbit family r -> {g.S : g in Ball(r)} of one seed S.
+    """grow of the orbit family r -> {g.S : g in Ball(r)} of one seed S,
+    for an action that is no translation (``Action.orbit``).
 
     At radius r it yields the translates by sphere r, each applied once per
     call.  An induced structure of the same action reads the family off its
@@ -483,23 +489,19 @@ class _Orbit:
 
 def _translates_itself(action: Action) -> bool:
     """Is ``action`` a translation of a group on itself through the identity?"""
-    return isinstance(action, TranslationAction) and action.hom.apply is _identity
+    return isinstance(action, TranslationAction) and action.hom.apply is identity
 
 
 def _orbit_seed(action: Action, grow) -> tuple | None:
     """The seed S when ``grow`` grows the orbit {g.S} of ``action`` sphere by
-    sphere, else None: an ``_Orbit`` of this action, or, for a translation
-    of a group on itself through the identity, a ``ShapeTranslates`` {g*S}
-    or {S*g} on the action's side (spheres are closed under inverses, and
-    S*g = g^-1.S on the right)."""
+    sphere, else None: an ``_Orbit`` of this action, or a ``ShapeTranslates``
+    of S by the acting group through the homomorphism of this translation,
+    on its side and in its space (``TranslationAction.orbit``)."""
     if isinstance(grow, _Orbit):
         return grow.seed if grow.action is action else None
-    if (
-        _translates_itself(action)
-        and isinstance(grow, ShapeTranslates)
-        and grow.spec == action.group
-        and grow.side == action.side
-    ):
+    if isinstance(grow, ShapeTranslates) and isinstance(action, TranslationAction) and (
+        grow.source, grow.f, grow.spec, grow.side
+    ) == (action.group, action.hom.apply, action.space.spec, action.side):
         return grow.shape
     return None
 
@@ -510,7 +512,7 @@ def action_translate_family(action: Action, V, tag: str = "") -> ParamFamily:
     if not tag:
         vs = ",".join(action.space.serialize(v) for v in V)
         tag = f"{{g.[{vs}]}}"
-    return ParamFamily(tag=tag, space=action.space, grow=_Orbit(action, V))
+    return ParamFamily(tag=tag, space=action.space, grow=action.orbit(V))
 
 
 def translates_family(action: Action, pf: ParamFamily, tag: str) -> ParamFamily:
@@ -727,9 +729,11 @@ class _OrbitMap(MapWindow):
 
     For a translation action, the image of a left translate family {g*S} of
     the acting group is, sphere by sphere, the orbit {g.(S.x0)}: by the
-    action law (g*s).x0 = g.(s.x0).  ``image`` returns it as that orbit, so
-    an induced structure of the same action reads it off its orbit layers
-    (``ActionInducedStructure.read_off``).  Any other family, or another
+    action law (g*s).x0 = g.(s.x0).  ``image`` returns it as that orbit, a
+    ``ShapeTranslates`` of S.x0 (``TranslationAction.orbit``), so an induced
+    structure of the same action reads it off its orbit layers
+    (``ActionInducedStructure.read_off``) and a group structure off S.x0
+    (L6, ``GroupStructure.read_off``).  Any other family, or another
     action, whose law is checked only on a window, keeps the image family.
     Its fibres are the covers of {x0}, ``action.covers((x0,))``.
 
@@ -765,9 +769,10 @@ class _OrbitMap(MapWindow):
             isinstance(action, TranslationAction)
             and isinstance(grow, ShapeTranslates)
             and grow.side == "left"
+            and grow.f is identity
             and grow.spec == action.group
         ):
-            img.grow = _Orbit(action, tuple(map(self.rule, grow.shape)))
+            img.grow = action.orbit(tuple(map(self.rule, grow.shape)))
         return img
 
     def preimage(self, pf: ParamFamily, fibre: Callable, radius: int) -> ParamFamily:
@@ -1008,8 +1013,8 @@ def _selection(action_from: Action, covers: Preimages, x0, table_radius: int, sl
     Gf = action_from.group
     table = {}
     for h in groups.ball(Gf, table_radius).elements:
-        p = action_from.apply(groups.invert(Gf, h), x0)
-        search = groups.word_length(Gf, h) + slack
+        p = action_from.apply(Gf.inv(h), x0)
+        search = Gf.length(h) + slack
         reach = covers.reach(p, search)
         if reach is None:
             raise SearchFailureError(

@@ -238,44 +238,28 @@ def refines(f1: FiniteFamily, f2: FiniteFamily) -> bool:
 # ---------------------------------------------------------------------------
 # stock parametrized families
 
+def identity(g):
+    return g
+
+
 class ShapeTranslates:
-    """grow of the translate family r -> {g*S} ("left") or {S*g} ("right")
-    over g in the sphere of radius r, S fixed.
+    """grow of r -> {f(g)*S} ("left") or {S*f(g)} ("right") over g in the
+    sphere of radius r of ``source``, S fixed and f a homomorphism into
+    ``spec``; by default ``source`` is ``spec`` and f the identity.
 
-    It carries ``(spec, shape, side)``, so a group structure can read the
-    family's witness off S (see ``GroupStructure.read_off``)."""
+    It is every translate family the engine reads off: a shape's translates,
+    their image f(g*S) = f(g)*f(S) through a homomorphism (``MapWindow.image``)
+    and a translation's orbit {g.S} (``actions.TranslationAction.orbit``).  A
+    right action's S*f(g)^-1 are, sphere by sphere, the S*f(g), since every
+    catalog sphere is closed under inverses.  A group structure reads the
+    family's witness off S (L6, ``GroupStructure.read_off``)."""
 
-    def __init__(self, spec: groups.GroupSpec, shape: tuple, side: str):
+    def __init__(self, spec: groups.GroupSpec, shape: tuple, side: str, source=None, f: Callable = identity):
         self.spec = spec
         self.shape = shape
         self.side = side
-
-    def __call__(self, r: int):
-        mul, shape = self.spec.mul, self.shape
-        for g in groups.sphere(self.spec, r):
-            if self.side == "left":
-                yield tuple([mul(g, s) for s in shape])
-            else:
-                yield tuple([mul(s, g) for s in shape])
-
-
-class ImageTranslates:
-    """grow of the image of a ``ShapeTranslates`` {g*S} ("left") or {S*g}
-    ("right") through a homomorphism f into ``spec``: at radius r the
-    members f(g)*f(S) or f(S)*f(g) over g in the source sphere of radius r,
-    which are the images f(g*S) and f(S*g) member for member.
-
-    It carries ``(spec, shape, side)`` with shape f(S), so a group structure
-    on ``spec`` reads the family's witness off f(S) (``GroupStructure.read_off``).
-    It is no translate family of ``spec``: its members come one per g of the
-    source sphere, so nothing that reads a ``ShapeTranslates`` takes it."""
-
-    def __init__(self, translates: ShapeTranslates, f: Callable, spec: groups.GroupSpec):
-        self.source = translates.spec
+        self.source = spec if source is None else source
         self.f = f
-        self.spec = spec
-        self.shape = tuple([f(s) for s in translates.shape])
-        self.side = translates.side
 
     def __call__(self, r: int):
         mul, f, shape = self.spec.mul, self.f, self.shape

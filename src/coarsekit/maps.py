@@ -28,7 +28,7 @@ from .errors import (
     SurjectivityError,
     WindowOverflowError,
 )
-from .families import ImageTranslates, ParamFamily, Reading, ShapeTranslates, image_family
+from .families import ParamFamily, Reading, ShapeTranslates, identity, image_family
 from .spaces import GroupSpace, Preimages
 from .structures import CoarseStructure, bounded_battery, first_unbounded, membership_window
 
@@ -73,17 +73,18 @@ class MapWindow:
         orbit map of ``actions.coarse_action_certificate`` does).
 
         A homomorphism f sends g*S to f(g)*f(S) and S*g to f(S)*f(g).  So
-        the image of a ``ShapeTranslates`` of the source group grows as an
-        ``ImageTranslates``: the same members, over the same source
-        spheres, carrying f(S), so a group structure on the target reads
-        the witness of f(S) off it wherever translations on the family's
-        side are isometries (``GroupStructure.read_off``), and folds the
-        members elsewhere."""
+        the image of a ``ShapeTranslates`` of the source group through the
+        identity is the ``ShapeTranslates`` of f(S) through f: the same
+        members, over the same source spheres, which a group structure on
+        the target reads off f(S) wherever translations on the family's
+        side are isometries (``GroupStructure.read_off``), and folds
+        elsewhere."""
         tag = f"{self.name}({pf.tag})"
-        grow = pf.grow
-        if self.homomorphism and isinstance(grow, ShapeTranslates) and grow.spec == self.source.space.spec:
-            return ParamFamily(tag, self.target.space, ImageTranslates(grow, self.rule, self.target.space.spec))
-        return image_family(pf, self.rule, self.target.space, tag=tag)
+        grow, f, space = pf.grow, self.rule, self.target.space
+        if self.homomorphism and isinstance(grow, ShapeTranslates) and grow.f is identity:
+            shape = tuple([f(s) for s in grow.shape])
+            return ParamFamily(tag, space, ShapeTranslates(space.spec, shape, grow.side, grow.source, f))
+        return image_family(pf, f, space, tag=tag)
 
     def preimage(self, pf: ParamFamily, fibre: Callable, radius: int) -> ParamFamily:
         """The preimage family r -> {fibre(m)} of pf, tagged ``pre(pf.tag)``,
@@ -161,17 +162,17 @@ def translation_map(
     name = f"translate-{side}:{gs}"
     target = _onto_own_space(name, source, target)
     if side == "left":
-        rule = lambda x: groups.multiply(spec, g, x)
+        rule = lambda x: spec.mul(g, x)
     else:
-        rule = lambda x: groups.multiply(spec, x, g)
+        rule = lambda x: spec.mul(x, g)
     return MapWindow(name, source, target, rule, source_factor=1,
-                     source_slack=groups.word_length(spec, g) + 1)
+                     source_slack=spec.length(g) + 1)
 
 
 def negation_map(source: CoarseStructure, target: CoarseStructure | None = None) -> MapWindow:
     spec = source.space.spec
     target = _onto_own_space("negate", source, target)
-    return MapWindow("negate", source, target, lambda x: groups.invert(spec, x), source_factor=1)
+    return MapWindow("negate", source, target, spec.inv, source_factor=1)
 
 
 def squaring_map(source: CoarseStructure, target: CoarseStructure | None = None) -> MapWindow:
@@ -287,9 +288,7 @@ def check_close(m1: MapWindow, m2: MapWindow, radius: int) -> Certificate:
     data = {"maps": [m1.name, m2.name], "result": res.to_json()}
     if res.bounded and isinstance(m1.target.space, GroupSpace):
         spec = m1.target.space.spec
-        data["displacement"] = max(
-            (groups.word_length(spec, w) for w in res.elements), default=0
-        )
+        data["displacement"] = max(map(spec.length, res.elements), default=0)
     return Certificate(
         check="close",
         verdict="PASS" if res.bounded else "FAIL",
@@ -422,12 +421,8 @@ def surjective_equivalence_check(
     data["close_g_m"] = gm_res.to_json()
     # witness elements live in the structure's witness group, which for
     # induced structures is the acting group rather than the space itself
-    data["displacement_m_g"] = max(
-        (groups.word_length(mg_res.group, w) for w in mg_res.elements), default=0
-    )
-    data["displacement_g_m"] = max(
-        (groups.word_length(gm_res.group, w) for w in gm_res.elements), default=0
-    )
+    data["displacement_m_g"] = max(map(mg_res.group.length, mg_res.elements), default=0)
+    data["displacement_g_m"] = max(map(gm_res.group.length, gm_res.elements), default=0)
 
     verdict = "PASS" if (mg_res.bounded and gm_res.bounded) else "FAIL"
     return Certificate("surjective-equivalence", verdict, radius, data)

@@ -7,10 +7,14 @@ window can tell) or keeps growing (a genuine counterexample at this scale).
 
 Structures on a group's underlying set come in the left flavor (witnesses
 u^-1*v) and the right flavor (witnesses u*v^-1), one ``GroupStructure``
-each.  The structure an action induces from the translates of a bounded
-set, ``actions.ActionInducedStructure``, is the memoized kind: each member's
-witness is a search, so it is computed once per member, and an orbit of the
-structure's own action is read off per-seed layers (``read_off``).
+each.  A group structure reads every ``families.ShapeTranslates`` off its
+shape S where translations on its side are isometries (L6): a shape's
+translates, their image through a homomorphism and a translation action's
+orbit are all that one family.  The structure an action induces from the
+translates of a bounded set, ``actions.ActionInducedStructure``, is the
+memoized kind: each member's witness is a search, so it is computed once per
+member, and an orbit of the structure's own action is read off per-seed
+layers (``read_off``).
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from itertools import combinations
 from . import groups
 from .errors import CoarseKitError, PreconditionError
 from .families import (
-    ImageTranslates,
     Membership,
     ParamFamily,
     Reading,
@@ -103,9 +106,9 @@ class GroupStructure(CoarseStructure):
     nothing.
 
     ``translations_isometric`` is the one rule for which translations
-    preserve the structure.  Both isometry read-offs ask it: a translate
-    family of a shape S read off S (L6, ``read_off``), and an action's
-    translates read off the family (L5, in the translate check of
+    preserve the structure.  Both isometry read-offs ask it: a
+    ``ShapeTranslates`` of a shape S read off S (L6, ``read_off``), and an
+    action's translates read off the family (L5, in the translate check of
     ``actions``)."""
 
     def __init__(self, spec: groups.GroupSpec, side: str):
@@ -141,13 +144,12 @@ class GroupStructure(CoarseStructure):
 
     def read_off(self, grow, radius: int) -> tuple[set, dict] | None:
         """(L6) Where translations on the family's side are isometries
-        (``translations_isometric``), every member of {g*S} or {S*g} has
-        the witness of S, at every radius, so the trace is constant.  So
-        has every member h*S or S*h of the image of a translate family
-        through a homomorphism (``ImageTranslates``, S the image shape).
-        Any other family is folded."""
+        (``translations_isometric``), every member h*S or S*h of a
+        ``ShapeTranslates`` has the witness of S, at every radius, so the
+        trace is constant, whatever group acts and through whatever
+        homomorphism.  Any other family is folded."""
         if (
-            not isinstance(grow, (ShapeTranslates, ImageTranslates))
+            not isinstance(grow, ShapeTranslates)
             or grow.spec != self.spec
             or not self.translations_isometric(grow.side)
         ):

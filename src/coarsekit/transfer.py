@@ -55,8 +55,7 @@ ALL_CONDITIONS = ("pin", "c", "d", "cover")
 
 
 def _key_tag(spec: groups.GroupSpec, key: frozenset) -> str:
-    elems = sorted(key, key=lambda g: groups.sort_key(spec, g))
-    return "{" + ",".join(spec.serialize(g) for g in elems) + "}"
+    return "{" + ",".join(spec.serialize(g) for g in groups.canonical_sorted(spec, key)) + "}"
 
 
 class TransferData:
@@ -79,7 +78,7 @@ class TransferData:
         return self.alpha.target.space.spec
 
     def cover_mesh(self) -> int:
-        return max((groups.word_length(self.target_spec, e) for e in self.cover), default=0)
+        return max(map(self.target_spec.length, self.cover), default=0)
 
     def padded(self, c_extra: dict) -> "TransferData":
         """New data with extra admissible c displacements merged per key."""
@@ -211,7 +210,7 @@ def compute_cover_constant(alpha: MapWindow, radius: int) -> tuple:
     for y in groups.ball(H, radius).elements:
         if any(mul(y, inv(e)) in images for e in E):
             continue
-        E.append(min({mul(iimg, y) for iimg in inv_images}, key=lambda d: groups.sort_key(H, d)))
+        E.append(min({mul(iimg, y) for iimg in inv_images}, key=lambda d: (H.length(d), H.skey(d))))
         if len(E) > DEFAULT_COVER_CAP:
             raise CoverFailureError(
                 f"{alpha.name}: cover set exceeded {DEFAULT_COVER_CAP} elements at radius {radius}"
@@ -407,7 +406,7 @@ def enumerate_beta_windows(td: TransferData, radius: int, pin=None) -> list:
         parent, letter = steps[x]
         base = assigned[parent]
         step_c = singleton_c[gens[letter]]
-        for v in groups.canonical_sorted(H, (groups.multiply(H, base, c) for c in step_c)):
+        for v in groups.canonical_sorted(H, (H.mul(base, c) for c in step_c)):
             expanded += 1
             if expanded > DEFAULT_ENUM_CAP:
                 raise ResourceLimitError(f"beta enumeration exceeded {DEFAULT_ENUM_CAP} nodes")
@@ -424,7 +423,7 @@ def enumerate_beta_windows(td: TransferData, radius: int, pin=None) -> list:
         cert = beta_window_check(td, beta, radius, pin=pin, conditions=("pin", "c", "d"))
         if cert.passed:
             verified.append(beta)
-    verified.sort(key=lambda t: tuple(groups.sort_key(H, t[x]) for x in dom))
+    verified.sort(key=lambda t: tuple((H.length(t[x]), H.skey(t[x])) for x in dom))
     return verified
 
 

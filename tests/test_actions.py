@@ -391,7 +391,7 @@ class TestInducedSecond:
         struct, _ = induced_structure_second(action, (ONE, T), radius)
         struct.index.get(ONE, 4 * radius)
         battery = struct.default_battery(seed=0, n_random=8)
-        seeds = {frozenset(pf.grow.seed) for pf in battery}
+        seeds = {frozenset(actions._orbit_seed(action, pf.grow)) for pf in battery}
         assert len(seeds) < len(battery)  # some F_i.U repeat
         for r, spheres in ((radius, range(radius + 1)), (radius, ()), (radius + 1, (radius + 1,))):
             applied.clear()
@@ -433,7 +433,7 @@ class TestInducedSecond:
                 lambda g, read=reader(S): reads.append(g) or read(g)))
             for seed in seeds:
                 for pf in struct.default_battery(seed=seed, n_random=actions.BATTERY_SHAPES):
-                    S = frozenset(pf.grow.seed)
+                    S = frozenset(actions._orbit_seed(inducing, pf.grow))
                     full = {}
                     for s in range(radius + 1):
                         for g in groups.sphere(G, s):

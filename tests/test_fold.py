@@ -12,7 +12,9 @@ A translate family of a shape whose translations are isometries of the
 structure (``GroupStructure.translations_isometric``: its own side, or either
 side of an abelian group) is read off the shape and never folded (L6); its
 verdict, trace and elements must be the reference's too.  So is the image of
-such a family through a catalog homomorphism, read off the image shape.
+such a family through a catalog homomorphism, read off the image shape, and
+the orbit of a translation action through the identity, x^n or 2n, read off
+its seed.
 """
 
 import contextlib
@@ -23,10 +25,21 @@ import random
 import pytest
 
 from coarsekit import cli, groups, maps, structures
-from coarsekit.actions import ActionInducedStructure, _Orbit, _OrbitMap, identity_hom, left_translation
+from coarsekit.actions import (
+    ActionInducedStructure,
+    _OrbitMap,
+    _orbit_seed,
+    action_translate_family,
+    coarse_action_certificate,
+    identity_hom,
+    inclusion_hom,
+    left_translation,
+    power_hom,
+    right_translation,
+)
 from coarsekit.families import (
-    ImageTranslates,
     ParamFamily,
+    ShapeTranslates,
     finite_family,
     fold_witness,
     image_family,
@@ -228,14 +241,29 @@ def _read_off_shapes(spec):
     return [(a,), (e, a), (a, e, a), (ball2[1], e, ball2[-1]), ()]
 
 
+def _translations_onto(spec):
+    """The left and right translations of spec through the identity, and of
+    Z through x^n onto DihInf or through 2n onto Z."""
+    homs = [identity_hom(spec)]
+    homs += [inclusion_hom()] if spec == groups.DIH else [power_hom(2)] if spec == groups.Z else []
+    return [make(hom) for hom in homs for make in (left_translation, right_translation)]
+
+
 def _read_off_cases(texts):
+    """Shape translate families on both sides, and the orbits of the
+    translations onto the group, each in both structures of the group."""
     for text in texts:
         spec = _spec(text)
         space = GroupSpace(spec)
+        actions = _translations_onto(spec)
         for shape in _read_off_shapes(spec):
             for side in SIDES:
                 for family_side in SIDES:
                     yield spec, side, shape_translate_family(space, shape, family_side)
+                for action in actions:
+                    orbit = action_translate_family(action, shape)
+                    assert _orbit_seed(action, orbit.grow) == shape
+                    yield spec, side, orbit
 
 
 @pytest.mark.parametrize("text", sorted(set(SPECS) | set(ABELIAN) | set(NON_ABELIAN)))
@@ -246,6 +274,7 @@ def test_translate_family_read_off_matches_the_reference(text):
     for spec, side, pf in _read_off_cases([text]):
         struct = GroupStructure(spec, side)
         read = struct.read_off(pf.grow, 8)
+        assert (read is not None) == struct.translations_isometric(pf.grow.side), (pf.tag, side)
         fired.add((pf.grow.side == side, read is not None))
         if read is not None:
             witness = oracles.ref_member_witness(side, spec, pf.grow.shape)
@@ -360,7 +389,8 @@ def test_image_of_a_translate_family_reads_what_the_fold_gives(name):
     for pf in m.source.default_battery(seed=0, n_random=8):
         img = m.image(pf)
         plain = image_family(pf, m.rule, tgt.space, tag=img.tag)
-        assert isinstance(img.grow, ImageTranslates) and img.grow.shape == tuple(map(m.rule, pf.grow.shape))
+        assert isinstance(img.grow, ShapeTranslates) and img.grow.shape == tuple(map(m.rule, pf.grow.shape))
+        assert (img.grow.source, img.grow.f) == (m.source.spec, m.rule)
         # the true members f(g)*f(S), over the source spheres
         assert _members(img.grow, radii[-1]) == _members(plain.grow, radii[-1]), pf.tag
         for radius in radii:
@@ -400,7 +430,8 @@ def test_image_is_no_translate_family_of_the_target():
         img = m.image(pf)
         assert img.grow.side == action.side and img.grow.spec == action.group
         assert induced.read_off(img.grow, 6) is None
-        assert not isinstance(orbit_map.image(img).grow, _Orbit)
+        assert _orbit_seed(action, img.grow) is None
+        assert _orbit_seed(action, orbit_map.image(img).grow) is None
         plain = ParamFamily("plain", img.space, grow=lambda r, g=img.grow: g(r))
         assert membership_window(induced, img, 6).trace == membership_window(induced, plain, 6).trace
 
@@ -411,7 +442,7 @@ def test_maps_that_are_no_homomorphism_keep_the_image_family():
         m = cli.parse_map_dsl(text, z, z)
         assert not m.homomorphism
         pf = shape_translate_family(z.space, (0, 1), "left")
-        assert not isinstance(m.image(pf).grow, ImageTranslates), text
+        assert not isinstance(m.image(pf).grow, ShapeTranslates), text
 
 
 def test_gromov_folds_no_image_family(monkeypatch):
@@ -435,3 +466,33 @@ def test_gromov_folds_no_image_family(monkeypatch):
     images = [n for tag, n in reads if tag.startswith("power:2(")]
     assert len(images) == len(LeftGroupStructure(groups.Z).default_battery(seed=0, n_random=32))
     assert images == [0] * len(images)
+
+
+def test_orbit_map_folds_only_the_families_that_are_no_translates(monkeypatch):
+    """``coarse_action_certificate`` for left(F(2)) on C_l(F(2)) at R = 6 (what
+    ``svarc-milnor --action 'left(F(2))'`` certifies) reads every translate
+    family off its shape, the orbit map's images and preimages included, and
+    folds on a group structure only the closeness families of its selection;
+    the report is the one that folding every family gives."""
+    F2 = groups.free_group(2)
+
+    def report():
+        action = left_translation(identity_hom(F2))
+        cert = coarse_action_certificate(action, LeftGroupStructure(F2), F2.identity(), 6)
+        return json.dumps(cert.to_json(), sort_keys=True)
+
+    folded = []
+    read_off = GroupStructure.read_off
+
+    def counted(struct, grow, radius):
+        read = read_off(struct, grow, radius)
+        if read is None:
+            folded.append(grow)
+        return read
+
+    monkeypatch.setattr(GroupStructure, "read_off", counted)
+    got = report()
+    assert len(folded) == 2
+    assert not any(isinstance(grow, ShapeTranslates) for grow in folded)
+    monkeypatch.setattr(GroupStructure, "read_off", lambda struct, grow, radius: None)
+    assert report() == got

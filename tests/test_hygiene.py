@@ -104,6 +104,11 @@ UNREAD_PUBLIC = {
     "compute_transfer_sets": "perfbench trace target",
     "star_family": "library API (README coarse-core); perfbench span target",
     "refines": "library API (README coarse-core); perfbench span target",
+    # src/ calls spec.mul, spec.inv and spec.length; groups.sort_key, rewired
+    # the same way, is still read here as the name of the spaces' method
+    "multiply": "perfbench trace target (perfbench/tracer.py)",
+    "invert": "perfbench trace target (perfbench/tracer.py)",
+    "word_length": "perfbench trace target (perfbench/tracer.py)",
 }
 
 
